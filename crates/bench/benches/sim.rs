@@ -3,16 +3,10 @@
 //! The compiled instruction-tape engine exists to make the Simulator tool (step ❸ of
 //! the workflow) as fast as the substrate allows; this group quantifies the win on two
 //! suite circuits (a register file and an FSM). `sim/interp/*` vs `sim/compiled/*`
-//! measure a single `step()` on each engine; `sim/batched/*` measures one step of a
-//! 32-lane batched simulator (one tape walk advancing 32 independent state vectors);
-//! `sim/native/*` measures a single `step()` of the AOT-codegen'd machine-code
-//! engine (straight-line Rust, built and `dlopen`ed once per design);
-//! `sim/compile_tape/*` measures the one-time cost the per-case tape cache amortizes
-//! across a sweep. Direct steady-state speedup measurements are printed at the end
-//! (the acceptance bars: compiled ≥5× interp per cycle, and 32-lane batched ≥4× the
-//! per-cycle throughput of solo compiled; native-over-compiled is reported the same
-//! way). Speedups are min-of-N over alternating passes so a noisy-neighbor stall in
-//! one pass cannot skew the ratio.
+//! measure a single `step()` on each engine; `sim/compile_tape/*` measures the
+//! one-time cost the per-case tape cache amortizes across a sweep. A direct
+//! steady-state speedup measurement is printed at the end (the acceptance bar:
+//! compiled ≥5× interp per cycle).
 
 use std::time::Instant;
 
@@ -20,13 +14,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rechisel_benchsuite::circuits::{cdc, fsm, memory, sequential};
 use rechisel_benchsuite::SourceFamily;
 use rechisel_firrtl::lower::Netlist;
-use rechisel_sim::{
-    BatchedSimulator, CompiledSimulator, NativeOptions, NativeSimulator, SimEngine, Simulator, Tape,
-};
-
-/// Lane count for the batched datapoints: wide enough that the per-step dispatch
-/// cost is fully amortized and the lane loops hit their SIMD steady state.
-const BATCH_LANES: usize = 32;
+use rechisel_sim::{CompiledSimulator, Simulator, Tape};
 
 /// Drives every data input with an in-range, activity-producing value.
 fn poke_ones(poke: &mut dyn FnMut(&str), netlist: &Netlist) {
@@ -58,81 +46,6 @@ fn measured_speedup(netlist: &Netlist) -> f64 {
 
     assert_eq!(interp.outputs(), compiled.outputs(), "engines diverged during the benchmark");
     interp_time.as_secs_f64() / compiled_time.as_secs_f64().max(f64::MIN_POSITIVE)
-}
-
-/// Per-lane steady-state throughput of a `lanes`-wide batched step over solo compiled
-/// steps: `lanes` solo cycles take `lanes × t_compiled`; the batch advances the same
-/// `lanes` state vectors in one `t_batched` walk. Both engines are timed over
-/// `PASSES` alternating passes and the minimum per-engine time wins, so a transient
-/// stall (scheduler preemption, frequency dip) in one pass cannot skew the ratio.
-fn measured_batch_speedup(netlist: &Netlist, lanes: usize) -> f64 {
-    const WARMUP: u32 = 200;
-    const CYCLES: u32 = 4000;
-    const PASSES: usize = 5;
-
-    let mut compiled = CompiledSimulator::new(netlist).unwrap();
-    compiled.reset(2).unwrap();
-    poke_ones(&mut |name| compiled.poke(name, 1).unwrap(), netlist);
-    compiled.step_n(WARMUP);
-
-    let mut batched = BatchedSimulator::new(netlist, lanes).unwrap();
-    batched.reset(2).unwrap();
-    for lane in 0..lanes {
-        poke_ones(&mut |name| batched.poke(lane, name, 1).unwrap(), netlist);
-    }
-    batched.step_n(WARMUP);
-
-    let mut compiled_time = f64::MAX;
-    let mut batched_time = f64::MAX;
-    for _ in 0..PASSES {
-        let start = Instant::now();
-        compiled.step_n(CYCLES);
-        compiled_time = compiled_time.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        batched.step_n(CYCLES);
-        batched_time = batched_time.min(start.elapsed().as_secs_f64());
-    }
-
-    assert_eq!(compiled.outputs(), batched.outputs(0), "engines diverged during the benchmark");
-    compiled_time * lanes as f64 / batched_time.max(f64::MIN_POSITIVE)
-}
-
-/// Steady-state per-cycle speedup of the AOT native engine over the compiled tape,
-/// min-of-`PASSES` over alternating passes like [`measured_batch_speedup`]. The one
-/// `cargo build` per design happens in `NativeSimulator::new`, outside the timed
-/// region (and is shared with the `sim/native/*` datapoints via the process cache).
-fn measured_native_speedup(netlist: &Netlist) -> f64 {
-    const WARMUP: u32 = 200;
-    const CYCLES: u32 = 4000;
-    const PASSES: usize = 5;
-
-    let mut compiled = CompiledSimulator::new(netlist).unwrap();
-    compiled.reset(2).unwrap();
-    poke_ones(&mut |name| compiled.poke(name, 1).unwrap(), netlist);
-    compiled.step_n(WARMUP);
-
-    let mut native = NativeSimulator::new(netlist, &NativeOptions::from_env()).unwrap();
-    SimEngine::reset(&mut native, 2).unwrap();
-    poke_ones(&mut |name| native.poke(name, 1).unwrap(), netlist);
-    SimEngine::step_n(&mut native, WARMUP).unwrap();
-
-    let mut compiled_time = f64::MAX;
-    let mut native_time = f64::MAX;
-    for _ in 0..PASSES {
-        let start = Instant::now();
-        compiled.step_n(CYCLES);
-        compiled_time = compiled_time.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        for _ in 0..CYCLES {
-            native.step();
-        }
-        native_time = native_time.min(start.elapsed().as_secs_f64());
-    }
-
-    assert_eq!(compiled.outputs(), native.outputs(), "engines diverged during the benchmark");
-    compiled_time / native_time.max(f64::MIN_POSITIVE)
 }
 
 /// Fixed pure-CPU work (a splitmix64 spin) whose cost scales with host speed the same
@@ -175,25 +88,6 @@ fn bench_sim(c: &mut Criterion) {
         poke_ones(&mut |name| compiled.poke(name, 1).unwrap(), &netlist);
         c.bench_function(&format!("sim/compiled/{label}/step"), |b| b.iter(|| compiled.step()));
 
-        // One 32-lane batched step: a single tape walk advancing 32 state vectors.
-        // Compare against 32× the solo compiled step for per-lane throughput.
-        if *label != "masked_ram" {
-            let mut batched = BatchedSimulator::new(&netlist, BATCH_LANES).unwrap();
-            batched.reset(2).unwrap();
-            for lane in 0..BATCH_LANES {
-                poke_ones(&mut |name| batched.poke(lane, name, 1).unwrap(), &netlist);
-            }
-            c.bench_function(&format!("sim/batched/{label}/step"), |b| b.iter(|| batched.step()));
-
-            // One machine-code step of the AOT native engine. The generate→build→load
-            // cost is paid once here (process-cached by tape fingerprint), so the
-            // datapoint measures the steady-state call through the `dlopen`ed symbol.
-            let mut native = NativeSimulator::new(&netlist, &NativeOptions::from_env()).unwrap();
-            SimEngine::reset(&mut native, 2).unwrap();
-            poke_ones(&mut |name| native.poke(name, 1).unwrap(), &netlist);
-            c.bench_function(&format!("sim/native/{label}/step"), |b| b.iter(|| native.step()));
-        }
-
         // The one-time cost the per-case tape cache pays exactly once per sweep.
         c.bench_function(&format!("sim/compile_tape/{label}"), |b| {
             b.iter(|| Tape::compile(&netlist).unwrap())
@@ -219,17 +113,6 @@ fn bench_sim(c: &mut Criterion) {
     for (label, case) in &cases {
         let speedup = measured_speedup(case.reference_netlist());
         println!("sim/{label}: compiled engine is {speedup:.1}x faster per cycle than interp");
-    }
-    for (label, case) in cases.iter().filter(|(label, _)| *label != "masked_ram") {
-        let speedup = measured_batch_speedup(case.reference_netlist(), BATCH_LANES);
-        println!(
-            "sim/{label}: {BATCH_LANES}-lane batched delivers {speedup:.1}x the per-cycle \
-             throughput of solo compiled"
-        );
-    }
-    for (label, case) in cases.iter().filter(|(label, _)| *label != "masked_ram") {
-        let speedup = measured_native_speedup(case.reference_netlist());
-        println!("sim/{label}: native engine is {speedup:.1}x faster per cycle than compiled");
     }
 }
 

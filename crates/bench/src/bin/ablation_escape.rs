@@ -1,5 +1,5 @@
-//! Ablation of the ReChisel design choices called out in DESIGN.md: the escape
-//! mechanism (paper §IV-C, Figs. 4–5) and the common-error knowledge base (§IV-B).
+//! Ablation of two ReChisel design choices: the escape mechanism (paper §IV-C,
+//! Figs. 4–5) and the common-error knowledge base (§IV-B).
 //!
 //! For each model the binary runs the same suite with (a) the full system, (b) escape
 //! disabled, and (c) the knowledge base disabled, and reports Pass@1 at the full

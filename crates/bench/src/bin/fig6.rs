@@ -1,5 +1,6 @@
 //! Reproduces Fig. 6 of the ReChisel paper: success rate as a function of the number of
-//! reflection iterations (0..=10) for every model, under Pass@1, Pass@5 and Pass@10.
+//! reflection iterations (0..=10) for every model, under Pass@1, Pass@5 and Pass@10
+//! (each k up to the sample count).
 
 use rechisel_bench::Scale;
 use rechisel_benchsuite::report::format_series;
@@ -20,7 +21,7 @@ fn main() {
         let outcome = run_model(&profile, &suite, &config);
         eprintln!("  finished {}", profile.name);
         println!("{}", profile.name);
-        for k in [1usize, 5, 10] {
+        for k in scale.pass_ks() {
             let series: Vec<f64> = (0..=10).map(|n| outcome.pass_at_k(k, n)).collect();
             println!("{}", format_series(&format!("  Pass@{k}"), &series));
         }

@@ -1,5 +1,6 @@
 //! Reproduces Table I of the ReChisel paper: baseline (zero-shot) capabilities of the
-//! five models generating Chisel vs Verilog, measured as Pass@1/5/10.
+//! five models generating Chisel vs Verilog, measured as Pass@1/5/10 (each k up to
+//! the sample count).
 
 use rechisel_autochip::{run_autochip_model, AutoChipConfig};
 use rechisel_bench::Scale;
@@ -19,26 +20,26 @@ fn main() {
     let verilog_config =
         AutoChipConfig { samples: scale.samples, max_iterations: 0, ..AutoChipConfig::paper() };
 
+    let ks = scale.pass_ks();
     let mut rows = Vec::new();
     for profile in ModelProfile::paper_models() {
         let chisel = run_model(&profile, &suite, &chisel_config);
         let verilog = run_autochip_model(&profile, &suite, &verilog_config);
-        rows.push(vec![
-            profile.name.clone(),
-            pct(chisel.pass_at_k(1, 0)),
-            pct(verilog.pass_at_k(1, 0)),
-            pct(chisel.pass_at_k(5, 0)),
-            pct(verilog.pass_at_k(5, 0)),
-            pct(chisel.pass_at_k(10, 0)),
-            pct(verilog.pass_at_k(10, 0)),
-        ]);
+        let mut row = vec![profile.name.clone()];
+        for &k in &ks {
+            row.push(pct(chisel.pass_at_k(k, 0)));
+            row.push(pct(verilog.pass_at_k(k, 0)));
+        }
+        rows.push(row);
         eprintln!("  finished {}", profile.name);
     }
-    let table = format_table(
-        "Pass@k (%) in zero-shot generation",
-        &["Model", "P@1 CHS", "P@1 VRL", "P@5 CHS", "P@5 VRL", "P@10 CHS", "P@10 VRL"],
-        &rows,
-    );
+    let mut headers = vec!["Model".to_string()];
+    for k in &ks {
+        headers.push(format!("P@{k} CHS"));
+        headers.push(format!("P@{k} VRL"));
+    }
+    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let table = format_table("Pass@k (%) in zero-shot generation", &headers, &rows);
     println!("{table}");
     println!(
         "Paper reference (Pass@1 CHS/VRL): GPT-4 Turbo 45.54/67.61, GPT-4o 45.07/69.48, \

@@ -1,5 +1,6 @@
-//! Reproduces Table III of the ReChisel paper: ReChisel success rate (Pass@1/5/10) as a
-//! function of the maximum allowed number of reflection iterations n ∈ {0, 1, 5, 10}.
+//! Reproduces Table III of the ReChisel paper: ReChisel success rate (Pass@1/5/10, each
+//! k up to the sample count) as a function of the maximum allowed number of reflection
+//! iterations n ∈ {0, 1, 5, 10}.
 
 use rechisel_bench::Scale;
 use rechisel_benchsuite::report::{format_table, pct};
@@ -23,7 +24,7 @@ fn main() {
         eprintln!("  finished {}", profile.name);
         outcomes.push((profile.name.clone(), outcome));
     }
-    for k in [1usize, 5, 10] {
+    for k in scale.pass_ks() {
         let mut rows = Vec::new();
         for (name, outcome) in &outcomes {
             let mut row = vec![name.clone()];

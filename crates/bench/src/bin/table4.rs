@@ -1,5 +1,6 @@
 //! Reproduces Table IV of the ReChisel paper: ReChisel (Chisel generation) compared to
-//! the AutoChip baseline (direct Verilog generation) at the same iteration budget.
+//! the AutoChip baseline (direct Verilog generation) at the same iteration budget, as
+//! Pass@1/5/10 (each k up to the sample count).
 
 use rechisel_autochip::{run_autochip_model, AutoChipConfig};
 use rechisel_bench::Scale;
@@ -19,7 +20,7 @@ fn main() {
         AutoChipConfig { samples: scale.samples, max_iterations: 10, ..AutoChipConfig::paper() };
 
     let mut per_k: Vec<(usize, Vec<Vec<String>>)> =
-        vec![(1, Vec::new()), (5, Vec::new()), (10, Vec::new())];
+        scale.pass_ks().into_iter().map(|k| (k, Vec::new())).collect();
     for profile in ModelProfile::comparison_models() {
         let rechisel = run_model(&profile, &suite, &rechisel_config);
         let autochip = run_autochip_model(&profile, &suite, &autochip_config);

@@ -3,8 +3,8 @@
 //! Experiment binaries and Criterion benches for the ReChisel reproduction.
 //!
 //! One binary per table/figure of the paper's evaluation regenerates the corresponding
-//! result from this repository's substrate (see `DESIGN.md` §4 for the index and
-//! `EXPERIMENTS.md` for recorded paper-vs-measured numbers):
+//! result from this repository's substrate, with the paper's LLM calls replaced by the
+//! synthetic defect-process model described in the README introduction:
 //!
 //! | Binary | Reproduces |
 //! |--------|------------|
@@ -62,6 +62,13 @@ impl Scale {
         }
     }
 
+    /// The paper's Pass@k columns (k = 1, 5, 10) that this scale can estimate: those
+    /// with k ≤ samples. `pass_at_k` clamps a larger k to the sample count, so a
+    /// Pass@10 column printed from 4 samples would really be Pass@4.
+    pub fn pass_ks(&self) -> Vec<usize> {
+        [1, 5, 10].into_iter().filter(|&k| k <= self.samples as usize).collect()
+    }
+
     /// A one-line description printed at the top of every experiment.
     pub fn banner(&self, experiment: &str) -> String {
         format!(
@@ -89,5 +96,12 @@ mod tests {
         assert!(s.samples <= 10);
         assert_eq!(s.suite().len(), s.cases);
         assert!(s.banner("Table I").contains("Table I"));
+    }
+
+    #[test]
+    fn pass_ks_never_exceed_the_sample_count() {
+        assert_eq!(Scale { cases: 8, samples: 4 }.pass_ks(), vec![1]);
+        assert_eq!(Scale { cases: 8, samples: 5 }.pass_ks(), vec![1, 5]);
+        assert_eq!(Scale { cases: 8, samples: 10 }.pass_ks(), vec![1, 5, 10]);
     }
 }

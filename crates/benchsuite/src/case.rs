@@ -246,9 +246,9 @@ impl BenchmarkCase {
     /// regeneration. (The testbench is seeded by [`seed`](Self::seed), so a clone and a
     /// regeneration are identical.) Clones also share the prototype's lazily compiled
     /// reference instruction tape **and its recorded reference output trace**, so on
-    /// the compiled and batched simulation engines the whole sweep compiles *and
-    /// simulates* each reference **once per case** — every sample's DUT is compared
-    /// against that one shared reference walk instead of re-running the reference.
+    /// the compiled simulation engine the whole sweep compiles *and simulates* each
+    /// reference **once per case** — every sample's DUT is compared against that one
+    /// shared reference walk instead of re-running the reference.
     ///
     /// # Panics
     ///
@@ -295,8 +295,7 @@ impl BenchmarkCase {
     /// Like [`tester`](Self::tester), but with an explicit simulation engine. The
     /// returned tester still shares this case's cached reference netlist, compiled
     /// tape and reference trace (each is produced — once — when a tester that needs
-    /// it first runs). With [`EngineKind::Batched`] and a combinational case, each
-    /// sample's checked points additionally ride the lanes of one batched tape walk.
+    /// it first runs).
     pub fn tester_with_engine(&self, engine: EngineKind) -> FunctionalTester {
         self.tester().with_engine(engine)
     }
@@ -407,12 +406,9 @@ mod tests {
         let case = tiny_case();
         let compiled = case.tester_with_engine(EngineKind::Compiled);
         let interp = case.tester_with_engine(EngineKind::Interp);
-        let batched = case.tester_with_engine(EngineKind::Batched);
         assert_eq!(compiled.engine(), EngineKind::Compiled);
         assert_eq!(interp.engine(), EngineKind::Interp);
-        assert_eq!(batched.engine(), EngineKind::Batched);
         let dut = case.reference_netlist().clone();
         assert_eq!(compiled.test(&dut), interp.test(&dut));
-        assert_eq!(compiled.test(&dut), batched.test(&dut));
     }
 }

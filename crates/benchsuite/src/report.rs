@@ -1,8 +1,8 @@
 //! Plain-text table/figure formatting for the experiment binaries.
 //!
 //! The `rechisel-bench` binaries print each reproduced table and figure as an aligned
-//! ASCII table (and simple ASCII series for the figures), so that `EXPERIMENTS.md` can
-//! quote them directly.
+//! ASCII table (and simple ASCII series for the figures), so the output can be quoted
+//! directly.
 
 /// Formats a table with a header row and aligned columns.
 pub fn format_table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {

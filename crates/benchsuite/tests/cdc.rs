@@ -5,16 +5,16 @@
 //!
 //! * **Golden traces at unequal edge ratios** — each CDC reference is stepped through
 //!   a fixed 3:1 [`EdgeQueue`] schedule between stimulus points and its per-point
-//!   output trace is pinned to a file, checked by **all three** engines. The identical
+//!   output trace is pinned to a file, checked by **both** engines. The identical
 //!   golden string across engines is the acceptance criterion for per-domain stepping:
 //!   a dual-clock circuit at a 3:1 ratio produces the same trace everywhere.
 //!   Re-record with `RECHISEL_BLESS=1` after an intentional semantic change.
 //! * **Interleaved-edge differential fuzz** — seeded random interleavings of
 //!   per-domain edges (plus random stimulus) driven in lockstep through the
-//!   interpreter, the compiled tape, and a batched lane; every named signal and every
-//!   memory word must agree peek-`Result` for peek-`Result` after every single edge,
-//!   including the `SyncReadBeforeClock` taint errors before a read port's own domain
-//!   has ticked. The case count is raised in CI's fuzz job via `RECHISEL_FUZZ_CASES`.
+//!   interpreter and the compiled tape; every named signal and every memory word must
+//!   agree peek-`Result` for peek-`Result` after every single edge, including the
+//!   `SyncReadBeforeClock` taint errors before a read port's own domain has ticked.
+//!   The case count is raised in CI's fuzz job via `RECHISEL_FUZZ_CASES`.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
@@ -24,9 +24,7 @@ use rechisel_benchsuite::circuits::cdc;
 use rechisel_benchsuite::{random_stimulus, BenchmarkCase, SourceFamily};
 use rechisel_firrtl::lower::Netlist;
 use rechisel_firrtl::lower_circuit;
-use rechisel_sim::{
-    BatchedSimulator, CompiledSimulator, EdgeQueue, EngineKind, Simulator, Testbench,
-};
+use rechisel_sim::{CompiledSimulator, EdgeQueue, EngineKind, Simulator, Testbench};
 
 /// Generated-schedule count for the fuzz property: default 1000, raised in CI.
 fn fuzz_cases() -> u32 {
@@ -77,7 +75,7 @@ fn check_cdc_golden(
     let queue = EdgeQueue::periodic(clocks, horizon);
     let tb = Testbench::random_for(netlist, 16, case.cycles_per_point, case.seed());
     let bless = std::env::var("RECHISEL_BLESS").is_ok();
-    for kind in [EngineKind::Interp, EngineKind::Compiled, EngineKind::Batched] {
+    for kind in [EngineKind::Interp, EngineKind::Compiled] {
         let got = ratio_trace(netlist, kind, &tb, &queue);
         if bless {
             let path = format!("{}/tests/golden/{golden_name}", env!("CARGO_MANIFEST_DIR"));
@@ -158,10 +156,10 @@ fn mix(state: &mut u64) -> u64 {
 }
 
 /// One interleaved run: a randomly chosen CDC design, random stimulus, and a random
-/// sequence of per-domain edges; the interpreter, the compiled tape, and lane 0 of a
-/// 2-lane batched run must agree on every peek `Result`, every memory word, every
-/// output and the cycle counter after every single edge. No reset is issued, so the
-/// first edges also pin the per-domain `SyncReadBeforeClock` taint clearing.
+/// sequence of per-domain edges; the interpreter and the compiled tape must agree on
+/// every peek `Result`, every memory word, every output and the cycle counter after
+/// every single edge. No reset is issued, so the first edges also pin the per-domain
+/// `SyncReadBeforeClock` taint clearing.
 fn interleaved_edge_run(seed: u64) {
     const EDGES: usize = 24;
     let netlists = cdc_netlists();
@@ -174,30 +172,23 @@ fn interleaved_edge_run(seed: u64) {
     let mut interp = Simulator::new(netlist.clone());
     let mut compiled = CompiledSimulator::new(netlist)
         .unwrap_or_else(|e| panic!("seed {seed}: tape compilation failed: {e}"));
-    let mut batched = BatchedSimulator::new(netlist, 2)
-        .unwrap_or_else(|e| panic!("seed {seed}: batched construction failed: {e}"));
 
-    let check =
-        |interp: &Simulator, compiled: &CompiledSimulator, batched: &BatchedSimulator, at: &str| {
-            for name in &names {
-                let a = interp.peek(name);
-                let b = compiled.peek(name);
-                let c = batched.peek(0, name);
-                assert_eq!(a, b, "seed {seed}: signal {name} interp vs compiled {at}");
-                assert_eq!(b, c, "seed {seed}: signal {name} compiled vs batched {at}");
+    let check = |interp: &Simulator, compiled: &CompiledSimulator, at: &str| {
+        for name in &names {
+            let a = interp.peek(name);
+            let b = compiled.peek(name);
+            assert_eq!(a, b, "seed {seed}: signal {name} interp vs compiled {at}");
+        }
+        for (mem, depth) in &mems {
+            for addr in 0..*depth as u128 {
+                let a = interp.peek_mem(mem, addr).unwrap();
+                let b = compiled.peek_mem(mem, addr).unwrap();
+                assert_eq!(a, b, "seed {seed}: word {mem}[{addr}] interp vs compiled {at}");
             }
-            for (mem, depth) in &mems {
-                for addr in 0..*depth as u128 {
-                    let a = interp.peek_mem(mem, addr).unwrap();
-                    let b = compiled.peek_mem(mem, addr).unwrap();
-                    let c = batched.peek_mem(0, mem, addr).unwrap();
-                    assert_eq!(a, b, "seed {seed}: word {mem}[{addr}] interp vs compiled {at}");
-                    assert_eq!(b, c, "seed {seed}: word {mem}[{addr}] compiled vs batched {at}");
-                }
-            }
-        };
+        }
+    };
 
-    check(&interp, &compiled, &batched, "at construction");
+    check(&interp, &compiled, "at construction");
 
     let stimulus = random_stimulus(netlist, EDGES, seed);
     let mut schedule = seed ^ 0xC0DE_C10C;
@@ -205,24 +196,19 @@ fn interleaved_edge_run(seed: u64) {
         for (name, value) in assignment {
             interp.poke(name, *value).unwrap();
             compiled.poke(name, *value).unwrap();
-            for lane in 0..2 {
-                batched.poke(lane, name, *value).unwrap();
-            }
         }
         let domain = &domains[(mix(&mut schedule) % domains.len() as u64) as usize];
         interp.step_clock(domain).unwrap();
         compiled.step_clock(domain).unwrap();
-        batched.step_clock(domain).unwrap();
-        check(&interp, &compiled, &batched, &format!("after edge {edge} on {domain}"));
+        check(&interp, &compiled, &format!("after edge {edge} on {domain}"));
         assert_eq!(interp.cycles(), compiled.cycles(), "seed {seed} edge {edge}");
-        assert_eq!(compiled.cycles(), batched.cycles(), "seed {seed} edge {edge}");
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Random interleaved per-domain edge schedules over the CDC designs: all three
+    /// Random interleaved per-domain edge schedules over the CDC designs: both
     /// engines agree peek for peek after every edge.
     #[test]
     fn engines_agree_on_interleaved_edge_schedules(seed in 0u64..u64::MAX) {

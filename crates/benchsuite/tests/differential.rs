@@ -3,25 +3,21 @@
 //! The compiled instruction-tape engine is only allowed to exist because it is
 //! mechanically indistinguishable from the tree-walking interpreter: for thousands of
 //! randomly generated circuits × random stimulus, every signal must agree **peek for
-//! peek, cycle for cycle**. The batched engine earns its keep the same way: every lane
-//! `k` of a batched run must be bit-identical — peek `Result`s, memory words, outputs
-//! — to a solo compiled run fed lane `k`'s stimulus. Incremental recompilation earns
-//! its keep the same way again: after a random single-statement edit, the patched
-//! netlist and patched tape must be indistinguishable from a full rebuild — same
-//! structural digest, same peeks, same taint errors. All properties run over the
-//! narrow population and over [`RandomCircuitConfig::wide`], whose 64/127/128-bit
-//! signals and over-shifting amounts live at the `u128` word boundary. Seeds are
-//! produced by the deterministic proptest stub (fixed per test name), so a failure
-//! reproduces forever; the case count is raised in CI's dedicated fuzz job via
-//! `RECHISEL_FUZZ_CASES`.
+//! peek, cycle for cycle**. Incremental recompilation earns its keep the same way:
+//! after a random single-statement edit, the patched netlist and patched tape must be
+//! indistinguishable from a full rebuild — same structural digest, same peeks, same
+//! taint errors. All properties run over the narrow population and over
+//! [`RandomCircuitConfig::wide`], whose 64/127/128-bit signals and over-shifting
+//! amounts live at the `u128` word boundary. Seeds are produced by the deterministic
+//! proptest stub (fixed per test name), so a failure reproduces forever; the case
+//! count is raised in CI's dedicated fuzz job via `RECHISEL_FUZZ_CASES`.
 
 use proptest::prelude::*;
 use rechisel_benchsuite::{random_circuit, random_stimulus, sampled_suite, RandomCircuitConfig};
-use rechisel_firrtl::ir::{Circuit, Expression, PrimOp, Statement};
+use rechisel_firrtl::ir::{Circuit, Expression, ModuleKind, PrimOp, Statement};
 use rechisel_firrtl::{lower_circuit, IncrementalLowering, RebuildReason, RecompileOutcome};
 use rechisel_sim::{
-    run_testbench, run_testbench_with, BatchedSimulator, CompiledSimulator, EngineKind, Simulator,
-    Tape,
+    run_testbench, run_testbench_with, CompiledSimulator, EngineKind, Simulator, Tape,
 };
 
 /// Generated-circuit count for the property below: default 1000, raised in CI.
@@ -103,81 +99,6 @@ fn differential_run(seed: u64, config: &RandomCircuitConfig) {
     }
 }
 
-/// One batched lane-equivalence run: every lane of an L-lane batched simulator,
-/// driven with per-lane distinct stimulus, must be bit-identical to a solo compiled
-/// run fed that lane's stimulus — peek `Result`s (including `SyncReadBeforeClock`
-/// taint errors before the first edge), memory words, outputs and cycle counters.
-fn batched_lane_run(seed: u64, config: &RandomCircuitConfig) {
-    const LANES: usize = 4;
-    const CYCLES: usize = 8;
-    let circuit = random_circuit(seed, config);
-    let netlist = lower_circuit(&circuit)
-        .unwrap_or_else(|e| panic!("seed {seed}: generated circuit fails to lower: {e}"));
-    let names: Vec<String> = netlist.slot_assignment().iter().map(|(_, n)| n.to_string()).collect();
-    let mems: Vec<(String, usize)> =
-        netlist.mems.iter().map(|m| (m.name.clone(), m.depth)).collect();
-
-    let mut batched = BatchedSimulator::new(&netlist, LANES)
-        .unwrap_or_else(|e| panic!("seed {seed}: batched construction failed: {e}"));
-    let mut solos: Vec<CompiledSimulator> = (0..LANES)
-        .map(|_| {
-            CompiledSimulator::new(&netlist)
-                .unwrap_or_else(|e| panic!("seed {seed}: tape compilation failed: {e}"))
-        })
-        .collect();
-    let stimulus: Vec<Vec<Vec<(String, u128)>>> = (0..LANES as u64)
-        .map(|lane| random_stimulus(&netlist, CYCLES, seed ^ (lane.wrapping_mul(0x9E37_79B9))))
-        .collect();
-
-    let check = |batched: &BatchedSimulator, solos: &[CompiledSimulator], at: &str| {
-        for (lane, solo) in solos.iter().enumerate() {
-            for name in &names {
-                let b = batched.peek(lane, name);
-                let s = solo.peek(name);
-                assert_eq!(b, s, "seed {seed}: lane {lane} signal {name} diverges {at}");
-            }
-            for (mem, depth) in &mems {
-                for addr in 0..*depth as u128 {
-                    let b = batched.peek_mem(lane, mem, addr);
-                    let s = solo.peek_mem(mem, addr);
-                    assert_eq!(b, s, "seed {seed}: lane {lane} word {mem}[{addr}] diverges {at}");
-                }
-            }
-            assert_eq!(batched.outputs(lane), solo.outputs(), "seed {seed}: lane {lane} {at}");
-        }
-    };
-
-    check(&batched, &solos, "at construction");
-    batched.reset(2).unwrap();
-    for solo in &mut solos {
-        solo.reset(2).unwrap();
-    }
-    check(&batched, &solos, "after reset");
-
-    // `stimulus` is lane-major but the walk is cycle-major (all lanes must poke
-    // before the shared batched eval), so the cycle index stays explicit.
-    #[allow(clippy::needless_range_loop)]
-    for cycle in 0..CYCLES {
-        for (lane, solo) in solos.iter_mut().enumerate() {
-            for (name, value) in &stimulus[lane][cycle] {
-                batched.poke(lane, name, *value).unwrap();
-                solo.poke(name, *value).unwrap();
-            }
-        }
-        batched.eval();
-        for solo in &mut solos {
-            solo.eval();
-        }
-        check(&batched, &solos, &format!("eval {cycle}"));
-        batched.step();
-        for solo in &mut solos {
-            solo.step();
-        }
-        check(&batched, &solos, &format!("step {cycle}"));
-        assert_eq!(batched.cycles(), solos[0].cycles(), "seed {seed} cycle {cycle}");
-    }
-}
-
 /// Applies one seeded single-statement edit to the top module of a generated
 /// circuit, returning the edited circuit and whether the edit is an output-connect
 /// rewrite (the shape the incremental patch tier is specified for).
@@ -188,6 +109,10 @@ fn batched_lane_run(seed: u64, config: &RandomCircuitConfig) {
 ///   (widths may mismatch, which both pipelines mask identically at assignment);
 /// - invert a node's value — NOT patchable (node rewrites take the scoped/full
 ///   fallback), exercising the rejection path differentially.
+///
+/// On a quarter of the seeds the top module also turns into a `RawModule`. The kind
+/// decides the implicit clock, so a design with implicitly clocked state becomes
+/// illegal and both pipelines must reject it; a kind flip is never patch-shaped.
 fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
     let mut edited = circuit.clone();
     let top_name = edited.top.clone();
@@ -221,7 +146,7 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
         .filter_map(|(i, s)| matches!(s, Statement::Node { .. }).then_some(i))
         .collect();
 
-    match pick % 3 {
+    let patch_shaped = match pick % 3 {
         0 => {
             if out_connects.is_empty() {
                 return None;
@@ -242,7 +167,7 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
             }
             let Statement::Connect { expr, .. } = &mut top.body[at] else { unreachable!() };
             *expr = inverted;
-            Some((edited, true))
+            true
         }
         1 => {
             if out_connects.len() < 2 {
@@ -271,7 +196,7 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
             if let Statement::Connect { expr, .. } = &mut top.body[b] {
                 *expr = expr_a;
             }
-            Some((edited, true))
+            true
         }
         _ => {
             if nodes.is_empty() {
@@ -280,9 +205,14 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
             let at = nodes[(pick / 3) as usize % nodes.len()];
             let Statement::Node { value, .. } = &mut top.body[at] else { unreachable!() };
             *value = invert(value);
-            Some((edited, false))
+            false
         }
+    };
+    let flip_kind = (pick >> 32).is_multiple_of(4);
+    if flip_kind {
+        top.kind = ModuleKind::RawModule;
     }
+    Some((edited, patch_shaped && !flip_kind))
 }
 
 /// One incremental-recompilation differential run: generate a circuit, apply a
@@ -413,8 +343,8 @@ fn incremental_differential_run(seed: u64, config: &RandomCircuitConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Thousands of generated circuits × random stimulus: both serial engines,
-    /// identical peeks, cycle for cycle.
+    /// Thousands of generated circuits × random stimulus: both engines, identical
+    /// peeks, cycle for cycle.
     #[test]
     fn engines_agree_on_generated_circuits(seed in 0u64..u64::MAX) {
         differential_run(seed, &RandomCircuitConfig::default());
@@ -425,18 +355,6 @@ proptest! {
     #[test]
     fn engines_agree_on_wide_circuits(seed in 0u64..u64::MAX) {
         differential_run(seed, &RandomCircuitConfig::wide());
-    }
-
-    /// Every lane of a batched run is bit-identical to a solo compiled run.
-    #[test]
-    fn batched_lanes_match_solo_compiled(seed in 0u64..u64::MAX) {
-        batched_lane_run(seed, &RandomCircuitConfig::default());
-    }
-
-    /// Lane equivalence over the wide population.
-    #[test]
-    fn batched_lanes_match_solo_compiled_wide(seed in 0u64..u64::MAX) {
-        batched_lane_run(seed, &RandomCircuitConfig::wide());
     }
 
     /// Random single-statement edits: the incremental recompilation path (patched
@@ -455,7 +373,7 @@ proptest! {
 
 #[test]
 fn engines_agree_on_suite_references() {
-    // Beyond generated circuits: every engine must produce byte-identical testbench
+    // Beyond generated circuits: both engines must produce byte-identical testbench
     // reports over real benchmark-suite reference designs (all five categories).
     for case in sampled_suite(24) {
         let netlist = case.reference_netlist();
@@ -463,9 +381,7 @@ fn engines_agree_on_suite_references() {
         let tb = tester.testbench();
         let interp = run_testbench(netlist, netlist, tb).unwrap();
         let compiled = run_testbench_with(EngineKind::Compiled, netlist, netlist, tb).unwrap();
-        let batched = run_testbench_with(EngineKind::Batched, netlist, netlist, tb).unwrap();
         assert_eq!(interp, compiled, "case {}", case.id);
-        assert_eq!(interp, batched, "case {}", case.id);
         assert!(compiled.passed(), "case {}", case.id);
     }
 }

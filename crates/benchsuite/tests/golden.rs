@@ -2,12 +2,10 @@
 //!
 //! One reference circuit per suite family (arithmetic / combinational / fsm /
 //! sequential) is driven with its deterministic per-case testbench stimulus, and the
-//! full per-cycle output trace is compared against a stored golden file — by **all
-//! three** simulation engines, and additionally by the middle lane of a 3-lane
-//! batched run whose neighbouring lanes carry perturbed decoy stimulus (pinning lane
-//! isolation, not just lane-0 behaviour). This pins simulator behaviour across
-//! refactors: a change to evaluation semantics, lowering, or the stimulus generator
-//! shows up as a readable trace diff instead of a silent shift in benchmark results.
+//! full per-cycle output trace is compared against a stored golden file — by **both**
+//! simulation engines. This pins simulator behaviour across refactors: a change to
+//! evaluation semantics, lowering, or the stimulus generator shows up as a readable
+//! trace diff instead of a silent shift in benchmark results.
 //!
 //! To regenerate the stored traces after an intentional semantic change, run with
 //! `RECHISEL_BLESS=1` and commit the rewritten files.
@@ -16,8 +14,7 @@ use std::fmt::Write as _;
 
 use rechisel_benchsuite::circuits::{arithmetic, combinational, fsm, memory, sequential};
 use rechisel_benchsuite::{BenchmarkCase, SourceFamily};
-use rechisel_firrtl::lower::Netlist;
-use rechisel_sim::{BatchedSimulator, EngineKind, SimEngine, Testbench};
+use rechisel_sim::{EngineKind, SimEngine, Testbench};
 
 /// Drives `tb` through an engine and renders the per-point output trace.
 fn trace(engine: &mut dyn SimEngine, tb: &Testbench) -> String {
@@ -45,47 +42,13 @@ fn trace(engine: &mut dyn SimEngine, tb: &Testbench) -> String {
     out
 }
 
-/// Renders the per-point output trace of lane `lane` in a `lanes`-wide batched run
-/// where every *other* lane receives perturbed decoy stimulus (each input value with
-/// its low bit flipped) — identical golden text proves the lane is isolated from its
-/// neighbours, not merely that lane 0 mirrors the solo engines.
-fn lane_trace(netlist: &Netlist, tb: &Testbench, lanes: usize, lane: usize) -> String {
-    let mut sim = BatchedSimulator::new(netlist, lanes).unwrap();
-    sim.reset(tb.reset_cycles).unwrap();
-    let mut out = String::new();
-    for (index, point) in tb.points.iter().enumerate() {
-        for l in 0..lanes {
-            for (name, value) in &point.inputs {
-                let v = if l == lane { *value } else { *value ^ 1 };
-                sim.poke(l, name, v).unwrap();
-            }
-        }
-        if point.cycles == 0 {
-            sim.eval();
-        } else {
-            sim.step_n(point.cycles);
-        }
-        write!(out, "{index:02}").unwrap();
-        for (name, value) in &point.inputs {
-            write!(out, " {name}={value}").unwrap();
-        }
-        write!(out, " |").unwrap();
-        for (name, value) in sim.outputs(lane) {
-            write!(out, " {name}={value}").unwrap();
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Runs one family representative against its stored golden trace on every engine,
-/// plus the decoy-flanked middle lane of a 3-lane batched run.
+/// Runs one family representative against its stored golden trace on every engine.
 fn check_golden(case: &BenchmarkCase, golden_name: &str, golden: &str) {
     let netlist = case.reference_netlist();
     // A compact, deterministic stimulus derived from the case's own seed and timing.
     let tb = Testbench::random_for(netlist, 16, case.cycles_per_point, case.seed());
     let bless = std::env::var("RECHISEL_BLESS").is_ok();
-    for kind in [EngineKind::Interp, EngineKind::Compiled, EngineKind::Batched] {
+    for kind in [EngineKind::Interp, EngineKind::Compiled] {
         let mut engine = kind.simulator(netlist).unwrap();
         let got = trace(engine.as_mut(), &tb);
         if bless {
@@ -97,15 +60,6 @@ fn check_golden(case: &BenchmarkCase, golden_name: &str, golden: &str) {
             got, golden,
             "{} trace diverges from tests/golden/{golden_name} on the {kind} engine \
              (run with RECHISEL_BLESS=1 to re-record after an intentional change)",
-            case.id
-        );
-    }
-    if !bless {
-        let got = lane_trace(netlist, &tb, 3, 1);
-        assert_eq!(
-            got, golden,
-            "{} trace diverges from tests/golden/{golden_name} on lane 1 of a 3-lane \
-             batched run with decoy stimulus in lanes 0 and 2",
             case.id
         );
     }

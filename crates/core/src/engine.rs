@@ -371,8 +371,7 @@ impl EngineBuilder {
     /// levelized instruction-tape engine). Benchmark runners consult
     /// [`Engine::sim_engine`] when building per-case testers, so one builder call
     /// switches the whole sweep; pick [`EngineKind::Interp`] to run on the
-    /// tree-walking reference interpreter, or [`EngineKind::Batched`] to settle a
-    /// combinational case's checked points in SoA lanes of one batched tape walk.
+    /// tree-walking reference interpreter.
     pub fn sim_engine(mut self, kind: EngineKind) -> Self {
         self.sim_engine = Some(kind);
         self
@@ -850,13 +849,11 @@ mod tests {
         assert_eq!(engine.config().max_iterations, 10);
         assert_eq!(engine.compiler().pipeline().backend().name(), "verilog");
         assert!(!engine.knowledge().is_empty());
-        // The fast simulation engine is the default; the others are selectable.
+        // The fast simulation engine is the default; the reference is selectable.
         assert_eq!(engine.sim_engine(), EngineKind::Compiled);
         let interp = Engine::builder().sim_engine(EngineKind::Interp).build();
         assert_eq!(interp.sim_engine(), EngineKind::Interp);
         assert_eq!(interp.clone().sim_engine(), EngineKind::Interp);
-        let batched = Engine::builder().sim_engine(EngineKind::Batched).build();
-        assert_eq!(batched.sim_engine(), EngineKind::Batched);
 
         let engine = Engine::builder()
             .config(WorkflowConfig { knowledge_enabled: false, ..WorkflowConfig::default() })

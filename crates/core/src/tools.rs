@@ -10,9 +10,8 @@ use rechisel_firrtl::lower::Netlist;
 use rechisel_firrtl::pipeline::{PassManager, Pipeline};
 use rechisel_firrtl::{IncrementalLowering, RecompileOutcome};
 use rechisel_sim::{
-    record_reference_trace, run_testbench, run_testbench_against_trace, run_testbench_batched,
-    BatchedSimulator, CompiledSimulator, EngineKind, OutputTrace, SimError, SimReport, Tape,
-    Testbench,
+    record_reference_trace, run_testbench, run_testbench_against_trace, CompiledSimulator,
+    EngineKind, OutputTrace, SimError, SimReport, Tape, Testbench,
 };
 use rechisel_verilog::VerilogBackend;
 
@@ -225,18 +224,14 @@ impl IncrementalCompiler {
 /// The "Simulator" external tool: functional testing of a compiled design against the
 /// benchmark's reference model.
 ///
-/// The tester runs on any simulation engine (see [`EngineKind`]); the default is
-/// the compiled engine. On the compiled and batched paths the reference netlist's
-/// instruction [`Tape`] is compiled once, lazily, and **shared across clones** — a
-/// benchmark case hands out one tester clone per sample, so the whole sweep pays a
-/// single reference compilation per case, mirroring the existing reference-netlist
-/// cache. The reference **output trace** (its outputs at every checked point) is
-/// cached the same way, so the reference simulation itself also runs once per case
-/// rather than once per sample.
-///
-/// With [`EngineKind::Batched`] and a combinational testbench, the DUT's checked
-/// points additionally ride separate lanes of a [`BatchedSimulator`], settling up to
-/// [`MAX_BATCH_LANES`] points per tape walk.
+/// The tester runs on either simulation engine (see [`EngineKind`]); the default is
+/// the compiled engine. On the compiled path the reference netlist's instruction
+/// [`Tape`] is compiled once, lazily, and **shared across clones** — a benchmark case
+/// hands out one tester clone per sample, so the whole sweep pays a single reference
+/// compilation per case, mirroring the existing reference-netlist cache. The
+/// reference **output trace** (its outputs at every checked point) is cached the same
+/// way, so the reference simulation itself also runs once per case rather than once
+/// per sample.
 #[derive(Debug, Clone)]
 pub struct FunctionalTester {
     reference: Netlist,
@@ -247,13 +242,6 @@ pub struct FunctionalTester {
     /// Lazily recorded reference output trace, shared across clones of this tester.
     reference_trace: Arc<OnceLock<Result<Arc<OutputTrace>, SimError>>>,
 }
-
-/// Maximum lane count a [`FunctionalTester`] uses for batched point-parallel runs.
-///
-/// Sixteen lanes of `u128` state keep a slot's lane group within a few cache lines
-/// while already amortizing instruction dispatch ~16×; wider batches mostly add
-/// memory traffic for testbench-sized workloads.
-pub const MAX_BATCH_LANES: usize = 16;
 
 impl FunctionalTester {
     /// Creates a tester from a reference netlist and a testbench, using the default
@@ -320,7 +308,7 @@ impl FunctionalTester {
     /// The reference output trace (recording it on first use), shared across clones.
     ///
     /// One reference tape walk serves every DUT tested through this tester or any of
-    /// its clones — the batching lever for same-case benchmark samples.
+    /// its clones, so same-case benchmark samples never re-simulate the reference.
     fn reference_trace(&self) -> Result<Arc<OutputTrace>, SimError> {
         self.reference_trace
             .get_or_init(|| {
@@ -345,8 +333,8 @@ impl FunctionalTester {
     /// the compiled-engine path — e.g. the patched tape an
     /// [`IncrementalCompiler`] produced alongside the netlist — instead of
     /// recompiling the DUT from scratch. `tape` must be the compilation of `dut`
-    /// (patched or fresh; a mismatched tape produces nonsense reports). Engines
-    /// with their own execution formats (interpreter, batched, native) ignore it.
+    /// (patched or fresh; a mismatched tape produces nonsense reports). The
+    /// interpreter ignores it.
     pub fn test_with_tape(&self, dut: &Netlist, tape: Option<Arc<Tape>>) -> SimReport {
         let outcome = match self.engine {
             EngineKind::Interp => run_testbench(dut, &self.reference, &self.testbench),
@@ -356,22 +344,6 @@ impl FunctionalTester {
                     None => CompiledSimulator::new(dut)?,
                 };
                 run_testbench_against_trace(&mut dut_sim, &trace, &self.testbench)
-            }),
-            EngineKind::Batched => self.reference_trace().and_then(|trace| {
-                if self.testbench.is_combinational() && self.testbench.checked_points() > 1 {
-                    let lanes = self.testbench.checked_points().min(MAX_BATCH_LANES);
-                    let mut dut_sim = BatchedSimulator::new(dut, lanes)?;
-                    run_testbench_batched(&mut dut_sim, &trace, &self.testbench)
-                } else {
-                    let mut dut_sim = BatchedSimulator::new(dut, 1)?;
-                    run_testbench_against_trace(&mut dut_sim, &trace, &self.testbench)
-                }
-            }),
-            EngineKind::Native => self.reference_trace().and_then(|trace| {
-                // AOT-compiled DUT (falling back to the compiled tape for designs
-                // outside the codegen's reach) against the shared reference trace.
-                let (mut dut_sim, _fallback) = rechisel_sim::native_or_fallback(dut)?;
-                run_testbench_against_trace(dut_sim.as_mut(), &trace, &self.testbench)
             }),
         };
         match outcome {
@@ -391,16 +363,6 @@ impl FunctionalTester {
                 }
             }
         }
-    }
-
-    /// Tests a group of same-case DUT candidates against one shared reference run.
-    ///
-    /// The reference trace is recorded once (lazily, via the shared cache) and every
-    /// DUT is compared against it — the sweep-level batching entry point: N samples of
-    /// a benchmark case cost one reference walk plus N DUT walks, instead of N full
-    /// DUT-plus-reference walks.
-    pub fn test_batch(&self, duts: &[&Netlist]) -> Vec<SimReport> {
-        duts.iter().map(|dut| self.test(dut)).collect()
     }
 }
 
@@ -560,9 +522,7 @@ mod tests {
 
         let compiled_report = tester.test(&wrong);
         let interp_report = tester.clone().with_engine(EngineKind::Interp).test(&wrong);
-        let batched_report = tester.clone().with_engine(EngineKind::Batched).test(&wrong);
         assert_eq!(compiled_report, interp_report);
-        assert_eq!(compiled_report, batched_report);
 
         // Clones share the lazily compiled reference tape and the recorded trace.
         let clone = tester.clone();
@@ -575,8 +535,7 @@ mod tests {
     }
 
     #[test]
-    fn batched_tester_matches_serial_engines_on_sequential_testbenches() {
-        // A stateful design forces the non-combinational fallback path.
+    fn tester_engines_agree_on_sequential_testbenches() {
         let counter = |name: &str| {
             let mut m = ModuleBuilder::new(name);
             let en = m.input("en", Type::bool());
@@ -592,7 +551,6 @@ mod tests {
         let compiler = ChiselCompiler::new();
         let reference = compiler.compile(&counter("Ref")).unwrap().netlist;
         let tb = Testbench::random_for(&reference, 12, 1, 7);
-        assert!(!tb.is_combinational());
 
         let mut m = ModuleBuilder::new("Wrong");
         let en = m.input("en", Type::bool());
@@ -603,37 +561,8 @@ mod tests {
         for dut in [&reference, &wrong] {
             let tester = FunctionalTester::new(reference.clone(), tb.clone());
             let compiled = tester.test(dut);
-            let batched = tester.clone().with_engine(EngineKind::Batched).test(dut);
             let interp = tester.clone().with_engine(EngineKind::Interp).test(dut);
-            assert_eq!(compiled, batched);
             assert_eq!(compiled, interp);
-        }
-    }
-
-    #[test]
-    fn test_batch_shares_one_reference_run_across_samples() {
-        let compiler = ChiselCompiler::new();
-        let reference = compiler.compile(&passthrough("Ref")).unwrap().netlist;
-        let tb = Testbench::random_for(&reference, 24, 0, 11);
-        assert!(tb.is_combinational());
-
-        let good = compiler.compile(&passthrough("Good")).unwrap().netlist;
-        let mut m = ModuleBuilder::new("Bad");
-        let a = m.input("a", Type::uint(8));
-        let out = m.output("out", Type::uint(8));
-        m.connect(&out, &a.not().bits(7, 0));
-        let bad = compiler.compile(&m.into_circuit()).unwrap().netlist;
-
-        let kinds =
-            [EngineKind::Interp, EngineKind::Compiled, EngineKind::Batched, EngineKind::Native];
-        for kind in kinds {
-            let tester = FunctionalTester::new(reference.clone(), tb.clone()).with_engine(kind);
-            let reports = tester.test_batch(&[&good, &bad, &good]);
-            assert_eq!(reports.len(), 3, "engine {kind}");
-            assert!(reports[0].passed(), "engine {kind}");
-            assert!(!reports[1].passed(), "engine {kind}");
-            assert_eq!(reports[0], reports[2], "engine {kind}");
-            assert_eq!(reports[1].total_points, 24, "engine {kind}");
         }
     }
 
@@ -649,9 +578,7 @@ mod tests {
         let y = m.output("other", Type::bool());
         m.connect(&y, &x);
         let alien = compiler.compile(&m.into_circuit()).unwrap().netlist;
-        let kinds =
-            [EngineKind::Interp, EngineKind::Compiled, EngineKind::Batched, EngineKind::Native];
-        for kind in kinds {
+        for kind in [EngineKind::Interp, EngineKind::Compiled] {
             let tester = FunctionalTester::new(reference.clone(), tb.clone()).with_engine(kind);
             let report = tester.test(&alien);
             assert!(!report.passed(), "engine {kind}");

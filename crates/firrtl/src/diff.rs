@@ -60,7 +60,10 @@ pub enum StatementEdit {
 pub struct ModuleDiff {
     /// Module name.
     pub name: String,
-    /// True when the port list differs structurally (names, directions or types).
+    /// True when the port list differs structurally (names, directions or types) or
+    /// the module kind changed. The kind decides the implicit clock and reset
+    /// (`Module` vs `RawModule`), so a kind flip is an interface change even when the
+    /// declared ports are identical.
     pub ports_changed: bool,
     /// Per-statement classification of the module body.
     pub statements: Vec<StatementEdit>,
@@ -151,7 +154,7 @@ impl CircuitDiff {
 }
 
 fn diff_module(old: &Module, new: &Module) -> ModuleDiff {
-    let ports_changed = old.ports != new.ports;
+    let ports_changed = old.ports != new.ports || old.kind != new.kind;
 
     let old_fp: Vec<u128> = old.body.iter().map(|s| fingerprint_statement(s).0).collect();
     let new_fp: Vec<u128> = new.body.iter().map(|s| fingerprint_statement(s).0).collect();

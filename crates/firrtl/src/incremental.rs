@@ -13,9 +13,10 @@
 //!    below). The previous netlist is patched in place — `O(edit)` work plus a clone —
 //!    without re-running passes or lowering.
 //! 3. **ScopedCheck** — the edit is too invasive to patch but the module set, the top
-//!    module name and every port list are unchanged: passes re-run only on changed
-//!    modules ([`PassManager::run_scoped`]) and lowering runs from scratch.
-//! 4. **FullRebuild** — anything else (first revision, top/module-set/port changes,
+//!    module name and every port list and module kind are unchanged: passes re-run
+//!    only on changed modules ([`PassManager::run_scoped`]) and lowering runs from
+//!    scratch.
+//! 4. **FullRebuild** — anything else (first revision, top/module-set/port/kind changes,
 //!    or unsupported edits in a design with nothing reusable), with a typed
 //!    [`RebuildReason`] saying why.
 //!
@@ -33,7 +34,11 @@
 //!   subset of the primitive ops — the class on which lowering's expression expansion
 //!   is the identity;
 //! * every referenced netlist definition precedes the patched definition in the
-//!   previous evaluation order, so the existing topological order stays valid.
+//!   previous evaluation order, so the existing topological order stays valid;
+//! * the rewritten connect types under the connect pass's own rules
+//!   ([`ExprTyper`] and [`connection_problem`]): the ground class is structural, so
+//!   width errors such as an out-of-range `bits` or a multi-bit source driving a
+//!   `Bool` sink are caught here, not skipped with the passes.
 //!
 //! Everything outside the class falls back to the scoped or full tier; the fallback
 //! costs time, never correctness. The checking passes emit no warnings (only errors),
@@ -52,7 +57,9 @@ use crate::diff::CircuitDiff;
 use crate::fingerprint::Fingerprint;
 use crate::ir::{Circuit, Direction, Expression, Module, PrimOp, Statement};
 use crate::lower::{lower_circuit, Netlist};
+use crate::passes::connect::connection_problem;
 use crate::pipeline::{PassManager, PassStats};
+use crate::typeenv::{ExprTyper, SymbolTable};
 
 /// Why a revision could not take an incremental tier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,8 +70,9 @@ pub enum RebuildReason {
     TopChanged,
     /// Modules were added or removed.
     ModuleSetChanged,
-    /// A module's port list changed. Ports ripple into every instantiating parent's
-    /// symbol table, so cached reports of *unchanged* modules may be stale too.
+    /// A module's port list or kind changed. Ports ripple into every instantiating
+    /// parent's symbol table, so cached reports of *unchanged* modules may be stale
+    /// too; the kind decides the implicit clock and reset every check relies on.
     PortsChanged,
     /// The changed module gained or lost statements (not an in-place rewrite).
     StatementsAddedOrRemoved,
@@ -118,6 +126,9 @@ struct PrevState {
     netlist: Arc<Netlist>,
     report: DiagnosticReport,
     module_reports: BTreeMap<String, DiagnosticReport>,
+    /// The top module's symbol table, built by the first patch after a rebuild. A
+    /// patch changes no declaration, so the next patch reuses it.
+    top_symbols: Option<Arc<SymbolTable>>,
 }
 
 /// Stateful incremental `check → lower` driver.
@@ -312,6 +323,7 @@ impl IncrementalLowering {
             netlist: Arc::clone(&netlist),
             report: report.clone(),
             module_reports,
+            top_symbols: None,
         });
         Ok(IncrementalResult { netlist, report, outcome, stats })
     }
@@ -355,6 +367,7 @@ impl IncrementalLowering {
         let reg_names: BTreeSet<&str> = prev.netlist.regs.iter().map(|r| r.name.as_str()).collect();
 
         let mut edits: Vec<(usize, String, Expression)> = Vec::new();
+        let mut rewritten: Vec<(&Expression, &Expression)> = Vec::new();
         for (old_index, new_index) in module_diff.modified_pairs() {
             let old_stmt = &old_module.body[old_index];
             let new_stmt = &new_module.body[new_index];
@@ -400,9 +413,25 @@ impl IncrementalLowering {
                 }
             }
             edits.push((def_index, sink.clone(), new_expr));
+            rewritten.push((loc, expr));
         }
         if edits.is_empty() {
             return Err(RebuildReason::UnsupportedEdit("no patchable edits found"));
+        }
+        // Only connects changed, so the declarations are the previous revision's.
+        let symbols = match &prev.top_symbols {
+            Some(symbols) => Arc::clone(symbols),
+            None => Arc::new(SymbolTable::build(new_module, circuit)),
+        };
+        let typer = ExprTyper::new(&symbols, new_module);
+        for (loc, expr) in rewritten {
+            let types = match (typer.infer(loc), typer.infer(expr)) {
+                (Ok(sink), Ok(src)) => connection_problem(&sink, &src).is_none(),
+                _ => false,
+            };
+            if !types {
+                return Err(RebuildReason::UnsupportedEdit("the rewritten connect does not type"));
+            }
         }
 
         let mut netlist = (*prev.netlist).clone();
@@ -420,6 +449,7 @@ impl IncrementalLowering {
             netlist: Arc::clone(&netlist),
             report: report.clone(),
             module_reports,
+            top_symbols: Some(symbols),
         });
         Ok(IncrementalResult {
             netlist,
@@ -588,7 +618,8 @@ fn collect_refs<'a>(expr: &'a Expression, out: &mut Vec<&'a str>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{ModuleKind, Port, SourceInfo, Type};
+    use crate::diagnostics::ErrorCode;
+    use crate::ir::{ClockSpec, ModuleKind, Port, SourceInfo, Type};
 
     fn base_module() -> Module {
         let mut m = Module::new("Top", ModuleKind::Module);
@@ -837,6 +868,117 @@ mod tests {
         inc.recompile(&old).unwrap();
         let result = inc.recompile(&new).unwrap();
         assert_eq!(result.outcome, RecompileOutcome::FullRebuild(RebuildReason::PortsChanged));
+    }
+
+    #[test]
+    fn rewrites_that_do_not_type_are_rejected_like_scratch() {
+        let (a, b) = (|| Expression::reference("a"), || Expression::reference("b"));
+        // `bits(99, 99)` of an 8-bit value is structurally in the ground class, but
+        // the index is out of range.
+        let good = revision(vec![connect("out", a())]);
+        let good_patched = revision(vec![connect("out", b())]);
+        let out_of_range =
+            revision(vec![connect("out", Expression::prim(PrimOp::Bits, vec![a()], vec![99, 99]))]);
+        // A Bool sink driven by an 8-bit value.
+        let with_flag = |flag_rhs: Expression| {
+            let mut m = base_module();
+            m.ports.push(Port::new("flag", Direction::Output, Type::Bool));
+            m.body = vec![connect("out", a()), connect("flag", flag_rhs)];
+            Circuit::single(m)
+        };
+        let flag_good = with_flag(Expression::prim(PrimOp::OrR, vec![a()], vec![]));
+        let flag_patched = with_flag(Expression::prim(PrimOp::OrR, vec![b()], vec![]));
+        let flag_wide = with_flag(b());
+
+        for (good, patched, bad) in
+            [(good, good_patched, out_of_range), (flag_good, flag_patched, flag_wide)]
+        {
+            let scratch = IncrementalLowering::new().recompile(&bad).unwrap_err();
+            let mut inc = IncrementalLowering::new();
+            inc.recompile(&good).unwrap();
+            assert_eq!(inc.recompile(&bad).unwrap_err(), scratch);
+            // Again after a patch, which types against the symbol table it cached.
+            let outcome = inc.recompile(&patched).unwrap().outcome;
+            assert!(matches!(outcome, RecompileOutcome::Patched { .. }), "{outcome:?}");
+            assert_eq!(inc.recompile(&bad).unwrap_err(), scratch);
+            // The rejected rewrite left the last good revision in place.
+            assert_eq!(inc.recompile(&patched).unwrap().outcome, RecompileOutcome::Identical);
+        }
+    }
+
+    #[test]
+    fn a_rebuild_drops_the_cached_symbol_table() {
+        // `w` narrows from 8 bits to 1 in a rebuild; `bits(7, 7)` of it then no
+        // longer types, which only a symbol table of the rebuilt revision knows.
+        let with_w = |width: u32, w_rhs: Expression, out_rhs: Expression| {
+            revision(vec![
+                Statement::Wire {
+                    name: "w".into(),
+                    ty: Type::uint(width),
+                    info: SourceInfo::unknown(),
+                },
+                connect("w", w_rhs),
+                connect("out", out_rhs),
+            ])
+        };
+        let (a, w) = (|| Expression::reference("a"), || Expression::reference("w"));
+        let bit0 = || Expression::prim(PrimOp::Bits, vec![a()], vec![0, 0]);
+        let bit7 = || Expression::prim(PrimOp::Bits, vec![w()], vec![7, 7]);
+        let not_w = || Expression::prim(PrimOp::Not, vec![w()], vec![]);
+
+        let mut inc = IncrementalLowering::new();
+        inc.recompile(&with_w(8, a(), w())).unwrap();
+        let outcome = inc.recompile(&with_w(8, a(), bit7())).unwrap().outcome;
+        assert!(matches!(outcome, RecompileOutcome::Patched { .. }), "{outcome:?}");
+        let outcome = inc.recompile(&with_w(1, bit0(), not_w())).unwrap().outcome;
+        assert!(!matches!(outcome, RecompileOutcome::Patched { .. }), "{outcome:?}");
+
+        let narrow = with_w(1, bit0(), bit7());
+        let scratch = IncrementalLowering::new().recompile(&narrow).unwrap_err();
+        assert_eq!(inc.recompile(&narrow).unwrap_err(), scratch);
+    }
+
+    #[test]
+    fn module_kind_flip_is_checked_like_a_port_change() {
+        // A register on the implicit clock: legal in a `Module`, a NoImplicitClock
+        // error once the same body sits in a `RawModule`.
+        let registered = |out_rhs: Expression| {
+            revision(vec![
+                Statement::Reg {
+                    name: "r".into(),
+                    ty: Type::uint(8),
+                    clock: ClockSpec::Implicit,
+                    reset: None,
+                    info: SourceInfo::unknown(),
+                },
+                connect("r", Expression::reference("a")),
+                connect("out", out_rhs),
+            ])
+        };
+        let raw = |mut circuit: Circuit| {
+            circuit.modules[0].kind = ModuleKind::RawModule;
+            circuit
+        };
+        let good = registered(Expression::reference("r"));
+        let kind_only = raw(good.clone());
+        let kind_and_connect = raw(registered(Expression::prim(
+            PrimOp::Not,
+            vec![Expression::reference("r")],
+            vec![],
+        )));
+
+        assert!(CircuitDiff::between(&good, &kind_only).module("Top").unwrap().ports_changed);
+        for flipped in [kind_only, kind_and_connect] {
+            let scratch = IncrementalLowering::new().recompile(&flipped).unwrap_err();
+            let mut inc = IncrementalLowering::new();
+            inc.recompile(&good).unwrap();
+            let chained = inc.recompile(&flipped).unwrap_err();
+            assert_eq!(chained, scratch);
+            assert!(chained.errors().any(|d| d.code == ErrorCode::NoImplicitClock));
+            // The rejected flip left the last good revision in place.
+            let result = inc.recompile(&good).unwrap();
+            assert_eq!(result.outcome, RecompileOutcome::Identical);
+        }
     }
 
     #[test]

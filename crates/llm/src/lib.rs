@@ -11,7 +11,8 @@
 //! non-progress loops appear, and how the escape mechanism breaks them — all emerge
 //! from running the real substrate, not from sampling result tables.
 //!
-//! See `DESIGN.md` §1 for the substitution argument.
+//! The README introduction states the substitution: the paper's LLM API calls are
+//! replaced by this calibrated synthetic defect-process model.
 //!
 //! # Example
 //!

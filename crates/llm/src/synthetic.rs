@@ -9,10 +9,10 @@
 //! growth, escape events, success curves — is *computed* by the real substrate, not
 //! sampled.
 //!
-//! This is the substitution documented in `DESIGN.md`: the paper's LLM API calls are
-//! replaced by a defect-process model whose zero-shot rates are calibrated against the
-//! paper's own baselines, while the reflection dynamics emerge from the interaction of
-//! the defect process with the genuine compiler/simulator feedback loop.
+//! This is the substitution stated in the README introduction: the paper's LLM API
+//! calls are replaced by a defect-process model whose zero-shot rates are calibrated
+//! against the paper's own baselines, while the reflection dynamics emerge from the
+//! interaction of the defect process with the genuine compiler/simulator feedback loop.
 
 use std::collections::HashMap;
 

@@ -393,13 +393,7 @@ impl Client {
             body.push(("model", Json::from(model.as_str())));
         }
         if let Some(engine) = request.engine {
-            let name = match engine {
-                EngineKind::Interp => "interp",
-                EngineKind::Compiled => "compiled",
-                EngineKind::Batched => "batched",
-                EngineKind::Native => "native",
-            };
-            body.push(("engine", Json::from(name)));
+            body.push(("engine", Json::from(engine.name())));
         }
         self.send(Json::obj(body))
     }

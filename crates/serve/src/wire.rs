@@ -19,6 +19,9 @@
 //! | `stats`       | —                                                 | `cache{...}`, `server{...}` |
 //! | `shutdown`    | —                                                 | `stopping: true` |
 //!
+//! `engine` is `"interp"` or `"compiled"` (the default), as spelled by
+//! [`EngineKind::name`]; any other name is a `bad_request`.
+//!
 //! Error kinds: `bad_request`, `oversized`, `timeout`, `busy`, `unknown_case`,
 //! `unknown_model`, `compile_error`, `shutting_down`, `internal`.
 
@@ -157,16 +160,6 @@ pub fn model_by_name(name: &str) -> Option<ModelProfile> {
 pub const MODEL_NAMES: [&str; 5] =
     ["gpt-4-turbo", "gpt-4o", "gpt-4o-mini", "claude-3.5-sonnet", "claude-3.5-haiku"];
 
-fn engine_by_name(name: &str) -> Option<EngineKind> {
-    match name {
-        "interp" => Some(EngineKind::Interp),
-        "compiled" => Some(EngineKind::Compiled),
-        "batched" => Some(EngineKind::Batched),
-        "native" => Some(EngineKind::Native),
-        _ => None,
-    }
-}
-
 /// The language every served session generates in (the ReChisel path).
 pub const SERVED_LANGUAGE: Language = Language::Chisel;
 
@@ -197,7 +190,7 @@ pub fn decode_request(value: &Json) -> Result<Request, (Option<u64>, ErrorKind, 
     let engine = || -> Result<EngineKind, (Option<u64>, ErrorKind, String)> {
         match value.get("engine") {
             None => Ok(EngineKind::Compiled),
-            Some(v) => v.as_str().and_then(engine_by_name).ok_or((
+            Some(v) => v.as_str().and_then(EngineKind::from_name).ok_or((
                 Some(id),
                 ErrorKind::BadRequest,
                 "unknown `engine`".into(),
@@ -339,7 +332,7 @@ mod tests {
     #[test]
     fn decodes_a_full_run_session_request() {
         let line = r#"{"op":"run_session","id":9,"case":"hdlbits/vector5","sample":3,
-                       "model":"claude-3.5-haiku","max_iterations":4,"engine":"batched"}"#;
+                       "model":"claude-3.5-haiku","max_iterations":4,"engine":"interp"}"#;
         let req = decode_request(&parse(line).unwrap()).unwrap();
         assert_eq!(req.id, 9);
         match req.op {
@@ -348,7 +341,7 @@ mod tests {
                 assert_eq!(sample, 3);
                 assert_eq!(model.name, "Claude 3.5 Haiku");
                 assert_eq!(max_iterations, 4);
-                assert_eq!(engine, EngineKind::Batched);
+                assert_eq!(engine, EngineKind::Interp);
             }
             other => panic!("wrong op: {other:?}"),
         }
@@ -378,6 +371,8 @@ mod tests {
             (r#"{"op":"compile","id":1}"#, ErrorKind::BadRequest),
             (r#"{"op":"run_session","id":1,"case":"c","model":"gpt-5"}"#, ErrorKind::UnknownModel),
             (r#"{"op":"simulate","id":1,"case":"c","engine":"quantum"}"#, ErrorKind::BadRequest),
+            (r#"{"op":"simulate","id":1,"case":"c","engine":"batched"}"#, ErrorKind::BadRequest),
+            (r#"{"op":"simulate","id":1,"case":"c","engine":"native"}"#, ErrorKind::BadRequest),
             (r#"{"op":"run_session","id":1,"case":"c","sample":-1}"#, ErrorKind::BadRequest),
         ];
         for (line, want) in cases {

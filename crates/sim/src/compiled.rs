@@ -31,9 +31,9 @@ use crate::simulator::SimError;
 
 /// Physical metadata of a value: its width and signed interpretation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Meta {
-    pub(crate) width: u32,
-    pub(crate) signed: bool,
+struct Meta {
+    width: u32,
+    signed: bool,
 }
 
 impl Meta {
@@ -41,13 +41,13 @@ impl Meta {
         Meta { width: v.width, signed: v.signed }
     }
 
-    pub(crate) fn mask(self) -> u128 {
+    fn mask(self) -> u128 {
         mask(u128::MAX, self.width)
     }
 
     /// Left-shift amount that sign-extends a `width`-bit value through bit 127 (0 when
     /// no extension is needed — unsigned, width 0, or already 128 bits wide).
-    pub(crate) fn sext_shift(self) -> u32 {
+    fn sext_shift(self) -> u32 {
         if self.signed && self.width > 0 && self.width < 128 {
             128 - self.width
         } else {
@@ -58,7 +58,7 @@ impl Meta {
 
 /// Comparison selector for the specialized compare instruction.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum CmpKind {
+enum CmpKind {
     Eq,
     Neq,
     Lt,
@@ -80,7 +80,7 @@ pub(crate) enum CmpKind {
 ///   dynamic-metadata cases — mux arms of different widths, `dshl` (whose result
 ///   width depends on the shift *value*) — and every seldom-used operation.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Instr {
+enum Instr {
     /// `bits[dst] = bits[src] & mask` — named-slot commits, plain copies.
     CopyMask { dst: u32, src: u32, mask: u128 },
     /// `bits[dst] = !bits[a] & mask`
@@ -115,7 +115,7 @@ pub(crate) enum Instr {
 
 /// Sign-extends `bits` (pre-masked to its width) through bit 127.
 #[inline(always)]
-pub(crate) fn ext(bits: u128, shift: u32) -> i128 {
+fn ext(bits: u128, shift: u32) -> i128 {
     ((bits << shift) as i128) >> shift
 }
 
@@ -123,11 +123,11 @@ pub(crate) fn ext(bits: u128, shift: u32) -> i128 {
 /// register's width. `domain` indexes [`Tape::domains`]; a filtered step applies only
 /// the commits of the edged domain.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Commit {
-    pub(crate) reg: u32,
-    pub(crate) staged: u32,
-    pub(crate) mask: u128,
-    pub(crate) domain: u32,
+struct Commit {
+    reg: u32,
+    staged: u32,
+    mask: u128,
+    domain: u32,
 }
 
 /// A staged memory write: when `bits[en] & 1` is set and `bits[addr] < depth`, store
@@ -136,38 +136,38 @@ pub(crate) struct Commit {
 /// with whole-word stores — a same-cycle collision resolves to the last port, exactly
 /// like the last nonblocking assignment winning in the emitted Verilog.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MemCommit {
-    pub(crate) base: u32,
-    pub(crate) depth: u32,
-    pub(crate) addr: u32,
-    pub(crate) en: u32,
-    pub(crate) val: u32,
-    pub(crate) mask: u128,
+struct MemCommit {
+    base: u32,
+    depth: u32,
+    addr: u32,
+    en: u32,
+    val: u32,
+    mask: u128,
     /// For lane-masked ports, `(lane slot, pre-edge word slot)`: the merged word is
     /// `(old & !lane) | (value & lane)`, where `old` was staged by a `MemRead`
     /// instruction in the register program (so it reads PRE-edge contents, mirroring
     /// the interpreter and the Verilog nonblocking read).
-    pub(crate) lane: Option<(u32, u32)>,
+    lane: Option<(u32, u32)>,
     /// Index into [`Tape::domains`] of the port's write clock.
-    pub(crate) domain: u32,
+    domain: u32,
 }
 
 /// Backing-store layout and word metadata of one memory in a [`Tape`].
 #[derive(Debug, Clone)]
-pub(crate) struct TapeMem {
-    pub(crate) name: String,
-    pub(crate) base: u32,
-    pub(crate) depth: u32,
-    pub(crate) width: u32,
+struct TapeMem {
+    name: String,
+    base: u32,
+    depth: u32,
+    width: u32,
 }
 
 /// An input port's pre-resolved poke target.
 #[derive(Debug, Clone)]
-pub(crate) struct InPort {
-    pub(crate) name: String,
-    pub(crate) slot: u32,
-    pub(crate) width: u32,
-    pub(crate) signed: bool,
+struct InPort {
+    name: String,
+    slot: u32,
+    width: u32,
+    signed: bool,
 }
 
 /// A netlist compiled to a flat, slot-indexed instruction program.
@@ -177,55 +177,54 @@ pub(crate) struct InPort {
 /// recompiling (the benchmark suite caches one tape per case this way).
 #[derive(Debug)]
 pub struct Tape {
-    pub(crate) name: String,
+    name: String,
     /// Initial state: named slots (zeroed, with their signal metadata), then the
     /// constant pool, then temporaries.
-    pub(crate) init: Vec<EvalValue>,
+    init: Vec<EvalValue>,
     /// Named signal -> slot, for peeks.
-    pub(crate) index: BTreeMap<String, u32>,
+    index: BTreeMap<String, u32>,
     /// Combinational program in evaluation order (one `Store` per def).
-    pub(crate) comb: Vec<Instr>,
+    comb: Vec<Instr>,
     /// Per-def `(start, end)` ranges into `comb`, in [`Netlist::defs`] order. Each
     /// def's expression compiles to a contiguous block ending in its named-slot
     /// `CopyMask`; [`Tape::patch`] splices replacement blocks over these ranges.
-    pub(crate) comb_spans: Vec<(u32, u32)>,
+    comb_spans: Vec<(u32, u32)>,
     /// Register next-state program (writes staging slots only).
-    pub(crate) reg_program: Vec<Instr>,
+    reg_program: Vec<Instr>,
     /// Register commit list, applied after the whole `reg_program` ran.
-    pub(crate) commits: Vec<Commit>,
+    commits: Vec<Commit>,
     /// Memory write commits, applied (before register commits) after `reg_program`.
-    pub(crate) mem_commits: Vec<MemCommit>,
+    mem_commits: Vec<MemCommit>,
     /// Backing-store layout, one entry per memory in declaration order.
-    pub(crate) mems: Vec<TapeMem>,
+    mems: Vec<TapeMem>,
     /// Initial backing-store image (one word per entry, layout as in `mems`):
     /// declared init words pre-masked to the word width, zero elsewhere.
-    pub(crate) mem_init: Vec<u128>,
+    mem_init: Vec<u128>,
     /// Clock domains (mangled clock nets), first-appearance order — registers in
     /// declaration order, then memory write ports. Commit entries index into this.
-    pub(crate) domains: Vec<String>,
+    domains: Vec<String>,
     /// Signal -> set of implicit sync-read registers it combinationally depends on.
     /// A signal cannot be peeked while any of its sources is still uncaptured (its
     /// own clock domain has not ticked yet).
-    pub(crate) sync_sources: BTreeMap<String, std::collections::BTreeSet<String>>,
+    sync_sources: BTreeMap<String, std::collections::BTreeSet<String>>,
     /// Implicit sync-read registers with the index of their clock domain: the initial
     /// `uncaptured` set of a fresh simulator, drained per-domain as edges happen.
-    pub(crate) sync_regs: Vec<(String, u32)>,
-    pub(crate) inputs: BTreeMap<String, InPort>,
-    pub(crate) outputs: Vec<(String, u32)>,
-    pub(crate) has_reset: bool,
+    sync_regs: Vec<(String, u32)>,
+    inputs: BTreeMap<String, InPort>,
+    outputs: Vec<(String, u32)>,
+    has_reset: bool,
     /// Per-slot static shape, `None` for dynamically-shaped slots (generic
     /// instruction results whose width tracks a run-time value). Named slots and
-    /// constants are always `Some`; the native codegen consumes this to bake widths
-    /// and sign-extension shifts in as literals.
-    pub(crate) metas: Vec<Option<Meta>>,
+    /// constants are always `Some`; [`Tape::patch`] resumes the builder from it.
+    metas: Vec<Option<Meta>>,
     /// Constant pool: `(bits, width, signed)` -> slot. Persisted so [`Tape::patch`]
     /// reuses existing constant slots instead of accreting duplicates.
-    pub(crate) consts: BTreeMap<(u128, u32, bool), u32>,
+    consts: BTreeMap<(u128, u32, bool), u32>,
     /// Order-invariant structural digest of the source netlist
     /// ([`Netlist::structural_digest`]). A patched tape carries the digest of the
     /// *patched* netlist, so equal digests mean behaviourally identical tapes
     /// regardless of which path built them.
-    pub(crate) source_digest: Fingerprint,
+    source_digest: Fingerprint,
 }
 
 impl Tape {
@@ -1061,38 +1060,6 @@ impl CompiledSimulator {
             .position(|d| d == domain)
             .map(|i| i as u32)
             .ok_or_else(|| SimError::NoSuchClock(domain.to_string()))
-    }
-
-    /// Overwrites this simulator's dynamic state from raw slot bits (metadata keeps
-    /// the tape's static shapes — only valid for statically-shaped tapes, which is
-    /// exactly the set the native codegen accepts). Bridge for the native engine's
-    /// [`step_clocks`](crate::NativeSimulator::step_clocks).
-    pub(crate) fn load_raw(
-        &mut self,
-        bits: &[u128],
-        mem: &[u128],
-        uncaptured: &std::collections::BTreeSet<String>,
-    ) {
-        for (slot, b) in self.state.iter_mut().zip(bits) {
-            slot.bits = *b;
-        }
-        self.mem.copy_from_slice(mem);
-        self.uncaptured = uncaptured.clone();
-    }
-
-    /// Copies this simulator's dynamic state back out as raw slot bits (inverse of
-    /// [`load_raw`](Self::load_raw)).
-    pub(crate) fn store_raw(
-        &self,
-        bits: &mut [u128],
-        mem: &mut [u128],
-        uncaptured: &mut std::collections::BTreeSet<String>,
-    ) {
-        for (slot, b) in self.state.iter().zip(bits.iter_mut()) {
-            *b = slot.bits;
-        }
-        mem.copy_from_slice(&self.mem);
-        *uncaptured = self.uncaptured.clone();
     }
 
     /// The design's clock domains, in first-appearance order.

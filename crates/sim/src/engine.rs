@@ -1,4 +1,4 @@
-//! The execution-engine seam: one trait, three implementations.
+//! The execution-engine seam: one trait, two implementations.
 //!
 //! [`SimEngine`] abstracts over *how* a lowered netlist is executed, so every consumer
 //! of simulation — the testbench runner, the functional tester, the benchmark sweeps —
@@ -14,25 +14,12 @@
 //!   hashing or allocation. Sweeps that simulate the same design for thousands of
 //!   cycles amortize the one-time compile many times over.
 //!
-//! * [`BatchedSimulator`] (selected by [`EngineKind::Batched`]) executes the same
-//!   tape over N independent stimulus lanes in lockstep (structure-of-arrays state);
-//!   through this seam it runs as a 1-lane batch, and the dedicated lane API unlocks
-//!   the batched throughput for sweep workloads.
-//!
-//! * [`NativeSimulator`](crate::NativeSimulator) (selected by [`EngineKind::Native`])
-//!   goes one step further than the tape: the levelized program is emitted as
-//!   straight-line Rust source, AOT-compiled with `cargo build`, and `dlopen`ed —
-//!   every step is a single call into machine code with the slot layout and commit
-//!   lists baked in. Designs the codegen cannot express fall back to the compiled
-//!   tape (see [`crate::native_or_fallback`]).
-//!
-//! All engines execute the *same* operator kernel ([`crate::eval::apply_prim`]) and
+//! Both engines execute the *same* operator kernel ([`crate::eval::apply_prim`]) and
 //! are pinned cycle-for-cycle identical by the differential fuzz suite in
 //! `rechisel-benchsuite`.
 
 use rechisel_firrtl::lower::Netlist;
 
-use crate::batched::BatchedSimulator;
 use crate::compiled::CompiledSimulator;
 use crate::simulator::{SimError, Simulator};
 
@@ -265,44 +252,35 @@ pub enum EngineKind {
     /// Levelized instruction-tape engine ([`CompiledSimulator`]).
     #[default]
     Compiled,
-    /// Lane-batched tape engine ([`BatchedSimulator`]); a 1-lane batch through this
-    /// seam, with the full lane API available on the concrete type.
-    Batched,
-    /// AOT-compiled straight-line machine code
-    /// ([`NativeSimulator`](crate::NativeSimulator)); pays a one-time `cargo build`
-    /// per design (cached process-wide), then steps with no interpretation at all.
-    /// Falls back to [`CompiledSimulator`] for designs outside the codegen's reach.
-    Native,
 }
 
 impl EngineKind {
-    /// A short display name (`"interp"` / `"compiled"` / `"batched"` / `"native"`).
+    /// A short display name (`"interp"` / `"compiled"`), also the engine's name on
+    /// the serving wire.
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Interp => "interp",
             EngineKind::Compiled => "compiled",
-            EngineKind::Batched => "batched",
-            EngineKind::Native => "native",
         }
+    }
+
+    /// The engine whose [`name`](Self::name) is `name`, or `None` for any other
+    /// string — the inverse of `name`, so the names live in one place.
+    pub fn from_name(name: &str) -> Option<Self> {
+        [EngineKind::Interp, EngineKind::Compiled].into_iter().find(|kind| kind.name() == name)
     }
 
     /// Instantiates the engine for a netlist.
     ///
     /// # Errors
     ///
-    /// [`EngineKind::Compiled`] and [`EngineKind::Batched`] return [`SimError::Eval`]
-    /// when the netlist cannot be compiled to a tape (dangling references or
-    /// non-ground expressions — conditions the interpreter would only report at
-    /// evaluation time). [`EngineKind::Native`] additionally returns
-    /// [`SimError::NativeBuild`] when the AOT build or load fails for environmental
-    /// reasons; unsupported tape shapes fall back to the compiled engine silently
-    /// here (use [`crate::native_or_fallback`] directly to observe the fallback).
+    /// [`EngineKind::Compiled`] returns [`SimError::Eval`] when the netlist cannot be
+    /// compiled to a tape (dangling references or non-ground expressions — conditions
+    /// the interpreter would only report at evaluation time).
     pub fn simulator(self, netlist: &Netlist) -> Result<Box<dyn SimEngine>, SimError> {
         match self {
             EngineKind::Interp => Ok(Box::new(Simulator::new(netlist.clone()))),
             EngineKind::Compiled => Ok(Box::new(CompiledSimulator::new(netlist)?)),
-            EngineKind::Batched => Ok(Box::new(BatchedSimulator::new(netlist, 1)?)),
-            EngineKind::Native => crate::native::native_or_fallback(netlist).map(|(sim, _)| sim),
         }
     }
 }
@@ -334,9 +312,7 @@ mod tests {
 
     #[test]
     fn both_kinds_drive_the_same_trait_object_protocol() {
-        let kinds =
-            [EngineKind::Interp, EngineKind::Compiled, EngineKind::Batched, EngineKind::Native];
-        for kind in kinds {
+        for kind in [EngineKind::Interp, EngineKind::Compiled] {
             let mut sim = kind.simulator(&counter()).unwrap();
             assert!(sim.has_reset());
             sim.reset(2).unwrap();
@@ -368,9 +344,7 @@ mod tests {
             m.connect(&ob, &c);
         });
         let netlist = lower_circuit(&m.into_circuit()).unwrap();
-        let kinds =
-            [EngineKind::Interp, EngineKind::Compiled, EngineKind::Batched, EngineKind::Native];
-        for kind in kinds {
+        for kind in [EngineKind::Interp, EngineKind::Compiled] {
             let mut sim = kind.simulator(&netlist).unwrap();
             sim.step_n(3).unwrap();
             assert_eq!(sim.peek("oa").unwrap(), 3, "engine {kind}");
@@ -414,9 +388,7 @@ mod tests {
             });
             lower_circuit(&m.into_circuit()).unwrap()
         };
-        let kinds =
-            [EngineKind::Interp, EngineKind::Compiled, EngineKind::Batched, EngineKind::Native];
-        for kind in kinds {
+        for kind in [EngineKind::Interp, EngineKind::Compiled] {
             let mut sim = kind.simulator(&netlist).unwrap();
             // One simultaneous edge: `b` captures a's PRE-edge value (0), `a` -> 1.
             sim.step_clocks(&["clk_a", "clk_b"]).unwrap();
@@ -442,7 +414,11 @@ mod tests {
         assert_eq!(EngineKind::default(), EngineKind::Compiled);
         assert_eq!(EngineKind::Interp.name(), "interp");
         assert_eq!(EngineKind::Compiled.to_string(), "compiled");
-        assert_eq!(EngineKind::Batched.to_string(), "batched");
-        assert_eq!(EngineKind::Native.to_string(), "native");
+        for kind in [EngineKind::Interp, EngineKind::Compiled] {
+            assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
+        }
+        for unknown in ["batched", "native", "Compiled", ""] {
+            assert_eq!(EngineKind::from_name(unknown), None, "{unknown:?}");
+        }
     }
 }

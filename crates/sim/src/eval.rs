@@ -11,8 +11,8 @@
 //! the word size (an `add` of two 128-bit values still produces a 128-bit result, i.e.
 //! arithmetic is performed modulo 2^128), and shifting by the word size or more yields
 //! zero for logical shifts and sign-fill for arithmetic shifts — never a panic or a
-//! wrapped shift amount. Every engine (interpreter, compiled tape, batched lanes) runs
-//! through [`apply_prim`], so these rules hold uniformly.
+//! wrapped shift amount. Both engines (interpreter and compiled tape) run through
+//! [`apply_prim`], so these rules hold uniformly.
 
 use std::collections::BTreeMap;
 

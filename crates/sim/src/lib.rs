@@ -6,18 +6,12 @@
 //!
 //! The crate provides:
 //!
-//! * [`SimEngine`] — the execution-engine trait, with three implementations
+//! * [`SimEngine`] — the execution-engine trait, with two implementations
 //!   selectable via [`EngineKind`]:
-//!   [`Simulator`] (tree-walking interpreter, the semantic reference),
+//!   [`Simulator`] (tree-walking interpreter, the semantic reference) and
 //!   [`CompiledSimulator`] (a levelized instruction [`Tape`] with slot-indexed state —
 //!   no hashing or allocation per cycle, typically an order of magnitude faster;
-//!   compile once, simulate many), and [`BatchedSimulator`] (N independent stimulus
-//!   lanes through one tape in lockstep — structure-of-arrays state that amortizes
-//!   instruction dispatch over the whole batch), plus a fourth, AOT-compiled engine:
-//!   [`NativeSimulator`] ([`EngineKind::Native`]) emits the tape as straight-line
-//!   Rust via [`codegen`], builds it with `cargo build`, and `dlopen`s the result —
-//!   no interpretation at all per cycle (see [`native_or_fallback`] for the
-//!   graceful degradation to the compiled tape on unsupported designs).
+//!   compile once, simulate many; the default).
 //! * [`Testbench`] / [`FunctionalPoint`] — stimulus description, including seeded random
 //!   stimulus generation.
 //! * [`run_testbench`] / [`run_testbench_with`] / [`run_testbench_on`] —
@@ -50,28 +44,19 @@
 
 #![warn(missing_docs)]
 
-pub mod batched;
-pub mod codegen;
 pub mod compiled;
 pub mod engine;
 pub mod eval;
-pub mod native;
 pub mod schedule;
 pub mod simulator;
 pub mod testbench;
 
-pub use batched::BatchedSimulator;
-pub use codegen::{CodegenError, GeneratedCrate, RustBackend};
 pub use compiled::{CompiledSimulator, Tape};
 pub use engine::{EngineKind, SimEngine};
 pub use eval::{apply_prim, eval_expr, EvalError, EvalValue};
-pub use native::{
-    native_or_fallback, NativeBuildError, NativeFallback, NativeOptions, NativeSimulator,
-};
 pub use schedule::{Edge, EdgeQueue};
 pub use simulator::{SimError, Simulator};
 pub use testbench::{
-    record_reference_trace, run_testbench, run_testbench_against_trace, run_testbench_batched,
-    run_testbench_on, run_testbench_with, FunctionalPoint, OutputTrace, PointFailure, SimReport,
-    Testbench,
+    record_reference_trace, run_testbench, run_testbench_against_trace, run_testbench_on,
+    run_testbench_with, FunctionalPoint, OutputTrace, PointFailure, SimReport, Testbench,
 };

@@ -215,9 +215,7 @@ mod tests {
             m.connect(&s, &c);
         });
         let netlist = lower_circuit(&m.into_circuit()).unwrap();
-        for kind in
-            [crate::EngineKind::Interp, crate::EngineKind::Compiled, crate::EngineKind::Batched]
-        {
+        for kind in [crate::EngineKind::Interp, crate::EngineKind::Compiled] {
             let mut sim = kind.simulator(&netlist).unwrap();
             assert_eq!(sim.clock_domains(), vec!["clk_f".to_string(), "clk_s".to_string()]);
             let q = EdgeQueue::periodic(&[("clk_f", 1), ("clk_s", 3)], 9);
@@ -253,9 +251,7 @@ mod tests {
         m.connect(&oa, &a);
         m.connect(&ob, &b);
         let netlist = lower_circuit(&m.into_circuit()).unwrap();
-        for kind in
-            [crate::EngineKind::Interp, crate::EngineKind::Compiled, crate::EngineKind::Batched]
-        {
+        for kind in [crate::EngineKind::Interp, crate::EngineKind::Compiled] {
             let preload = |sim: &mut dyn SimEngine| {
                 sim.poke("load", 1).unwrap();
                 sim.poke("ia", 1).unwrap();

@@ -58,11 +58,6 @@ pub enum SimError {
     NoSuchClock(String),
     /// Expression evaluation failed (lowering bug or corrupted netlist).
     Eval(EvalError),
-    /// The native engine's AOT generate→build→load pipeline failed for an
-    /// environmental reason (I/O, `cargo build`, `dlopen`). Unsupported tape shapes
-    /// do **not** produce this — they fall back to the compiled engine (see
-    /// `native_or_fallback`).
-    NativeBuild(String),
     /// A netlist handed to [`Tape::patch`](crate::Tape::patch) does not structurally
     /// match the tape it would patch (different defs, registers or memories). The
     /// caller should fall back to a full [`Tape::compile`](crate::Tape::compile).
@@ -92,7 +87,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::NoSuchClock(name) => write!(f, "no such clock domain: {name}"),
             SimError::Eval(e) => write!(f, "evaluation error: {e}"),
-            SimError::NativeBuild(e) => write!(f, "native engine build failed: {e}"),
             SimError::TapeMismatch(why) => {
                 write!(f, "netlist does not match the tape being patched: {why}")
             }

@@ -11,7 +11,6 @@ use std::collections::BTreeMap;
 
 use rechisel_firrtl::lower::Netlist;
 
-use crate::batched::BatchedSimulator;
 use crate::engine::{EngineKind, SimEngine};
 use crate::simulator::{SimError, Simulator};
 
@@ -64,15 +63,6 @@ impl Testbench {
     /// Number of points that perform a check.
     pub fn checked_points(&self) -> usize {
         self.points.iter().filter(|p| p.check).count()
-    }
-
-    /// True when no point advances the clock — every check is a settled evaluation.
-    ///
-    /// Combinational testbenches are the point-parallel regime of
-    /// [`run_testbench_batched`]: checked points are independent given the post-reset
-    /// state, so they can ride separate lanes of one batched tape walk.
-    pub fn is_combinational(&self) -> bool {
-        self.points.iter().all(|p| p.cycles == 0)
     }
 
     /// Generates a randomized testbench for a netlist interface.
@@ -368,69 +358,6 @@ pub fn run_testbench_against_trace(
                 expected,
                 actual,
             });
-        }
-    }
-    Ok(report)
-}
-
-/// Runs a **combinational** testbench through a [`BatchedSimulator`], evaluating up to
-/// `lanes` checked points per tape walk, against a pre-recorded reference trace.
-///
-/// Each checked point rides its own lane: the lane replays the chronological poke
-/// prefix of its point (reproducing the serial input-persistence semantics, including
-/// pokes that do not apply to this DUT and leave the previous value in place), then a
-/// single `eval` settles the whole chunk. The report is bit-identical to the serial
-/// [`run_testbench_against_trace`] walk.
-///
-/// # Errors
-///
-/// Returns a [`SimError`] only if the reset preamble fails structurally (cannot happen
-/// for tapes produced by `Tape::compile`).
-///
-/// # Panics
-///
-/// Panics (debug assertion) when `testbench` is not combinational — sequential points
-/// carry state between points and cannot be lane-parallelized.
-pub fn run_testbench_batched(
-    dut_sim: &mut BatchedSimulator,
-    trace: &OutputTrace,
-    testbench: &Testbench,
-) -> Result<SimReport, SimError> {
-    debug_assert!(testbench.is_combinational(), "batched point-parallel runs are comb-only");
-    let lanes = dut_sim.lanes();
-    if testbench.reset_cycles > 0 {
-        dut_sim.reset(testbench.reset_cycles)?;
-    }
-    let checked: Vec<usize> = testbench
-        .points
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.check)
-        .map(|(index, _)| index)
-        .collect();
-    let mut report = SimReport::default();
-    let mut expected_at = trace.iter();
-    for chunk in checked.chunks(lanes) {
-        for (lane, &pi) in chunk.iter().enumerate() {
-            for point in &testbench.points[..=pi] {
-                for (name, value) in &point.inputs {
-                    let _ = dut_sim.poke(lane, name, *value);
-                }
-            }
-        }
-        dut_sim.eval();
-        for (lane, &pi) in chunk.iter().enumerate() {
-            report.total_points += 1;
-            let expected = expected_at.next().expect("trace covers every checked point").clone();
-            let actual = dut_sim.outputs(lane);
-            if expected != actual {
-                report.failures.push(PointFailure {
-                    index: pi,
-                    inputs: testbench.points[pi].inputs.clone(),
-                    expected,
-                    actual,
-                });
-            }
         }
     }
     Ok(report)
