@@ -98,7 +98,6 @@ fn autochip_workflow_config(max_iterations: u32) -> WorkflowConfig {
         escape_enabled: true,
         knowledge_enabled: false,
         feedback_detail: rechisel_core::FeedbackDetail::Full,
-        ..WorkflowConfig::default()
     }
 }
 

@@ -1,33 +1,25 @@
-//! `pipeline/` — incremental recompilation asymptotics of the reflection loop.
+//! `pipeline/` — what one reflection step pays to recompile a changed candidate.
 //!
-//! Every reflection iteration of the ReChisel workflow recompiles a candidate that
-//! usually differs from the previous one by a handful of statements. The incremental
-//! path (structural diff → netlist patch → tape patch) must therefore scale with the
-//! size of the *edit*, not the size of the *circuit*. This group pins that asymptotic
-//! on a large generated circuit (hundreds of netlist definitions):
+//! The session recompiler reuses artifacts only when a candidate's fingerprint is
+//! unchanged; every other candidate runs the from-scratch path. This group times
+//! that path on a large generated circuit (~900 netlist definitions):
 //!
-//! * `pipeline/incremental/full_rebuild` — what a non-incremental loop pays per
-//!   iteration: checking passes + from-scratch lowering + from-scratch tape compile;
-//! * `pipeline/incremental/patched_edit` — what the chained [`IncrementalLowering`]
-//!   pays for a one-statement output rewrite: diff + connect patch + tape splice.
-//!
-//! The direct speedup measurement printed at the end is the acceptance bar: a
-//! one-statement edit must recompile at least 5× faster than a full rebuild.
-
-use std::time::Instant;
+//! * `pipeline/incremental/full_rebuild` — the checking passes, a from-scratch
+//!   lowering and a from-scratch tape compile.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rechisel_benchsuite::{random_circuit, RandomCircuitConfig};
-use rechisel_firrtl::ir::{Circuit, Expression, PrimOp, Statement};
-use rechisel_firrtl::{IncrementalLowering, RecompileOutcome};
+use rechisel_firrtl::ir::Circuit;
+use rechisel_firrtl::lower_circuit;
+use rechisel_firrtl::pipeline::PassManager;
 use rechisel_sim::Tape;
 
 /// Seed of the benchmark circuit. Fixed so the workload is identical on every run
 /// and on every machine.
 const SEED: u64 = 7;
 
-/// A generated circuit large enough that O(circuit) and O(edit) costs are orders of
-/// magnitude apart (~900 netlist definitions with this seed and configuration).
+/// A generated circuit large enough that the from-scratch path dominates any fixed
+/// overhead (~900 netlist definitions with this seed and configuration).
 fn large_circuit() -> Circuit {
     let config = RandomCircuitConfig {
         max_inputs: 8,
@@ -39,147 +31,22 @@ fn large_circuit() -> Circuit {
     random_circuit(SEED, &config)
 }
 
-/// Returns a copy of `circuit` with the first output connect's right-hand side
-/// wrapped in `bits(not(·), w-1, 0)` — a single-statement, width-preserving edit in
-/// the patchable ground class.
-fn one_statement_edit(circuit: &Circuit) -> Circuit {
-    let mut edited = circuit.clone();
-    let top_name = edited.top.clone();
-    let top = edited
-        .modules
-        .iter_mut()
-        .find(|m| m.name == top_name)
-        .expect("generated circuits have a top module");
-    let (name, expr) = top
-        .body
-        .iter()
-        .find_map(|s| match s {
-            Statement::Connect { loc: Expression::Ref(name), expr, .. }
-                if name.starts_with("out") =>
-            {
-                Some((name.clone(), expr.clone()))
-            }
-            _ => None,
-        })
-        .expect("generated circuits drive at least one output");
-    let width = top
-        .ports
-        .iter()
-        .find(|p| p.name == name)
-        .and_then(|p| p.ty.width())
-        .expect("outputs carry explicit widths");
-    let inverted = Expression::prim(
-        PrimOp::Bits,
-        vec![Expression::prim(PrimOp::Not, vec![expr], vec![])],
-        vec![i64::from(width) - 1, 0],
-    );
-    for stmt in &mut top.body {
-        if let Statement::Connect { loc: Expression::Ref(sink), expr, .. } = stmt {
-            if *sink == name {
-                *expr = inverted;
-                break;
-            }
-        }
-    }
-    edited
-}
-
-/// One full-rebuild iteration: passes + lowering from scratch, then a from-scratch
-/// tape compile — the cost every reflection step paid before incremental
-/// recompilation existed.
-fn full_rebuild(circuit: &Circuit) -> Tape {
-    let result = IncrementalLowering::new()
-        .recompile(circuit)
-        .expect("the benchmark circuit passes the pipeline");
-    Tape::compile(&result.netlist).expect("the benchmark netlist compiles to a tape")
-}
-
-/// Chained incremental state: the lowering holds the previous revision, the tape is
-/// the previous revision's compiled artifact, ready to be patched.
-struct Chain {
-    lowering: IncrementalLowering,
-    tape: Tape,
-}
-
-impl Chain {
-    fn new(circuit: &Circuit) -> Self {
-        let mut lowering = IncrementalLowering::new();
-        let result = lowering.recompile(circuit).expect("base revision compiles");
-        let tape = Tape::compile(&result.netlist).expect("base tape compiles");
-        Chain { lowering, tape }
-    }
-
-    /// One incremental iteration: recompile `next` against the chained previous
-    /// revision and splice the tape. Panics if the edit misses the patch tier —
-    /// this benchmark exists to measure that tier, so falling off it silently
-    /// would make the datapoint a lie.
-    fn recompile(&mut self, next: &Circuit) {
-        let result = self.lowering.recompile(next).expect("edited revision compiles");
-        let RecompileOutcome::Patched { patched_defs } = &result.outcome else {
-            panic!("one-statement edit missed the patch tier: {:?}", result.outcome);
-        };
-        self.tape = self
-            .tape
-            .patch(&result.netlist, patched_defs)
-            .expect("patched netlist matches the chained tape");
-    }
+/// One from-scratch recompile: passes + lowering, then a tape compile.
+fn full_rebuild(passes: &PassManager, circuit: &Circuit) -> Tape {
+    assert!(!passes.run(circuit).has_errors(), "the benchmark circuit passes the checks");
+    let netlist = lower_circuit(circuit).expect("the benchmark circuit lowers");
+    Tape::compile(&netlist).expect("the benchmark netlist compiles to a tape")
 }
 
 fn bench_pipeline(c: &mut Criterion) {
-    let original = large_circuit();
-    let edited = one_statement_edit(&original);
-
-    let defs = IncrementalLowering::new()
-        .recompile(&original)
-        .expect("the benchmark circuit passes the pipeline")
-        .netlist
-        .defs
-        .len();
+    let circuit = large_circuit();
+    let passes = PassManager::standard();
+    let defs = lower_circuit(&circuit).expect("the benchmark circuit lowers").defs.len();
     println!("pipeline/incremental: benchmark circuit has {defs} netlist definitions");
 
     c.bench_function("pipeline/incremental/full_rebuild", |b| {
-        b.iter(|| black_box(full_rebuild(black_box(&original))))
+        b.iter(|| black_box(full_rebuild(&passes, black_box(&circuit))))
     });
-
-    // Alternate between the two variants so every iteration is a real one-statement
-    // change against the chained previous revision (never the Identical fast path).
-    let mut chain = Chain::new(&original);
-    let mut flip = false;
-    c.bench_function("pipeline/incremental/patched_edit", |b| {
-        b.iter(|| {
-            let next = if flip { &original } else { &edited };
-            flip = !flip;
-            chain.recompile(black_box(next));
-        })
-    });
-
-    // The acceptance bar, measured directly (min-of-PASSES over alternating passes so
-    // a transient stall in one pass cannot skew the ratio): a one-statement edit must
-    // recompile ≥5× faster than a full rebuild on a large circuit.
-    const PASSES: usize = 5;
-    const ITERS: usize = 4;
-    let mut rebuild_time = f64::MAX;
-    let mut patch_time = f64::MAX;
-    for _ in 0..PASSES {
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            black_box(full_rebuild(&original));
-        }
-        rebuild_time = rebuild_time.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            let next = if flip { &original } else { &edited };
-            flip = !flip;
-            chain.recompile(next);
-        }
-        patch_time = patch_time.min(start.elapsed().as_secs_f64());
-    }
-    let speedup = rebuild_time / patch_time.max(f64::MIN_POSITIVE);
-    println!(
-        "pipeline/incremental: one-statement edit recompiles {speedup:.1}x faster than a \
-         full rebuild ({defs} defs)"
-    );
 }
 
 criterion_group! {

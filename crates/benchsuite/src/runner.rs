@@ -118,7 +118,6 @@ impl ExperimentConfig {
             escape_enabled: self.escape_enabled,
             knowledge_enabled: self.knowledge_enabled,
             feedback_detail: rechisel_core::FeedbackDetail::Full,
-            ..rechisel_core::WorkflowConfig::default()
         }
     }
 

@@ -3,10 +3,10 @@
 //! The compiled instruction-tape engine is only allowed to exist because it is
 //! mechanically indistinguishable from the tree-walking interpreter: for thousands of
 //! randomly generated circuits × random stimulus, every signal must agree **peek for
-//! peek, cycle for cycle**. Incremental recompilation earns its keep the same way:
-//! after a random single-statement edit, the patched netlist and patched tape must be
-//! indistinguishable from a full rebuild — same structural digest, same peeks, same
-//! taint errors. All properties run over the narrow population and over
+//! peek, cycle for cycle**. The session recompiler is held to the from-scratch
+//! compiler the same way: over random edits and SourceInfo-only resubmissions, every
+//! result it returns is a from-scratch compile's — same diagnostics, same netlist,
+//! same Verilog. All properties run over the narrow population and over
 //! [`RandomCircuitConfig::wide`], whose 64/127/128-bit signals and over-shifting
 //! amounts live at the `u128` word boundary. Seeds are produced by the deterministic
 //! proptest stub (fixed per test name), so a failure reproduces forever; the case
@@ -14,8 +14,9 @@
 
 use proptest::prelude::*;
 use rechisel_benchsuite::{random_circuit, random_stimulus, sampled_suite, RandomCircuitConfig};
-use rechisel_firrtl::ir::{Circuit, Expression, ModuleKind, PrimOp, Statement};
-use rechisel_firrtl::{lower_circuit, IncrementalLowering, RebuildReason, RecompileOutcome};
+use rechisel_core::{ChiselCompiler, IncrementalCompiled};
+use rechisel_firrtl::ir::{Circuit, Expression, ModuleKind, PrimOp, SourceInfo, Statement};
+use rechisel_firrtl::{lower_circuit, Fingerprint, RebuildReason, RecompileOutcome};
 use rechisel_sim::{
     run_testbench, run_testbench_with, CompiledSimulator, EngineKind, Simulator, Tape,
 };
@@ -100,27 +101,24 @@ fn differential_run(seed: u64, config: &RandomCircuitConfig) {
 }
 
 /// Applies one seeded single-statement edit to the top module of a generated
-/// circuit, returning the edited circuit and whether the edit is an output-connect
-/// rewrite (the shape the incremental patch tier is specified for).
+/// circuit.
 ///
 /// Edit styles, chosen by `pick`:
-/// - invert an output connect (`expr` → `bits(not(expr), w-1, 0)`) — patchable;
-/// - cross-wire two output connects (swap their right-hand sides) — patchable
-///   (widths may mismatch, which both pipelines mask identically at assignment);
-/// - invert a node's value — NOT patchable (node rewrites take the scoped/full
-///   fallback), exercising the rejection path differentially.
+/// - invert an output connect (`expr` → `bits(not(expr), w-1, 0)`);
+/// - cross-wire two output connects (swap their right-hand sides; widths may
+///   mismatch, which the connect rules mask at assignment);
+/// - invert a node's value (`bits(not(value), 0, 0)`, which may narrow it).
 ///
 /// On a quarter of the seeds the top module also turns into a `RawModule`. The kind
 /// decides the implicit clock, so a design with implicitly clocked state becomes
-/// illegal and both pipelines must reject it; a kind flip is never patch-shaped.
-fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
+/// illegal and must be rejected.
+fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<Circuit> {
     let mut edited = circuit.clone();
     let top_name = edited.top.clone();
     let top = edited.modules.iter_mut().find(|m| m.name == top_name)?;
 
     let invert = |expr: &Expression| {
-        // Keep the width by slicing the inversion back down: peeks of the output
-        // must stay maskable the same way on both pipelines.
+        // `bits(not(expr), 0, 0)`; output edits widen the slice to the port width.
         Expression::prim(
             PrimOp::Bits,
             vec![Expression::prim(PrimOp::Not, vec![expr.clone()], vec![])],
@@ -146,7 +144,7 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
         .filter_map(|(i, s)| matches!(s, Statement::Node { .. }).then_some(i))
         .collect();
 
-    let patch_shaped = match pick % 3 {
+    match pick % 3 {
         0 => {
             if out_connects.is_empty() {
                 return None;
@@ -167,7 +165,6 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
             }
             let Statement::Connect { expr, .. } = &mut top.body[at] else { unreachable!() };
             *expr = inverted;
-            true
         }
         1 => {
             if out_connects.len() < 2 {
@@ -196,7 +193,6 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
             if let Statement::Connect { expr, .. } = &mut top.body[b] {
                 *expr = expr_a;
             }
-            true
         }
         _ => {
             if nodes.is_empty() {
@@ -205,138 +201,119 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<(Circuit, bool)> {
             let at = nodes[(pick / 3) as usize % nodes.len()];
             let Statement::Node { value, .. } = &mut top.body[at] else { unreachable!() };
             *value = invert(value);
-            false
         }
-    };
-    let flip_kind = (pick >> 32).is_multiple_of(4);
-    if flip_kind {
+    }
+    if (pick >> 32).is_multiple_of(4) {
         top.kind = ModuleKind::RawModule;
     }
-    Some((edited, patch_shaped && !flip_kind))
+    Some(edited)
 }
 
-/// One incremental-recompilation differential run: generate a circuit, apply a
-/// random single-statement edit, and require the incremental pipeline's netlist
-/// and (when patched) tape to be indistinguishable from a from-scratch rebuild —
-/// structural digests equal, and two compiled simulators peek-for-peek identical
-/// over random stimulus (including the `SyncReadBeforeClock` taint `Result`s,
-/// which a stale patched tape would get wrong).
+/// `circuit` with every port and every statement, nested ones included, moved to
+/// a new source location. The fingerprint ignores locations, so the recompiler
+/// treats it as the same revision; only diagnostic locations may differ.
+fn relocated(circuit: &Circuit) -> Circuit {
+    fn relocate(body: &mut [Statement], line: &mut u32) {
+        for stmt in body {
+            *line += 1;
+            match stmt {
+                Statement::Wire { info, .. }
+                | Statement::Reg { info, .. }
+                | Statement::Node { info, .. }
+                | Statement::Connect { info, .. }
+                | Statement::Invalidate { info, .. }
+                | Statement::When { info, .. }
+                | Statement::Mem { info, .. }
+                | Statement::MemWrite { info, .. }
+                | Statement::Instance { info, .. }
+                | Statement::BareIoDecl { info, .. } => {
+                    *info = SourceInfo::new("Moved.scala", *line, 7);
+                }
+            }
+            if let Statement::When { then_body, else_body, .. } = stmt {
+                relocate(then_body, line);
+                relocate(else_body, line);
+            }
+        }
+    }
+    let mut moved = circuit.clone();
+    let mut line = 0;
+    for module in &mut moved.modules {
+        for port in &mut module.ports {
+            line += 1;
+            port.info = SourceInfo::new("Moved.scala", line, 3);
+        }
+        relocate(&mut module.body, &mut line);
+    }
+    moved
+}
+
+/// One recompiler differential run: drive one session recompiler over
+/// `[original, edited, edited relocated, original]` and hold every result to a
+/// from-scratch compile of the same circuit — equal diagnostics on rejection,
+/// otherwise an equal netlist and byte-equal Verilog. The outcome is `Identical`
+/// exactly when the fingerprint equals the last good revision's, and then the
+/// netlist and tape are that revision's own `Arc`s.
 fn incremental_differential_run(seed: u64, config: &RandomCircuitConfig) {
     let original = random_circuit(seed, config);
-    let Some((edited, patch_shaped)) = edit_circuit(&original, seed ^ 0xA5A5) else {
+    let Some(edited) = edit_circuit(&original, seed ^ 0xA5A5) else {
         return; // no statement of the chosen kind — vacuous seed
     };
+    let chain = [original.clone(), edited.clone(), relocated(&edited), original];
 
-    let mut inc = IncrementalLowering::new();
-    let first = inc.recompile(&original).unwrap_or_else(|r| {
-        panic!("seed {seed}: original circuit fails the incremental pipeline: {r:?}")
-    });
-    // The from-scratch baseline is a *fresh* incremental pipeline: its first revision
-    // always takes the full-rebuild tier, so it runs the exact passes + lowering the
-    // chained pipeline is claiming to have shortcut.
-    let (result, scratch) =
-        match (inc.recompile(&edited), IncrementalLowering::new().recompile(&edited)) {
-            // Both pipelines reject the edit — rejection agreement IS the property.
-            (Err(_), Err(_)) => return,
-            (Ok(result), Ok(scratch)) => (result, scratch),
-            (Ok(result), Err(report)) => panic!(
-                "seed {seed}: chained pipeline accepted ({:?}) an edit the from-scratch \
-             pipeline rejects: {report:?}",
-                result.outcome,
+    let scratch = ChiselCompiler::new();
+    let mut inc = scratch.incremental();
+    let mut last_good: Option<(Fingerprint, IncrementalCompiled)> = None;
+    for (step, circuit) in chain.iter().enumerate() {
+        let got = match (inc.compile(circuit), scratch.compile(circuit)) {
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "seed {seed} step {step}: diagnostics diverge");
+                continue;
+            }
+            (Ok(got), Ok(want)) => {
+                assert_eq!(*got.netlist, want.netlist, "seed {seed} step {step}: netlist");
+                assert_eq!(got.verilog, want.verilog, "seed {seed} step {step}: Verilog");
+                assert_eq!(
+                    got.tape.is_some(),
+                    Tape::compile(&want.netlist).is_ok(),
+                    "seed {seed} step {step}: tape availability",
+                );
+                got
+            }
+            (Ok(got), Err(want)) => panic!(
+                "seed {seed} step {step}: recompiler accepted ({:?}) a circuit the \
+                 from-scratch compiler rejects: {want:?}",
+                got.outcome,
             ),
-            (Err(report), Ok(_)) => panic!(
-                "seed {seed}: chained pipeline rejected an edit the from-scratch pipeline \
-             accepts: {report:?}",
+            (Err(got), Ok(_)) => panic!(
+                "seed {seed} step {step}: recompiler rejected a circuit the from-scratch \
+                 compiler accepts: {got:?}",
             ),
         };
-    let scratch_netlist = &scratch.netlist;
-
-    // The netlist is structurally identical to a from-scratch lowering no matter
-    // which tier the edit hit.
-    assert_eq!(
-        result.netlist.structural_digest(),
-        scratch_netlist.structural_digest(),
-        "seed {seed}: incremental netlist diverges from scratch ({:?})",
-        result.outcome,
-    );
-    if patch_shaped {
-        match &result.outcome {
-            RecompileOutcome::Patched { .. } => {}
-            // The rewritten right-hand side may read a signed pool signal, which the
-            // unsigned-only patch tier refuses — the sound fallbacks are fine.
-            RecompileOutcome::FullRebuild(RebuildReason::UnsupportedEdit(_))
-            | RecompileOutcome::ScopedCheck { .. } => {}
+        let fingerprint = circuit.fingerprint();
+        match &last_good {
+            Some((last, prev)) if *last == fingerprint => {
+                assert_eq!(got.outcome, RecompileOutcome::Identical, "seed {seed} step {step}");
+                assert!(std::sync::Arc::ptr_eq(&got.netlist, &prev.netlist));
+                match (&got.tape, &prev.tape) {
+                    (Some(a), Some(b)) => assert!(std::sync::Arc::ptr_eq(a, b)),
+                    (None, None) => {}
+                    _ => panic!("seed {seed} step {step}: reused tape differs"),
+                }
+            }
             other => {
-                panic!("seed {seed}: output-connect rewrite took an unexpected tier: {other:?}")
+                let reason = match other {
+                    Some(_) => RebuildReason::Changed,
+                    None => RebuildReason::FirstRevision,
+                };
+                assert_eq!(
+                    got.outcome,
+                    RecompileOutcome::FullRebuild(reason),
+                    "seed {seed} step {step}"
+                );
             }
         }
-    } else {
-        assert!(
-            !matches!(result.outcome, RecompileOutcome::Patched { .. }),
-            "seed {seed}: a node rewrite must never hit the connect-only patch tier",
-        );
-    }
-
-    // Tape: patch when the diff allowed it, full compile otherwise — then prove the
-    // two tapes indistinguishable by simulation.
-    let old_tape = Tape::compile(&first.netlist)
-        .unwrap_or_else(|e| panic!("seed {seed}: original tape fails: {e}"));
-    let scratch_tape = Tape::compile(scratch_netlist)
-        .unwrap_or_else(|e| panic!("seed {seed}: scratch tape fails: {e}"));
-    let dut_tape = match &result.outcome {
-        RecompileOutcome::Patched { patched_defs } => {
-            let patched = old_tape
-                .patch(&result.netlist, patched_defs)
-                .unwrap_or_else(|e| panic!("seed {seed}: tape patch rejected: {e}"));
-            assert_eq!(
-                patched.source_digest(),
-                scratch_tape.source_digest(),
-                "seed {seed}: patched tape digest diverges from scratch",
-            );
-            patched
-        }
-        _ => Tape::compile(&result.netlist)
-            .unwrap_or_else(|e| panic!("seed {seed}: incremental tape fails: {e}")),
-    };
-
-    let names: Vec<String> =
-        scratch_netlist.slot_assignment().iter().map(|(_, n)| n.to_string()).collect();
-    let mems: Vec<(String, usize)> =
-        scratch_netlist.mems.iter().map(|m| (m.name.clone(), m.depth)).collect();
-    let mut patched_sim = CompiledSimulator::from_tape(std::sync::Arc::new(dut_tape));
-    let mut scratch_sim = CompiledSimulator::from_tape(std::sync::Arc::new(scratch_tape));
-
-    let check = |patched: &CompiledSimulator, scratch: &CompiledSimulator, at: &str| {
-        for name in &names {
-            let p = patched.peek(name);
-            let s = scratch.peek(name);
-            assert_eq!(p, s, "seed {seed}: signal {name} diverges {at}");
-        }
-        for (mem, depth) in &mems {
-            for addr in 0..*depth as u128 {
-                let p = patched.peek_mem(mem, addr);
-                let s = scratch.peek_mem(mem, addr);
-                assert_eq!(p, s, "seed {seed}: word {mem}[{addr}] diverges {at}");
-            }
-        }
-    };
-
-    check(&patched_sim, &scratch_sim, "at construction");
-    patched_sim.reset(2).unwrap();
-    scratch_sim.reset(2).unwrap();
-    check(&patched_sim, &scratch_sim, "after reset");
-    for (cycle, assignment) in random_stimulus(scratch_netlist, 8, seed).iter().enumerate() {
-        for (name, value) in assignment {
-            patched_sim.poke(name, *value).unwrap();
-            scratch_sim.poke(name, *value).unwrap();
-        }
-        patched_sim.eval();
-        scratch_sim.eval();
-        check(&patched_sim, &scratch_sim, &format!("eval {cycle}"));
-        patched_sim.step();
-        scratch_sim.step();
-        check(&patched_sim, &scratch_sim, &format!("step {cycle}"));
-        assert_eq!(patched_sim.outputs(), scratch_sim.outputs(), "seed {seed} cycle {cycle}");
+        last_good = Some((fingerprint, got));
     }
 }
 
@@ -357,14 +334,14 @@ proptest! {
         differential_run(seed, &RandomCircuitConfig::wide());
     }
 
-    /// Random single-statement edits: the incremental recompilation path (patched
-    /// netlist and patched tape included) is indistinguishable from a full rebuild.
+    /// Random single-statement edits and SourceInfo-only resubmissions: the session
+    /// recompiler returns exactly what the from-scratch compiler does.
     #[test]
     fn incremental_recompile_matches_full_rebuild(seed in 0u64..u64::MAX) {
         incremental_differential_run(seed, &RandomCircuitConfig::default());
     }
 
-    /// The same incremental property over the wide population.
+    /// The same recompiler property over the wide population.
     #[test]
     fn incremental_recompile_matches_full_rebuild_wide(seed in 0u64..u64::MAX) {
         incremental_differential_run(seed, &RandomCircuitConfig::wide());

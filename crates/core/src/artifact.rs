@@ -278,55 +278,6 @@ impl ArtifactCache {
         Ok(artifacts)
     }
 
-    /// Publishes externally-produced artifacts — e.g. a patched netlist and tape
-    /// from the incremental recompilation path — under the fingerprint of the
-    /// circuit they were compiled from.
-    ///
-    /// The entry is guarded against staleness: a successful `tape` must carry the
-    /// netlist's own structural digest
-    /// ([`Tape::source_digest`] == `netlist.structural_digest()`), which a tape
-    /// spliced by `Tape::patch` recomputes and a tape belonging to an older
-    /// revision fails. Rejecting here keeps a patched-path bug from poisoning
-    /// every future cache hit on this fingerprint.
-    ///
-    /// # Errors
-    ///
-    /// Returns the digest pair `(tape, netlist)` when the tape does not belong to
-    /// the netlist; the cache is left untouched.
-    pub fn insert(
-        &self,
-        fingerprint: Fingerprint,
-        netlist: Netlist,
-        verilog: String,
-        tape: Result<Arc<Tape>, SimError>,
-    ) -> Result<Arc<CircuitArtifacts>, (Fingerprint, Fingerprint)> {
-        if let Ok(tape) = &tape {
-            let expected = netlist.structural_digest();
-            if tape.source_digest() != expected {
-                return Err((tape.source_digest(), expected));
-            }
-        }
-        let bytes = estimate_bytes(&verilog, &tape);
-        let artifacts = Arc::new(CircuitArtifacts { fingerprint, netlist, verilog, tape, bytes });
-        {
-            let mut shard = self.shard(fingerprint).write().expect("artifact cache shard poisoned");
-            let entry =
-                Entry { artifacts: Arc::clone(&artifacts), touched: AtomicU64::new(self.tick()) };
-            match shard.insert(fingerprint.as_u128(), entry) {
-                None => {
-                    self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                }
-                Some(old) => {
-                    // Replaced in place: adjust the byte estimate by the delta.
-                    self.bytes.fetch_sub(old.artifacts.bytes as u64, Ordering::Relaxed);
-                    self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                }
-            }
-        }
-        self.enforce_budget();
-        Ok(artifacts)
-    }
-
     /// Evicts least-recently-touched entries until resident bytes fit the budget.
     ///
     /// Scans all shards for the oldest stamp per round; eviction is rare (only on
@@ -487,54 +438,6 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.evictions, 2);
-    }
-
-    #[test]
-    fn insert_publishes_patched_artifacts_and_rejects_stale_tapes() {
-        use rechisel_sim::Tape;
-
-        let cache = ArtifactCache::new();
-        let compiler = ChiselCompiler::new();
-
-        // Simulate the incremental path: compile A, patch its tape into B's.
-        let old = compiler.compile(&passthrough("Pass", 8)).unwrap();
-        let mut m = ModuleBuilder::new("Pass");
-        let a = m.input("a", Type::uint(8));
-        let out = m.output("out", Type::uint(8));
-        m.connect(&out, &a.not().bits(7, 0));
-        let new_circuit = m.into_circuit();
-        let new = compiler.compile(&new_circuit).unwrap();
-
-        let old_tape = Tape::compile(&old.netlist).unwrap();
-        let changed: Vec<String> = old
-            .netlist
-            .defs
-            .iter()
-            .zip(&new.netlist.defs)
-            .filter(|(o, n)| o.expr.to_string() != n.expr.to_string())
-            .map(|(o, _)| o.name.clone())
-            .collect();
-        let patched = Arc::new(old_tape.patch(&new.netlist, &changed).unwrap());
-
-        // A stale pairing — the OLD tape against the NEW netlist — is rejected and
-        // never becomes a cache entry.
-        let stale = cache.insert(
-            new_circuit.fingerprint(),
-            new.netlist.clone(),
-            new.verilog.clone(),
-            Ok(Arc::new(Tape::compile(&old.netlist).unwrap())),
-        );
-        assert!(stale.is_err());
-        assert!(cache.peek(new_circuit.fingerprint()).is_none());
-
-        // The correctly patched tape carries the netlist's digest and lands.
-        let inserted = cache
-            .insert(new_circuit.fingerprint(), new.netlist.clone(), new.verilog, Ok(patched))
-            .unwrap();
-        let hit = cache.peek(new_circuit.fingerprint()).expect("inserted entry is resident");
-        assert!(Arc::ptr_eq(&inserted, &hit));
-        assert_eq!(hit.tape().unwrap().source_digest(), new.netlist.structural_digest());
-        assert!(cache.stats().bytes > 0);
     }
 
     #[test]

@@ -470,9 +470,8 @@ pub struct Session<'e, G, R, I> {
     inspector: I,
     spec: Cow<'e, Spec>,
     tester: Cow<'e, FunctionalTester>,
-    /// Per-session incremental compiler: consecutive candidates of one run form a
-    /// revision chain, so each compiles against the previous one (when
-    /// [`WorkflowConfig::incremental_enabled`] is set; otherwise unused).
+    /// Per-session compiler: a candidate with the fingerprint of the last one that
+    /// compiled reuses its netlist and tape.
     recompiler: IncrementalCompiler,
 }
 
@@ -506,24 +505,17 @@ where
 
     /// Evaluates one candidate: compile, then simulate (workflow steps ❷/❸).
     ///
-    /// With [`WorkflowConfig::incremental_enabled`] (the default) the candidate is
-    /// diffed against the session's previous revision so small edits reuse
-    /// check/lower/tape work; the feedback is identical either way.
+    /// The session's [`IncrementalCompiler`] reuses the last good candidate's
+    /// netlist and tape when the fingerprint is unchanged; the feedback is that of
+    /// a from-scratch compile either way.
     fn evaluate(&mut self, candidate: &crate::candidate::Candidate) -> (Feedback, Option<String>) {
-        let (netlist, verilog, tape) = if self.engine.config.incremental_enabled {
-            match self.recompiler.compile(&candidate.circuit) {
-                Err(diagnostics) => return (Feedback::Syntax { diagnostics }, None),
-                Ok(compiled) => (compiled.netlist, compiled.verilog, compiled.tape),
-            }
-        } else {
-            match self.engine.compiler.compile(&candidate.circuit) {
-                Err(diagnostics) => return (Feedback::Syntax { diagnostics }, None),
-                Ok(compiled) => (Arc::new(compiled.netlist), compiled.verilog, None),
-            }
+        let compiled = match self.recompiler.compile(&candidate.circuit) {
+            Err(diagnostics) => return (Feedback::Syntax { diagnostics }, None),
+            Ok(compiled) => compiled,
         };
-        let report = self.tester.test_with_tape(&netlist, tape);
+        let report = self.tester.test_with_tape(&compiled.netlist, compiled.tape);
         if report.passed() {
-            (Feedback::Success, Some(verilog))
+            (Feedback::Success, Some(compiled.verilog))
         } else {
             (
                 Feedback::Functional {
@@ -809,9 +801,10 @@ mod tests {
     }
 
     #[test]
-    fn incremental_and_from_scratch_sessions_agree() {
-        // The same scripted reflection run — broken, functionally wrong, fixed —
-        // must produce identical feedback with incremental compilation on and off.
+    fn session_feedback_matches_from_scratch_compiles() {
+        // Broken, functionally wrong twice (the second compile reuses the first's
+        // netlist and tape), then fixed: the feedback and the shipped Verilog are
+        // those of from-scratch compiles.
         let wrong = |name: &str| {
             let mut m = ModuleBuilder::new(name);
             let a = m.input("a", Type::uint(8));
@@ -820,27 +813,27 @@ mod tests {
             m.into_circuit()
         };
         let sequence =
-            || vec![bad_circuit("Pass"), wrong("Pass"), wrong("Pass"), good_circuit("Pass")];
-        let run = |incremental: bool| {
-            let engine = Engine::builder()
-                .config(WorkflowConfig::default().with_incremental(incremental))
-                .build();
-            let mut session = engine.session(
-                ScriptedGenerator::new(sequence()),
-                TemplateReviewer::new(),
-                TraceInspector::new(),
-                spec(),
-                tester(),
-            );
-            session.run(0)
-        };
-        let incremental = run(true);
-        let scratch = run(false);
-        assert!(incremental.success);
-        assert_eq!(incremental.statuses, scratch.statuses);
-        assert_eq!(incremental.success_iteration, scratch.success_iteration);
-        assert_eq!(incremental.escapes, scratch.escapes);
-        assert_eq!(incremental.final_verilog, scratch.final_verilog);
+            vec![bad_circuit("Pass"), wrong("Pass"), wrong("Pass"), good_circuit("Pass")];
+        let engine = Engine::default();
+        let mut session = engine.session(
+            ScriptedGenerator::new(sequence),
+            TemplateReviewer::new(),
+            TraceInspector::new(),
+            spec(),
+            tester(),
+        );
+        let result = session.run(0);
+        assert_eq!(
+            result.statuses,
+            [
+                IterationStatus::SyntaxError,
+                IterationStatus::FunctionalError,
+                IterationStatus::FunctionalError,
+                IterationStatus::Success,
+            ]
+        );
+        let scratch = ChiselCompiler::new().compile(&good_circuit("Pass")).unwrap();
+        assert_eq!(result.final_verilog, Some(scratch.verilog));
     }
 
     #[test]

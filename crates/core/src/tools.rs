@@ -8,7 +8,7 @@ use rechisel_firrtl::diagnostics::Diagnostic;
 use rechisel_firrtl::ir::Circuit;
 use rechisel_firrtl::lower::Netlist;
 use rechisel_firrtl::pipeline::{PassManager, Pipeline};
-use rechisel_firrtl::{IncrementalLowering, RecompileOutcome};
+use rechisel_firrtl::{Fingerprint, RebuildReason, RecompileOutcome};
 use rechisel_sim::{
     record_reference_trace, run_testbench, run_testbench_against_trace, CompiledSimulator,
     EngineKind, OutputTrace, SimError, SimReport, Tape, Testbench,
@@ -82,8 +82,8 @@ impl ChiselCompiler {
     }
 
     /// An incremental session over this compiler: the returned
-    /// [`IncrementalCompiler`] diffs each circuit against the previous one it saw
-    /// and reuses check/lower/tape work where the edit allows.
+    /// [`IncrementalCompiler`] reuses the last good revision's artifacts when a
+    /// circuit's fingerprint is unchanged, and compiles from scratch otherwise.
     pub fn incremental(&self) -> IncrementalCompiler {
         IncrementalCompiler::new(self.clone())
     }
@@ -91,39 +91,48 @@ impl ChiselCompiler {
 
 /// The output of one [`IncrementalCompiler::compile`] call.
 ///
-/// Unlike [`Compiled`], the netlist is shared (`Arc`) — on a cache hit it is
+/// Unlike [`Compiled`], the netlist is shared (`Arc`) — on a fingerprint hit it is
 /// literally the previous revision's netlist — and the compiled simulation
 /// [`Tape`] rides along so the tester does not recompile the DUT.
 #[derive(Debug, Clone)]
 pub struct IncrementalCompiled {
-    /// The lowered netlist (shared with the compiler's internal cache).
+    /// The lowered netlist (shared with the compiler's memo).
     pub netlist: Arc<Netlist>,
     /// The emitted Verilog source (always re-emitted in full; emission is cheap
     /// relative to checking/lowering and the serving layer wants exact text).
     pub verilog: String,
-    /// The compiled simulation tape, patched from the previous revision's tape
-    /// when the edit allowed it. `None` when tape compilation failed (the design
-    /// still simulates through the interpreter path, or fails functionally).
+    /// The compiled simulation tape. `None` when tape compilation failed; on the
+    /// default Compiled engine, [`FunctionalTester::test_with_tape`] then compiles
+    /// the tape again, fails again, and reports every point failed.
     pub tape: Option<Arc<Tape>>,
-    /// Which reuse tier the compilation hit (see
-    /// [`RecompileOutcome`]).
+    /// Whether the revision reused the last good one (see [`RecompileOutcome`]).
     pub outcome: RecompileOutcome,
 }
 
-/// A stateful compiler for the reflection loop: consecutive revisions of one
-/// session compile against the previous revision's artifacts.
+/// The last revision that compiled: what a same-fingerprint revision reuses.
+#[derive(Debug)]
+struct LastGood {
+    fingerprint: Fingerprint,
+    netlist: Arc<Netlist>,
+    tape: Option<Arc<Tape>>,
+}
+
+/// A stateful compiler for the reflection loop: a last-good fingerprint memo in
+/// front of [`ChiselCompiler::compile`].
 ///
-/// Wraps a [`ChiselCompiler`] with an [`IncrementalLowering`] (check + lower
-/// reuse) and the previous revision's [`Tape`] (spliced by
-/// [`Tape::patch`] on single-statement edits). Failed revisions keep the last
-/// *good* state, so a broken candidate in the middle of a session does not force
-/// the next one to rebuild from scratch.
+/// A circuit whose [`Fingerprint`] equals that of the last revision that compiled
+/// reuses its netlist and tape ([`RecompileOutcome::Identical`]); the Verilog is
+/// re-emitted through the pipeline's backend. Any other circuit runs the
+/// from-scratch compiler and [`Tape::compile`]
+/// ([`RecompileOutcome::FullRebuild`]). A revision that fails leaves the memo
+/// untouched, so a broken candidate in the middle of a session does not cost the
+/// next resubmission of the last good one a rebuild.
 ///
 /// # Example
 ///
 /// ```
 /// use rechisel_core::ChiselCompiler;
-/// use rechisel_firrtl::RecompileOutcome;
+/// use rechisel_firrtl::{RebuildReason, RecompileOutcome};
 /// use rechisel_hcl::prelude::*;
 ///
 /// let build = |invert: bool| {
@@ -137,28 +146,25 @@ pub struct IncrementalCompiled {
 ///
 /// let mut inc = ChiselCompiler::new().incremental();
 /// let first = inc.compile(&build(false)).unwrap();
-/// assert!(matches!(first.outcome, RecompileOutcome::FullRebuild(_)));
-/// // One rewired output: the second compile patches instead of rebuilding.
-/// let second = inc.compile(&build(true)).unwrap();
-/// assert!(matches!(second.outcome, RecompileOutcome::Patched { .. }));
-/// assert!(second.verilog.contains("module Top"));
+/// assert_eq!(first.outcome, RecompileOutcome::FullRebuild(RebuildReason::FirstRevision));
+/// // An unchanged resubmission reuses the netlist.
+/// let again = inc.compile(&build(false)).unwrap();
+/// assert_eq!(again.outcome, RecompileOutcome::Identical);
+/// // An edit compiles from scratch.
+/// let edited = inc.compile(&build(true)).unwrap();
+/// assert_eq!(edited.outcome, RecompileOutcome::FullRebuild(RebuildReason::Changed));
+/// assert!(edited.verilog.contains("module Top"));
 /// ```
 #[derive(Debug)]
 pub struct IncrementalCompiler {
     compiler: ChiselCompiler,
-    lowering: IncrementalLowering,
-    /// The previous *good* revision's tape (if it compiled).
-    tape: Option<Arc<Tape>>,
-    tape_patches: u64,
-    tape_rebuilds: u64,
+    last_good: Option<LastGood>,
 }
 
 impl IncrementalCompiler {
-    /// Wraps `compiler`; the first [`compile`](Self::compile) call is always a full
-    /// rebuild.
+    /// Wraps `compiler`; the first [`compile`](Self::compile) call always runs it.
     pub fn new(compiler: ChiselCompiler) -> Self {
-        let lowering = IncrementalLowering::with_passes(compiler.pipeline().passes().clone());
-        Self { compiler, lowering, tape: None, tape_patches: 0, tape_rebuilds: 0 }
+        Self { compiler, last_good: None }
     }
 
     /// The wrapped from-scratch compiler.
@@ -166,58 +172,45 @@ impl IncrementalCompiler {
         &self.compiler
     }
 
-    /// `(patched, rebuilt)` tape counts so far — observability for tests and
-    /// telemetry; patches should dominate in a healthy reflection loop.
-    pub fn tape_stats(&self) -> (u64, u64) {
-        (self.tape_patches, self.tape_rebuilds)
-    }
-
-    /// Compiles a circuit, reusing as much of the previous revision as the diff
-    /// allows (see [`IncrementalLowering::recompile`] for the reuse tiers).
+    /// Compiles a circuit, reusing the last good revision's netlist and tape when
+    /// the fingerprint is unchanged.
     ///
     /// # Errors
     ///
     /// Returns the error-severity diagnostics when checking or lowering fails —
-    /// identical to [`ChiselCompiler::compile`] on the same circuit. The previous
-    /// good revision is kept, so the *next* compile still diffs against it.
+    /// exactly [`ChiselCompiler::compile`]'s on the same circuit. The memo keeps
+    /// the last good revision.
     pub fn compile(&mut self, circuit: &Circuit) -> Result<IncrementalCompiled, Vec<Diagnostic>> {
-        let result = self
-            .lowering
-            .recompile(circuit)
-            .map_err(|report| report.errors().cloned().collect::<Vec<_>>())?;
-        let verilog = self
-            .compiler
-            .pipeline()
-            .backend()
-            .emit(circuit, &result.netlist)
-            .map_err(|d| vec![d])?;
-        let tape = self.next_tape(&result.outcome, &result.netlist);
-        self.tape = tape.clone();
-        Ok(IncrementalCompiled { netlist: result.netlist, verilog, tape, outcome: result.outcome })
-    }
-
-    /// The tape for this revision: reused on `Identical`, spliced by
-    /// [`Tape::patch`] on `Patched` (falling back to a full compile if the patch
-    /// is rejected), recompiled otherwise.
-    fn next_tape(&mut self, outcome: &RecompileOutcome, netlist: &Netlist) -> Option<Arc<Tape>> {
-        match (outcome, &self.tape) {
-            (RecompileOutcome::Identical, Some(tape)) => Some(Arc::clone(tape)),
-            (RecompileOutcome::Patched { patched_defs }, Some(prev)) => {
-                match prev.patch(netlist, patched_defs) {
-                    Ok(patched) => {
-                        self.tape_patches += 1;
-                        Some(Arc::new(patched))
-                    }
-                    Err(_) => self.full_tape(netlist),
-                }
+        let fingerprint = circuit.fingerprint();
+        let reason = match &self.last_good {
+            Some(last) if last.fingerprint == fingerprint => {
+                let verilog = self
+                    .compiler
+                    .pipeline()
+                    .backend()
+                    .emit(circuit, &last.netlist)
+                    .map_err(|d| vec![d])?;
+                return Ok(IncrementalCompiled {
+                    netlist: Arc::clone(&last.netlist),
+                    verilog,
+                    tape: last.tape.clone(),
+                    outcome: RecompileOutcome::Identical,
+                });
             }
-            _ => self.full_tape(netlist),
-        }
-    }
-
-    fn full_tape(&mut self, netlist: &Netlist) -> Option<Arc<Tape>> {
-        self.tape_rebuilds += 1;
-        Tape::compile(netlist).ok().map(Arc::new)
+            Some(_) => RebuildReason::Changed,
+            None => RebuildReason::FirstRevision,
+        };
+        let Compiled { netlist, verilog } = self.compiler.compile(circuit)?;
+        let tape = Tape::compile(&netlist).ok().map(Arc::new);
+        let netlist = Arc::new(netlist);
+        self.last_good =
+            Some(LastGood { fingerprint, netlist: Arc::clone(&netlist), tape: tape.clone() });
+        Ok(IncrementalCompiled {
+            netlist,
+            verilog,
+            tape,
+            outcome: RecompileOutcome::FullRebuild(reason),
+        })
     }
 }
 
@@ -330,11 +323,10 @@ impl FunctionalTester {
     }
 
     /// Like [`test`](Self::test), but reuses an already-compiled tape of `dut` on
-    /// the compiled-engine path — e.g. the patched tape an
-    /// [`IncrementalCompiler`] produced alongside the netlist — instead of
-    /// recompiling the DUT from scratch. `tape` must be the compilation of `dut`
-    /// (patched or fresh; a mismatched tape produces nonsense reports). The
-    /// interpreter ignores it.
+    /// the compiled-engine path — e.g. the tape an [`IncrementalCompiler`]
+    /// produced alongside the netlist — instead of recompiling the DUT from
+    /// scratch. `tape` must be the compilation of `dut` (a mismatched tape produces
+    /// nonsense reports). The interpreter ignores it.
     pub fn test_with_tape(&self, dut: &Netlist, tape: Option<Arc<Tape>>) -> SimReport {
         let outcome = match self.engine {
             EngineKind::Interp => run_testbench(dut, &self.reference, &self.testbench),
@@ -398,8 +390,7 @@ mod tests {
         assert!(!errs.is_empty());
     }
 
-    /// `out = a` / `out = not(a)` over a register stage — a top-module connect
-    /// rewrite, the shape the incremental patch tier accepts.
+    /// `out = a` / `out = not(a)` over a register stage.
     fn staged(name: &str, invert: bool) -> Circuit {
         let mut m = ModuleBuilder::new(name);
         let a = m.input("a", Type::uint(8));
@@ -411,45 +402,66 @@ mod tests {
         m.into_circuit()
     }
 
+    /// `circuit` with every port and statement moved to another source location:
+    /// the same fingerprint, different diagnostics locations.
+    fn relocated(circuit: &Circuit) -> Circuit {
+        use rechisel_firrtl::ir::{SourceInfo, Statement};
+        let mut moved = circuit.clone();
+        for module in &mut moved.modules {
+            for (line, port) in module.ports.iter_mut().enumerate() {
+                port.info = SourceInfo::new("Moved.scala", line as u32 + 1, 1);
+            }
+            for (line, stmt) in module.body.iter_mut().enumerate() {
+                if let Statement::Connect { info, .. } | Statement::Reg { info, .. } = stmt {
+                    *info = SourceInfo::new("Moved.scala", line as u32 + 100, 3);
+                }
+            }
+        }
+        moved
+    }
+
     #[test]
     fn incremental_compiler_tracks_the_from_scratch_compiler() {
-        use rechisel_firrtl::RecompileOutcome;
+        use rechisel_firrtl::{RebuildReason, RecompileOutcome};
 
         let scratch = ChiselCompiler::new();
         let mut inc = scratch.incremental();
 
         let first = inc.compile(&staged("Top", false)).unwrap();
-        assert!(matches!(first.outcome, RecompileOutcome::FullRebuild(_)));
+        assert_eq!(first.outcome, RecompileOutcome::FullRebuild(RebuildReason::FirstRevision));
 
+        // An edit runs the from-scratch compiler: products equal a scratch compile.
         let second = inc.compile(&staged("Top", true)).unwrap();
-        assert!(
-            matches!(second.outcome, RecompileOutcome::Patched { .. }),
-            "one rewired connect should hit the patch tier, got {:?}",
-            second.outcome
-        );
-        // The incremental products are bit-identical to the from-scratch ones.
+        assert_eq!(second.outcome, RecompileOutcome::FullRebuild(RebuildReason::Changed));
         let reference = scratch.compile(&staged("Top", true)).unwrap();
         assert_eq!(second.verilog, reference.verilog);
-        assert_eq!(second.netlist.structural_digest(), reference.netlist.structural_digest());
-        // The patched tape belongs to the patched netlist (satellite-3 invariant).
+        assert_eq!(*second.netlist, reference.netlist);
         let tape = second.tape.as_ref().expect("tape compiles");
-        assert_eq!(tape.source_digest(), second.netlist.structural_digest());
-        let (patches, rebuilds) = inc.tape_stats();
-        assert_eq!((patches, rebuilds), (1, 1));
 
-        // Resubmitting the same circuit is free: same Arc, no new tape.
+        // Resubmitting the same circuit reuses the netlist and tape.
         let third = inc.compile(&staged("Top", true)).unwrap();
-        assert!(matches!(third.outcome, RecompileOutcome::Identical));
+        assert_eq!(third.outcome, RecompileOutcome::Identical);
         assert!(Arc::ptr_eq(&third.netlist, &second.netlist));
         assert!(Arc::ptr_eq(third.tape.as_ref().unwrap(), tape));
-        assert_eq!(inc.tape_stats(), (1, 1));
+
+        // So does a resubmission that only moved source locations; its Verilog is
+        // what a scratch compile of the moved circuit emits.
+        let moved = relocated(&staged("Top", true));
+        assert_ne!(moved, staged("Top", true));
+        let fourth = inc.compile(&moved).unwrap();
+        assert_eq!(fourth.outcome, RecompileOutcome::Identical);
+        assert!(Arc::ptr_eq(&fourth.netlist, &second.netlist));
+        assert!(Arc::ptr_eq(fourth.tape.as_ref().unwrap(), tape));
+        assert_eq!(fourth.verilog, scratch.compile(&moved).unwrap().verilog);
     }
 
     #[test]
     fn incremental_compiler_reports_the_same_diagnostics_as_scratch() {
+        use rechisel_firrtl::RecompileOutcome;
+
         let scratch = ChiselCompiler::new();
         let mut inc = scratch.incremental();
-        inc.compile(&staged("Top", false)).unwrap();
+        let good = inc.compile(&staged("Top", false)).unwrap();
 
         let mut m = ModuleBuilder::new("Top");
         let _a = m.input("a", Type::uint(8));
@@ -459,10 +471,12 @@ mod tests {
         let inc_errs = inc.compile(&broken).unwrap_err();
         let scratch_errs = scratch.compile(&broken).unwrap_err();
         assert_eq!(inc_errs, scratch_errs);
-        // The failed revision kept the last good state: the next edit of the
-        // original design still compiles (and still patches against it).
-        let fixed = inc.compile(&staged("Top", true)).unwrap();
-        assert!(fixed.tape.is_some());
+        // The failed revision left the memo alone: resubmitting the last good
+        // design still reuses its artifacts.
+        let again = inc.compile(&staged("Top", false)).unwrap();
+        assert_eq!(again.outcome, RecompileOutcome::Identical);
+        assert!(Arc::ptr_eq(&again.netlist, &good.netlist));
+        assert!(again.tape.is_some());
     }
 
     #[test]

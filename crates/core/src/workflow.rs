@@ -33,12 +33,6 @@ pub struct WorkflowConfig {
     pub knowledge_enabled: bool,
     /// How much feedback detail the Reviewer receives.
     pub feedback_detail: FeedbackDetail,
-    /// Whether consecutive candidates of a session are compiled incrementally
-    /// (structural diff against the previous revision; see
-    /// `rechisel_firrtl::incremental`). Semantically invisible — a session produces
-    /// identical feedback either way — so it defaults to on; disable it to force
-    /// every candidate through the from-scratch pipeline (e.g. for A/B timing).
-    pub incremental_enabled: bool,
 }
 
 impl Default for WorkflowConfig {
@@ -48,7 +42,6 @@ impl Default for WorkflowConfig {
             escape_enabled: true,
             knowledge_enabled: true,
             feedback_detail: FeedbackDetail::Full,
-            incremental_enabled: true,
         }
     }
 }
@@ -80,12 +73,6 @@ impl WorkflowConfig {
     /// Enables or disables the knowledge base.
     pub fn with_knowledge(mut self, enabled: bool) -> Self {
         self.knowledge_enabled = enabled;
-        self
-    }
-
-    /// Enables or disables incremental recompilation of consecutive candidates.
-    pub fn with_incremental(mut self, enabled: bool) -> Self {
-        self.incremental_enabled = enabled;
         self
     }
 }

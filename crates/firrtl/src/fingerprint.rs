@@ -404,154 +404,6 @@ pub fn fingerprint_circuit(circuit: &Circuit) -> Fingerprint {
     h.finish()
 }
 
-/// Computes the stable fingerprint of a single statement — the statement-granular
-/// unit of the circuit walk, over a fresh hasher. Two statements digest equal iff
-/// their structure (kind, names, types, expressions, nested bodies) is identical;
-/// source locations are excluded exactly as in [`fingerprint_circuit`].
-///
-/// This is the primitive [`crate::diff::CircuitDiff`] classifies edits with: a
-/// revision that rewrites one `Connect`'s right-hand side changes exactly that
-/// statement's fingerprint.
-pub fn fingerprint_statement(stmt: &Statement) -> Fingerprint {
-    let mut h = Fnv128::new();
-    hash_statement(&mut h, stmt);
-    h.finish()
-}
-
-impl Statement {
-    /// A process-stable structural digest of this statement (see
-    /// [`fingerprint_statement`]).
-    pub fn fingerprint(&self) -> Fingerprint {
-        fingerprint_statement(self)
-    }
-}
-
-// Netlist-digest framing tags (disjoint from the circuit walk's ranges).
-const TAG_NETLIST: u8 = 0x70;
-const TAG_NPORT: u8 = 0x71;
-const TAG_NDEF: u8 = 0x72;
-const TAG_NREG: u8 = 0x73;
-const TAG_NMEM: u8 = 0x74;
-const TAG_NWRITE: u8 = 0x75;
-const TAG_NSIG: u8 = 0x76;
-
-fn hash_signal_info(h: &mut Fnv128, info: &crate::lower::SignalInfo) {
-    h.u64(u64::from(info.width));
-    h.byte(u8::from(info.signed));
-    h.byte(u8::from(info.is_clock));
-}
-
-/// Computes an **order-invariant** structural digest of a lowered netlist. Exposed
-/// as [`Netlist::structural_digest`](crate::lower::Netlist::structural_digest);
-/// this free function is the implementation.
-pub fn structural_digest_netlist(netlist: &crate::lower::Netlist) -> Fingerprint {
-    let mut h = Fnv128::new();
-    h.tag(TAG_NETLIST);
-    h.str(&netlist.name);
-    // Ports keep their interface order — it is part of the structure.
-    h.u64(netlist.ports.len() as u64);
-    for port in &netlist.ports {
-        h.tag(TAG_NPORT);
-        h.str(&port.name);
-        h.byte(match port.direction {
-            Direction::Input => 0,
-            Direction::Output => 1,
-        });
-        hash_signal_info(&mut h, &port.info);
-    }
-    // Definitions and registers are hashed in NAME order: evaluation order is an
-    // implementation detail of the topological sort (an incrementally patched
-    // netlist preserves its previous order, a from-scratch lower may discover a
-    // different — equally valid — one), while the name -> driving-expression map is
-    // the actual structure.
-    let mut defs: Vec<&crate::lower::NetDef> = netlist.defs.iter().collect();
-    defs.sort_by_key(|d| &d.name);
-    h.u64(defs.len() as u64);
-    for def in defs {
-        h.tag(TAG_NDEF);
-        h.str(&def.name);
-        hash_signal_info(&mut h, &def.info);
-        hash_expr(&mut h, &def.expr);
-    }
-    let mut regs: Vec<&crate::lower::NetReg> = netlist.regs.iter().collect();
-    regs.sort_by_key(|r| &r.name);
-    h.u64(regs.len() as u64);
-    for reg in regs {
-        h.tag(TAG_NREG);
-        h.str(&reg.name);
-        hash_signal_info(&mut h, &reg.info);
-        h.str(&reg.clock);
-        hash_expr(&mut h, &reg.next);
-        match &reg.reset {
-            None => h.tag(0),
-            Some((reset, init)) => {
-                h.tag(1);
-                hash_expr(&mut h, reset);
-                hash_expr(&mut h, init);
-            }
-        }
-    }
-    let mut mems: Vec<&crate::lower::NetMem> = netlist.mems.iter().collect();
-    mems.sort_by_key(|m| &m.name);
-    h.u64(mems.len() as u64);
-    for mem in mems {
-        h.tag(TAG_NMEM);
-        h.str(&mem.name);
-        hash_signal_info(&mut h, &mem.info);
-        h.u64(mem.depth as u64);
-        h.u64(mem.init.len() as u64);
-        for w in &mem.init {
-            h.u128(*w);
-        }
-        // Write-port order within a memory is semantic (same-cycle collisions
-        // resolve to the last port) and kept as-is.
-        h.u64(mem.writes.len() as u64);
-        for write in &mem.writes {
-            h.tag(TAG_NWRITE);
-            hash_expr(&mut h, &write.addr);
-            hash_expr(&mut h, &write.value);
-            hash_expr(&mut h, &write.enable);
-            match &write.mask {
-                None => h.tag(0),
-                Some(m) => {
-                    h.tag(1);
-                    hash_expr(&mut h, m);
-                }
-            }
-            h.str(&write.clock);
-        }
-        h.u64(mem.sync_reads.len() as u64);
-        for name in &mem.sync_reads {
-            h.str(name);
-        }
-    }
-    // `signals` is a BTreeMap: iteration is already name-ordered.
-    h.u64(netlist.signals.len() as u64);
-    for (name, info) in &netlist.signals {
-        h.tag(TAG_NSIG);
-        h.str(name);
-        hash_signal_info(&mut h, info);
-    }
-    h.finish()
-}
-
-impl crate::lower::Netlist {
-    /// An order-invariant, process-stable structural digest of this netlist.
-    ///
-    /// Unlike comparing netlists with `==`, the digest ignores the *evaluation
-    /// order* of [`defs`](crate::lower::Netlist::defs) (any topological order of
-    /// the same name → expression map digests identically), so an incrementally
-    /// patched netlist and a from-scratch lower of the same revision always agree —
-    /// which is exactly the property the incremental pipeline's artifact
-    /// re-fingerprinting relies on. Everything semantic is covered: ports in
-    /// interface order, def/reg/mem structure by name, write-port order within each
-    /// memory (it decides same-cycle collisions), init images, widths, signedness
-    /// and clock domains.
-    pub fn structural_digest(&self) -> Fingerprint {
-        structural_digest_netlist(self)
-    }
-}
-
 impl Circuit {
     /// A process-stable, content-addressed 128-bit digest of this circuit.
     ///
@@ -715,75 +567,6 @@ mod tests {
         assert_ne!(base.fingerprint(), with_undef.fingerprint(), "ruw undefined");
         assert_ne!(with_en.fingerprint(), with_clk.fingerprint(), "en vs clock");
         assert_ne!(with_new.fingerprint(), with_undef.fingerprint(), "new vs undefined");
-    }
-
-    #[test]
-    fn statement_fingerprints_distinguish_statements_and_ignore_locations() {
-        let connect = |rhs: &str, info: SourceInfo| Statement::Connect {
-            loc: Expression::reference("out"),
-            expr: Expression::reference(rhs),
-            info,
-        };
-        let a = connect("a", SourceInfo::unknown());
-        let a_elsewhere = connect("a", SourceInfo::new("Elsewhere.scala", 9, 1));
-        let b = connect("b", SourceInfo::unknown());
-        assert_eq!(fingerprint_statement(&a), fingerprint_statement(&a_elsewhere));
-        assert_eq!(fingerprint_statement(&a), a.fingerprint());
-        assert_ne!(fingerprint_statement(&a), fingerprint_statement(&b));
-
-        // Nested edits are visible through the enclosing statement's fingerprint.
-        let when = |rhs: &str| Statement::When {
-            cond: Expression::reference("en"),
-            then_body: vec![connect(rhs, SourceInfo::unknown())],
-            else_body: vec![],
-            info: SourceInfo::unknown(),
-        };
-        assert_ne!(fingerprint_statement(&when("a")), fingerprint_statement(&when("b")));
-    }
-
-    #[test]
-    fn netlist_digest_is_def_order_invariant_but_content_sensitive() {
-        let mut m = Module::new("D", ModuleKind::Module);
-        m.ports.push(Port::new("clock", Direction::Input, Type::Clock));
-        m.ports.push(Port::new("reset", Direction::Input, Type::bool()));
-        m.ports.push(Port::new("a", Direction::Input, Type::uint(8)));
-        m.ports.push(Port::new("out", Direction::Output, Type::uint(8)));
-        m.body.push(Statement::Node {
-            name: "n0".into(),
-            value: Expression::reference("a"),
-            info: SourceInfo::unknown(),
-        });
-        m.body.push(Statement::Node {
-            name: "n1".into(),
-            value: Expression::reference("a"),
-            info: SourceInfo::unknown(),
-        });
-        m.body.push(Statement::Connect {
-            loc: Expression::reference("out"),
-            expr: Expression::reference("n1"),
-            info: SourceInfo::unknown(),
-        });
-        let netlist = crate::lower::lower_circuit(&Circuit::single(m)).unwrap();
-        let base = netlist.structural_digest();
-        assert_eq!(base, structural_digest_netlist(&netlist));
-
-        // n0 and n1 are independent: swapping them is a valid alternative evaluation
-        // order and must not perturb the digest.
-        let mut swapped = netlist.clone();
-        let n0 = swapped.defs.iter().position(|d| d.name == "n0").unwrap();
-        let n1 = swapped.defs.iter().position(|d| d.name == "n1").unwrap();
-        swapped.defs.swap(n0, n1);
-        assert_eq!(base, swapped.structural_digest());
-
-        // Changing a def expression, renaming a def, or changing a port is visible.
-        let mut edited = netlist.clone();
-        edited.defs[n1].expr =
-            Expression::prim(crate::ir::PrimOp::Not, vec![Expression::reference("a")], vec![]);
-        assert_ne!(base, edited.structural_digest());
-
-        let mut renamed = netlist.clone();
-        renamed.name = "Other".into();
-        assert_ne!(base, renamed.structural_digest());
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! * [`pipeline`] — the staged [`Pipeline`] (`Circuit → CheckedCircuit → Netlist →
 //!   emitted output`) with its named-pass [`PassManager`] and the pluggable
 //!   [`EmitBackend`] seam.
-//! * [`diff`] and [`incremental`] — structural diffing between circuit revisions and
-//!   the incremental recompilation driver used by the reflection loop to reuse checks
-//!   and patch netlists instead of rebuilding from scratch.
+//! * [`fingerprint`] and [`incremental`] — the process-stable circuit [`Fingerprint`]
+//!   and the outcome types of the reflection loop's recompiler, which reuses the last
+//!   good revision's artifacts when a revision's fingerprint is unchanged.
 //! * [`printer`] — FIRRTL-flavoured and pseudo-Chisel pretty-printers.
 //!
 //! # Example
@@ -55,7 +55,6 @@
 
 pub mod check;
 pub mod diagnostics;
-pub mod diff;
 pub mod fingerprint;
 pub mod incremental;
 pub mod ir;
@@ -68,9 +67,8 @@ pub mod typeenv;
 
 pub use check::{check_circuit, check_circuit_with, CheckOptions};
 pub use diagnostics::{Diagnostic, DiagnosticReport, ErrorCode, Severity};
-pub use diff::{CircuitDiff, ModuleDiff, StatementEdit};
-pub use fingerprint::{fingerprint_statement, Fingerprint};
-pub use incremental::{IncrementalLowering, IncrementalResult, RebuildReason, RecompileOutcome};
+pub use fingerprint::Fingerprint;
+pub use incremental::{RebuildReason, RecompileOutcome};
 pub use ir::{Circuit, Expression, Module, ModuleKind, Port, PrimOp, SourceInfo, Statement, Type};
 pub use lower::{
     lower_circuit, MemSlot, NetDef, NetMem, NetMemWrite, NetPort, NetReg, Netlist, SignalInfo,

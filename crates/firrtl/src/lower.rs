@@ -1023,8 +1023,7 @@ impl<'a> Expander<'a> {
                     typer.at(&SourceInfo::unknown()).infer(inner).unwrap_or(Type::UInt(None));
                 match inner_ty {
                     Type::Vec(..) => {
-                        let path =
-                            static_path(expr).expect("static path for vector element access");
+                        let path = static_path(expr).ok_or_else(nested_dynamic_access)?;
                         Ok(Expression::reference(mangle(&path)))
                     }
                     _ => {
@@ -1034,7 +1033,7 @@ impl<'a> Expander<'a> {
                 }
             }
             Expression::Ref(_) | Expression::SubField(..) => {
-                let path = static_path(expr).expect("static path for reference expression");
+                let path = static_path(expr).ok_or_else(nested_dynamic_access)?;
                 let mut typer = ExprTyper::new(self.symbols, self.module);
                 let ty = typer.at(&SourceInfo::unknown()).infer(expr).unwrap_or(Type::UInt(None));
                 if ty.is_ground() {
@@ -1052,13 +1051,7 @@ impl<'a> Expander<'a> {
                 let index_e = self.expand_expr(index)?;
                 match inner_ty {
                     Type::Vec(_, len) => {
-                        let base = static_path(inner).ok_or_else(|| {
-                            Diagnostic::error(
-                                ErrorCode::InvalidSink,
-                                SourceInfo::unknown(),
-                                "nested dynamic accesses are not supported",
-                            )
-                        })?;
+                        let base = static_path(inner).ok_or_else(nested_dynamic_access)?;
                         // Build a mux tree selecting the addressed element.
                         let mut acc = Expression::reference(mangle(&format!("{base}[0]")));
                         for i in 1..len {
@@ -1634,6 +1627,16 @@ fn visit_def(
     Ok(())
 }
 
+/// The diagnostic for a dynamic access that is not the outermost access of an
+/// expression (`v[i][1]`, `w[i].x`): lowering selects only whole static paths.
+fn nested_dynamic_access() -> Diagnostic {
+    Diagnostic::error(
+        ErrorCode::InvalidSink,
+        SourceInfo::unknown(),
+        "nested dynamic accesses are not supported",
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1838,5 +1841,52 @@ mod tests {
             info: SourceInfo::unknown(),
         });
         assert!(lower_circuit(&c).is_err());
+    }
+
+    /// A module reading `out <= expr` from an input `src` of type `ty`, indexed by
+    /// a 1-bit input `i`.
+    fn dynamic_read(ty: Type, expr: Expression) -> Circuit {
+        let mut m = Module::new("Dyn", ModuleKind::Module);
+        m.ports.push(Port::new("clock", Direction::Input, Type::Clock));
+        m.ports.push(Port::new("reset", Direction::Input, Type::bool()));
+        m.ports.push(Port::new("i", Direction::Input, Type::uint(1)));
+        m.ports.push(Port::new("src", Direction::Input, ty));
+        m.ports.push(Port::new("out", Direction::Output, Type::uint(8)));
+        m.body.push(Statement::Connect {
+            loc: Expression::reference("out"),
+            expr,
+            info: SourceInfo::unknown(),
+        });
+        Circuit::single(m)
+    }
+
+    fn src_at_i() -> Box<Expression> {
+        Box::new(Expression::SubAccess(
+            Box::new(Expression::reference("src")),
+            Box::new(Expression::reference("i")),
+        ))
+    }
+
+    fn assert_nested_dynamic_access(c: &Circuit) {
+        assert!(!check_circuit(c).has_errors(), "{:?}", check_circuit(c));
+        let err = lower_circuit(c).unwrap_err();
+        assert_eq!(err, nested_dynamic_access());
+    }
+
+    #[test]
+    fn static_index_below_a_dynamic_access_is_a_diagnostic() {
+        // out <= v[i][1] with v: Vec(Vec(UInt<8>, 2), 2)
+        let ty = Type::vec(Type::vec(Type::uint(8), 2), 2);
+        assert_nested_dynamic_access(&dynamic_read(ty, Expression::SubIndex(src_at_i(), 1)));
+    }
+
+    #[test]
+    fn field_below_a_dynamic_access_is_a_diagnostic() {
+        // out <= w[i].x with w: Vec(Bundle { x: UInt<8> }, 2)
+        let ty = Type::vec(Type::bundle(vec![crate::ir::Field::new("x", Type::uint(8))]), 2);
+        assert_nested_dynamic_access(&dynamic_read(
+            ty,
+            Expression::SubField(src_at_i(), "x".into()),
+        ));
     }
 }

@@ -55,7 +55,6 @@
 //! assert_eq!(output.stats.len(), PassManager::standard().len());
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -111,14 +110,8 @@ pub struct PassTiming {
     pub name: &'static str,
     /// Total time spent in the pass, summed over all modules.
     pub duration: Duration,
-    /// Number of diagnostics the pass produced (freshly computed work only; reused
-    /// module reports keep their diagnostics but are not re-attributed per pass).
+    /// Number of diagnostics the pass produced.
     pub diagnostics: usize,
-    /// Number of modules whose cached report was reused instead of re-running the
-    /// pass ([`PassManager::run_scoped`]); always zero for a full run.
-    pub reused_modules: usize,
-    /// Number of modules the pass actually ran on during this invocation.
-    pub recomputed_modules: usize,
 }
 
 /// Per-pass timing statistics of one checking run, in execution order.
@@ -265,13 +258,7 @@ impl PassManager {
             timings: self
                 .passes
                 .iter()
-                .map(|p| PassTiming {
-                    name: p.name,
-                    duration: Duration::ZERO,
-                    diagnostics: 0,
-                    reused_modules: 0,
-                    recomputed_modules: 0,
-                })
+                .map(|p| PassTiming { name: p.name, duration: Duration::ZERO, diagnostics: 0 })
                 .collect(),
         };
         if circuit.top_module().is_none() {
@@ -291,81 +278,10 @@ impl PassManager {
                 let timing = &mut stats.timings[index];
                 timing.duration += start.elapsed();
                 timing.diagnostics += pass_report.len();
-                timing.recomputed_modules += 1;
                 report.extend(pass_report);
             }
         }
         (report, stats)
-    }
-
-    /// Runs the passes only on the modules `recompute` selects, splicing in cached
-    /// per-module reports for the rest.
-    ///
-    /// `cached` maps module names to the *merged* report all passes produced for that
-    /// module on a previous run of the same pass set; a module missing from the cache
-    /// is recomputed regardless of the predicate. The combined report preserves the
-    /// modules-outer/passes-inner diagnostic order of [`run_timed`](Self::run_timed)
-    /// exactly, because each cached entry is itself stored in passes-inner order.
-    ///
-    /// Returns the combined report, the timing stats (with
-    /// [`PassTiming::reused_modules`] counting skipped work) and a fresh cache covering
-    /// every module of `circuit`, ready for the next revision.
-    pub fn run_scoped(
-        &self,
-        circuit: &Circuit,
-        recompute: impl Fn(&str) -> bool,
-        cached: &BTreeMap<String, DiagnosticReport>,
-    ) -> (DiagnosticReport, PassStats, BTreeMap<String, DiagnosticReport>) {
-        let mut report = DiagnosticReport::new();
-        let mut stats = PassStats {
-            timings: self
-                .passes
-                .iter()
-                .map(|p| PassTiming {
-                    name: p.name,
-                    duration: Duration::ZERO,
-                    diagnostics: 0,
-                    reused_modules: 0,
-                    recomputed_modules: 0,
-                })
-                .collect(),
-        };
-        let mut next_cache: BTreeMap<String, DiagnosticReport> = BTreeMap::new();
-        if circuit.top_module().is_none() {
-            report.push(Diagnostic::error(
-                ErrorCode::MissingTopModule,
-                SourceInfo::unknown(),
-                format!("top module {} is not defined in the circuit", circuit.top),
-            ));
-            return (report, stats, next_cache);
-        }
-        for module in &circuit.modules {
-            let reuse = if recompute(&module.name) { None } else { cached.get(&module.name) };
-            match reuse {
-                Some(module_report) => {
-                    for timing in &mut stats.timings {
-                        timing.reused_modules += 1;
-                    }
-                    report.extend(module_report.clone());
-                    next_cache.insert(module.name.clone(), module_report.clone());
-                }
-                None => {
-                    let mut module_report = DiagnosticReport::new();
-                    for (index, pass) in self.passes.iter().enumerate() {
-                        let start = Instant::now();
-                        let pass_report = (pass.run)(module, circuit);
-                        let timing = &mut stats.timings[index];
-                        timing.duration += start.elapsed();
-                        timing.diagnostics += pass_report.len();
-                        timing.recomputed_modules += 1;
-                        module_report.extend(pass_report);
-                    }
-                    report.extend(module_report.clone());
-                    next_cache.insert(module.name.clone(), module_report);
-                }
-            }
-        }
-        (report, stats, next_cache)
     }
 }
 

@@ -24,7 +24,6 @@ use std::sync::Arc;
 
 use rechisel_firrtl::ir::{Direction, Expression, PrimOp};
 use rechisel_firrtl::lower::{Netlist, SignalInfo};
-use rechisel_firrtl::Fingerprint;
 
 use crate::eval::{apply_prim, mask, min_width, EvalError, EvalValue};
 use crate::simulator::SimError;
@@ -185,10 +184,6 @@ pub struct Tape {
     index: BTreeMap<String, u32>,
     /// Combinational program in evaluation order (one `Store` per def).
     comb: Vec<Instr>,
-    /// Per-def `(start, end)` ranges into `comb`, in [`Netlist::defs`] order. Each
-    /// def's expression compiles to a contiguous block ending in its named-slot
-    /// `CopyMask`; [`Tape::patch`] splices replacement blocks over these ranges.
-    comb_spans: Vec<(u32, u32)>,
     /// Register next-state program (writes staging slots only).
     reg_program: Vec<Instr>,
     /// Register commit list, applied after the whole `reg_program` ran.
@@ -213,18 +208,6 @@ pub struct Tape {
     inputs: BTreeMap<String, InPort>,
     outputs: Vec<(String, u32)>,
     has_reset: bool,
-    /// Per-slot static shape, `None` for dynamically-shaped slots (generic
-    /// instruction results whose width tracks a run-time value). Named slots and
-    /// constants are always `Some`; [`Tape::patch`] resumes the builder from it.
-    metas: Vec<Option<Meta>>,
-    /// Constant pool: `(bits, width, signed)` -> slot. Persisted so [`Tape::patch`]
-    /// reuses existing constant slots instead of accreting duplicates.
-    consts: BTreeMap<(u128, u32, bool), u32>,
-    /// Order-invariant structural digest of the source netlist
-    /// ([`Netlist::structural_digest`]). A patched tape carries the digest of the
-    /// *patched* netlist, so equal digests mean behaviourally identical tapes
-    /// regardless of which path built them.
-    source_digest: Fingerprint,
 }
 
 impl Tape {
@@ -236,120 +219,6 @@ impl Tape {
     /// forms — the conditions the interpreter reports lazily at evaluation time.
     pub fn compile(netlist: &Netlist) -> Result<Self, SimError> {
         Builder::new(netlist).build()
-    }
-
-    /// Order-invariant structural digest of the netlist this tape was compiled (or
-    /// patched) from. Two tapes with equal digests simulate identical circuits.
-    pub fn source_digest(&self) -> Fingerprint {
-        self.source_digest
-    }
-
-    /// Rebuilds only the combinational blocks of `changed_defs` against `netlist`,
-    /// splicing every other def's instructions verbatim from this tape.
-    ///
-    /// `netlist` must be this tape's source netlist with only the expressions of
-    /// `changed_defs` rewritten — same module name, same defs in the same order,
-    /// same registers, memories and ports. The sequential program (register
-    /// next-state staging, commits, memory write ports) is reused unchanged; the
-    /// sync-read source map and [`Tape::source_digest`] are recomputed from
-    /// `netlist`, so a patched tape is indistinguishable from a fresh
-    /// [`Tape::compile`] of the patched netlist apart from slot numbering (the old
-    /// replaced temporaries remain as dead slots; new ones append at the end).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TapeMismatch`] when `netlist` does not structurally
-    /// match this tape (the caller should fall back to [`Tape::compile`]), or
-    /// [`SimError::Eval`] when a replacement expression does not compile.
-    pub fn patch(&self, netlist: &Netlist, changed_defs: &[String]) -> Result<Self, SimError> {
-        if netlist.name != self.name {
-            return Err(SimError::TapeMismatch(format!(
-                "module name {:?} != tape module {:?}",
-                netlist.name, self.name
-            )));
-        }
-        if netlist.defs.len() != self.comb_spans.len() {
-            return Err(SimError::TapeMismatch(format!(
-                "{} defs vs {} compiled spans",
-                netlist.defs.len(),
-                self.comb_spans.len()
-            )));
-        }
-        if netlist.regs.len() != self.commits.len() {
-            return Err(SimError::TapeMismatch(format!(
-                "{} registers vs {} commits",
-                netlist.regs.len(),
-                self.commits.len()
-            )));
-        }
-        if netlist.mems.len() != self.mems.len()
-            || netlist.mems.iter().zip(&self.mems).any(|(a, b)| a.name != b.name)
-        {
-            return Err(SimError::TapeMismatch("memory set differs".to_string()));
-        }
-        let changed: std::collections::BTreeSet<&str> =
-            changed_defs.iter().map(String::as_str).collect();
-        for name in &changed {
-            if !netlist.defs.iter().any(|d| d.name == *name) {
-                return Err(SimError::TapeMismatch(format!("changed def {name:?} is not a def")));
-            }
-        }
-
-        let mut b = Builder::resume(netlist, self);
-        let mut comb = Vec::with_capacity(self.comb.len());
-        let mut comb_spans = Vec::with_capacity(self.comb_spans.len());
-        for (def, &(start, end)) in netlist.defs.iter().zip(&self.comb_spans) {
-            let new_start = comb.len() as u32;
-            let dst = *b.index.get(&def.name).ok_or_else(|| {
-                SimError::TapeMismatch(format!("def {:?} has no slot in the tape", def.name))
-            })?;
-            if changed.contains(def.name.as_str()) {
-                let src = b.compile_expr(&def.expr, &mut comb)?;
-                comb.push(Instr::CopyMask { dst, src, mask: mask(u128::MAX, def.info.width) });
-            } else {
-                // Instructions address absolute slots, so a verbatim copy stays
-                // correct at any position. The final CopyMask of the span must
-                // target this def's slot — a cheap witness that the def order of
-                // `netlist` matches the tape's.
-                let span = &self.comb[start as usize..end as usize];
-                match span.last() {
-                    Some(&Instr::CopyMask { dst: span_dst, .. }) if span_dst == dst => {}
-                    _ => {
-                        return Err(SimError::TapeMismatch(format!(
-                            "def {:?} does not line up with its compiled span",
-                            def.name
-                        )));
-                    }
-                }
-                comb.extend_from_slice(span);
-            }
-            comb_spans.push((new_start, comb.len() as u32));
-        }
-
-        Ok(Tape {
-            name: self.name.clone(),
-            init: b.init,
-            index: b.index,
-            comb,
-            comb_spans,
-            reg_program: self.reg_program.clone(),
-            commits: self.commits.clone(),
-            mem_commits: self.mem_commits.clone(),
-            mems: b.mems,
-            mem_init: self.mem_init.clone(),
-            domains: self.domains.clone(),
-            // Recomputed, not copied: a rewired output may add or drop sync-read
-            // taint, and a stale map would resurrect SyncReadBeforeClock warnings
-            // for reads the patched circuit no longer performs.
-            sync_sources: netlist.sync_read_sources(),
-            sync_regs: self.sync_regs.clone(),
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
-            has_reset: self.has_reset,
-            metas: b.metas,
-            consts: b.consts,
-            source_digest: netlist.structural_digest(),
-        })
     }
 
     /// The module name of the compiled netlist.
@@ -628,14 +497,11 @@ impl<'n> Builder<'n> {
 
     fn build(mut self) -> Result<Tape, SimError> {
         let mut comb = Vec::new();
-        let mut comb_spans = Vec::with_capacity(self.netlist.defs.len());
         for def in &self.netlist.defs {
-            let start = comb.len() as u32;
             let src = self.compile_expr(&def.expr, &mut comb)?;
             let dst = self.index[&def.name];
             let mask = mask(u128::MAX, def.info.width);
             comb.push(Instr::CopyMask { dst, src, mask });
-            comb_spans.push((start, comb.len() as u32));
         }
 
         // Clock-domain table: every register and write-port clock resolves to an
@@ -778,7 +644,6 @@ impl<'n> Builder<'n> {
             init: self.init,
             index: self.index,
             comb,
-            comb_spans,
             reg_program,
             commits,
             mem_commits,
@@ -790,30 +655,7 @@ impl<'n> Builder<'n> {
             inputs,
             outputs,
             has_reset,
-            metas: self.metas,
-            consts: self.consts,
-            source_digest: self.netlist.structural_digest(),
         })
-    }
-
-    /// Rebuilds compile-time state from a finished tape so [`Tape::patch`] can
-    /// compile replacement expressions against the existing slot layout. New
-    /// temporaries and constants append past the old state; the patched def's old
-    /// temp slots become dead (initialised, never written) holes.
-    fn resume(netlist: &'n Netlist, tape: &Tape) -> Self {
-        let mut mem_index = BTreeMap::new();
-        for (i, m) in tape.mems.iter().enumerate() {
-            mem_index.insert(m.name.clone(), i as u32);
-        }
-        Self {
-            netlist,
-            index: tape.index.clone(),
-            init: tape.init.clone(),
-            metas: tape.metas.clone(),
-            consts: tape.consts.clone(),
-            mems: tape.mems.clone(),
-            mem_index,
-        }
     }
 }
 
@@ -1591,174 +1433,6 @@ mod tests {
         // Named slots + 1 shared constant + 2 temps + (implicit reset constants if any).
         let named = netlist.slot_assignment().len();
         assert_eq!(with_sharing, named + 1 + 2);
-    }
-
-    /// `out` is `a & b` or `a | b` — lowering both variants yields netlists with
-    /// identical def order whose exprs differ only in the rewired defs, the shape
-    /// [`Tape::patch`] is specified for.
-    fn logic_netlist(use_or: bool) -> Netlist {
-        let mut m = ModuleBuilder::new("Logic");
-        let a = m.input("a", Type::uint(8));
-        let b = m.input("b", Type::uint(8));
-        let out = m.output("out", Type::uint(8));
-        let expr = if use_or { a.or(&b) } else { a.and(&b) };
-        m.connect(&out, &expr);
-        lower_circuit(&m.into_circuit()).unwrap()
-    }
-
-    /// Defs whose expressions differ between two same-shaped netlists.
-    fn changed_defs(old: &Netlist, new: &Netlist) -> Vec<String> {
-        assert_eq!(old.defs.len(), new.defs.len());
-        old.defs
-            .iter()
-            .zip(&new.defs)
-            .filter(|(o, n)| {
-                assert_eq!(o.name, n.name);
-                o.expr.to_string() != n.expr.to_string()
-            })
-            .map(|(o, _)| o.name.clone())
-            .collect()
-    }
-
-    #[test]
-    fn patched_tape_matches_a_from_scratch_compile() {
-        let old_nl = logic_netlist(false);
-        let new_nl = logic_netlist(true);
-        let changed = changed_defs(&old_nl, &new_nl);
-        assert!(!changed.is_empty());
-
-        let old_tape = Tape::compile(&old_nl).unwrap();
-        let patched = old_tape.patch(&new_nl, &changed).unwrap();
-        let scratch = Tape::compile(&new_nl).unwrap();
-        // The digest is the behavioural identity: the patched tape reports the
-        // patched netlist's digest, bit-for-bit equal to a from-scratch compile,
-        // and distinct from the tape it was patched from.
-        assert_eq!(patched.source_digest(), scratch.source_digest());
-        assert_eq!(patched.source_digest(), new_nl.structural_digest());
-        assert_ne!(patched.source_digest(), old_tape.source_digest());
-
-        let mut p = CompiledSimulator::from_tape(Arc::new(patched));
-        let mut s = CompiledSimulator::from_tape(Arc::new(scratch));
-        for (a, b) in [(0xF0u128, 0x0Fu128), (0xAA, 0x55), (1, 1), (255, 3), (0, 0)] {
-            for sim in [&mut p, &mut s] {
-                sim.poke("a", a).unwrap();
-                sim.poke("b", b).unwrap();
-                sim.step();
-            }
-            assert_eq!(p.peek("out").unwrap(), a | b);
-            assert_eq!(p.peek("out").unwrap(), s.peek("out").unwrap());
-        }
-    }
-
-    /// `tap` reads either the sync-read wire (tainted until the first edge) or the
-    /// plain input; the sync-read port itself is always present via `rdata`.
-    fn sync_tap_netlist(tap_reads_sync: bool) -> Netlist {
-        let mut m = ModuleBuilder::new("SyncTap");
-        let we = m.input("we", Type::bool());
-        let addr = m.input("addr", Type::uint(2));
-        let wdata = m.input("wdata", Type::uint(8));
-        let rdata = m.output("rdata", Type::uint(8));
-        let tap = m.output("tap", Type::uint(8));
-        let mem = m.mem("store", Type::uint(8), 4);
-        m.when(&we, |m| m.mem_write(&mem, &addr, &wdata));
-        let w = m.wire("w", Type::uint(8));
-        m.connect(&w, &mem.read_sync(&addr));
-        m.connect(&rdata, &w);
-        m.connect(&tap, if tap_reads_sync { &w } else { &wdata });
-        lower_circuit(&m.into_circuit()).unwrap()
-    }
-
-    #[test]
-    fn patching_recomputes_sync_read_taint_instead_of_copying_it() {
-        // Away from the sync source: the patched tape must NOT keep reporting
-        // SyncReadBeforeClock for a signal the circuit no longer routes through
-        // the registered read port.
-        let old_nl = sync_tap_netlist(true);
-        let new_nl = sync_tap_netlist(false);
-        let changed = changed_defs(&old_nl, &new_nl);
-        let old_tape = Tape::compile(&old_nl).unwrap();
-        let patched = old_tape.patch(&new_nl, &changed).unwrap();
-        assert_eq!(patched.source_digest(), Tape::compile(&new_nl).unwrap().source_digest());
-
-        let old_sim = CompiledSimulator::from_tape(Arc::new(old_tape));
-        let mut new_sim = CompiledSimulator::from_tape(Arc::new(patched));
-        assert!(matches!(old_sim.peek("tap"), Err(SimError::SyncReadBeforeClock { .. })));
-        new_sim.poke("wdata", 0x42).unwrap();
-        new_sim.eval();
-        assert_eq!(new_sim.peek("tap").unwrap(), 0x42);
-        // rdata still rides the registered port in both, so it stays guarded.
-        assert!(matches!(new_sim.peek("rdata"), Err(SimError::SyncReadBeforeClock { .. })));
-
-        // Toward the sync source: taint the patched tape MUST acquire.
-        let tainted = Tape::compile(&new_nl)
-            .unwrap()
-            .patch(&old_nl, &changed_defs(&new_nl, &old_nl))
-            .unwrap();
-        let mut tainted_sim = CompiledSimulator::from_tape(Arc::new(tainted));
-        assert!(matches!(tainted_sim.peek("tap"), Err(SimError::SyncReadBeforeClock { .. })));
-        tainted_sim.step();
-        assert!(tainted_sim.peek("tap").is_ok());
-    }
-
-    #[test]
-    fn patched_simulators_track_scratch_ones_through_sequential_state() {
-        // The reused sequential program (register staging, commits, write ports)
-        // must interoperate with the respliced combinational program.
-        let old_nl = sync_tap_netlist(false);
-        let new_nl = sync_tap_netlist(true);
-        let patched = Tape::compile(&old_nl)
-            .unwrap()
-            .patch(&new_nl, &changed_defs(&old_nl, &new_nl))
-            .unwrap();
-        let mut p = CompiledSimulator::from_tape(Arc::new(patched));
-        let mut s = CompiledSimulator::new(&new_nl).unwrap();
-        let stim = [(1u128, 0u128, 0x11u128), (1, 1, 0x22), (0, 0, 0), (1, 2, 0x33), (0, 1, 0)];
-        for (we, addr, wdata) in stim {
-            for sim in [&mut p, &mut s] {
-                sim.poke("we", we).unwrap();
-                sim.poke("addr", addr).unwrap();
-                sim.poke("wdata", wdata).unwrap();
-                sim.step();
-            }
-            assert_eq!(p.peek("rdata").unwrap(), s.peek("rdata").unwrap());
-            assert_eq!(p.peek("tap").unwrap(), s.peek("tap").unwrap());
-        }
-        for a in 0..4 {
-            assert_eq!(p.peek_mem("store", a).unwrap(), s.peek_mem("store", a).unwrap());
-        }
-    }
-
-    #[test]
-    fn patch_rejects_netlists_that_do_not_match_the_tape() {
-        let tape = Tape::compile(&logic_netlist(false)).unwrap();
-        // Different module entirely.
-        let other = counter_netlist();
-        assert!(matches!(
-            tape.patch(&other, &[]),
-            Err(SimError::TapeMismatch(why)) if why.contains("module name")
-        ));
-        // Same name, different def count.
-        let mut shrunk = logic_netlist(false);
-        shrunk.defs.pop();
-        assert!(matches!(
-            tape.patch(&shrunk, &[]),
-            Err(SimError::TapeMismatch(why)) if why.contains("spans")
-        ));
-        // A changed-def name that is not a def.
-        let nl = logic_netlist(false);
-        assert!(matches!(
-            tape.patch(&nl, &["nonexistent".to_string()]),
-            Err(SimError::TapeMismatch(why)) if why.contains("nonexistent")
-        ));
-        // An unlisted def whose span no longer lines up (defs reordered).
-        let sync_tape = Tape::compile(&sync_tap_netlist(false)).unwrap();
-        let mut swapped = sync_tap_netlist(false);
-        assert!(swapped.defs.len() >= 2);
-        swapped.defs.swap(0, 1);
-        assert!(matches!(
-            sync_tape.patch(&swapped, &[]),
-            Err(SimError::TapeMismatch(why)) if why.contains("line up")
-        ));
     }
 
     #[test]

@@ -58,10 +58,6 @@ pub enum SimError {
     NoSuchClock(String),
     /// Expression evaluation failed (lowering bug or corrupted netlist).
     Eval(EvalError),
-    /// A netlist handed to [`Tape::patch`](crate::Tape::patch) does not structurally
-    /// match the tape it would patch (different defs, registers or memories). The
-    /// caller should fall back to a full [`Tape::compile`](crate::Tape::compile).
-    TapeMismatch(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -87,9 +83,6 @@ impl std::fmt::Display for SimError {
             }
             SimError::NoSuchClock(name) => write!(f, "no such clock domain: {name}"),
             SimError::Eval(e) => write!(f, "evaluation error: {e}"),
-            SimError::TapeMismatch(why) => {
-                write!(f, "netlist does not match the tape being patched: {why}")
-            }
         }
     }
 }
