@@ -91,7 +91,7 @@ pub struct BenchmarkCase {
     /// not recompile the reference per call.
     reference_netlist: OnceLock<Netlist>,
     /// Lazily built tester prototype; [`tester`](Self::tester) hands out clones so the
-    /// per-sample cost is a copy, not a testbench regeneration.
+    /// per-sample cost is a few reference counts, not a testbench regeneration.
     tester_cache: OnceLock<FunctionalTester>,
     /// Optional shared artifact cache. When attached, the reference netlist and
     /// compiled tape come from (and are published to) the cache, keyed on the
@@ -242,9 +242,10 @@ impl BenchmarkCase {
     /// Builds the functional tester (reference netlist + testbench) for this case.
     ///
     /// The tester is built once per case instance and cached; repeated calls — one per
-    /// sample in a sweep — pay only a clone, not a reference lowering or a testbench
-    /// regeneration. (The testbench is seeded by [`seed`](Self::seed), so a clone and a
-    /// regeneration are identical.) Clones also share the prototype's lazily compiled
+    /// sample in a sweep — pay only a clone, which copies reference counts: the
+    /// reference netlist and the testbench are shared, not lowered, regenerated or
+    /// deep-copied. (The testbench is seeded by [`seed`](Self::seed), so sharing it and
+    /// regenerating it are identical.) Clones also share the prototype's lazily compiled
     /// reference instruction tape **and its recorded reference output trace**, so on
     /// the compiled simulation engine the whole sweep compiles *and simulates* each
     /// reference **once per case** — every sample's DUT is compared against that one

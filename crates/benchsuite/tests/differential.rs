@@ -4,13 +4,14 @@
 //! mechanically indistinguishable from the tree-walking interpreter: for thousands of
 //! randomly generated circuits × random stimulus, every signal must agree **peek for
 //! peek, cycle for cycle**. The session recompiler is held to the from-scratch
-//! compiler the same way: over random edits and SourceInfo-only resubmissions, every
-//! result it returns is a from-scratch compile's — same diagnostics, same netlist,
-//! same Verilog. All properties run over the narrow population and over
-//! [`RandomCircuitConfig::wide`], whose 64/127/128-bit signals and over-shifting
-//! amounts live at the `u128` word boundary. Seeds are produced by the deterministic
-//! proptest stub (fixed per test name), so a failure reproduces forever; the case
-//! count is raised in CI's dedicated fuzz job via `RECHISEL_FUZZ_CASES`.
+//! compiler the same way: over random edits, SourceInfo-only resubmissions and
+//! repeats of earlier revisions, every result it returns is a from-scratch
+//! compile's — same diagnostics, same netlist, same Verilog. All properties run over
+//! the narrow population and over [`RandomCircuitConfig::wide`], whose 64/127/128-bit
+//! signals and over-shifting amounts live at the `u128` word boundary. Seeds are
+//! produced by the deterministic proptest stub (fixed per test name), so a failure
+//! reproduces forever; the case count is raised in CI's dedicated fuzz job via
+//! `RECHISEL_FUZZ_CASES`.
 
 use proptest::prelude::*;
 use rechisel_benchsuite::{random_circuit, random_stimulus, sampled_suite, RandomCircuitConfig};
@@ -210,32 +211,9 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<Circuit> {
 }
 
 /// `circuit` with every port and every statement, nested ones included, moved to
-/// a new source location. The fingerprint ignores locations, so the recompiler
-/// treats it as the same revision; only diagnostic locations may differ.
+/// a new source location. The structural fingerprint ignores locations; the
+/// located fingerprint that keys the recompiler's memo does not.
 fn relocated(circuit: &Circuit) -> Circuit {
-    fn relocate(body: &mut [Statement], line: &mut u32) {
-        for stmt in body {
-            *line += 1;
-            match stmt {
-                Statement::Wire { info, .. }
-                | Statement::Reg { info, .. }
-                | Statement::Node { info, .. }
-                | Statement::Connect { info, .. }
-                | Statement::Invalidate { info, .. }
-                | Statement::When { info, .. }
-                | Statement::Mem { info, .. }
-                | Statement::MemWrite { info, .. }
-                | Statement::Instance { info, .. }
-                | Statement::BareIoDecl { info, .. } => {
-                    *info = SourceInfo::new("Moved.scala", *line, 7);
-                }
-            }
-            if let Statement::When { then_body, else_body, .. } = stmt {
-                relocate(then_body, line);
-                relocate(else_body, line);
-            }
-        }
-    }
     let mut moved = circuit.clone();
     let mut line = 0;
     for module in &mut moved.modules {
@@ -243,31 +221,44 @@ fn relocated(circuit: &Circuit) -> Circuit {
             line += 1;
             port.info = SourceInfo::new("Moved.scala", line, 3);
         }
-        relocate(&mut module.body, &mut line);
+        module.visit_statements_mut(&mut |stmt| {
+            line += 1;
+            *stmt.info_mut() = SourceInfo::new("Moved.scala", line, 7);
+        });
     }
     moved
 }
 
 /// One recompiler differential run: drive one session recompiler over
-/// `[original, edited, edited relocated, original]` and hold every result to a
-/// from-scratch compile of the same circuit — equal diagnostics on rejection,
-/// otherwise an equal netlist and byte-equal Verilog. The outcome is `Identical`
-/// exactly when the fingerprint equals the last good revision's, and then the
-/// netlist and tape are that revision's own `Arc`s.
+/// `[original, edited, relocated(edited), original, relocated(edited)]` and hold
+/// every result to a from-scratch compile of the same circuit — equal diagnostics,
+/// locations included, on rejection, otherwise an equal netlist, byte-equal Verilog
+/// and the same tape availability. The outcome is `Identical` exactly when an
+/// earlier step with the same located fingerprint compiled, and then the netlist
+/// and tape are that step's own `Arc`s.
 fn incremental_differential_run(seed: u64, config: &RandomCircuitConfig) {
     let original = random_circuit(seed, config);
     let Some(edited) = edit_circuit(&original, seed ^ 0xA5A5) else {
         return; // no statement of the chosen kind — vacuous seed
     };
-    let chain = [original.clone(), edited.clone(), relocated(&edited), original];
+    let moved = relocated(&edited);
+    let chain = [original.clone(), edited.clone(), moved.clone(), original, moved];
 
     let scratch = ChiselCompiler::new();
     let mut inc = scratch.incremental();
-    let mut last_good: Option<(Fingerprint, IncrementalCompiled)> = None;
+    let mut compiled: Vec<(Fingerprint, IncrementalCompiled)> = Vec::new();
     for (step, circuit) in chain.iter().enumerate() {
         let got = match (inc.compile(circuit), scratch.compile(circuit)) {
             (Err(got), Err(want)) => {
                 assert_eq!(got, want, "seed {seed} step {step}: diagnostics diverge");
+                if matches!(step, 2 | 4) {
+                    // Every location of relocated(edited) is in Moved.scala. A memo
+                    // keyed on structure alone would replay the edited revision's
+                    // diagnostics here, with the old locations.
+                    for d in got.iter().filter(|d| !d.location.is_unknown()) {
+                        assert_eq!(d.location.file, "Moved.scala", "seed {seed}: stale {d}");
+                    }
+                }
                 continue;
             }
             (Ok(got), Ok(want)) => {
@@ -290,9 +281,9 @@ fn incremental_differential_run(seed: u64, config: &RandomCircuitConfig) {
                  compiler accepts: {got:?}",
             ),
         };
-        let fingerprint = circuit.fingerprint();
-        match &last_good {
-            Some((last, prev)) if *last == fingerprint => {
+        let key = circuit.located_fingerprint();
+        match compiled.iter().find(|(earlier, _)| *earlier == key) {
+            Some((_, prev)) => {
                 assert_eq!(got.outcome, RecompileOutcome::Identical, "seed {seed} step {step}");
                 assert!(std::sync::Arc::ptr_eq(&got.netlist, &prev.netlist));
                 match (&got.tape, &prev.tape) {
@@ -301,19 +292,20 @@ fn incremental_differential_run(seed: u64, config: &RandomCircuitConfig) {
                     _ => panic!("seed {seed} step {step}: reused tape differs"),
                 }
             }
-            other => {
-                let reason = match other {
-                    Some(_) => RebuildReason::Changed,
-                    None => RebuildReason::FirstRevision,
+            None => {
+                let reason = if compiled.is_empty() {
+                    RebuildReason::FirstRevision
+                } else {
+                    RebuildReason::Changed
                 };
                 assert_eq!(
                     got.outcome,
                     RecompileOutcome::FullRebuild(reason),
                     "seed {seed} step {step}"
                 );
+                compiled.push((key, got));
             }
         }
-        last_good = Some((fingerprint, got));
     }
 }
 
@@ -334,8 +326,9 @@ proptest! {
         differential_run(seed, &RandomCircuitConfig::wide());
     }
 
-    /// Random single-statement edits and SourceInfo-only resubmissions: the session
-    /// recompiler returns exactly what the from-scratch compiler does.
+    /// Random single-statement edits, SourceInfo-only resubmissions and repeats of
+    /// earlier revisions: the session recompiler returns exactly what the
+    /// from-scratch compiler does.
     #[test]
     fn incremental_recompile_matches_full_rebuild(seed in 0u64..u64::MAX) {
         incremental_differential_run(seed, &RandomCircuitConfig::default());

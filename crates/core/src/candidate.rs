@@ -1,13 +1,16 @@
 //! Generation candidates.
 //!
 //! A [`Candidate`] is one version of the Chisel code produced by the Generator agent:
-//! the elaborated circuit plus the pseudo-Chisel source text shown in traces and in the
-//! case-study walkthrough (paper Fig. 8).
+//! the elaborated circuit, whose pseudo-Chisel source text ([`Candidate::source`]) is
+//! what traces and the case-study walkthrough (paper Fig. 8) show.
 
 use rechisel_firrtl::ir::Circuit;
 use rechisel_firrtl::print_chisel;
 
 /// One generated design version.
+///
+/// The source text is rendered on demand, not stored: the reflection loop produces
+/// and clones many candidates and reads none of their text.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Unique id within a workflow run (used by the synthetic LLM to track its internal
@@ -17,20 +20,22 @@ pub struct Candidate {
     pub iteration: u32,
     /// The elaborated design.
     pub circuit: Circuit,
-    /// Pseudo-Chisel source text of the design.
-    pub source: String,
 }
 
 impl Candidate {
-    /// Creates a candidate, rendering its source text from the circuit.
+    /// Creates a candidate.
     pub fn new(id: u64, iteration: u32, circuit: Circuit) -> Self {
-        let source = print_chisel(&circuit);
-        Self { id, iteration, circuit, source }
+        Self { id, iteration, circuit }
+    }
+
+    /// Pseudo-Chisel source text of the design, rendered from the circuit.
+    pub fn source(&self) -> String {
+        print_chisel(&self.circuit)
     }
 
     /// Line count of the rendered source (a rough size proxy reported by benches).
     pub fn source_lines(&self) -> usize {
-        self.source.lines().count()
+        self.source().lines().count()
     }
 }
 
@@ -54,7 +59,7 @@ mod tests {
             info: SourceInfo::unknown(),
         });
         let c = Candidate::new(1, 0, Circuit::single(m));
-        assert!(c.source.contains("class Tiny extends Module"));
+        assert!(c.source().contains("class Tiny extends Module"));
         assert!(c.source_lines() > 3);
         assert_eq!(c.iteration, 0);
     }

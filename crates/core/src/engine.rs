@@ -505,9 +505,9 @@ where
 
     /// Evaluates one candidate: compile, then simulate (workflow steps ❷/❸).
     ///
-    /// The session's [`IncrementalCompiler`] reuses the last good candidate's
-    /// netlist and tape when the fingerprint is unchanged; the feedback is that of
-    /// a from-scratch compile either way.
+    /// The session's [`IncrementalCompiler`] answers a candidate whose circuit the
+    /// session already compiled, accepted or rejected, from its memo; the feedback
+    /// is that of a from-scratch compile either way.
     fn evaluate(&mut self, candidate: &crate::candidate::Candidate) -> (Feedback, Option<String>) {
         let compiled = match self.recompiler.compile(&candidate.circuit) {
             Err(diagnostics) => return (Feedback::Syntax { diagnostics }, None),

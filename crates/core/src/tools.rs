@@ -82,8 +82,9 @@ impl ChiselCompiler {
     }
 
     /// An incremental session over this compiler: the returned
-    /// [`IncrementalCompiler`] reuses the last good revision's artifacts when a
-    /// circuit's fingerprint is unchanged, and compiles from scratch otherwise.
+    /// [`IncrementalCompiler`] remembers every revision it compiled, rejected ones
+    /// included, and answers a resubmission from that memo instead of compiling
+    /// it again.
     pub fn incremental(&self) -> IncrementalCompiler {
         IncrementalCompiler::new(self.clone())
     }
@@ -91,42 +92,43 @@ impl ChiselCompiler {
 
 /// The output of one [`IncrementalCompiler::compile`] call.
 ///
-/// Unlike [`Compiled`], the netlist is shared (`Arc`) — on a fingerprint hit it is
-/// literally the previous revision's netlist — and the compiled simulation
+/// Unlike [`Compiled`], the netlist is shared (`Arc`) — on a memo hit it is
+/// literally the earlier revision's netlist — and the compiled simulation
 /// [`Tape`] rides along so the tester does not recompile the DUT.
 #[derive(Debug, Clone)]
 pub struct IncrementalCompiled {
     /// The lowered netlist (shared with the compiler's memo).
     pub netlist: Arc<Netlist>,
-    /// The emitted Verilog source (always re-emitted in full; emission is cheap
-    /// relative to checking/lowering and the serving layer wants exact text).
+    /// The emitted Verilog source: emitted once, when the revision first compiled,
+    /// and replayed from the memo on every resubmission.
     pub verilog: String,
     /// The compiled simulation tape. `None` when tape compilation failed; on the
     /// default Compiled engine, [`FunctionalTester::test_with_tape`] then compiles
     /// the tape again, fails again, and reports every point failed.
     pub tape: Option<Arc<Tape>>,
-    /// Whether the revision reused the last good one (see [`RecompileOutcome`]).
+    /// Whether the revision was answered from the memo (see [`RecompileOutcome`]).
     pub outcome: RecompileOutcome,
 }
 
-/// The last revision that compiled: what a same-fingerprint revision reuses.
-#[derive(Debug)]
-struct LastGood {
-    fingerprint: Fingerprint,
-    netlist: Arc<Netlist>,
-    tape: Option<Arc<Tape>>,
-}
-
-/// A stateful compiler for the reflection loop: a last-good fingerprint memo in
-/// front of [`ChiselCompiler::compile`].
+/// A stateful compiler for the reflection loop: a memo of every revision the
+/// session compiled, in front of [`ChiselCompiler::compile`].
 ///
-/// A circuit whose [`Fingerprint`] equals that of the last revision that compiled
-/// reuses its netlist and tape ([`RecompileOutcome::Identical`]); the Verilog is
-/// re-emitted through the pipeline's backend. Any other circuit runs the
-/// from-scratch compiler and [`Tape::compile`]
-/// ([`RecompileOutcome::FullRebuild`]). A revision that fails leaves the memo
-/// untouched, so a broken candidate in the middle of a session does not cost the
-/// next resubmission of the last good one a rebuild.
+/// Each revision is keyed by its [`Circuit::located_fingerprint`], which covers
+/// every port's and statement's source location as well as the structure:
+///
+/// * a key that an earlier revision compiled under returns that revision's
+///   netlist, tape and Verilog ([`RecompileOutcome::Identical`]);
+/// * a key that an earlier revision was rejected under returns a clone of its
+///   diagnostics, without running a single check pass;
+/// * a new key runs the from-scratch compiler and [`Tape::compile`]
+///   ([`RecompileOutcome::FullRebuild`]) and remembers the result, whether it
+///   compiled or not.
+///
+/// The key covers locations because diagnostics carry them: a relocated copy of a
+/// rejected design must report the moved locations. A design resubmitted with only
+/// its locations moved therefore compiles again. The memo holds one entry per
+/// distinct revision of the session (at most 11 under the paper's reflection cap
+/// of 10) and is dropped with it.
 ///
 /// # Example
 ///
@@ -143,28 +145,38 @@ struct LastGood {
 ///     m.connect(&out, &expr);
 ///     m.into_circuit()
 /// };
+/// let broken = {
+///     let mut m = ModuleBuilder::new("Top");
+///     let _a = m.input("a", Type::uint(8));
+///     let _out = m.output("out", Type::uint(8)); // never driven
+///     m.into_circuit()
+/// };
 ///
 /// let mut inc = ChiselCompiler::new().incremental();
 /// let first = inc.compile(&build(false)).unwrap();
 /// assert_eq!(first.outcome, RecompileOutcome::FullRebuild(RebuildReason::FirstRevision));
-/// // An unchanged resubmission reuses the netlist.
-/// let again = inc.compile(&build(false)).unwrap();
-/// assert_eq!(again.outcome, RecompileOutcome::Identical);
 /// // An edit compiles from scratch.
 /// let edited = inc.compile(&build(true)).unwrap();
 /// assert_eq!(edited.outcome, RecompileOutcome::FullRebuild(RebuildReason::Changed));
-/// assert!(edited.verilog.contains("module Top"));
+/// // Resubmitting any earlier revision reuses its netlist, tape and Verilog.
+/// let again = inc.compile(&build(false)).unwrap();
+/// assert_eq!(again.outcome, RecompileOutcome::Identical);
+/// assert_eq!(again.verilog, first.verilog);
+/// // A rejected revision, resubmitted, gets the same diagnostics back.
+/// let errors = inc.compile(&broken).unwrap_err();
+/// assert_eq!(inc.compile(&broken).unwrap_err(), errors);
 /// ```
 #[derive(Debug)]
 pub struct IncrementalCompiler {
     compiler: ChiselCompiler,
-    last_good: Option<LastGood>,
+    /// Every distinct revision compiled so far, keyed by located fingerprint.
+    memo: Vec<(Fingerprint, Result<IncrementalCompiled, Vec<Diagnostic>>)>,
 }
 
 impl IncrementalCompiler {
     /// Wraps `compiler`; the first [`compile`](Self::compile) call always runs it.
     pub fn new(compiler: ChiselCompiler) -> Self {
-        Self { compiler, last_good: None }
+        Self { compiler, memo: Vec::new() }
     }
 
     /// The wrapped from-scratch compiler.
@@ -172,45 +184,37 @@ impl IncrementalCompiler {
         &self.compiler
     }
 
-    /// Compiles a circuit, reusing the last good revision's netlist and tape when
-    /// the fingerprint is unchanged.
+    /// Compiles a circuit, answering a revision this session already compiled from
+    /// the memo.
     ///
     /// # Errors
     ///
     /// Returns the error-severity diagnostics when checking or lowering fails —
-    /// exactly [`ChiselCompiler::compile`]'s on the same circuit. The memo keeps
-    /// the last good revision.
+    /// exactly [`ChiselCompiler::compile`]'s on the same circuit, remembered and
+    /// cloned when the revision is resubmitted.
     pub fn compile(&mut self, circuit: &Circuit) -> Result<IncrementalCompiled, Vec<Diagnostic>> {
-        let fingerprint = circuit.fingerprint();
-        let reason = match &self.last_good {
-            Some(last) if last.fingerprint == fingerprint => {
-                let verilog = self
-                    .compiler
-                    .pipeline()
-                    .backend()
-                    .emit(circuit, &last.netlist)
-                    .map_err(|d| vec![d])?;
-                return Ok(IncrementalCompiled {
-                    netlist: Arc::clone(&last.netlist),
-                    verilog,
-                    tape: last.tape.clone(),
-                    outcome: RecompileOutcome::Identical,
-                });
-            }
-            Some(_) => RebuildReason::Changed,
-            None => RebuildReason::FirstRevision,
+        let key = circuit.located_fingerprint();
+        if let Some((_, result)) = self.memo.iter().find(|(k, _)| *k == key) {
+            return result.clone().map(|compiled| IncrementalCompiled {
+                outcome: RecompileOutcome::Identical,
+                ..compiled
+            });
+        }
+        let reason = if self.memo.iter().any(|(_, result)| result.is_ok()) {
+            RebuildReason::Changed
+        } else {
+            RebuildReason::FirstRevision
         };
-        let Compiled { netlist, verilog } = self.compiler.compile(circuit)?;
-        let tape = Tape::compile(&netlist).ok().map(Arc::new);
-        let netlist = Arc::new(netlist);
-        self.last_good =
-            Some(LastGood { fingerprint, netlist: Arc::clone(&netlist), tape: tape.clone() });
-        Ok(IncrementalCompiled {
-            netlist,
-            verilog,
-            tape,
-            outcome: RecompileOutcome::FullRebuild(reason),
-        })
+        let result = self.compiler.compile(circuit).map(|Compiled { netlist, verilog }| {
+            IncrementalCompiled {
+                tape: Tape::compile(&netlist).ok().map(Arc::new),
+                netlist: Arc::new(netlist),
+                verilog,
+                outcome: RecompileOutcome::FullRebuild(reason),
+            }
+        });
+        self.memo.push((key, result.clone()));
+        result
     }
 }
 
@@ -224,11 +228,12 @@ impl IncrementalCompiler {
 /// compilation per case, mirroring the existing reference-netlist cache. The
 /// reference **output trace** (its outputs at every checked point) is cached the same
 /// way, so the reference simulation itself also runs once per case rather than once
-/// per sample.
+/// per sample. The reference netlist and the testbench are shared too, so a clone
+/// copies reference counts, not the design or its stimulus.
 #[derive(Debug, Clone)]
 pub struct FunctionalTester {
-    reference: Netlist,
-    testbench: Testbench,
+    reference: Arc<Netlist>,
+    testbench: Arc<Testbench>,
     engine: EngineKind,
     /// Lazily compiled reference tape, shared across clones of this tester.
     reference_tape: Arc<OnceLock<Result<Arc<Tape>, SimError>>>,
@@ -241,8 +246,8 @@ impl FunctionalTester {
     /// execution engine ([`EngineKind::Compiled`]).
     pub fn new(reference: Netlist, testbench: Testbench) -> Self {
         Self {
-            reference,
-            testbench,
+            reference: Arc::new(reference),
+            testbench: Arc::new(testbench),
             engine: EngineKind::default(),
             reference_tape: Arc::new(OnceLock::new()),
             reference_trace: Arc::new(OnceLock::new()),
@@ -403,19 +408,19 @@ mod tests {
     }
 
     /// `circuit` with every port and statement moved to another source location:
-    /// the same fingerprint, different diagnostics locations.
+    /// the same fingerprint, a different located fingerprint.
     fn relocated(circuit: &Circuit) -> Circuit {
-        use rechisel_firrtl::ir::{SourceInfo, Statement};
+        use rechisel_firrtl::ir::SourceInfo;
         let mut moved = circuit.clone();
         for module in &mut moved.modules {
             for (line, port) in module.ports.iter_mut().enumerate() {
                 port.info = SourceInfo::new("Moved.scala", line as u32 + 1, 1);
             }
-            for (line, stmt) in module.body.iter_mut().enumerate() {
-                if let Statement::Connect { info, .. } | Statement::Reg { info, .. } = stmt {
-                    *info = SourceInfo::new("Moved.scala", line as u32 + 100, 3);
-                }
-            }
+            let mut line = 100;
+            module.visit_statements_mut(&mut |stmt| {
+                line += 1;
+                *stmt.info_mut() = SourceInfo::new("Moved.scala", line, 3);
+            });
         }
         moved
     }
@@ -443,23 +448,44 @@ mod tests {
         assert_eq!(third.outcome, RecompileOutcome::Identical);
         assert!(Arc::ptr_eq(&third.netlist, &second.netlist));
         assert!(Arc::ptr_eq(third.tape.as_ref().unwrap(), tape));
+        assert_eq!(third.verilog, second.verilog);
 
-        // So does a resubmission that only moved source locations; its Verilog is
-        // what a scratch compile of the moved circuit emits.
+        // A resubmission that only moved source locations is a new revision: it
+        // compiles from scratch, and its Verilog is a scratch compile's.
         let moved = relocated(&staged("Top", true));
         assert_ne!(moved, staged("Top", true));
+        assert_eq!(moved.fingerprint(), staged("Top", true).fingerprint());
         let fourth = inc.compile(&moved).unwrap();
-        assert_eq!(fourth.outcome, RecompileOutcome::Identical);
-        assert!(Arc::ptr_eq(&fourth.netlist, &second.netlist));
-        assert!(Arc::ptr_eq(fourth.tape.as_ref().unwrap(), tape));
-        assert_eq!(fourth.verilog, scratch.compile(&moved).unwrap().verilog);
+        assert_eq!(fourth.outcome, RecompileOutcome::FullRebuild(RebuildReason::Changed));
+        assert!(!Arc::ptr_eq(&fourth.netlist, &second.netlist));
+        let reference = scratch.compile(&moved).unwrap();
+        assert_eq!(fourth.verilog, reference.verilog);
+        assert_eq!(*fourth.netlist, reference.netlist);
+
+        // Resubmitting the first design after the edits reuses the first
+        // revision's artifacts.
+        let fifth = inc.compile(&staged("Top", false)).unwrap();
+        assert_eq!(fifth.outcome, RecompileOutcome::Identical);
+        assert!(Arc::ptr_eq(&fifth.netlist, &first.netlist));
+        assert!(Arc::ptr_eq(fifth.tape.as_ref().unwrap(), first.tape.as_ref().unwrap()));
+        assert_eq!(fifth.verilog, first.verilog);
     }
 
     #[test]
     fn incremental_compiler_reports_the_same_diagnostics_as_scratch() {
-        use rechisel_firrtl::RecompileOutcome;
+        use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let scratch = ChiselCompiler::new();
+        use rechisel_firrtl::pipeline::Pass;
+        use rechisel_firrtl::{DiagnosticReport, RecompileOutcome};
+
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&runs);
+        let passes = PassManager::standard().with_pass(Pass::new("count", move |_, _| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            DiagnosticReport::new()
+        }));
+        let scratch =
+            ChiselCompiler::from_pipeline(Pipeline::new(VerilogBackend).with_passes(passes));
         let mut inc = scratch.incremental();
         let good = inc.compile(&staged("Top", false)).unwrap();
 
@@ -471,12 +497,21 @@ mod tests {
         let inc_errs = inc.compile(&broken).unwrap_err();
         let scratch_errs = scratch.compile(&broken).unwrap_err();
         assert_eq!(inc_errs, scratch_errs);
-        // The failed revision left the memo alone: resubmitting the last good
-        // design still reuses its artifacts.
+
+        // A rejected resubmission returns the same diagnostics without running
+        // a single pass.
+        let before = runs.load(Ordering::Relaxed);
+        assert!(before > 0);
+        assert_eq!(inc.compile(&broken).unwrap_err(), scratch_errs);
+        assert_eq!(runs.load(Ordering::Relaxed), before);
+
+        // The failed revision left the good one in the memo: resubmitting it
+        // still reuses its artifacts.
         let again = inc.compile(&staged("Top", false)).unwrap();
         assert_eq!(again.outcome, RecompileOutcome::Identical);
         assert!(Arc::ptr_eq(&again.netlist, &good.netlist));
         assert!(again.tape.is_some());
+        assert_eq!(runs.load(Ordering::Relaxed), before);
     }
 
     #[test]
@@ -538,8 +573,11 @@ mod tests {
         let interp_report = tester.clone().with_engine(EngineKind::Interp).test(&wrong);
         assert_eq!(compiled_report, interp_report);
 
-        // Clones share the lazily compiled reference tape and the recorded trace.
+        // Clones share the reference netlist, the testbench, the lazily compiled
+        // reference tape and the recorded trace.
         let clone = tester.clone();
+        assert!(std::ptr::eq(tester.reference(), clone.reference()));
+        assert!(std::ptr::eq(tester.testbench(), clone.testbench()));
         let a = tester.reference_tape().unwrap();
         let b = clone.reference_tape().unwrap();
         assert!(std::sync::Arc::ptr_eq(&a, &b));

@@ -16,6 +16,13 @@
 //! trade for a compilation cache, because the compiled artifacts (netlist slots,
 //! emitted Verilog) embed the names.
 //!
+//! Source locations ([`SourceInfo`]) are left out of [`Circuit::fingerprint`]: they
+//! never change a netlist, so a relocated design shares its cached artifacts.
+//! [`Circuit::located_fingerprint`] walks the same encoding plus every port's and
+//! statement's location. It keys what does depend on locations: a rejected
+//! revision's diagnostics, whose [`location`](crate::Diagnostic::location) names
+//! the offending statement.
+//!
 //! # Example
 //!
 //! ```
@@ -32,7 +39,7 @@ use std::fmt;
 
 use crate::ir::{
     Circuit, ClockSpec, Direction, Expression, Field, Module, ModuleKind, Port, ReadUnderWrite,
-    RegReset, Statement, Type,
+    RegReset, SourceInfo, Statement, Type,
 };
 
 /// 128-bit FNV-1a offset basis.
@@ -101,6 +108,10 @@ impl Fnv128 {
         self.bytes(s.as_bytes());
     }
 
+    fn u32(&mut self, v: u32) {
+        self.bytes(&v.to_le_bytes());
+    }
+
     fn u64(&mut self, v: u64) {
         self.bytes(&v.to_le_bytes());
     }
@@ -133,6 +144,15 @@ impl Fnv128 {
 const TAG_CIRCUIT: u8 = 0x01;
 const TAG_MODULE: u8 = 0x02;
 const TAG_PORT: u8 = 0x03;
+const TAG_INFO: u8 = 0x04;
+
+/// A source location, mixed in by the located walk only.
+fn hash_info(h: &mut Fnv128, info: &SourceInfo) {
+    h.tag(TAG_INFO);
+    h.str(&info.file);
+    h.u32(info.line);
+    h.u32(info.col);
+}
 
 fn hash_type(h: &mut Fnv128, ty: &Type) {
     match ty {
@@ -265,10 +285,13 @@ fn hash_clock(h: &mut Fnv128, clock: &ClockSpec) {
     }
 }
 
-fn hash_statement(h: &mut Fnv128, stmt: &Statement) {
-    // SourceInfo is intentionally NOT hashed: the same design pasted at a different
-    // pseudo-location must reuse the cached artifacts (locations never change the
-    // compiled netlist, only diagnostics).
+fn hash_statement(h: &mut Fnv128, stmt: &Statement, located: bool) {
+    // SourceInfo is hashed by the located walk only: the same design pasted at a
+    // different pseudo-location must reuse the cached artifacts (locations never
+    // change the compiled netlist, only diagnostics).
+    if located {
+        hash_info(h, stmt.info());
+    }
     match stmt {
         Statement::Wire { name, ty, info: _ } => {
             h.tag(0x60);
@@ -308,11 +331,11 @@ fn hash_statement(h: &mut Fnv128, stmt: &Statement) {
             hash_expr(h, cond);
             h.u64(then_body.len() as u64);
             for s in then_body {
-                hash_statement(h, s);
+                hash_statement(h, s, located);
             }
             h.u64(else_body.len() as u64);
             for s in else_body {
-                hash_statement(h, s);
+                hash_statement(h, s, located);
             }
         }
         Statement::Mem { name, ty, depth, init, ruw, info: _ } => {
@@ -368,7 +391,7 @@ fn hash_statement(h: &mut Fnv128, stmt: &Statement) {
     }
 }
 
-fn hash_module(h: &mut Fnv128, module: &Module) {
+fn hash_module(h: &mut Fnv128, module: &Module, located: bool) {
     h.tag(TAG_MODULE);
     h.str(&module.name);
     h.byte(match module.kind {
@@ -376,8 +399,11 @@ fn hash_module(h: &mut Fnv128, module: &Module) {
         ModuleKind::RawModule => 1,
     });
     h.u64(module.ports.len() as u64);
-    for Port { name, direction, ty, info: _ } in &module.ports {
+    for Port { name, direction, ty, info } in &module.ports {
         h.tag(TAG_PORT);
+        if located {
+            hash_info(h, info);
+        }
         h.str(name);
         h.byte(match direction {
             Direction::Input => 0,
@@ -387,21 +413,25 @@ fn hash_module(h: &mut Fnv128, module: &Module) {
     }
     h.u64(module.body.len() as u64);
     for s in &module.body {
-        hash_statement(h, s);
+        hash_statement(h, s, located);
     }
 }
 
-/// Computes the stable fingerprint of a circuit. Exposed as
-/// [`Circuit::fingerprint`]; this free function is the implementation.
-pub fn fingerprint_circuit(circuit: &Circuit) -> Fingerprint {
+fn hash_circuit(circuit: &Circuit, located: bool) -> Fingerprint {
     let mut h = Fnv128::new();
     h.tag(TAG_CIRCUIT);
     h.str(&circuit.top);
     h.u64(circuit.modules.len() as u64);
     for m in &circuit.modules {
-        hash_module(&mut h, m);
+        hash_module(&mut h, m, located);
     }
     h.finish()
+}
+
+/// Computes the stable fingerprint of a circuit. Exposed as
+/// [`Circuit::fingerprint`]; this free function is the implementation.
+pub fn fingerprint_circuit(circuit: &Circuit) -> Fingerprint {
+    hash_circuit(circuit, false)
 }
 
 impl Circuit {
@@ -413,6 +443,17 @@ impl Circuit {
     /// See the [`fingerprint`](crate::fingerprint) module docs for the encoding.
     pub fn fingerprint(&self) -> Fingerprint {
         fingerprint_circuit(self)
+    }
+
+    /// [`fingerprint`](Self::fingerprint) plus the [`SourceInfo`] of every port and
+    /// statement, nested `when` bodies included.
+    ///
+    /// The located walk covers every field of the circuit, so equal located
+    /// fingerprints mean equal circuits, and so equal compiler output, diagnostic
+    /// locations included. This is the key under which a session remembers
+    /// rejected revisions as well as compiled ones.
+    pub fn located_fingerprint(&self) -> Fingerprint {
+        hash_circuit(self, true)
     }
 }
 
@@ -487,6 +528,82 @@ mod tests {
             *info = SourceInfo::new("Elsewhere.scala", 43, 3);
         }
         assert_eq!(base.fingerprint(), relocated.fingerprint());
+    }
+
+    #[test]
+    fn clones_share_a_located_fingerprint() {
+        let base = located_sample();
+        assert_eq!(base.located_fingerprint(), base.clone().located_fingerprint());
+    }
+
+    /// Ports plus wire, node, connect and `when` statements, with a `when` nested in
+    /// the outer one's else branch; every location distinct.
+    fn located_sample() -> Circuit {
+        let at = |line: u32| SourceInfo::new("Sample.scala", line, 5);
+        let connect = |loc: &str, expr: Expression, line: u32| Statement::Connect {
+            loc: Expression::reference(loc),
+            expr,
+            info: at(line),
+        };
+        let mut m = Module::new("Located", ModuleKind::Module);
+        for (line, (name, direction)) in
+            [("a", Direction::Input), ("b", Direction::Input), ("out", Direction::Output)]
+                .into_iter()
+                .enumerate()
+        {
+            let mut port = Port::new(name, direction, Type::bool());
+            port.info = at(line as u32 + 1);
+            m.ports.push(port);
+        }
+        m.body.push(Statement::Wire { name: "w".into(), ty: Type::bool(), info: at(10) });
+        m.body.push(Statement::Node {
+            name: "n".into(),
+            value: Expression::reference("b"),
+            info: at(11),
+        });
+        m.body.push(Statement::When {
+            cond: Expression::reference("a"),
+            then_body: vec![connect("w", Expression::reference("n"), 13)],
+            else_body: vec![
+                connect("w", Expression::reference("a"), 15),
+                Statement::When {
+                    cond: Expression::reference("b"),
+                    then_body: vec![connect("w", Expression::reference("b"), 17)],
+                    else_body: vec![],
+                    info: at(16),
+                },
+            ],
+            info: at(12),
+        });
+        m.body.push(connect("out", Expression::reference("w"), 20));
+        Circuit::single(m)
+    }
+
+    #[test]
+    fn moving_any_location_changes_only_the_located_fingerprint() {
+        let base = located_sample();
+        let module = &base.modules[0];
+        let slots = module.ports.len() + module.statement_count();
+        assert_eq!(slots, 3 + 8);
+        for slot in 0..slots {
+            let mut moved = base.clone();
+            let module = &mut moved.modules[0];
+            let target = SourceInfo::new("Moved.scala", 99, 9);
+            if let Some(port) = module.ports.get_mut(slot) {
+                port.info = target;
+            } else {
+                let mut index = module.ports.len();
+                module.visit_statements_mut(&mut |stmt| {
+                    if index == slot {
+                        *stmt.info_mut() = target.clone();
+                    }
+                    index += 1;
+                });
+            }
+            assert_ne!(moved, base, "slot {slot} moved nothing");
+            assert_ne!(base.located_fingerprint(), moved.located_fingerprint(), "slot {slot}");
+            assert_eq!(base.fingerprint(), moved.fingerprint(), "slot {slot}");
+        }
     }
 
     #[test]

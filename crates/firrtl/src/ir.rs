@@ -920,6 +920,22 @@ impl Statement {
         }
     }
 
+    /// The source location of the statement, mutably.
+    pub fn info_mut(&mut self) -> &mut SourceInfo {
+        match self {
+            Statement::Wire { info, .. }
+            | Statement::Reg { info, .. }
+            | Statement::Node { info, .. }
+            | Statement::Connect { info, .. }
+            | Statement::Invalidate { info, .. }
+            | Statement::When { info, .. }
+            | Statement::Mem { info, .. }
+            | Statement::MemWrite { info, .. }
+            | Statement::Instance { info, .. }
+            | Statement::BareIoDecl { info, .. } => info,
+        }
+    }
+
     /// The declared name, for declaration statements.
     pub fn declared_name(&self) -> Option<&str> {
         match self {

@@ -17,8 +17,8 @@
 //!   emitted output`) with its named-pass [`PassManager`] and the pluggable
 //!   [`EmitBackend`] seam.
 //! * [`fingerprint`] and [`incremental`] — the process-stable circuit [`Fingerprint`]
-//!   and the outcome types of the reflection loop's recompiler, which reuses the last
-//!   good revision's artifacts when a revision's fingerprint is unchanged.
+//!   and the outcome types of the reflection loop's recompiler, which answers a
+//!   resubmitted revision from a per-session memo keyed by its located fingerprint.
 //! * [`printer`] — FIRRTL-flavoured and pseudo-Chisel pretty-printers.
 //!
 //! # Example

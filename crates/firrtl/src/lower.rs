@@ -1117,7 +1117,13 @@ impl<'a> Expander<'a> {
                         })?;
                         let elements = ground_paths(&base, &ty);
                         let mut iter = elements.iter();
-                        let first = iter.next().expect("aggregate has at least one element");
+                        let first = iter.next().ok_or_else(|| {
+                            Diagnostic::error(
+                                ErrorCode::TypeMismatch,
+                                SourceInfo::unknown(),
+                                "asUInt on an aggregate requires at least one element",
+                            )
+                        })?;
                         let mut acc = Expression::reference(mangle(&first.0));
                         for (path, _) in iter {
                             acc = Expression::prim(
@@ -1878,6 +1884,40 @@ mod tests {
         // out <= v[i][1] with v: Vec(Vec(UInt<8>, 2), 2)
         let ty = Type::vec(Type::vec(Type::uint(8), 2), 2);
         assert_nested_dynamic_access(&dynamic_read(ty, Expression::SubIndex(src_at_i(), 1)));
+    }
+
+    /// `out <= asUInt(src)` for an input `src` of type `ty`.
+    fn as_uint_of(ty: Type) -> Circuit {
+        let mut m = Module::new("Cast", ModuleKind::Module);
+        m.ports.push(Port::new("clock", Direction::Input, Type::Clock));
+        m.ports.push(Port::new("reset", Direction::Input, Type::bool()));
+        m.ports.push(Port::new("src", Direction::Input, ty));
+        m.ports.push(Port::new("out", Direction::Output, Type::uint(8)));
+        m.body.push(Statement::Connect {
+            loc: Expression::reference("out"),
+            expr: Expression::prim(PrimOp::AsUInt, vec![Expression::reference("src")], vec![]),
+            info: SourceInfo::unknown(),
+        });
+        Circuit::single(m)
+    }
+
+    fn assert_empty_as_uint_is_a_diagnostic(c: &Circuit) {
+        assert!(!check_circuit(c).has_errors(), "{:?}", check_circuit(c));
+        let err = lower_circuit(c).unwrap_err();
+        assert_eq!(err.code, ErrorCode::TypeMismatch);
+        assert!(err.message.contains("at least one element"), "{err}");
+    }
+
+    #[test]
+    fn as_uint_of_an_empty_vec_is_a_diagnostic() {
+        // out <= asUInt(w) with w: Vec(UInt<8>, 0)
+        assert_empty_as_uint_is_a_diagnostic(&as_uint_of(Type::vec(Type::uint(8), 0)));
+    }
+
+    #[test]
+    fn as_uint_of_an_empty_bundle_is_a_diagnostic() {
+        // out <= asUInt(w) with w: Bundle {}
+        assert_empty_as_uint_is_a_diagnostic(&as_uint_of(Type::bundle(vec![])));
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! );
 //! let mut llm = SyntheticLlm::new(ModelProfile::claude35_sonnet(), Language::Chisel, reference, 7);
 //! let candidate = llm.generate(&spec, 0);
-//! assert!(candidate.source.contains("class Not"));
+//! assert!(candidate.source().contains("class Not"));
 //! # Ok(())
 //! # }
 //! ```
