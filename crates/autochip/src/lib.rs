@@ -20,13 +20,10 @@
 
 #![warn(missing_docs)]
 
-use rechisel_benchsuite::runner::{
-    run_case_with_engine, run_sample_with_engine, sweep_suite, CaseOutcome, ExperimentConfig,
-    ModelOutcome,
-};
+use rechisel_benchsuite::runner::{run_sample_with_engine, sweep_suite, ModelOutcome};
 use rechisel_benchsuite::BenchmarkCase;
-use rechisel_core::{ChiselCompiler, Engine, EngineKind, Workflow, WorkflowConfig, WorkflowResult};
-use rechisel_firrtl::check::CheckOptions;
+use rechisel_core::{ChiselCompiler, Engine, EngineKind, WorkflowConfig};
+use rechisel_firrtl::pipeline::PassManager;
 use rechisel_llm::{Language, ModelProfile};
 
 /// Configuration of the AutoChip baseline flow.
@@ -65,18 +62,8 @@ impl AutoChipConfig {
         Self { samples: 3, max_iterations: 5, ..Self::paper() }
     }
 
-    /// Derives the baseline from a ReChisel experiment configuration so both systems
-    /// run with identical budgets (and the same simulation engine).
-    pub fn matching(config: &ExperimentConfig) -> Self {
-        Self {
-            samples: config.samples,
-            max_iterations: config.max_iterations,
-            threads: config.threads,
-            sim_engine: config.sim_engine,
-        }
-    }
-
-    /// Builds the AutoChip engine for this configuration.
+    /// Builds the AutoChip engine for this configuration: Verilog-style checking, no
+    /// Chisel knowledge base.
     pub fn engine(&self) -> Engine {
         Engine::builder()
             .config(autochip_workflow_config(self.max_iterations))
@@ -93,53 +80,15 @@ fn default_threads() -> usize {
 /// The AutoChip workflow configuration: escape behaviour identical to the generic
 /// feedback loop, but no Chisel knowledge base.
 fn autochip_workflow_config(max_iterations: u32) -> WorkflowConfig {
-    WorkflowConfig {
-        max_iterations,
-        escape_enabled: true,
-        knowledge_enabled: false,
-        feedback_detail: rechisel_core::FeedbackDetail::Full,
-    }
+    WorkflowConfig { max_iterations, escape_enabled: true, knowledge_enabled: false }
 }
 
-/// The AutoChip compiler: only the checks a plain Verilog tool-flow would perform (no
-/// abstract reset or implicit-clock analysis).
+/// The AutoChip compiler: the standard pipeline without the `clocking` pass, i.e. only
+/// the checks a plain Verilog tool-flow would perform (no abstract reset or
+/// implicit-clock analysis).
 fn autochip_compiler() -> ChiselCompiler {
-    ChiselCompiler::with_options(CheckOptions::verilog_like())
-}
-
-/// Builds the AutoChip engine: Verilog-style checking, no Chisel knowledge base.
-pub fn autochip_engine(max_iterations: u32) -> Engine {
-    Engine::builder()
-        .config(autochip_workflow_config(max_iterations))
-        .compiler(autochip_compiler())
-        .build()
-}
-
-/// Builds the AutoChip workflow — the legacy shim over [`autochip_engine`], kept for
-/// callers still on the `Workflow::run` entry point.
-pub fn autochip_workflow(max_iterations: u32) -> Workflow {
-    Workflow::new(autochip_workflow_config(max_iterations)).with_compiler(autochip_compiler())
-}
-
-/// Runs one sample of one case through the AutoChip flow.
-pub fn run_autochip_sample(
-    case: &BenchmarkCase,
-    profile: &ModelProfile,
-    config: &AutoChipConfig,
-    sample: u32,
-) -> WorkflowResult {
-    let engine = config.engine();
-    run_sample_with_engine(&engine, case, profile, Language::Verilog, sample)
-}
-
-/// Runs every sample of one case through the AutoChip flow.
-pub fn run_autochip_case(
-    case: &BenchmarkCase,
-    profile: &ModelProfile,
-    config: &AutoChipConfig,
-) -> CaseOutcome {
-    let engine = config.engine();
-    run_case_with_engine(&engine, case, profile, Language::Verilog, config.samples)
+    let passes = PassManager::standard().without("clocking");
+    ChiselCompiler::from_pipeline(ChiselCompiler::new().pipeline().clone().with_passes(passes))
 }
 
 /// Runs a full model × suite sweep through the AutoChip flow, at the same case × sample
@@ -194,17 +143,19 @@ mod tests {
     }
 
     #[test]
-    fn matching_config_copies_budgets() {
-        let exp = ExperimentConfig::paper()
-            .with_samples(7)
-            .with_max_iterations(4)
-            .with_sim_engine(EngineKind::Interp);
-        let ac = AutoChipConfig::matching(&exp);
-        assert_eq!(ac.samples, 7);
-        assert_eq!(ac.max_iterations, 4);
-        assert_eq!(ac.sim_engine, EngineKind::Interp);
-        assert_eq!(ac.engine().sim_engine(), EngineKind::Interp);
+    fn engine_honours_sim_engine_and_runs_the_verilog_checks() {
+        let config = AutoChipConfig { sim_engine: EngineKind::Interp, ..AutoChipConfig::quick() };
+        let engine = config.engine();
+        assert_eq!(engine.sim_engine(), EngineKind::Interp);
+        assert_eq!(engine.config().max_iterations, config.max_iterations);
+        assert!(engine.knowledge().is_empty(), "no Chisel knowledge base");
+        // The Verilog-style checks: every standard pass but `clocking`, in order.
+        assert_eq!(
+            engine.compiler().pipeline().passes().names(),
+            ["connects", "widths", "initialization", "comb-loops"]
+        );
+        assert_eq!(engine.compiler().pipeline().backend().name(), "verilog");
         // The default sweep runs on the fast engine, like the ReChisel runner.
-        assert_eq!(AutoChipConfig::quick().sim_engine, EngineKind::Compiled);
+        assert_eq!(AutoChipConfig::quick().engine().sim_engine(), EngineKind::Compiled);
     }
 }

@@ -2,20 +2,19 @@
 //!
 //! Every datapoint drives a real `rechisel-serve` instance over loopback TCP with the
 //! blocking client, so the measured cost is the full path: request encode → framing →
-//! shard queue → worker → reply (plus streamed events for sessions). Two servers are
-//! used: the *warm* one with an unbounded artifact cache (steady-state serving) and a
-//! *cold* one with `cache_budget = 0`, which caches nothing and therefore pays the
-//! whole checked-circuit → netlist → tape pipeline on **every** compile request — the
-//! cached-vs-cold gap is exactly the artifact cache's win. The calibration spin is
-//! re-emitted here so a standalone `bench_gate --group serve/` run normalizes the same
-//! way as the `sim/` group. Direct p99 and throughput measurements (requests/sec,
-//! cached vs cold compile p99, sessions/sec) are printed at the end.
+//! shard queue → worker → reply (plus streamed events for sessions). The server
+//! compiles each case's reference once, on the case's first request, so every timed
+//! `compile` is a lookup of that compiled reference; the `substrate` and `pipeline/`
+//! groups time the check/lower/emit work itself. The calibration spin is re-emitted
+//! here so a standalone `bench_gate --group serve/` run normalizes the same way as the
+//! `sim/` group. Direct p99 and throughput measurements (requests/sec, compile p99,
+//! sessions/sec) are printed at the end.
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rechisel_serve::client::{Client, SessionRequest};
-use rechisel_serve::server::{Server, ServerConfig, ServerHandle};
+use rechisel_serve::server::{Server, ServerConfig};
 
 /// The paper's case-study circuit — always the first case of the suite.
 const CASE_ID: &str = "hdlbits/vector5";
@@ -34,11 +33,6 @@ fn calibration_spin() -> u64 {
     z
 }
 
-fn start_server(cache_budget: u64) -> ServerHandle {
-    Server::start(ServerConfig { cache_budget, ..ServerConfig::default() })
-        .expect("bench server starts")
-}
-
 /// p50/p99 over one operation repeated `n` times.
 fn percentiles(n: usize, mut op: impl FnMut()) -> (Duration, Duration) {
     let mut samples = Vec::with_capacity(n);
@@ -54,24 +48,15 @@ fn percentiles(n: usize, mut op: impl FnMut()) -> (Duration, Duration) {
 fn bench_serve(c: &mut Criterion) {
     c.bench_function("sim/_calibration/spin", |b| b.iter(|| black_box(calibration_spin())));
 
-    let warm = start_server(u64::MAX);
-    let cold = start_server(0);
-
-    let mut client = Client::connect(warm.addr()).expect("connect warm");
-    let mut cold_client = Client::connect(cold.addr()).expect("connect cold");
-    client.compile(CASE_ID).expect("prime the warm cache");
+    let server = Server::start(ServerConfig::default()).expect("bench server starts");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.compile(CASE_ID).expect("compile the case's reference");
 
     c.bench_function("serve/rpc/ping", |b| b.iter(|| client.ping().expect("ping")));
     c.bench_function("serve/compile/cached", |b| {
         b.iter(|| {
             let reply = client.compile(CASE_ID).expect("cached compile");
             assert!(reply.cached);
-        })
-    });
-    c.bench_function("serve/compile/cold", |b| {
-        b.iter(|| {
-            let reply = cold_client.compile(CASE_ID).expect("cold compile");
-            assert!(!reply.cached, "a zero-budget cache never serves hits");
         })
     });
     let request = SessionRequest::new(CASE_ID).max_iterations(1);
@@ -93,10 +78,6 @@ fn bench_serve(c: &mut Criterion) {
         client.compile(CASE_ID).expect("cached compile");
     });
     println!("serve/compile cached: p50 {p50:?}, p99 {p99:?}");
-    let (p50, p99) = percentiles(100, || {
-        cold_client.compile(CASE_ID).expect("cold compile");
-    });
-    println!("serve/compile cold:   p50 {p50:?}, p99 {p99:?}");
 
     let clients = 4usize;
     let per_client = 25u32;
@@ -104,7 +85,7 @@ fn bench_serve(c: &mut Criterion) {
     std::thread::scope(|scope| {
         for _ in 0..clients {
             scope.spawn(|| {
-                let mut c = Client::connect(warm.addr()).expect("connect");
+                let mut c = Client::connect(server.addr()).expect("connect");
                 for sample in 0..per_client {
                     let req = SessionRequest::new(CASE_ID).sample(sample).max_iterations(1);
                     c.run_session(&req).expect("session");
@@ -115,8 +96,7 @@ fn bench_serve(c: &mut Criterion) {
     let sps = (clients as f64 * f64::from(per_client)) / start.elapsed().as_secs_f64();
     println!("serve/session: {sps:.0} sessions/sec ({clients} closed-loop clients)");
 
-    warm.shutdown();
-    cold.shutdown();
+    server.shutdown();
 }
 
 criterion_group! {

@@ -6,9 +6,9 @@
 //! used to judge functional correctness, and a testbench. [`BenchmarkCase`] carries
 //! exactly those pieces, built on this repository's substrate.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use rechisel_core::{ArtifactCache, FunctionalTester, PortSpec, Spec};
+use rechisel_core::{FunctionalTester, PortSpec, Spec};
 use rechisel_firrtl::ir::{Circuit, Direction};
 use rechisel_firrtl::lower::Netlist;
 use rechisel_firrtl::lower_circuit;
@@ -93,12 +93,6 @@ pub struct BenchmarkCase {
     /// Lazily built tester prototype; [`tester`](Self::tester) hands out clones so the
     /// per-sample cost is a few reference counts, not a testbench regeneration.
     tester_cache: OnceLock<FunctionalTester>,
-    /// Optional shared artifact cache. When attached, the reference netlist and
-    /// compiled tape come from (and are published to) the cache, keyed on the
-    /// reference circuit's fingerprint — so *different* cases with identical
-    /// reference circuits, and concurrent server requests for the same case, share
-    /// one compilation. See [`attach_artifact_cache`](Self::attach_artifact_cache).
-    artifact_cache: Option<Arc<ArtifactCache>>,
 }
 
 impl Clone for BenchmarkCase {
@@ -115,7 +109,6 @@ impl Clone for BenchmarkCase {
             cycles_per_point: self.cycles_per_point,
             reference_netlist: OnceLock::new(),
             tester_cache: OnceLock::new(),
-            artifact_cache: self.artifact_cache.clone(),
         }
     }
 }
@@ -151,39 +144,7 @@ impl BenchmarkCase {
             cycles_per_point,
             reference_netlist: OnceLock::new(),
             tester_cache: OnceLock::new(),
-            artifact_cache: None,
         }
-    }
-
-    /// Attaches a shared [`ArtifactCache`]; subsequent
-    /// [`reference_netlist`][Self::reference_netlist] / [`tester`](Self::tester)
-    /// calls consult it instead of compiling privately. Clones of this case
-    /// share the same cache.
-    pub fn attach_artifact_cache(&mut self, cache: Arc<ArtifactCache>) {
-        self.artifact_cache = Some(cache);
-    }
-
-    /// Builder-style [`attach_artifact_cache`](Self::attach_artifact_cache).
-    pub fn with_artifact_cache(mut self, cache: Arc<ArtifactCache>) -> Self {
-        self.attach_artifact_cache(cache);
-        self
-    }
-
-    /// The attached shared artifact cache, if any.
-    pub fn artifact_cache(&self) -> Option<&Arc<ArtifactCache>> {
-        self.artifact_cache.as_ref()
-    }
-
-    /// Fetches this case's reference artifacts from the attached cache, panicking on
-    /// compile failure (reference designs are validated by the suite's tests).
-    fn cached_artifacts(&self, cache: &ArtifactCache) -> Arc<rechisel_core::CircuitArtifacts> {
-        cache.get_or_compile(&self.reference).unwrap_or_else(|errs| {
-            panic!(
-                "reference design {} failed to compile: {}",
-                self.id,
-                errs.first().map(|d| d.to_string()).unwrap_or_default()
-            )
-        })
     }
 
     /// The reference implementation.
@@ -231,9 +192,6 @@ impl BenchmarkCase {
     /// the suite and are validated by the suite's tests.
     pub fn reference_netlist(&self) -> &Netlist {
         self.reference_netlist.get_or_init(|| {
-            if let Some(cache) = &self.artifact_cache {
-                return self.cached_artifacts(cache).netlist.clone();
-            }
             lower_circuit(&self.reference)
                 .unwrap_or_else(|e| panic!("reference design {} failed to lower: {e}", self.id))
         })
@@ -256,29 +214,6 @@ impl BenchmarkCase {
     /// Panics if the reference design does not compile — reference designs are part of
     /// the suite and are validated by the suite's tests.
     pub fn tester(&self) -> FunctionalTester {
-        if let Some(cache) = &self.artifact_cache {
-            // Consult the shared cache on *every* call (not just prototype
-            // construction) so each request a server handles registers a hit or a
-            // miss, and so the reference tape is the cache's — shared with every
-            // other case/clone whose reference circuit fingerprints the same.
-            let artifacts = self.cached_artifacts(cache);
-            return self
-                .tester_cache
-                .get_or_init(|| {
-                    let testbench = Testbench::random_for(
-                        &artifacts.netlist,
-                        self.test_points,
-                        self.cycles_per_point,
-                        self.seed(),
-                    );
-                    FunctionalTester::with_shared_tape(
-                        artifacts.netlist.clone(),
-                        testbench,
-                        artifacts.tape(),
-                    )
-                })
-                .clone();
-        }
         self.tester_cache
             .get_or_init(|| {
                 let netlist = self.reference_netlist().clone();
@@ -362,44 +297,6 @@ mod tests {
         assert!(report.passed());
         assert!(case.is_combinational());
         assert_eq!(case.input_bits(), 1);
-    }
-
-    #[test]
-    fn attached_cache_shares_one_tape_across_identical_cases() {
-        let cache = Arc::new(ArtifactCache::new());
-        let a = tiny_case().with_artifact_cache(Arc::clone(&cache));
-        let mut b = tiny_case();
-        b.id = "test/buf_twin".into(); // different case, byte-identical reference
-        let b = b.with_artifact_cache(Arc::clone(&cache));
-        assert_ne!(a.seed(), b.seed(), "distinct cases, distinct testbench seeds");
-
-        let tape_a = a.tester().shared_tape().unwrap();
-        let tape_b = b.tester().shared_tape().unwrap();
-        assert!(Arc::ptr_eq(&tape_a, &tape_b), "identical references share one compiled tape");
-
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1, "the reference compiled exactly once");
-        assert!(stats.hits >= 1, "the twin case was served from the cache");
-        assert_eq!(stats.entries, 1);
-
-        // The cache-backed tester behaves like the private one.
-        let report = a.tester().test(a.reference_netlist());
-        assert!(report.passed());
-        // And every later tester() call still counts a cache lookup.
-        let before = cache.stats().hits;
-        let _ = a.tester();
-        assert_eq!(cache.stats().hits, before + 1);
-    }
-
-    #[test]
-    fn clones_share_the_attached_cache() {
-        let cache = Arc::new(ArtifactCache::new());
-        let case = tiny_case().with_artifact_cache(Arc::clone(&cache));
-        let clone = case.clone();
-        let tape_a = case.tester().shared_tape().unwrap();
-        let tape_b = clone.tester().shared_tape().unwrap();
-        assert!(Arc::ptr_eq(&tape_a, &tape_b));
-        assert_eq!(cache.stats().misses, 1);
     }
 
     #[test]

@@ -18,13 +18,15 @@
 //! # Example
 //!
 //! ```
-//! use rechisel_benchsuite::runner::{run_sample, ExperimentConfig};
+//! use rechisel_benchsuite::runner::{run_sample_with_engine, ExperimentConfig};
 //! use rechisel_benchsuite::suite::sampled_suite;
 //! use rechisel_llm::ModelProfile;
 //!
 //! let case = &sampled_suite(1)[0];
 //! let config = ExperimentConfig::quick();
-//! let result = run_sample(case, &ModelProfile::claude35_sonnet(), &config, 0);
+//! let engine = config.engine();
+//! let profile = ModelProfile::claude35_sonnet();
+//! let result = run_sample_with_engine(&engine, case, &profile, config.language, 0);
 //! assert!(result.iterations_evaluated() >= 1);
 //! ```
 
@@ -42,7 +44,7 @@ pub use case::{BenchmarkCase, Category, SourceFamily};
 pub use passk::{mean_pass_at_k, pass_at_k};
 pub use random_circuit::{random_circuit, random_stimulus, RandomCircuitConfig};
 pub use runner::{
-    run_case, run_case_with_engine, run_model, run_model_with_engine, run_sample,
-    run_sample_with_engine, sweep_suite, CaseOutcome, ExperimentConfig, ModelOutcome,
+    run_model, run_model_with_engine, run_sample_with_engine, sweep_suite, CaseOutcome,
+    ExperimentConfig, ModelOutcome,
 };
 pub use suite::{full_suite, sampled_suite, SUITE_SIZE};

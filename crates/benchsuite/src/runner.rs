@@ -7,9 +7,8 @@
 //! proportions (Figs. 1 and 7).
 //!
 //! All entry points route through one per-sample body driven by a shared
-//! [`Engine`]: [`run_sample`] runs it once, [`run_case`] runs every sample of one
-//! case, and [`run_model`] sweeps a whole suite with [`sweep_suite`] at case × sample
-//! granularity. Attach an [`Observer`] to the engine (via
+//! [`Engine`], [`run_sample_with_engine`]; [`run_model`] sweeps a whole suite with
+//! [`sweep_suite`] at case × sample granularity. Attach an [`Observer`] to the engine (via
 //! [`ExperimentConfig::engine_with_observer`] + [`run_model_with_engine`]) to stream
 //! [`RunEvent`](rechisel_core::RunEvent)s from every run of a sweep.
 
@@ -117,7 +116,6 @@ impl ExperimentConfig {
             max_iterations: self.max_iterations,
             escape_enabled: self.escape_enabled,
             knowledge_enabled: self.knowledge_enabled,
-            feedback_detail: rechisel_core::FeedbackDetail::Full,
         }
     }
 
@@ -263,41 +261,6 @@ pub fn run_sample_with_engine(
         .run(sample)
 }
 
-/// Runs one sample of one case through the workflow.
-pub fn run_sample(
-    case: &BenchmarkCase,
-    profile: &ModelProfile,
-    config: &ExperimentConfig,
-    sample: u32,
-) -> WorkflowResult {
-    run_sample_with_engine(&config.engine(), case, profile, config.language, sample)
-}
-
-/// Runs every sample of one case through sessions of a shared engine.
-pub fn run_case_with_engine(
-    engine: &Engine,
-    case: &BenchmarkCase,
-    profile: &ModelProfile,
-    language: Language,
-    samples: u32,
-) -> CaseOutcome {
-    CaseOutcome {
-        case_id: case.id.clone(),
-        samples: (0..samples)
-            .map(|sample| run_sample_with_engine(engine, case, profile, language, sample))
-            .collect(),
-    }
-}
-
-/// Runs every sample of one case.
-pub fn run_case(
-    case: &BenchmarkCase,
-    profile: &ModelProfile,
-    config: &ExperimentConfig,
-) -> CaseOutcome {
-    run_case_with_engine(&config.engine(), case, profile, config.language, config.samples)
-}
-
 /// Sweeps a suite at case × sample granularity: every `(case, sample)` pair is an
 /// independent work item distributed over `threads` workers, and the results are
 /// reassembled into per-case outcomes in deterministic suite order (sample order within
@@ -412,16 +375,6 @@ mod tests {
         let b = run_model(&ModelProfile::gpt4o(), &suite, &config_parallel);
         assert_eq!(a.pass_at_k(1, 5), b.pass_at_k(1, 5));
         assert_eq!(a.status_proportions(3), b.status_proportions(3));
-    }
-
-    #[test]
-    fn run_sample_matches_run_case_entry() {
-        let suite = sampled_suite(1);
-        let config = ExperimentConfig::quick().with_samples(1);
-        let via_case = run_case(&suite[0], &ModelProfile::gpt4_turbo(), &config);
-        let via_sample = run_sample(&suite[0], &ModelProfile::gpt4_turbo(), &config, 0);
-        assert_eq!(via_case.samples[0].success, via_sample.success);
-        assert_eq!(via_case.samples[0].success_iteration, via_sample.success_iteration);
     }
 
     #[test]

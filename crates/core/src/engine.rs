@@ -31,7 +31,6 @@
 //! `Session::run` then streams `RunStarted`, `IterationStarted`, `FeedbackProduced`,
 //! `EscapeFired`, `Success` and `RunFinished` events to the observer.
 
-use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 use rechisel_firrtl::pipeline::Pipeline;
@@ -261,9 +260,8 @@ impl Engine {
     /// Spawns a session owning the given agents, specification and tester.
     ///
     /// Agents are taken by value; pass `&mut agent` to lend one out instead — the
-    /// agent traits forward through mutable references. Callers that reuse the spec
-    /// and tester across many runs can avoid the per-session clones with
-    /// [`session_ref`](Self::session_ref).
+    /// agent traits forward through mutable references. A tester clone is cheap: it
+    /// shares the reference netlist, testbench, tape and trace through `Arc`s.
     pub fn session<G, R, I>(
         &self,
         generator: G,
@@ -282,34 +280,8 @@ impl Engine {
             generator,
             reviewer,
             inspector,
-            spec: Cow::Owned(spec),
-            tester: Cow::Owned(tester),
-            recompiler: self.compiler.incremental(),
-        }
-    }
-
-    /// Like [`session`](Self::session), but borrows the specification and tester —
-    /// allocation-free for callers that sweep many runs against shared ones.
-    pub fn session_ref<'e, G, R, I>(
-        &'e self,
-        generator: G,
-        reviewer: R,
-        inspector: I,
-        spec: &'e Spec,
-        tester: &'e FunctionalTester,
-    ) -> Session<'e, G, R, I>
-    where
-        G: Generator,
-        R: Reviewer,
-        I: Inspector,
-    {
-        Session {
-            engine: self,
-            generator,
-            reviewer,
-            inspector,
-            spec: Cow::Borrowed(spec),
-            tester: Cow::Borrowed(tester),
+            spec,
+            tester,
             recompiler: self.compiler.incremental(),
         }
     }
@@ -468,10 +440,12 @@ pub struct Session<'e, G, R, I> {
     generator: G,
     reviewer: R,
     inspector: I,
-    spec: Cow<'e, Spec>,
-    tester: Cow<'e, FunctionalTester>,
-    /// Per-session compiler: a candidate with the fingerprint of the last one that
-    /// compiled reuses its netlist and tape.
+    spec: Spec,
+    tester: FunctionalTester,
+    /// Per-session compiler: it remembers every revision the session compiled,
+    /// rejected ones included, under its located fingerprint, so a resubmitted
+    /// revision gets its netlist, tape and Verilog, or its diagnostics, back without
+    /// a compile.
     recompiler: IncrementalCompiler,
 }
 
@@ -661,6 +635,15 @@ mod tests {
         let mut m = ModuleBuilder::new(name);
         let _a = m.input("a", Type::uint(8));
         let _out = m.output("out", Type::uint(8));
+        // Output never driven: compile error.
+        m.into_circuit()
+    }
+
+    fn wrong_circuit(name: &str) -> Circuit {
+        let mut m = ModuleBuilder::new(name);
+        let a = m.input("a", Type::uint(8));
+        let out = m.output("out", Type::uint(8));
+        m.connect(&out, &a.not().bits(7, 0));
         m.into_circuit()
     }
 
@@ -713,6 +696,18 @@ mod tests {
         FunctionalTester::new(reference, tb)
     }
 
+    fn run_with(sequence: Vec<Circuit>, config: WorkflowConfig) -> WorkflowResult {
+        let engine = Engine::builder().config(config).build();
+        let mut session = engine.session(
+            ScriptedGenerator::new(sequence),
+            TemplateReviewer::new(),
+            TraceInspector::new(),
+            spec(),
+            tester(),
+        );
+        session.run(0)
+    }
+
     fn run_observed(
         sequence: Vec<Circuit>,
         config: WorkflowConfig,
@@ -727,6 +722,77 @@ mod tests {
             tester(),
         );
         (session.run(0), observer.take())
+    }
+
+    #[test]
+    fn immediately_correct_design_succeeds_at_iteration_zero() {
+        let result = run_with(vec![good_circuit("Pass")], WorkflowConfig::default());
+        assert!(result.success);
+        assert_eq!(result.success_iteration, Some(0));
+        assert_eq!(result.statuses, vec![IterationStatus::Success]);
+        assert!(result.final_verilog.is_some());
+        assert!(result.success_within(0));
+    }
+
+    #[test]
+    fn syntax_then_functional_then_success() {
+        let result = run_with(
+            vec![bad_circuit("Pass"), wrong_circuit("Pass"), good_circuit("Pass")],
+            WorkflowConfig::default(),
+        );
+        assert!(result.success);
+        assert_eq!(result.success_iteration, Some(2));
+        assert_eq!(
+            result.statuses,
+            vec![
+                IterationStatus::SyntaxError,
+                IterationStatus::FunctionalError,
+                IterationStatus::Success
+            ]
+        );
+        assert!(!result.success_within(1));
+        assert!(result.success_within(2));
+        assert_eq!(result.status_at(0), IterationStatus::SyntaxError);
+        assert_eq!(result.status_at(5), IterationStatus::Success);
+    }
+
+    #[test]
+    fn zero_shot_config_never_reflects() {
+        let result =
+            run_with(vec![bad_circuit("Pass"), good_circuit("Pass")], WorkflowConfig::zero_shot());
+        assert!(!result.success);
+        assert_eq!(result.iterations_evaluated(), 1);
+    }
+
+    #[test]
+    fn iteration_cap_limits_attempts() {
+        let result =
+            run_with(vec![bad_circuit("Pass")], WorkflowConfig::default().with_max_iterations(3));
+        assert!(!result.success);
+        assert_eq!(result.iterations_evaluated(), 4); // zero-shot + 3 reflections
+        assert_eq!(result.status_at(10), IterationStatus::SyntaxError);
+    }
+
+    #[test]
+    fn escape_discards_looping_iterations() {
+        // The generator keeps producing the same broken design: a non-progress loop.
+        let result =
+            run_with(vec![bad_circuit("Pass")], WorkflowConfig::default().with_max_iterations(6));
+        assert!(!result.success);
+        assert!(result.escapes > 0, "expected at least one escape");
+        // The trace should be shorter than the number of evaluated iterations because
+        // loops were discarded.
+        assert!(result.trace.len() < result.iterations_evaluated());
+    }
+
+    #[test]
+    fn escape_can_be_disabled() {
+        let result = run_with(
+            vec![bad_circuit("Pass")],
+            WorkflowConfig::default().with_max_iterations(6).with_escape(false),
+        );
+        assert_eq!(result.escapes, 0);
+        assert_eq!(result.trace.len(), result.iterations_evaluated());
     }
 
     #[test]
@@ -805,15 +871,12 @@ mod tests {
         // Broken, functionally wrong twice (the second compile reuses the first's
         // netlist and tape), then fixed: the feedback and the shipped Verilog are
         // those of from-scratch compiles.
-        let wrong = |name: &str| {
-            let mut m = ModuleBuilder::new(name);
-            let a = m.input("a", Type::uint(8));
-            let out = m.output("out", Type::uint(8));
-            m.connect(&out, &a.not().bits(7, 0));
-            m.into_circuit()
-        };
-        let sequence =
-            vec![bad_circuit("Pass"), wrong("Pass"), wrong("Pass"), good_circuit("Pass")];
+        let sequence = vec![
+            bad_circuit("Pass"),
+            wrong_circuit("Pass"),
+            wrong_circuit("Pass"),
+            good_circuit("Pass"),
+        ];
         let engine = Engine::default();
         let mut session = engine.session(
             ScriptedGenerator::new(sequence),

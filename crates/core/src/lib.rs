@@ -1,22 +1,21 @@
 //! # rechisel-core
 //!
 //! The ReChisel agentic system: the paper's primary contribution (DAC 2025,
-//! arXiv:2505.19734). Given a module [`Spec`] and a functional tester, the
-//! [`Workflow`] drives a Generator / Reviewer / Inspector agent trio through the
-//! reflection loop of the paper's Fig. 2 — compile, simulate, organise the feedback,
-//! review, revise — with the escape mechanism of §IV-C breaking non-progress loops and
-//! the common-error knowledge base of §IV-B enriching reviews.
+//! arXiv:2505.19734). Given a module [`Spec`] and a functional tester, a [`Session`]
+//! drives a Generator / Reviewer / Inspector agent trio through the reflection loop of
+//! the paper's Fig. 2 — compile, simulate, organise the feedback, review, revise — with
+//! the escape mechanism of §IV-C breaking non-progress loops and the common-error
+//! knowledge base of §IV-B enriching reviews.
 //!
 //! Agent roles are traits ([`Generator`], [`Reviewer`], [`Inspector`]) so the workflow
 //! runs equally against the offline synthetic LLM of `rechisel-llm` (used by the
 //! benchmark harness) or a live LLM backend.
 //!
-//! The primary entry point is the [`Engine`]/[`Session`] façade
+//! The entry point is the [`Engine`]/[`Session`] façade
 //! (`Engine::builder().config(..).pipeline(..).observer(..).build()`): an engine holds
 //! the shared configuration, staged compilation pipeline and knowledge base, each
 //! session owns one case's agents and tester, and every run streams [`RunEvent`]s to
-//! the engine's [`Observer`]. The older [`Workflow::run`] entry point remains as a thin
-//! shim over a one-shot engine.
+//! the engine's [`Observer`].
 //!
 //! # Example
 //!
@@ -38,7 +37,6 @@
 #![warn(missing_docs)]
 
 pub mod agents;
-pub mod artifact;
 pub mod candidate;
 pub mod engine;
 pub mod feedback;
@@ -50,7 +48,6 @@ pub mod trace;
 pub mod workflow;
 
 pub use agents::{Generator, Inspector, Reviewer, TemplateReviewer, TraceInspector};
-pub use artifact::{ArtifactCache, CacheStats, CircuitArtifacts};
 pub use candidate::Candidate;
 pub use engine::{
     CollectingObserver, Engine, EngineBuilder, NullObserver, Observer, RunEvent, RunEventKind,
@@ -65,4 +62,4 @@ pub use tools::{
     ChiselCompiler, Compiled, FunctionalTester, IncrementalCompiled, IncrementalCompiler,
 };
 pub use trace::{Trace, TraceEntry};
-pub use workflow::{IterationStatus, Workflow, WorkflowConfig, WorkflowResult};
+pub use workflow::{IterationStatus, WorkflowConfig, WorkflowResult};

@@ -3,11 +3,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use rechisel_firrtl::check::CheckOptions;
 use rechisel_firrtl::diagnostics::Diagnostic;
 use rechisel_firrtl::ir::Circuit;
 use rechisel_firrtl::lower::Netlist;
-use rechisel_firrtl::pipeline::{PassManager, Pipeline};
+use rechisel_firrtl::pipeline::Pipeline;
 use rechisel_firrtl::{Fingerprint, RebuildReason, RecompileOutcome};
 use rechisel_sim::{
     record_reference_trace, run_testbench, run_testbench_against_trace, CompiledSimulator,
@@ -47,14 +46,6 @@ impl ChiselCompiler {
     /// A compiler with all checks enabled (the normal Chisel/FIRRTL pipeline).
     pub fn new() -> Self {
         Self { pipeline: Pipeline::new(VerilogBackend) }
-    }
-
-    /// A compiler with custom check options (used by ablations and by the AutoChip
-    /// baseline's Verilog-style checking).
-    pub fn with_options(options: CheckOptions) -> Self {
-        Self::from_pipeline(
-            Pipeline::new(VerilogBackend).with_passes(PassManager::from_options(options)),
-        )
     }
 
     /// Wraps an explicit pipeline (custom passes and/or backend).
@@ -254,33 +245,10 @@ impl FunctionalTester {
         }
     }
 
-    /// Creates a tester whose reference tape is already compiled — e.g. pulled from
-    /// a shared [`ArtifactCache`](crate::ArtifactCache) — so this tester (and every
-    /// clone) never compiles the reference netlist itself.
-    ///
-    /// `tape` must be the compilation result of `reference`; passing a mismatched
-    /// tape produces nonsense reference traces.
-    pub fn with_shared_tape(
-        reference: Netlist,
-        testbench: Testbench,
-        tape: Result<Arc<Tape>, SimError>,
-    ) -> Self {
-        let tester = Self::new(reference, testbench);
-        tester.reference_tape.set(tape).expect("fresh tester has an empty tape cell");
-        tester
-    }
-
     /// Switches the execution engine, keeping the (shared) compiled-tape cache.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
-    }
-
-    /// The compiled reference tape shared across clones of this tester, compiling it
-    /// on first use. Public so callers can verify tape sharing (`Arc::ptr_eq`) and
-    /// so the serving layer can surface tape-compile errors directly.
-    pub fn shared_tape(&self) -> Result<Arc<Tape>, SimError> {
-        self.reference_tape()
     }
 
     /// The execution engine used by [`test`](Self::test).
@@ -475,7 +443,7 @@ mod tests {
     fn incremental_compiler_reports_the_same_diagnostics_as_scratch() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        use rechisel_firrtl::pipeline::Pass;
+        use rechisel_firrtl::pipeline::{Pass, PassManager};
         use rechisel_firrtl::{DiagnosticReport, RecompileOutcome};
 
         let runs = Arc::new(AtomicUsize::new(0));

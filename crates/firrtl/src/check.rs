@@ -9,67 +9,9 @@ use crate::diagnostics::DiagnosticReport;
 use crate::ir::Circuit;
 use crate::pipeline::PassManager;
 
-/// Options controlling which checks run.
-///
-/// All checks are on by default; the ablation benches switch individual checks off to
-/// quantify how much each feedback source contributes to the reflection loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckOptions {
-    /// Run connection/expression typing checks.
-    pub connects: bool,
-    /// Run the initialization (latch-prevention) analysis.
-    pub initialization: bool,
-    /// Run clock/reset inference checks.
-    pub clocking: bool,
-    /// Run combinational-loop detection.
-    pub combinational_loops: bool,
-    /// Run width checks.
-    pub widths: bool,
-}
-
-impl Default for CheckOptions {
-    fn default() -> Self {
-        Self {
-            connects: true,
-            initialization: true,
-            clocking: true,
-            combinational_loops: true,
-            widths: true,
-        }
-    }
-}
-
-impl CheckOptions {
-    /// All checks enabled.
-    pub fn all() -> Self {
-        Self::default()
-    }
-
-    /// Only the checks that a plain Verilog tool-flow would perform (used by the
-    /// AutoChip baseline): connectivity and width checks, but not the Chisel-specific
-    /// initialization or reset-inference analyses.
-    pub fn verilog_like() -> Self {
-        Self {
-            connects: true,
-            initialization: true,
-            clocking: false,
-            combinational_loops: true,
-            widths: true,
-        }
-    }
-}
-
-/// Checks a full circuit with default options.
+/// Checks a full circuit with the standard passes ([`PassManager::standard`]).
 pub fn check_circuit(circuit: &Circuit) -> DiagnosticReport {
-    check_circuit_with(circuit, CheckOptions::default())
-}
-
-/// Checks a full circuit with explicit options.
-///
-/// This is a thin shim over the staged pipeline: the options are translated into a
-/// [`PassManager`] and the registered passes run in the canonical order.
-pub fn check_circuit_with(circuit: &Circuit, options: CheckOptions) -> DiagnosticReport {
-    PassManager::from_options(options).run(circuit)
+    PassManager::standard().run(circuit)
 }
 
 #[cfg(test)]
@@ -103,19 +45,5 @@ mod tests {
         let c = Circuit::new("Ghost", vec![]);
         let report = check_circuit(&c);
         assert!(report.errors().any(|d| d.code == ErrorCode::MissingTopModule));
-    }
-
-    #[test]
-    fn options_disable_checks() {
-        let mut c = passthrough();
-        // Remove the output connection so initialization would fail.
-        c.top_module_mut().unwrap().body.clear();
-        let full = check_circuit(&c);
-        assert!(full.has_errors());
-        let relaxed = check_circuit_with(
-            &c,
-            CheckOptions { initialization: false, ..CheckOptions::default() },
-        );
-        assert!(!relaxed.has_errors());
     }
 }

@@ -6,18 +6,18 @@
 //! structurally different trees can never serialize to the same byte stream.
 //!
 //! The hash is **hand-rolled on purpose**: `std::hash::Hash`/SipHash is randomly
-//! keyed per process, so it cannot key a cache shared across processes or requests.
-//! FNV-1a with fixed parameters gives the same digest for the same circuit on every
-//! run, platform and process — exactly what a cross-request artifact cache (see
-//! `rechisel_core::ArtifactCache`) needs.
+//! keyed per process, so its digests cannot be compared across processes. FNV-1a
+//! with fixed parameters gives the same digest for the same circuit on every run,
+//! platform and process, so a digest printed by one process (the `compile` reply of
+//! `rechisel-serve`, a benchmark log) names the same design in every other.
 //!
 //! The digest is *name-sensitive*: renaming a wire, port or module changes the
 //! fingerprint even when the design is behaviourally identical. That is the right
-//! trade for a compilation cache, because the compiled artifacts (netlist slots,
+//! trade for a compilation key, because the compiled artifacts (netlist slots,
 //! emitted Verilog) embed the names.
 //!
 //! Source locations ([`SourceInfo`]) are left out of [`Circuit::fingerprint`]: they
-//! never change a netlist, so a relocated design shares its cached artifacts.
+//! never change a netlist or its Verilog.
 //! [`Circuit::located_fingerprint`] walks the same encoding plus every port's and
 //! statement's location. It keys what does depend on locations: a rejected
 //! revision's diagnostics, whose [`location`](crate::Diagnostic::location) names

@@ -65,7 +65,7 @@ pub mod pipeline;
 pub mod printer;
 pub mod typeenv;
 
-pub use check::{check_circuit, check_circuit_with, CheckOptions};
+pub use check::check_circuit;
 pub use diagnostics::{Diagnostic, DiagnosticReport, ErrorCode, Severity};
 pub use fingerprint::Fingerprint;
 pub use incremental::{RebuildReason, RecompileOutcome};

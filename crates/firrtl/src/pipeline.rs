@@ -58,7 +58,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::check::CheckOptions;
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 use crate::ir::{Circuit, Module, SourceInfo};
 use crate::lower::{lower_circuit, Netlist};
@@ -149,10 +148,9 @@ impl PassStats {
 
 /// An ordered collection of named checking passes.
 ///
-/// The manager replaces the hardcoded pass sequence that used to live in
-/// `check_circuit_with`: the standard pipeline is [`PassManager::standard`], ablations
-/// gate passes via [`PassManager::from_options`], and custom passes can be appended
-/// with [`PassManager::register`].
+/// The standard pipeline is [`PassManager::standard`]; [`PassManager::without`] drops a
+/// pass from it (the AutoChip baseline drops `clocking`), and custom passes can be
+/// appended with [`PassManager::register`].
 ///
 /// Pass order is significant: diagnostics are reported in registration order (per
 /// module), which downstream feedback consumers rely on.
@@ -185,29 +183,12 @@ impl PassManager {
     /// The standard checking pipeline, in the canonical order: connects, widths,
     /// clocking, initialization, combinational loops.
     pub fn standard() -> Self {
-        Self::from_options(CheckOptions::all())
-    }
-
-    /// The standard pipeline gated by [`CheckOptions`] (ablations and the AutoChip
-    /// baseline's Verilog-style checking).
-    pub fn from_options(options: CheckOptions) -> Self {
-        let mut pm = Self::empty();
-        if options.connects {
-            pm.register(Pass::new("connects", check_connects));
-        }
-        if options.widths {
-            pm.register(Pass::new("widths", check_widths));
-        }
-        if options.clocking {
-            pm.register(Pass::new("clocking", check_clocking));
-        }
-        if options.initialization {
-            pm.register(Pass::new("initialization", check_initialization));
-        }
-        if options.combinational_loops {
-            pm.register(Pass::new("comb-loops", check_combinational_loops));
-        }
-        pm
+        Self::empty()
+            .with_pass(Pass::new("connects", check_connects))
+            .with_pass(Pass::new("widths", check_widths))
+            .with_pass(Pass::new("clocking", check_clocking))
+            .with_pass(Pass::new("initialization", check_initialization))
+            .with_pass(Pass::new("comb-loops", check_combinational_loops))
     }
 
     /// Appends a pass. Passes run in registration order.
@@ -219,6 +200,13 @@ impl PassManager {
     /// Builder-style [`register`](Self::register).
     pub fn with_pass(mut self, pass: Pass) -> Self {
         self.register(pass);
+        self
+    }
+
+    /// Removes the pass named `name`, keeping the order of the others. An unknown
+    /// name leaves the manager unchanged.
+    pub fn without(mut self, name: &str) -> Self {
+        self.passes.retain(|p| p.name != name);
         self
     }
 
@@ -446,12 +434,6 @@ impl Pipeline {
         self
     }
 
-    /// Replaces the emission backend with an already-shared one.
-    pub fn with_shared_backend(mut self, backend: Arc<dyn EmitBackend>) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// The pass manager.
     pub fn passes(&self) -> &PassManager {
         &self.passes
@@ -569,13 +551,22 @@ mod tests {
     }
 
     #[test]
-    fn options_gate_pass_registration() {
-        let pm = PassManager::from_options(CheckOptions {
-            clocking: false,
-            initialization: false,
-            ..CheckOptions::all()
-        });
+    fn without_keeps_the_pass_order_and_ignores_unknown_names() {
+        let pm = PassManager::standard().without("clocking").without("initialization");
         assert_eq!(pm.names(), ["connects", "widths", "comb-loops"]);
+        let unchanged = PassManager::standard().without("nonexistent");
+        assert_eq!(unchanged.names(), PassManager::standard().names());
+    }
+
+    #[test]
+    fn without_initialization_silences_its_diagnostic() {
+        // The output is never driven: only the initialization pass objects.
+        let mut broken = passthrough();
+        broken.top_module_mut().unwrap().body.clear();
+        let full = PassManager::standard().run(&broken);
+        assert!(full.errors().any(|d| d.code == ErrorCode::UndrivenOutput));
+        let relaxed = PassManager::standard().without("initialization").run(&broken);
+        assert!(!relaxed.has_errors(), "unexpected diagnostics: {relaxed:?}");
     }
 
     #[test]

@@ -293,7 +293,7 @@ impl Reviewer for SyntheticLlm {
 mod tests {
     use super::*;
     use rechisel_core::{
-        ChiselCompiler, FunctionalTester, PortSpec, TraceInspector, Workflow, WorkflowConfig,
+        ChiselCompiler, Engine, FunctionalTester, PortSpec, TraceInspector, WorkflowConfig,
     };
     use rechisel_firrtl::ir::Type;
     use rechisel_hcl::prelude::*;
@@ -336,14 +336,12 @@ mod tests {
         seed: u64,
         config: WorkflowConfig,
     ) -> rechisel_core::WorkflowResult {
-        let mut llm = SyntheticLlm::new(profile, Language::Chisel, reference(), seed);
-        let mut reviewer = TemplateReviewer::new();
-        let mut inspector = TraceInspector::new();
-        let workflow = Workflow::new(config);
-        // The same SyntheticLlm object cannot be both &mut generator and &mut reviewer
-        // in one call, so the reviewer role uses the deterministic TemplateReviewer
-        // here (the SyntheticLlm's Reviewer impl delegates to it anyway).
-        workflow.run(&mut llm, &mut reviewer, &mut inspector, &spec(), &tester(), 0)
+        let llm = SyntheticLlm::new(profile, Language::Chisel, reference(), seed);
+        let engine = Engine::builder().config(config).build();
+        // The session takes the SyntheticLlm as its generator, so the reviewer role
+        // uses the deterministic TemplateReviewer here (the SyntheticLlm's Reviewer
+        // impl delegates to it anyway).
+        engine.session(llm, TemplateReviewer::new(), TraceInspector::new(), spec(), tester()).run(0)
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! rechisel-serve [--addr HOST:PORT] [--shards N] [--queue-capacity N]
-//!                [--max-line-bytes N] [--read-timeout-ms N] [--cache-budget BYTES]
+//!                [--max-line-bytes N] [--read-timeout-ms N]
 //! ```
 
 use std::time::Duration;
@@ -13,7 +13,7 @@ use rechisel_serve::server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: rechisel-serve [--addr HOST:PORT] [--shards N] [--queue-capacity N] \
-         [--max-line-bytes N] [--read-timeout-ms N] [--cache-budget BYTES]"
+         [--max-line-bytes N] [--read-timeout-ms N]"
     );
     std::process::exit(2);
 }
@@ -43,9 +43,6 @@ fn main() {
                     "--read-timeout-ms",
                 ))
             }
-            "--cache-budget" => {
-                config.cache_budget = parse_num(&value("--cache-budget"), "--cache-budget")
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other}");
@@ -70,14 +67,8 @@ fn main() {
     handle.shutdown();
     println!(
         "rechisel-serve: served {} requests ({} sessions, {} busy, {} errors); \
-         cache {}/{} hits/misses ({} evictions)",
-        stats.requests,
-        stats.sessions,
-        stats.busy,
-        stats.errors,
-        cache.hits,
-        cache.misses,
-        cache.evictions
+         cache {}/{} hits/misses",
+        stats.requests, stats.sessions, stats.busy, stats.errors, cache.hits, cache.misses
     );
 }
 

@@ -70,7 +70,8 @@ impl From<std::io::Error> for ClientError {
 pub struct CompileReply {
     /// The circuit's content fingerprint (32 hex digits).
     pub fingerprint: String,
-    /// Whether the artifacts were already resident before this request.
+    /// False only when this request compiled the case's reference (the case's
+    /// first heavy request on the server).
     pub cached: bool,
     /// Size of the emitted Verilog.
     pub verilog_bytes: u64,
@@ -331,7 +332,7 @@ impl Client {
         self.request(Json::obj([("op", Json::from("ping"))])).map(|_| ())
     }
 
-    /// Compiles a suite case's reference through the server's artifact cache.
+    /// Compiles a suite case's reference; the server compiles each case once.
     ///
     /// # Errors
     ///

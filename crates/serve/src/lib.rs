@@ -10,9 +10,9 @@
 //! * [`server`] — the [`Server`]: acceptor + per-connection reader
 //!   threads + a fixed worker-shard pool over bounded work-stealing [`queue`]s,
 //!   with typed `busy` backpressure and graceful drain on shutdown.
-//! * A shared content-addressed [`ArtifactCache`] attached to every suite case,
-//!   keyed on the circuit [`Fingerprint`](rechisel_firrtl::Fingerprint) —
-//!   concurrent requests for one design share one compilation.
+//! * One compile per suite case: the first heavy request for a case compiles its
+//!   reference, and every later request, or one that waited for that compile,
+//!   counts a hit in [`CacheStats`].
 //! * [`server::WireObserver`] — the `Observer` seam from `rechisel_core::engine`
 //!   pointed at a socket: session run events stream to the client live.
 //! * [`client`] — the blocking [`Client`] used by the integration
@@ -31,8 +31,8 @@
 //! client.ping().unwrap();
 //!
 //! let compiled = client.compile("hdlbits/vector5").unwrap();
-//! assert!(!compiled.cached, "first compile is cold");
-//! assert!(client.compile("hdlbits/vector5").unwrap().cached, "second is a hit");
+//! assert!(!compiled.cached, "the case's first request compiles its reference");
+//! assert!(client.compile("hdlbits/vector5").unwrap().cached, "later ones find it compiled");
 //!
 //! let outcome =
 //!     client.run_session(&SessionRequest::new("hdlbits/vector5").max_iterations(2)).unwrap();
@@ -49,6 +49,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientError, DrainedSessions, SessionOutcome, SessionRequest};
-pub use rechisel_core::{ArtifactCache, CacheStats, CircuitArtifacts};
-pub use server::{Server, ServerConfig, ServerHandle, ServerStats, WireObserver};
+pub use server::{CacheStats, Server, ServerConfig, ServerHandle, ServerStats, WireObserver};
 pub use wire::{ErrorKind, Op, Request};

@@ -1,12 +1,12 @@
 //! The experiment server: TCP acceptor, connection readers, worker-shard pool.
 //!
-//! One [`Server`] owns the full 216-case benchmark suite with a shared
-//! [`ArtifactCache`] attached to every case, a [`WorkQueues`] shard pool sized by
-//! [`ServerConfig::shards`], and the listener. Light operations (`ping`, `stats`,
-//! `shutdown`) are answered inline on the connection's reader thread; heavy ones
-//! (`compile`, `simulate`, `run_session`) are enqueued to the shard keyed by
-//! FNV(case, sample) — so repeated requests for one case land on a warm worker —
-//! with work-stealing and a typed `busy` reply when every queue is full.
+//! One [`Server`] owns the full 216-case benchmark suite, a [`WorkQueues`] shard pool
+//! sized by [`ServerConfig::shards`], and the listener. Each case compiles its
+//! reference once per server, on its first heavy request ([`CacheStats`]). Light
+//! operations (`ping`, `stats`, `shutdown`) are answered inline on the connection's
+//! reader thread; heavy ones (`compile`, `simulate`, `run_session`) are enqueued to
+//! the shard keyed by FNV(case, sample) — so repeated requests for one case land on a
+//! warm worker — with work-stealing and a typed `busy` reply when every queue is full.
 //!
 //! `run_session` streams the session's [`RunEvent`]s to the client *as they
 //! happen* through a [`WireObserver`] plugged into the engine's observer seam, then
@@ -18,14 +18,14 @@ use std::collections::HashMap;
 use std::io::{ErrorKind as IoErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rechisel_benchsuite::case::BenchmarkCase;
 use rechisel_benchsuite::runner::run_sample_with_engine;
 use rechisel_benchsuite::suite::full_suite;
-use rechisel_core::{ArtifactCache, CacheStats, Engine, Observer, RunEvent, WorkflowConfig};
+use rechisel_core::{ChiselCompiler, Engine, Observer, RunEvent, WorkflowConfig};
 use rechisel_sim::EngineKind;
 
 use crate::json::{parse, Json};
@@ -34,8 +34,8 @@ use crate::wire::{
     decode_request, encode_event, error_reply, ok_reply, ErrorKind, Op, Request, SERVED_LANGUAGE,
 };
 
-/// Server tunables. `Default` suits tests: an ephemeral loopback port, one worker
-/// per available core (capped), and an unbounded cache.
+/// Server tunables. `Default` suits tests: an ephemeral loopback port and one worker
+/// per available core (capped).
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Listen address; use port 0 for an ephemeral port.
@@ -50,8 +50,6 @@ pub struct ServerConfig {
     /// line must follow within this window or the connection gets a `timeout`
     /// reply and is closed. Idle connections (no partial line) are unaffected.
     pub read_timeout: Duration,
-    /// Artifact cache byte budget (`u64::MAX` = unbounded, `0` = cache nothing).
-    pub cache_budget: u64,
 }
 
 impl Default for ServerConfig {
@@ -62,7 +60,6 @@ impl Default for ServerConfig {
             queue_capacity: 128,
             max_line_bytes: 64 * 1024,
             read_timeout: Duration::from_secs(10),
-            cache_budget: u64::MAX,
         }
     }
 }
@@ -78,6 +75,8 @@ struct Counters {
     sessions: AtomicU64,
     jobs_in_flight: AtomicU64,
     jobs_high_water: AtomicU64,
+    cache_hits: AtomicU64,
+    cache_misses: AtomicU64,
 }
 
 /// A point-in-time snapshot of the server-side counters.
@@ -99,6 +98,79 @@ pub struct ServerStats {
     pub jobs_in_flight: u64,
     /// High-water mark of `jobs_in_flight`.
     pub jobs_high_water: u64,
+}
+
+/// Counters of the per-case reference compiles.
+///
+/// Every heavy request (`compile`, `simulate`, `run_session`) for a known case
+/// counts once: the first one for a case compiles its reference and counts a miss;
+/// every later one, and every one that waited for that compile, counts a hit. So
+/// `misses` is the number of distinct cases served.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Heavy requests that found their case's reference compiled.
+    pub hits: u64,
+    /// Heavy requests that compiled their case's reference.
+    pub misses: u64,
+}
+
+impl CacheStats {
+    /// Hit rate in `[0, 1]`; zero when the server has served no heavy request.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// What the `compile` op reports about a case's reference.
+struct CompiledReference {
+    fingerprint: String,
+    verilog_bytes: usize,
+}
+
+/// A suite case and its reference, compiled once, by the case's first heavy request.
+struct ServedCase {
+    case: BenchmarkCase,
+    /// The compiled reference, or the first diagnostic of a failed compile.
+    compiled: OnceLock<Result<CompiledReference, String>>,
+}
+
+impl ServedCase {
+    /// The compiled reference, compiling it on the first call. The call that compiled
+    /// counts a miss and gets `false`; every other call, including one that waited
+    /// for that compile, counts a hit and gets `true`.
+    fn reference(&self, counters: &Counters) -> (&Result<CompiledReference, String>, bool) {
+        let mut compiled_here = false;
+        let reference = self.compiled.get_or_init(|| {
+            compiled_here = true;
+            let reference = self.case.reference();
+            match ChiselCompiler::new().compile(reference) {
+                Ok(compiled) => Ok(CompiledReference {
+                    fingerprint: reference.fingerprint().to_string(),
+                    verilog_bytes: compiled.verilog.len(),
+                }),
+                Err(diags) => Err(diags
+                    .first()
+                    .map(|d| d.to_string())
+                    .unwrap_or_else(|| "compile failed".into())),
+            }
+        });
+        let counter = if compiled_here { &counters.cache_misses } else { &counters.cache_hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (reference, !compiled_here)
+    }
+}
+
+/// A heavy request's case, as [`lookup_case`] found it.
+struct Lookup<'a> {
+    case: &'a BenchmarkCase,
+    reference: &'a Result<CompiledReference, String>,
+    /// False only for the request that compiled the reference.
+    cached: bool,
 }
 
 /// Per-connection state shared between the reader thread and workers: the write
@@ -164,8 +236,7 @@ struct Job {
 
 /// State shared by the acceptor, connection readers and workers.
 struct Inner {
-    cases: HashMap<String, BenchmarkCase>,
-    cache: Arc<ArtifactCache>,
+    cases: HashMap<String, ServedCase>,
     queues: WorkQueues<Job>,
     counters: Counters,
     config: ServerConfig,
@@ -187,6 +258,13 @@ impl Inner {
             sessions: self.counters.sessions.load(Ordering::Relaxed),
             jobs_in_flight: self.counters.jobs_in_flight.load(Ordering::Relaxed),
             jobs_high_water: self.counters.jobs_high_water.load(Ordering::Relaxed),
+        }
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.counters.cache_hits.load(Ordering::Relaxed),
+            misses: self.counters.cache_misses.load(Ordering::Relaxed),
         }
     }
 
@@ -240,17 +318,12 @@ impl Server {
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let cache = Arc::new(ArtifactCache::with_budget(config.cache_budget));
         let cases = full_suite()
             .into_iter()
-            .map(|case| {
-                let id = case.id.clone();
-                (id, case.with_artifact_cache(Arc::clone(&cache)))
-            })
+            .map(|case| (case.id.clone(), ServedCase { case, compiled: OnceLock::new() }))
             .collect();
         let inner = Arc::new(Inner {
             cases,
-            cache,
             queues: WorkQueues::new(config.shards, config.queue_capacity),
             counters: Counters::default(),
             config,
@@ -289,9 +362,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Artifact-cache counters.
+    /// Counters of the per-case reference compiles.
     pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
+        self.inner.cache_stats()
     }
 
     /// Server counters.
@@ -554,7 +627,7 @@ fn shard_hint(case: &str, sample: u32, shards: usize) -> usize {
 }
 
 fn stats_reply(id: u64, inner: &Inner) -> Json {
-    let cache = inner.cache.stats();
+    let cache = inner.cache_stats();
     let server = inner.snapshot();
     ok_reply(
         id,
@@ -564,9 +637,6 @@ fn stats_reply(id: u64, inner: &Inner) -> Json {
                 Json::obj([
                     ("hits", Json::from(cache.hits)),
                     ("misses", Json::from(cache.misses)),
-                    ("evictions", Json::from(cache.evictions)),
-                    ("entries", Json::from(cache.entries)),
-                    ("bytes", Json::from(cache.bytes)),
                     ("hit_rate", Json::from(cache.hit_rate())),
                 ]),
             ),
@@ -613,43 +683,41 @@ fn run_job(inner: &Arc<Inner>, job: Job) {
     inner.job_done();
 }
 
-fn lookup_case<'a>(inner: &'a Inner, id: u64, case: &str) -> Result<&'a BenchmarkCase, Json> {
-    inner.cases.get(case).ok_or_else(|| {
-        error_reply(
+/// Finds a heavy request's case; the case's first heavy request compiles its
+/// reference (a miss), every other one finds it compiled (a hit).
+fn lookup_case<'a>(inner: &'a Inner, id: u64, case: &str) -> Result<Lookup<'a>, Json> {
+    let Some(served) = inner.cases.get(case) else {
+        return Err(error_reply(
             Some(id),
             ErrorKind::UnknownCase,
             &format!("no suite case `{case}` ({} cases loaded)", inner.cases.len()),
-        )
-    })
+        ));
+    };
+    let (reference, cached) = served.reference(&inner.counters);
+    Ok(Lookup { case: &served.case, reference, cached })
 }
 
 fn compile_op(inner: &Inner, id: u64, case: &str) -> Json {
-    let case = match lookup_case(inner, id, case) {
-        Ok(c) => c,
+    let lookup = match lookup_case(inner, id, case) {
+        Ok(lookup) => lookup,
         Err(reply) => return reply,
     };
-    let fingerprint = case.reference().fingerprint();
-    let cached = inner.cache.peek(fingerprint).is_some();
-    match inner.cache.get_or_compile(case.reference()) {
-        Ok(artifacts) => ok_reply(
+    match lookup.reference {
+        Ok(reference) => ok_reply(
             id,
             [
-                ("fingerprint", Json::from(artifacts.fingerprint.to_string())),
-                ("cached", Json::Bool(cached)),
-                ("verilog_bytes", Json::from(artifacts.verilog.len())),
+                ("fingerprint", Json::from(reference.fingerprint.as_str())),
+                ("cached", Json::Bool(lookup.cached)),
+                ("verilog_bytes", Json::from(reference.verilog_bytes)),
             ],
         ),
-        Err(diags) => error_reply(
-            Some(id),
-            ErrorKind::CompileError,
-            &diags.first().map(|d| d.to_string()).unwrap_or_else(|| "compile failed".into()),
-        ),
+        Err(message) => error_reply(Some(id), ErrorKind::CompileError, message),
     }
 }
 
 fn simulate_op(inner: &Inner, id: u64, case: &str, engine: EngineKind) -> Json {
     let case = match lookup_case(inner, id, case) {
-        Ok(c) => c,
+        Ok(lookup) => lookup.case,
         Err(reply) => return reply,
     };
     let tester = case.tester_with_engine(engine);
@@ -676,7 +744,7 @@ fn session_op(
     engine: EngineKind,
 ) -> Json {
     let case = match lookup_case(inner, id, case) {
-        Ok(c) => c,
+        Ok(lookup) => lookup.case,
         Err(reply) => return reply,
     };
     let observer = WireObserver { conn: Arc::clone(conn), inner: Arc::clone(inner), id };
@@ -709,6 +777,30 @@ mod tests {
         let hints: std::collections::HashSet<_> =
             (0..32).map(|s| shard_hint("hdlbits/vector5", s, 8)).collect();
         assert!(hints.len() > 1, "samples spread across shards");
+    }
+
+    #[test]
+    fn concurrent_lookups_compile_a_case_once() {
+        let case = full_suite().into_iter().next().expect("a suite case");
+        let served = ServedCase { case, compiled: OnceLock::new() };
+        let counters = Counters::default();
+        let threads = 8;
+        let start = std::sync::Barrier::new(threads);
+        let cached: Vec<bool> = std::thread::scope(|scope| {
+            let lookups: Vec<_> = (0..threads)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        served.reference(&counters).1
+                    })
+                })
+                .collect();
+            lookups.into_iter().map(|l| l.join().expect("lookup thread")).collect()
+        });
+        assert_eq!(cached.iter().filter(|c| !**c).count(), 1, "exactly one lookup compiled");
+        assert_eq!(counters.cache_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(counters.cache_hits.load(Ordering::Relaxed), threads as u64 - 1);
+        assert!(served.compiled.get().expect("compiled").is_ok());
     }
 
     #[test]

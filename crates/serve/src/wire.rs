@@ -22,6 +22,11 @@
 //! `engine` is `"interp"` or `"compiled"` (the default), as spelled by
 //! [`EngineKind::name`]; any other name is a `bad_request`.
 //!
+//! The server compiles each case's reference once, on the case's first heavy request
+//! (`compile`, `simulate` or `run_session`). `cached` is false only on the `compile`
+//! that did it. `stats` reports `cache{hits, misses, hit_rate}`: one miss per case
+//! compiled and one hit per other heavy request.
+//!
 //! Error kinds: `bad_request`, `oversized`, `timeout`, `busy`, `unknown_case`,
 //! `unknown_model`, `compile_error`, `shutting_down`, `internal`.
 
@@ -112,12 +117,12 @@ pub struct Request {
 pub enum Op {
     /// Liveness check (answered inline, never queued).
     Ping,
-    /// Compile a suite case's reference circuit through the shared artifact cache.
+    /// Report a suite case's compiled reference circuit (compiled once per case).
     Compile {
         /// Suite case id.
         case: String,
     },
-    /// Run the case's testbench against its own reference (a cache-warm sanity run).
+    /// Run the case's testbench against its own reference (a sanity run).
     Simulate {
         /// Suite case id.
         case: String,

@@ -3,9 +3,10 @@
 //! The headline property (PR acceptance): two clients submitting the same suite
 //! case concurrently both receive the streamed `RunEvent`s of their session, those
 //! events are **identical** to a direct in-process `Session` run with a
-//! `CollectingObserver`, and the shared artifact cache records the second compile
-//! as a hit. Around it: busy backpressure with nothing dropped, graceful shutdown
-//! draining in-flight jobs, and the stats surface.
+//! `CollectingObserver`, and the case's reference is compiled once: the first heavy
+//! request counts a miss, the other a hit. Around it: the compile-once counters under
+//! concurrent mixed requests, busy backpressure with nothing dropped, graceful
+//! shutdown draining in-flight jobs, and the stats surface.
 
 use std::time::Duration;
 
@@ -20,6 +21,8 @@ use rechisel_sim::EngineKind;
 
 /// The paper's case-study circuit — first case of the suite, present in every build.
 const CASE_ID: &str = "hdlbits/vector5";
+/// A second suite case, for tests that need two.
+const OTHER_CASE_ID: &str = "hdlbits/full_adder";
 const MAX_ITERATIONS: u32 = 3;
 
 fn suite_case(id: &str) -> BenchmarkCase {
@@ -75,16 +78,69 @@ fn two_concurrent_clients_stream_parity_events_and_share_one_compile() {
         assert_eq!(outcome.escapes, u64::from(expected_result.escapes));
     }
 
-    // One circuit, two concurrent sessions: exactly one cold compile, and the
-    // second request was a hit (an in-flight waiter counts as a hit).
+    // One case, two concurrent sessions: the reference compiled once, and the
+    // other request was a hit (a request that waited for the compile counts as one).
     let cache = handle.cache_stats();
-    assert_eq!(cache.misses, 1, "one cold compile for the shared circuit");
-    assert!(cache.hits >= 1, "second compile was a cache hit (stats: {cache:?})");
-    assert_eq!(cache.entries, 1);
+    assert_eq!((cache.misses, cache.hits), (1, 1), "stats: {cache:?}");
 
     let stats = handle.stats();
     assert_eq!(stats.sessions, 2);
     assert_eq!(stats.busy, 0);
+    handle.shutdown();
+}
+
+#[test]
+fn concurrent_mixed_requests_compile_each_case_once() {
+    let handle = Server::start(ServerConfig::default()).expect("server starts");
+    let addr = handle.addr();
+    let cases = [CASE_ID, OTHER_CASE_ID];
+    let clients = 4;
+    let start = std::sync::Barrier::new(clients);
+
+    // Each client sends compile, simulate and run_session for both cases, its first
+    // request for each case being a compile; so whichever request compiles a case's
+    // reference is a compile, and its reply alone says `cached: false`.
+    let uncached: Vec<Vec<&str>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..clients)
+            .map(|client| {
+                let start = &start;
+                scope.spawn(move || {
+                    let mut conn = Client::connect(addr).expect("connect");
+                    // Every client sends its first compile at once.
+                    start.wait();
+                    let order = [cases[client % 2], cases[(client + 1) % 2]];
+                    let mut uncached = Vec::new();
+                    for case in order {
+                        if !conn.compile(case).expect("compile").cached {
+                            uncached.push(case);
+                        }
+                    }
+                    for case in order {
+                        assert!(conn.simulate(case).expect("simulate").passed);
+                        let request = SessionRequest::new(case).sample(client as u32);
+                        conn.run_session(&request.max_iterations(1)).expect("session");
+                    }
+                    uncached
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("client thread")).collect()
+    });
+
+    let requests = (clients * cases.len() * 3) as u64;
+    let cache = handle.cache_stats();
+    assert_eq!(cache.misses, 2, "each case's reference compiled once (stats: {cache:?})");
+    assert_eq!(cache.hits, requests - 2, "every other heavy request is a hit");
+    let mut uncached: Vec<&str> = uncached.into_iter().flatten().collect();
+    uncached.sort_unstable();
+    assert_eq!(uncached, [OTHER_CASE_ID, CASE_ID], "one uncached compile reply per case");
+
+    // Once compiled, a case stays compiled.
+    let mut client = Client::connect(addr).expect("connect");
+    for case in cases {
+        assert!(client.compile(case).expect("compile").cached);
+    }
+    assert_eq!(handle.cache_stats().misses, 2);
     handle.shutdown();
 }
 
@@ -188,10 +244,11 @@ fn stats_surface_reports_cache_and_server_counters() {
     assert!(sim.passed, "the reference passes its own testbench");
     assert!(sim.points > 0);
 
+    // One miss (the first compile) and two hits (the second compile, the simulate).
     let stats = client.stats().expect("stats");
-    assert!(stats.cache_hits() >= 1, "stats: {stats:?}");
+    assert_eq!(stats.cache_hits(), 2, "stats: {stats:?}");
     assert_eq!(stats.cache_misses(), 1);
-    assert!(stats.cache_hit_rate() > 0.0);
+    assert!((stats.cache_hit_rate() - 2.0 / 3.0).abs() < 1e-9);
     assert_eq!(stats.server_busy(), 0);
     handle.shutdown();
 }

@@ -1,6 +1,6 @@
 //! Serving quickstart: start the experiment server in process, talk to it with the
-//! blocking client — compile through the content-addressed artifact cache, run a
-//! ReChisel session with live-streamed run events, and read the stats surface.
+//! blocking client — compile a case's reference (once per server), run a ReChisel
+//! session with live-streamed run events, and read the stats surface.
 //!
 //! The same wire protocol is what `rechisel-serve` (the standalone binary) speaks and
 //! what `rechisel-load` (the load generator) drives; this example just keeps both
@@ -13,15 +13,15 @@ use rechisel::serve::server::{Server, ServerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // An ephemeral loopback port; the handle owns the worker-shard pool and the
-    // shared artifact cache.
+    // suite, whose cases each compile their reference on their first request.
     let handle = Server::start(ServerConfig::default())?;
     println!("server listening on {}", handle.addr());
 
     let mut client = Client::connect(handle.addr())?;
     client.ping()?;
 
-    // First compile is cold (full checked-circuit -> netlist -> tape pipeline);
-    // the second is answered from the fingerprint-keyed cache.
+    // The case's first request compiles its reference (check -> lower -> emit);
+    // every later request finds it compiled.
     let case = "hdlbits/vector5";
     let cold = client.compile(case)?;
     println!(

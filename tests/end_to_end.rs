@@ -4,7 +4,7 @@
 
 use rechisel::benchsuite::{run_model, sampled_suite, ExperimentConfig};
 use rechisel::core::{
-    ChiselCompiler, FunctionalTester, TemplateReviewer, TraceInspector, Workflow, WorkflowConfig,
+    ChiselCompiler, Engine, FunctionalTester, TemplateReviewer, TraceInspector, WorkflowConfig,
 };
 use rechisel::hcl::prelude::*;
 use rechisel::llm::{Language, ModelProfile, SyntheticLlm};
@@ -66,23 +66,28 @@ fn workflow_repairs_a_defective_generation() {
     // can be hopeless for a given (case, model) hardness draw, so the scan covers the
     // whole slice rather than betting on one case.)
     let suite = sampled_suite(8);
-    let workflow = Workflow::new(WorkflowConfig::paper_default());
+    let engine = Engine::builder().config(WorkflowConfig::paper_default()).build();
     let profile = ModelProfile::claude35_sonnet();
 
     let mut repaired = 0;
     for case in &suite {
         let tester = case.tester();
         for sample in 0..6u32 {
-            let mut llm = SyntheticLlm::new(
+            let llm = SyntheticLlm::new(
                 profile.clone(),
                 Language::Chisel,
                 case.reference().clone(),
                 case.seed(),
             );
-            let mut reviewer = TemplateReviewer::new();
-            let mut inspector = TraceInspector::new();
-            let result =
-                workflow.run(&mut llm, &mut reviewer, &mut inspector, &case.spec, &tester, sample);
+            let result = engine
+                .session(
+                    llm,
+                    TemplateReviewer::new(),
+                    TraceInspector::new(),
+                    case.spec.clone(),
+                    tester.clone(),
+                )
+                .run(sample);
             if result.success && result.success_iteration.unwrap_or(0) > 0 {
                 repaired += 1;
                 // A successful run must produce Verilog for the user.

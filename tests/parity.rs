@@ -6,9 +6,8 @@
 //! compiler call, no events), wrapped in the exact shape of the old
 //! `benchsuite::runner::run_model`: a tester built once per case, one
 //! explicitly-constructed agent trio per sample, everything serial. Keeping the old
-//! loop inline here (rather than calling today's `Workflow::run`, which is a shim over
-//! `Session::run`) means a semantic drift in the ported loop cannot cancel out of the
-//! comparison. The "new" side is today's `run_model`, which routes through
+//! loop inline here (rather than calling `Session::run`, the loop it was ported to)
+//! means a semantic drift in the ported loop cannot cancel out of the comparison. The "new" side is today's `run_model`, which routes through
 //! `Engine`/`Session` with case × sample parallel scheduling. Every aggregate the paper
 //! reports — Pass@k across caps, per-iteration status proportions, escape statistics —
 //! is formatted to a string and compared byte-for-byte.
