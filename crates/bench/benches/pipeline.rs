@@ -4,8 +4,8 @@
 //! unchanged; every other candidate runs the from-scratch path. This group times
 //! that path on a large generated circuit (~900 netlist definitions):
 //!
-//! * `pipeline/incremental/full_rebuild` — the checking passes, a from-scratch
-//!   lowering and a from-scratch tape compile.
+//! * `pipeline/full_compile` — the checking passes, a from-scratch lowering and a
+//!   from-scratch tape compile.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rechisel_benchsuite::{random_circuit, RandomCircuitConfig};
@@ -31,8 +31,8 @@ fn large_circuit() -> Circuit {
     random_circuit(SEED, &config)
 }
 
-/// One from-scratch recompile: passes + lowering, then a tape compile.
-fn full_rebuild(passes: &PassManager, circuit: &Circuit) -> Tape {
+/// One from-scratch compile: passes + lowering, then a tape compile.
+fn full_compile(passes: &PassManager, circuit: &Circuit) -> Tape {
     assert!(!passes.run(circuit).has_errors(), "the benchmark circuit passes the checks");
     let netlist = lower_circuit(circuit).expect("the benchmark circuit lowers");
     Tape::compile(&netlist).expect("the benchmark netlist compiles to a tape")
@@ -42,10 +42,10 @@ fn bench_pipeline(c: &mut Criterion) {
     let circuit = large_circuit();
     let passes = PassManager::standard();
     let defs = lower_circuit(&circuit).expect("the benchmark circuit lowers").defs.len();
-    println!("pipeline/incremental: benchmark circuit has {defs} netlist definitions");
+    println!("pipeline/full_compile: benchmark circuit has {defs} netlist definitions");
 
-    c.bench_function("pipeline/incremental/full_rebuild", |b| {
-        b.iter(|| black_box(full_rebuild(&passes, black_box(&circuit))))
+    c.bench_function("pipeline/full_compile", |b| {
+        b.iter(|| black_box(full_compile(&passes, black_box(&circuit))))
     });
 }
 

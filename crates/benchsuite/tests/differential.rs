@@ -6,21 +6,40 @@
 //! peek, cycle for cycle**. The session recompiler is held to the from-scratch
 //! compiler the same way: over random edits, SourceInfo-only resubmissions and
 //! repeats of earlier revisions, every result it returns is a from-scratch
-//! compile's — same diagnostics, same netlist, same Verilog. All properties run over
-//! the narrow population and over [`RandomCircuitConfig::wide`], whose 64/127/128-bit
-//! signals and over-shifting amounts live at the `u128` word boundary. Seeds are
-//! produced by the deterministic proptest stub (fixed per test name), so a failure
-//! reproduces forever; the case count is raised in CI's dedicated fuzz job via
-//! `RECHISEL_FUZZ_CASES`.
+//! compile's — same diagnostics, same netlist, same Verilog.
+//!
+//! The check → lower front door is held to the same standard. Over generated
+//! circuits and the suite references, each broken by a chain of 1–4 injected
+//! defects, the standard passes (which share one elaboration per module) report
+//! exactly what the standalone `check_*` functions report, the fused compile equals
+//! standalone lowering plus emission, and nothing on the way panics. A generated
+//! circuit wrapped as a child instance lowers to the same outputs, cycle for cycle,
+//! as the bare circuit: the flatten-then-elaborate path the sweeps never take.
+//!
+//! All generated-circuit properties run over the narrow population and over
+//! [`RandomCircuitConfig::wide`], whose 64/127/128-bit signals and over-shifting
+//! amounts live at the `u128` word boundary. Seeds are produced by the deterministic
+//! proptest stub (fixed per test name), so a failure reproduces forever; the case
+//! count is raised in CI's dedicated fuzz job via `RECHISEL_FUZZ_CASES`.
 
 use proptest::prelude::*;
-use rechisel_benchsuite::{random_circuit, random_stimulus, sampled_suite, RandomCircuitConfig};
+use rechisel_benchsuite::{
+    full_suite, random_circuit, random_stimulus, sampled_suite, RandomCircuitConfig,
+};
 use rechisel_core::{ChiselCompiler, IncrementalCompiled};
-use rechisel_firrtl::ir::{Circuit, Expression, ModuleKind, PrimOp, SourceInfo, Statement};
-use rechisel_firrtl::{lower_circuit, Fingerprint, RebuildReason, RecompileOutcome};
+use rechisel_firrtl::ir::{
+    Circuit, Direction, Expression, Module, ModuleKind, PrimOp, SourceInfo, Statement,
+};
+use rechisel_firrtl::pipeline::{EmitBackend, Pass, PassManager, Pipeline};
+use rechisel_firrtl::{
+    check_circuit, lower_circuit, passes, DiagnosticReport, Fingerprint, RebuildReason,
+    RecompileOutcome,
+};
+use rechisel_llm::{apply_defect, DefectInstance, DefectKind};
 use rechisel_sim::{
     run_testbench, run_testbench_with, CompiledSimulator, EngineKind, Simulator, Tape,
 };
+use rechisel_verilog::VerilogBackend;
 
 /// Generated-circuit count for the property below: default 1000, raised in CI.
 fn fuzz_cases() -> u32 {
@@ -309,6 +328,154 @@ fn incremental_differential_run(seed: u64, config: &RandomCircuitConfig) {
     }
 }
 
+/// A standalone check pass, as the public `passes::check_*` functions are.
+type CheckFn = fn(&Module, &Circuit) -> DiagnosticReport;
+
+/// The five public check functions under their pass names.
+const CHECKS: [(&str, CheckFn); 5] = [
+    ("connects", passes::check_connects),
+    ("widths", passes::check_widths),
+    ("clocking", passes::check_clocking),
+    ("initialization", passes::check_initialization),
+    ("comb-loops", passes::check_combinational_loops),
+];
+
+/// `passes` rebuilt from [`Pass::new`] wrappers of the public `check_*` functions
+/// (same names, same order). Each wrapper elaborates its module itself: the shape
+/// of a compiler that times every pass on its own.
+fn standalone_passes(passes: &PassManager) -> PassManager {
+    let mut wrapped = PassManager::empty();
+    for name in passes.names() {
+        let (_, check) = CHECKS.iter().find(|(n, _)| *n == name).expect("a standard pass");
+        wrapped.register(Pass::new(name, *check));
+    }
+    wrapped
+}
+
+/// One step of the splitmix64 stream.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// `circuit` after a seeded chain of 1–4 defects, each of any kind the synthetic LLM
+/// injects (syntax or functional).
+fn with_defect_chain(mut circuit: Circuit, seed: u64) -> Circuit {
+    let kinds: Vec<DefectKind> =
+        DefectKind::syntax_kinds().iter().chain(DefectKind::functional_kinds()).copied().collect();
+    let mut state = seed;
+    for _ in 0..1 + splitmix(&mut state) % 4 {
+        let kind = kinds[(splitmix(&mut state) % kinds.len() as u64) as usize];
+        apply_defect(&mut circuit, DefectInstance::new(kind, splitmix(&mut state)));
+    }
+    circuit
+}
+
+/// The front-door property over one (possibly broken) design, under the standard
+/// pass set and the AutoChip one (`without("clocking")`):
+///
+/// * the manager, which shares one elaboration per module across its passes,
+///   reports exactly what [`standalone_passes`] does: same text, order, locations;
+/// * a design the passes accept compiles through [`ChiselCompiler::compile`] to
+///   exactly standalone [`lower_circuit`] plus [`VerilogBackend`], and under the
+///   standard passes it does compile;
+/// * checking, lowering, emission and [`Tape::compile`] return, never panic.
+fn front_door_run(circuit: &Circuit, label: &str) {
+    for passes in [PassManager::standard(), PassManager::standard().without("clocking")] {
+        let report = passes.run(circuit);
+        assert_eq!(
+            report,
+            standalone_passes(&passes).run(circuit),
+            "{label}: shared and standalone elaboration disagree under {:?}",
+            passes.names(),
+        );
+        if report.has_errors() {
+            continue;
+        }
+        let standard = passes.contains("clocking");
+        let compiler =
+            ChiselCompiler::from_pipeline(Pipeline::new(VerilogBackend).with_passes(passes));
+        let fused = compiler.compile(circuit).map(|c| (c.netlist, c.verilog));
+        let standalone = lower_circuit(circuit)
+            .and_then(|netlist| {
+                let verilog = VerilogBackend.emit(circuit, &netlist)?;
+                Ok((netlist, verilog))
+            })
+            .map_err(|d| vec![d]);
+        assert_eq!(fused, standalone, "{label}: fused and standalone compiles disagree");
+        match fused {
+            Ok((netlist, _)) => {
+                let _ = Tape::compile(&netlist);
+            }
+            Err(errors) if standard => {
+                panic!("{label}: a design the standard checks accept fails to compile: {errors:?}")
+            }
+            Err(_) => {}
+        }
+    }
+}
+
+/// `child` (an instance-free design) as instance `dut` of a parent that forwards
+/// every port: each parent input drives the child's input of the same name, each
+/// child output drives the parent's output of the same name.
+fn wrapped_as_child(child: &Circuit) -> Circuit {
+    let child = child.top_module().expect("a top module").clone();
+    let mut parent = Module::new(format!("{}Parent", child.name), child.kind);
+    parent.ports = child.ports.clone();
+    parent.body.push(Statement::Instance {
+        name: "dut".into(),
+        module: child.name.clone(),
+        info: SourceInfo::unknown(),
+    });
+    for port in &child.ports {
+        let inner = Expression::SubField(Box::new(Expression::reference("dut")), port.name.clone());
+        let outer = Expression::reference(port.name.clone());
+        let (loc, expr) = match port.direction {
+            Direction::Input => (inner, outer),
+            Direction::Output => (outer, inner),
+        };
+        parent.body.push(Statement::Connect { loc, expr, info: SourceInfo::unknown() });
+    }
+    Circuit::new(parent.name.clone(), vec![parent, child])
+}
+
+/// One instance run: the wrapped circuit checks clean, compiles through the fused
+/// path to what standalone lowering gives, and its outputs equal the bare circuit's
+/// on the Interp engine after every eval and every step of the same stimulus.
+fn instance_differential_run(seed: u64, config: &RandomCircuitConfig) {
+    let bare = random_circuit(seed, config);
+    let wrapped = wrapped_as_child(&bare);
+    let report = check_circuit(&wrapped);
+    assert!(!report.has_errors(), "seed {seed}: the wrapped circuit fails the checks: {report:?}");
+    let bare_netlist = lower_circuit(&bare)
+        .unwrap_or_else(|e| panic!("seed {seed}: generated circuit fails to lower: {e}"));
+    let netlist = lower_circuit(&wrapped)
+        .unwrap_or_else(|e| panic!("seed {seed}: wrapped circuit fails to lower: {e}"));
+    let compiled = ChiselCompiler::new().compile(&wrapped).expect("the wrapped circuit compiles");
+    assert_eq!(compiled.netlist, netlist, "seed {seed}: fused and standalone lowering disagree");
+
+    let mut expected = Simulator::new(bare_netlist.clone());
+    let mut got = Simulator::new(netlist);
+    expected.reset(2).unwrap();
+    got.reset(2).unwrap();
+    assert_eq!(got.outputs(), expected.outputs(), "seed {seed}: after reset");
+    for (cycle, assignment) in random_stimulus(&bare_netlist, 10, seed).iter().enumerate() {
+        for (name, value) in assignment {
+            expected.poke(name, *value).unwrap();
+            got.poke(name, *value).unwrap();
+        }
+        expected.eval().unwrap();
+        got.eval().unwrap();
+        assert_eq!(got.outputs(), expected.outputs(), "seed {seed}: eval {cycle}");
+        expected.step().unwrap();
+        got.step().unwrap();
+        assert_eq!(got.outputs(), expected.outputs(), "seed {seed}: step {cycle}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
@@ -338,6 +505,47 @@ proptest! {
     #[test]
     fn incremental_recompile_matches_full_rebuild_wide(seed in 0u64..u64::MAX) {
         incremental_differential_run(seed, &RandomCircuitConfig::wide());
+    }
+
+    /// Generated circuits broken by a chain of 1–4 defects: shared and standalone
+    /// elaboration report the same diagnostics, the fused compile equals standalone
+    /// lowering and emission, and nothing panics.
+    #[test]
+    fn front_door_holds_on_defective_generated_circuits(seed in 0u64..u64::MAX) {
+        let circuit = with_defect_chain(random_circuit(seed, &RandomCircuitConfig::default()), seed);
+        front_door_run(&circuit, &format!("seed {seed}"));
+    }
+
+    /// The same front-door property over the wide population.
+    #[test]
+    fn front_door_holds_on_defective_wide_circuits(seed in 0u64..u64::MAX) {
+        let circuit = with_defect_chain(random_circuit(seed, &RandomCircuitConfig::wide()), seed);
+        front_door_run(&circuit, &format!("wide seed {seed}"));
+    }
+
+    /// A generated circuit behind a port-forwarding parent: flattening, then
+    /// elaborating the flattened module, preserves every output.
+    #[test]
+    fn instantiated_circuits_match_their_bare_twins(seed in 0u64..u64::MAX) {
+        instance_differential_run(seed, &RandomCircuitConfig::default());
+    }
+
+    /// The same instance property over the wide population.
+    #[test]
+    fn instantiated_wide_circuits_match_their_bare_twins(seed in 0u64..u64::MAX) {
+        instance_differential_run(seed, &RandomCircuitConfig::wide());
+    }
+}
+
+#[test]
+fn front_door_holds_on_defective_suite_references() {
+    // Every suite reference in turn, each broken by a different seeded defect chain:
+    // the same designs the reflection loop compiles, plus deeper chains of defects.
+    let suite = full_suite();
+    for i in 0..u64::from(fuzz_cases()).max(suite.len() as u64) {
+        let case = &suite[(i % suite.len() as u64) as usize];
+        let circuit = with_defect_chain(case.reference().clone(), i);
+        front_door_run(&circuit, &format!("case {} chain {i}", case.id));
     }
 }
 

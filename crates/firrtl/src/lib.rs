@@ -9,6 +9,9 @@
 //! * [`ir`] — the circuit/module/statement/expression data structures.
 //! * [`diagnostics`] — structured compiler feedback ([`Diagnostic`]) with an
 //!   [`ErrorCode`] taxonomy matching the paper's Table II.
+//! * [`typeenv`] — elaboration ([`Elaborated`]: one module's symbol table and inferred
+//!   widths, built once per module and shared by every check pass and by lowering) and
+//!   expression typing.
 //! * [`passes`] and [`check`] — the checking pipeline (typing, initialization, clock and
 //!   reset inference, combinational-loop detection, width inference).
 //! * [`lower`] — lowering of checked circuits to a flat, ground-typed [`Netlist`]
@@ -78,3 +81,4 @@ pub use pipeline::{
     PipelineOutput,
 };
 pub use printer::{print_chisel, print_chisel_module, print_firrtl};
+pub use typeenv::Elaborated;

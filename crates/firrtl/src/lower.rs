@@ -1,11 +1,16 @@
 //! Lowering from the checked IR to a flat, ground-typed [`Netlist`].
 //!
-//! The lowering pipeline mirrors what the FIRRTL compiler does before Verilog emission:
+//! The lowering pipeline mirrors what the FIRRTL compiler does before Verilog emission.
+//! It starts from the top module's [`Elaborated`] symbol table and inferred widths,
+//! which the checking stage already built, and reads the module in place:
 //!
-//! 1. **Instance flattening** — child modules are inlined into their parent with
-//!    prefixed names; implicit `clock`/`reset` ports of children are wired to the
-//!    parent's implicit clock/reset when not connected explicitly.
-//! 2. **Width resolution** — width-less declarations take the width of their driver.
+//! 1. **Instance flattening**, only when the top module instantiates another module:
+//!    child modules are inlined into their parent with prefixed names; implicit
+//!    `clock`/`reset` ports of children are wired to the parent's implicit clock/reset
+//!    when not connected explicitly. The flattened module is then elaborated afresh.
+//! 2. **Width resolution**, only when some width was inferred: a copy of the module
+//!    has its width-less declarations rewritten to the width of their driver, and is
+//!    elaborated afresh.
 //! 3. **Aggregate expansion** — vectors and bundles are split into ground elements with
 //!    mangled names (`io.out[3]` → `io_out_3`); dynamic reads become mux trees, dynamic
 //!    writes become per-element conditional connects.
@@ -13,6 +18,10 @@
 //!    driving expression per ground sink (a mux tree over the conditions).
 //! 5. **Topological ordering** — combinational definitions are sorted so the simulator
 //!    can evaluate them in one forward pass.
+//!
+//! A design with no instance and every width declared, which is every revision that
+//! reaches lowering in the paper sweeps, skips steps 1 and 2 and is lowered without
+//! copying a module.
 //!
 //! The resulting [`Netlist`] is consumed by the simulator (`rechisel-sim`) and the
 //! Verilog emitter (`rechisel-verilog`).
@@ -29,9 +38,8 @@ use crate::ir::{
     Circuit, ClockSpec, Direction, Expression, Module, ModuleKind, PrimOp, ReadUnderWrite,
     RegReset, SourceInfo, Statement, Type,
 };
-use crate::passes::width::resolve_widths;
 use crate::paths::{ground_paths, mangle, static_path};
-use crate::typeenv::{ExprTyper, SymbolTable};
+use crate::typeenv::{has_known_width, Elaborated, ExprTyper, SymbolTable};
 
 /// A ground signal's physical properties.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -376,36 +384,73 @@ impl Netlist {
 
 /// Lowers a checked circuit to a netlist.
 ///
+/// Elaborates the top module, then runs the same lowering as the compile pipeline,
+/// which reuses the elaboration its checking stage built instead.
+///
 /// # Errors
 ///
 /// Returns the first structural problem encountered. Circuits that pass
 /// [`crate::check::check_circuit`] lower successfully.
 pub fn lower_circuit(circuit: &Circuit) -> Result<Netlist, Diagnostic> {
-    let flat = flatten_instances(circuit)?;
-    let mut flat_circuit = Circuit::single(flat);
-    let snapshot = flat_circuit.clone();
-    resolve_widths(flat_circuit.top_module_mut().expect("single module circuit"), &snapshot);
-    let flat = flat_circuit.top_module().expect("single module circuit").clone();
-    let ground = expand_aggregates(&flat, &flat_circuit)?;
-    build_netlist(&ground)
+    let top = top_module(circuit)?;
+    lower_elaborated(circuit, &Elaborated::new(top, circuit))
+}
+
+/// Lowers `circuit` from its top module's elaboration `top`: the one lowering body
+/// behind [`lower_circuit`] and the compile pipeline.
+pub(crate) fn lower_elaborated(circuit: &Circuit, top: &Elaborated) -> Result<Netlist, Diagnostic> {
+    let module = top_module(circuit)?;
+    let mut has_instance = false;
+    module.visit_statements(&mut |s| has_instance |= matches!(s, Statement::Instance { .. }));
+    if !has_instance {
+        return lower_flat(module, circuit, top);
+    }
+    let flat = Circuit::single(flatten_module(module, circuit, 0)?);
+    let module = &flat.modules[0];
+    lower_flat(module, &flat, &Elaborated::new(module, &flat))
+}
+
+/// Lowers an instance-free `module` given its elaboration. The module is copied only
+/// when some width was inferred, to write the inferred widths into its declarations.
+fn lower_flat(
+    module: &Module,
+    circuit: &Circuit,
+    elaborated: &Elaborated,
+) -> Result<Netlist, Diagnostic> {
+    let inferred = elaborated.inferred_widths();
+    if inferred.is_empty() {
+        return build_netlist(&expand_aggregates(module, elaborated.symbols())?);
+    }
+    let mut resolved = module.clone();
+    resolved.visit_statements_mut(&mut |stmt| match stmt {
+        Statement::Wire { name, ty, .. } | Statement::Reg { name, ty, .. }
+            if !has_known_width(ty) =>
+        {
+            if let Some(inferred) = inferred.get(name) {
+                *ty = inferred.clone();
+            }
+        }
+        _ => {}
+    });
+    let symbols = SymbolTable::build(&resolved, circuit);
+    build_netlist(&expand_aggregates(&resolved, &symbols)?)
+}
+
+fn top_module(circuit: &Circuit) -> Result<&Module, Diagnostic> {
+    circuit.top_module().ok_or_else(|| {
+        Diagnostic::error(
+            ErrorCode::MissingTopModule,
+            SourceInfo::unknown(),
+            format!("top module {} is not defined", circuit.top),
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------------
 // Step 1: instance flattening
 // ---------------------------------------------------------------------------------
 
-/// Inlines every child instance into the top module.
-pub fn flatten_instances(circuit: &Circuit) -> Result<Module, Diagnostic> {
-    let top = circuit.top_module().ok_or_else(|| {
-        Diagnostic::error(
-            ErrorCode::MissingTopModule,
-            SourceInfo::unknown(),
-            format!("top module {} is not defined", circuit.top),
-        )
-    })?;
-    flatten_module(top, circuit, 0)
-}
-
+/// Inlines every child instance into `module`, recursively.
 fn flatten_module(module: &Module, circuit: &Circuit, depth: usize) -> Result<Module, Diagnostic> {
     if depth > 16 {
         return Err(Diagnostic::error(
@@ -669,7 +714,7 @@ fn rename_statement(stmt: &Statement, prefix: &str, names: &BTreeSet<String>) ->
 }
 
 // ---------------------------------------------------------------------------------
-// Step 2+3: aggregate expansion
+// Step 3: aggregate expansion
 // ---------------------------------------------------------------------------------
 
 /// A ground register as `(name, info, clock net, reset)`, where the reset is an
@@ -722,11 +767,13 @@ pub enum GroundStatement {
     When(Expression, Vec<GroundStatement>, Vec<GroundStatement>),
 }
 
-/// Expands aggregates in `module`, producing a [`GroundModule`].
-pub fn expand_aggregates(module: &Module, circuit: &Circuit) -> Result<GroundModule, Diagnostic> {
-    let symbols = SymbolTable::build(module, circuit);
-    let expander = Expander { module, symbols: &symbols };
-    expander.run()
+/// Expands aggregates in the instance-free, width-resolved `module`, whose symbol
+/// table is `symbols`, producing a [`GroundModule`].
+pub fn expand_aggregates(
+    module: &Module,
+    symbols: &SymbolTable,
+) -> Result<GroundModule, Diagnostic> {
+    Expander { module, symbols }.run()
 }
 
 struct Expander<'a> {
@@ -1788,6 +1835,101 @@ mod tests {
         let netlist = lower_circuit(&c).unwrap();
         assert!(netlist.defs.iter().any(|d| d.name == "inv_y"));
         assert!(netlist.defs.iter().any(|d| d.name == "b"));
+    }
+
+    /// A module that reads `a + b` through wire `w` and `a` through register `r`.
+    /// With `declared` the wire and register state their widths (6 and 5 bits);
+    /// without it both are `UInt()` and take them from their drivers.
+    fn wire_and_reg(name: &str, declared: bool) -> Module {
+        let (w_ty, r_ty) = if declared {
+            (Type::uint(6), Type::uint(5))
+        } else {
+            (Type::UInt(None), Type::UInt(None))
+        };
+        let mut m = Module::new(name, ModuleKind::Module);
+        m.ports.push(Port::new("clock", Direction::Input, Type::Clock));
+        m.ports.push(Port::new("reset", Direction::Input, Type::bool()));
+        m.ports.push(Port::new("a", Direction::Input, Type::uint(5)));
+        m.ports.push(Port::new("b", Direction::Input, Type::uint(5)));
+        m.ports.push(Port::new("out", Direction::Output, Type::uint(6)));
+        m.body.push(Statement::Wire { name: "w".into(), ty: w_ty, info: SourceInfo::unknown() });
+        m.body.push(Statement::Reg {
+            name: "r".into(),
+            ty: r_ty,
+            clock: ClockSpec::Implicit,
+            reset: Some(RegReset {
+                reset: Expression::reference("reset"),
+                init: Expression::uint_lit(0),
+            }),
+            info: SourceInfo::unknown(),
+        });
+        let a_plus_b = Expression::prim(
+            PrimOp::Add,
+            vec![Expression::reference("a"), Expression::reference("b")],
+            vec![],
+        );
+        for (loc, expr) in [
+            (Expression::reference("w"), a_plus_b),
+            (Expression::reference("r"), Expression::reference("a")),
+            (
+                Expression::reference("out"),
+                Expression::prim(
+                    PrimOp::Xor,
+                    vec![Expression::reference("w"), Expression::reference("r")],
+                    vec![],
+                ),
+            ),
+        ] {
+            m.body.push(Statement::Connect { loc, expr, info: SourceInfo::unknown() });
+        }
+        m
+    }
+
+    /// `child` as instance `c` of a parent `Top` that forwards `a`, `b` and `out`.
+    fn instantiated(child: Module) -> Circuit {
+        let mut top = Module::new("Top", ModuleKind::Module);
+        top.ports = child.ports.clone();
+        top.body.push(Statement::Instance {
+            name: "c".into(),
+            module: child.name.clone(),
+            info: SourceInfo::unknown(),
+        });
+        let port =
+            |name: &str| Expression::SubField(Box::new(Expression::reference("c")), name.into());
+        for (loc, expr) in [
+            (port("a"), Expression::reference("a")),
+            (port("b"), Expression::reference("b")),
+            (Expression::reference("out"), port("out")),
+        ] {
+            top.body.push(Statement::Connect { loc, expr, info: SourceInfo::unknown() });
+        }
+        Circuit::new("Top", vec![top, child])
+    }
+
+    #[test]
+    fn inferred_widths_lower_like_declared_ones() {
+        let top = |declared| Circuit::single(wire_and_reg("T", declared));
+        let child = |declared| instantiated(wire_and_reg("Child", declared));
+        for (inferred, declared, wire) in
+            [(top(false), top(true), "w"), (child(false), child(true), "c_w")]
+        {
+            for c in [&inferred, &declared] {
+                assert!(!check_circuit(c).has_errors(), "{:?}", check_circuit(c));
+            }
+            // The width-less design does take the width-resolution path.
+            let flat = Circuit::single(
+                flatten_module(inferred.top_module().unwrap(), &inferred, 0).unwrap(),
+            );
+            let elaborated = Elaborated::new(&flat.modules[0], &flat);
+            assert_eq!(elaborated.inferred_widths().len(), 2);
+
+            let netlist = lower_circuit(&declared).unwrap();
+            assert_eq!(netlist.signal(wire).map(|s| s.width), Some(6));
+            assert_eq!(lower_circuit(&inferred).unwrap(), netlist);
+            let pipeline = crate::pipeline::Pipeline::default();
+            assert_eq!(pipeline.run(&inferred).unwrap().netlist, netlist);
+            assert_eq!(pipeline.run_ref(&inferred).unwrap().0, netlist);
+        }
     }
 
     #[test]

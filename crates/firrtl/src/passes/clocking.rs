@@ -8,11 +8,20 @@
 
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 use crate::ir::{Circuit, ClockSpec, Expression, Module, ModuleKind, RegReset, Statement, Type};
-use crate::typeenv::{ExprTyper, SymbolTable};
+use crate::typeenv::{Elaborated, ExprTyper};
 
-/// Runs the clock/reset checks over `module`.
+/// Runs the clock/reset checks over `module`, elaborating it first.
 pub fn check_clocking(module: &Module, circuit: &Circuit) -> DiagnosticReport {
-    let symbols = SymbolTable::build(module, circuit);
+    run(module, circuit, &Elaborated::new(module, circuit))
+}
+
+/// The clock/reset checks over `module`, given its elaboration.
+pub(crate) fn run(
+    module: &Module,
+    _circuit: &Circuit,
+    elaborated: &Elaborated,
+) -> DiagnosticReport {
+    let symbols = elaborated.symbols();
     let mut report = DiagnosticReport::new();
 
     // --- C1: registers and memory write ports need a clock ----------------------------
@@ -58,7 +67,7 @@ pub fn check_clocking(module: &Module, circuit: &Circuit) -> DiagnosticReport {
                     }
                 }
                 ClockSpec::Explicit(expr) => {
-                    let mut typer = ExprTyper::new(&symbols, module);
+                    let mut typer = ExprTyper::new(symbols, module);
                     match typer.at(info).infer(expr) {
                         Ok(Type::Clock) => {}
                         Ok(other) => {

@@ -14,13 +14,22 @@ use std::collections::{BTreeMap, BTreeSet};
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 use crate::ir::{Circuit, Expression, Module, SourceInfo, Statement, Type};
 use crate::paths::{ground_paths, static_path};
-use crate::typeenv::{ExprTyper, SymbolKind, SymbolTable};
+use crate::typeenv::{Elaborated, ExprTyper, SymbolKind, SymbolTable};
 
-/// Runs combinational-loop detection over `module`.
+/// Runs combinational-loop detection over `module`, elaborating it first.
 pub fn check_combinational_loops(module: &Module, circuit: &Circuit) -> DiagnosticReport {
-    let symbols = SymbolTable::build(module, circuit);
+    run(module, circuit, &Elaborated::new(module, circuit))
+}
+
+/// The combinational-loop detection over `module`, given its elaboration.
+pub(crate) fn run(
+    module: &Module,
+    _circuit: &Circuit,
+    elaborated: &Elaborated,
+) -> DiagnosticReport {
+    let symbols = elaborated.symbols();
     let mut graph = DependencyGraph::default();
-    let mut builder = GraphBuilder { module, symbols: &symbols, graph: &mut graph };
+    let mut builder = GraphBuilder { module, symbols, graph: &mut graph };
     builder.build(&module.body, &[]);
 
     let mut report = DiagnosticReport::new();

@@ -8,16 +8,21 @@
 
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 use crate::ir::{Circuit, Expression, Module, RegReset, SourceInfo, Statement, Type};
-use crate::typeenv::{ExprTyper, SymbolKind, SymbolTable};
+use crate::typeenv::{Elaborated, ExprTyper, SymbolKind, SymbolTable};
 
-/// Runs the connection/typing checks over `module`.
+/// Runs the connection/typing checks over `module`, elaborating it first.
 pub fn check_connects(module: &Module, circuit: &Circuit) -> DiagnosticReport {
-    let symbols = SymbolTable::build(module, circuit);
+    run(module, circuit, &Elaborated::new(module, circuit))
+}
+
+/// The connection/typing checks over `module`, given its elaboration.
+pub(crate) fn run(module: &Module, circuit: &Circuit, elaborated: &Elaborated) -> DiagnosticReport {
+    let symbols = elaborated.symbols();
     let mut report = DiagnosticReport::new();
     for d in symbols.duplicates() {
         report.push(d.clone());
     }
-    let mut checker = ConnectChecker { module, circuit, symbols: &symbols, report: &mut report };
+    let mut checker = ConnectChecker { module, circuit, symbols, report: &mut report };
     checker.run();
     report
 }

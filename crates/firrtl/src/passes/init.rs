@@ -16,11 +16,16 @@ use std::collections::BTreeSet;
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 use crate::ir::{Circuit, Direction, Module, SourceInfo, Statement, Type};
 use crate::paths::{ground_paths, static_path};
-use crate::typeenv::{ExprTyper, SymbolTable};
+use crate::typeenv::{Elaborated, ExprTyper};
 
-/// Runs the initialization analysis over `module`.
+/// Runs the initialization analysis over `module`, elaborating it first.
 pub fn check_initialization(module: &Module, circuit: &Circuit) -> DiagnosticReport {
-    let symbols = SymbolTable::build(module, circuit);
+    run(module, circuit, &Elaborated::new(module, circuit))
+}
+
+/// The initialization analysis over `module`, given its elaboration.
+pub(crate) fn run(module: &Module, circuit: &Circuit, elaborated: &Elaborated) -> DiagnosticReport {
+    let symbols = elaborated.symbols();
     let mut report = DiagnosticReport::new();
 
     // Required ground paths: (path, declaration site, requirement kind).
@@ -66,7 +71,7 @@ pub fn check_initialization(module: &Module, circuit: &Circuit) -> DiagnosticRep
 
     let expand = |loc: &crate::ir::Expression| -> Vec<String> {
         let Some(path) = static_path(loc) else { return Vec::new() };
-        let mut typer = ExprTyper::new(&symbols, module);
+        let mut typer = ExprTyper::new(symbols, module);
         match typer.at(&SourceInfo::unknown()).infer(loc) {
             Ok(ty) => ground_paths(&path, &ty).into_iter().map(|(p, _)| p).collect(),
             Err(_) => vec![path],

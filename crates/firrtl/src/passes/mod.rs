@@ -2,7 +2,10 @@
 //!
 //! Each pass inspects one [`crate::ir::Module`] (in the context of its
 //! [`crate::ir::Circuit`]) and appends [`crate::diagnostics::Diagnostic`]s to a report.
-//! The full pipeline is orchestrated by [`crate::check::check_circuit`].
+//! The full pipeline is orchestrated by [`crate::pipeline::PassManager`], which
+//! elaborates each module once ([`crate::typeenv::Elaborated`]) and hands that one
+//! symbol table and width inference to every pass. Each public `check_*` function runs
+//! one pass standalone and elaborates the module itself.
 //!
 //! | Pass | Table II rows covered |
 //! |------|-----------------------|

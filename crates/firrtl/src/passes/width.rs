@@ -4,24 +4,29 @@
 //! (`UInt()` / `SInt()`) must be inferrable from an unconditional driving connection;
 //! otherwise the pass reports [`ErrorCode::WidthInferenceFailure`].
 //!
-//! The actual width *resolution* (rewriting `UInt(None)` declarations to concrete
-//! widths) is performed by [`resolve_widths`], which the lowering pipeline calls after
-//! checking succeeds.
-
-use std::collections::BTreeMap;
+//! The inference itself runs once per module, when the module is elaborated
+//! ([`Elaborated::inferred_widths`]). This pass reads it, and lowering reads the top
+//! module's: it rewrites the width-less declarations on a copy of the module only
+//! when some width was inferred.
 
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
-use crate::ir::{Circuit, Module, Statement, Type};
-#[cfg(test)]
-use crate::ir::{Expression, SourceInfo};
-use crate::paths::static_path;
-use crate::typeenv::{ExprTyper, SymbolTable};
+use crate::ir::{Circuit, Module, Statement};
+use crate::typeenv::{has_known_width, Elaborated};
 
-/// Runs the width checks over `module`.
+/// Runs the width checks over `module`, elaborating it first.
 pub fn check_widths(module: &Module, circuit: &Circuit) -> DiagnosticReport {
+    run(module, circuit, &Elaborated::new(module, circuit))
+}
+
+/// The width checks over `module`, given its elaboration.
+pub(crate) fn run(
+    module: &Module,
+    _circuit: &Circuit,
+    elaborated: &Elaborated,
+) -> DiagnosticReport {
     let mut report = DiagnosticReport::new();
     for port in &module.ports {
-        if !type_has_known_width(&port.ty) {
+        if !has_known_width(&port.ty) {
             report.push(
                 Diagnostic::error(
                     ErrorCode::WidthInferenceFailure,
@@ -32,11 +37,11 @@ pub fn check_widths(module: &Module, circuit: &Circuit) -> DiagnosticReport {
             );
         }
     }
-    let inferred = infer_declaration_widths(module, circuit);
+    let inferred = elaborated.inferred_widths();
     module.visit_statements(&mut |stmt| match stmt {
         // Memory words are storage: their width is never inferrable from a driver, so
         // the declaration must be explicit.
-        Statement::Mem { name, ty, info, .. } if !type_has_known_width(ty) => {
+        Statement::Mem { name, ty, info, .. } if !has_known_width(ty) => {
             report.push(
                 Diagnostic::error(
                     ErrorCode::WidthInferenceFailure,
@@ -48,7 +53,7 @@ pub fn check_widths(module: &Module, circuit: &Circuit) -> DiagnosticReport {
             );
         }
         Statement::Wire { name, ty, info } | Statement::Reg { name, ty, info, .. }
-            if !type_has_known_width(ty) && !inferred.contains_key(name) =>
+            if !has_known_width(ty) && !inferred.contains_key(name) =>
         {
             report.push(
                 Diagnostic::error(
@@ -68,87 +73,12 @@ pub fn check_widths(module: &Module, circuit: &Circuit) -> DiagnosticReport {
     report
 }
 
-/// Returns a map from declaration name to its inferred ground type for wires/registers
-/// declared without an explicit width.
-pub fn infer_declaration_widths(module: &Module, circuit: &Circuit) -> BTreeMap<String, Type> {
-    let symbols = SymbolTable::build(module, circuit);
-    let mut unresolved: Vec<(String, bool)> = Vec::new();
-    module.visit_statements(&mut |stmt| match stmt {
-        Statement::Wire { name, ty, .. } | Statement::Reg { name, ty, .. }
-            if !type_has_known_width(ty) && ty.is_ground() =>
-        {
-            unresolved.push((name.clone(), ty.is_signed()));
-        }
-        _ => {}
-    });
-    let mut inferred: BTreeMap<String, Type> = BTreeMap::new();
-    if unresolved.is_empty() {
-        return inferred;
-    }
-    // Look at every connect whose sink is exactly the unresolved name and take the
-    // widest driving expression.
-    module.visit_statements(&mut |stmt| {
-        if let Statement::Connect { loc, expr, info } = stmt {
-            if let Some(path) = static_path(loc) {
-                if let Some((_, signed)) = unresolved.iter().find(|(n, _)| *n == path) {
-                    let mut typer = ExprTyper::new(&symbols, module);
-                    if let Ok(ty) = typer.at(info).infer(expr) {
-                        if let Some(w) = ty.width() {
-                            let new_ty =
-                                if *signed { Type::SInt(Some(w)) } else { Type::UInt(Some(w)) };
-                            inferred
-                                .entry(path)
-                                .and_modify(|existing| {
-                                    if existing.width().unwrap_or(0) < w {
-                                        *existing = new_ty.clone();
-                                    }
-                                })
-                                .or_insert(new_ty);
-                        }
-                    }
-                }
-            }
-        }
-    });
-    inferred
-}
-
-/// Rewrites width-less wire/register declarations with their inferred widths.
-///
-/// Call only after [`check_widths`] reported no errors; declarations that still cannot
-/// be inferred are left untouched.
-pub fn resolve_widths(module: &mut Module, circuit: &Circuit) {
-    let inferred = infer_declaration_widths(module, circuit);
-    if inferred.is_empty() {
-        return;
-    }
-    module.visit_statements_mut(&mut |stmt| match stmt {
-        Statement::Wire { name, ty, .. } | Statement::Reg { name, ty, .. }
-            if !type_has_known_width(ty) =>
-        {
-            if let Some(new_ty) = inferred.get(name) {
-                *ty = new_ty.clone();
-            }
-        }
-        _ => {}
-    });
-}
-
-fn type_has_known_width(ty: &Type) -> bool {
-    match ty {
-        Type::UInt(w) | Type::SInt(w) => w.is_some(),
-        Type::Vec(elem, _) => type_has_known_width(elem),
-        Type::Bundle(fields) => fields.iter().all(|f| type_has_known_width(&f.ty)),
-        _ => true,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Direction, ModuleKind, Port};
+    use crate::ir::{Direction, Expression, ModuleKind, Port, SourceInfo, Type};
 
-    fn run(m: Module) -> DiagnosticReport {
+    fn check(m: Module) -> DiagnosticReport {
         let c = Circuit::single(m);
         check_widths(c.top_module().unwrap(), &c)
     }
@@ -162,14 +92,14 @@ mod tests {
             ty: Type::uint(4),
             info: SourceInfo::unknown(),
         });
-        assert!(!run(m).has_errors());
+        assert!(!check(m).has_errors());
     }
 
     #[test]
     fn widthless_port_rejected() {
         let mut m = Module::new("T", ModuleKind::Module);
         m.ports.push(Port::new("a", Direction::Input, Type::UInt(None)));
-        let report = run(m);
+        let report = check(m);
         assert!(report.errors().any(|d| d.code == ErrorCode::WidthInferenceFailure));
     }
 
@@ -187,19 +117,10 @@ mod tests {
             expr: Expression::reference("a"),
             info: SourceInfo::unknown(),
         });
-        assert!(!run(m.clone()).has_errors());
-        let c = Circuit::single(m.clone());
-        let mut resolved = m;
-        resolve_widths(&mut resolved, &c);
-        let mut found = None;
-        resolved.visit_statements(&mut |s| {
-            if let Statement::Wire { name, ty, .. } = s {
-                if name == "w" {
-                    found = Some(ty.clone());
-                }
-            }
-        });
-        assert_eq!(found, Some(Type::uint(7)));
+        assert!(!check(m.clone()).has_errors());
+        let c = Circuit::single(m);
+        let elaborated = Elaborated::new(c.top_module().unwrap(), &c);
+        assert_eq!(elaborated.inferred_widths().get("w"), Some(&Type::uint(7)));
     }
 
     #[test]
@@ -210,7 +131,7 @@ mod tests {
             ty: Type::UInt(None),
             info: SourceInfo::unknown(),
         });
-        let report = run(m);
+        let report = check(m);
         let err = report.errors().next().unwrap();
         assert_eq!(err.code, ErrorCode::WidthInferenceFailure);
         assert!(err.suggestion.is_some());

@@ -8,12 +8,19 @@
 //! Circuit --check--> CheckedCircuit --lower--> Netlist --emit--> backend output
 //! ```
 //!
-//! so that orchestration layers can cache, instrument or swap any stage:
+//! so that orchestration layers can cache, instrument or swap any stage. A revision is
+//! elaborated once: the checks and lowering share one symbol table and one width
+//! inference per module. Lowering elaborates again only a flattened or width-resolved
+//! copy of the top module, which a design without instances or width-less
+//! declarations never needs.
 //!
 //! * [`PassManager`] — the checking stage as an ordered list of *named* passes with
-//!   registration, ordering introspection and per-pass timing stats.
+//!   registration, ordering introspection and per-pass timing stats. It elaborates
+//!   each module once ([`Elaborated`]: the symbol table and the inferred widths) and
+//!   hands that one elaboration to every pass.
 //! * [`CheckedCircuit`] — proof that a circuit passed the checking stage; the only way
-//!   to reach the lowering stage.
+//!   to reach the lowering stage. It carries the top module's elaboration, so
+//!   lowering does not elaborate the design again.
 //! * [`EmitBackend`] — the emission seam. [`FirrtlBackend`] (this crate) and
 //!   `rechisel_verilog::VerilogBackend` are the two standard implementations.
 //! * [`Pipeline`] — ties the stages together and exposes them both individually
@@ -60,21 +67,25 @@ use std::time::{Duration, Instant};
 
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 use crate::ir::{Circuit, Module, SourceInfo};
-use crate::lower::{lower_circuit, Netlist};
-use crate::passes::{
-    check_clocking, check_combinational_loops, check_connects, check_initialization, check_widths,
-};
+use crate::lower::{lower_elaborated, Netlist};
+use crate::passes::{clocking, comb_loop, connect, init, width};
 use crate::printer::print_firrtl;
+use crate::typeenv::Elaborated;
 
 // ---------------------------------------------------------------------------------
 // Pass manager
 // ---------------------------------------------------------------------------------
 
-/// The signature of a checking pass: inspect one module in the context of its circuit
-/// and report diagnostics.
-pub type PassFn = dyn Fn(&Module, &Circuit) -> DiagnosticReport + Send + Sync;
+/// The signature of a checking pass: inspect one module in the context of its circuit,
+/// given the module's elaboration, and report diagnostics.
+pub type PassFn = dyn Fn(&Module, &Circuit, &Elaborated) -> DiagnosticReport + Send + Sync;
 
 /// A named checking pass registered with a [`PassManager`].
+///
+/// Every pass receives the module's [`Elaborated`] symbol table and inferred widths,
+/// which the manager builds once per module. [`Pass::new`] wraps a standalone
+/// `(module, circuit)` function that ignores it; [`Pass::elaborated`] wraps one that
+/// reads it.
 #[derive(Clone)]
 pub struct Pass {
     name: &'static str,
@@ -82,10 +93,20 @@ pub struct Pass {
 }
 
 impl Pass {
-    /// Wraps a pass function under a stable name.
+    /// Wraps a standalone pass function `(module, circuit)` under a stable name. The
+    /// function does not see the manager's elaboration; if it needs one, it builds
+    /// its own.
     pub fn new(
         name: &'static str,
         run: impl Fn(&Module, &Circuit) -> DiagnosticReport + Send + Sync + 'static,
+    ) -> Self {
+        Self::elaborated(name, move |module, circuit, _| run(module, circuit))
+    }
+
+    /// Wraps a pass function that reads the module's shared elaboration.
+    pub fn elaborated(
+        name: &'static str,
+        run: impl Fn(&Module, &Circuit, &Elaborated) -> DiagnosticReport + Send + Sync + 'static,
     ) -> Self {
         Self { name, run: Arc::new(run) }
     }
@@ -152,6 +173,9 @@ impl PassStats {
 /// pass from it (the AutoChip baseline drops `clocking`), and custom passes can be
 /// appended with [`PassManager::register`].
 ///
+/// A run elaborates each module once and hands that [`Elaborated`] to every pass; the
+/// standard passes read their symbol table and inferred widths from it.
+///
 /// Pass order is significant: diagnostics are reported in registration order (per
 /// module), which downstream feedback consumers rely on.
 ///
@@ -184,11 +208,11 @@ impl PassManager {
     /// clocking, initialization, combinational loops.
     pub fn standard() -> Self {
         Self::empty()
-            .with_pass(Pass::new("connects", check_connects))
-            .with_pass(Pass::new("widths", check_widths))
-            .with_pass(Pass::new("clocking", check_clocking))
-            .with_pass(Pass::new("initialization", check_initialization))
-            .with_pass(Pass::new("comb-loops", check_combinational_loops))
+            .with_pass(Pass::elaborated("connects", connect::run))
+            .with_pass(Pass::elaborated("widths", width::run))
+            .with_pass(Pass::elaborated("clocking", clocking::run))
+            .with_pass(Pass::elaborated("initialization", init::run))
+            .with_pass(Pass::elaborated("comb-loops", comb_loop::run))
     }
 
     /// Appends a pass. Passes run in registration order.
@@ -236,11 +260,19 @@ impl PassManager {
     /// [`ErrorCode::MissingTopModule`] diagnostic, exactly like the historical
     /// `check_circuit` entry point.
     pub fn run(&self, circuit: &Circuit) -> DiagnosticReport {
-        self.run_timed(circuit).0
+        self.check(circuit).0
     }
 
     /// Like [`run`](Self::run), additionally returning per-pass timing stats.
     pub fn run_timed(&self, circuit: &Circuit) -> (DiagnosticReport, PassStats) {
+        let (report, _, stats) = self.check(circuit);
+        (report, stats)
+    }
+
+    /// Elaborates each module once and runs every pass over it. Returns the
+    /// diagnostics, the top module's elaboration (`None` only when the top module is
+    /// missing) and the per-pass timing stats.
+    fn check(&self, circuit: &Circuit) -> (DiagnosticReport, Option<Elaborated>, PassStats) {
         let mut report = DiagnosticReport::new();
         let mut stats = PassStats {
             timings: self
@@ -249,27 +281,32 @@ impl PassManager {
                 .map(|p| PassTiming { name: p.name, duration: Duration::ZERO, diagnostics: 0 })
                 .collect(),
         };
-        if circuit.top_module().is_none() {
+        let Some(top) = circuit.top_module() else {
             report.push(Diagnostic::error(
                 ErrorCode::MissingTopModule,
                 SourceInfo::unknown(),
                 format!("top module {} is not defined in the circuit", circuit.top),
             ));
-            return (report, stats);
-        }
+            return (report, None, stats);
+        };
+        let mut top_elaborated = None;
         // Modules outer, passes inner: diagnostics keep the exact order the fused
         // checker produced, which feedback consumers (and the parity tests) rely on.
         for module in &circuit.modules {
+            let elaborated = Elaborated::new(module, circuit);
             for (index, pass) in self.passes.iter().enumerate() {
                 let start = Instant::now();
-                let pass_report = (pass.run)(module, circuit);
+                let pass_report = (pass.run)(module, circuit, &elaborated);
                 let timing = &mut stats.timings[index];
                 timing.duration += start.elapsed();
                 timing.diagnostics += pass_report.len();
                 report.extend(pass_report);
             }
+            if std::ptr::eq(module, top) {
+                top_elaborated = Some(elaborated);
+            }
         }
-        (report, stats)
+        (report, top_elaborated, stats)
     }
 }
 
@@ -282,20 +319,26 @@ impl PassManager {
 /// Constructing a `CheckedCircuit` is only possible through [`Pipeline::check`] (or
 /// [`CheckedCircuit::assume_checked`] for callers that validated by other means), which
 /// makes "checked" a property the type system carries to the lowering stage.
+///
+/// It also carries the top module's [`Elaborated`] symbol table and inferred widths
+/// from the checking stage into [`Pipeline::lower`], which lowers from it instead of
+/// elaborating the design again.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckedCircuit {
     circuit: Circuit,
     warnings: DiagnosticReport,
+    top: Elaborated,
 }
 
 impl CheckedCircuit {
-    /// Wraps a circuit the caller has already validated.
+    /// Wraps a circuit the caller has already validated, elaborating its top module.
     ///
     /// Lowering a circuit that would not pass the checks produces an `Err` from
     /// [`Pipeline::lower`] rather than undefined behaviour, so this constructor is
     /// safe — it merely skips the diagnostics.
     pub fn assume_checked(circuit: Circuit) -> Self {
-        Self { circuit, warnings: DiagnosticReport::new() }
+        let top = circuit.top_module().map(|m| Elaborated::new(m, &circuit)).unwrap_or_default();
+        Self { circuit, warnings: DiagnosticReport::new(), top }
     }
 
     /// The underlying circuit.
@@ -458,22 +501,24 @@ impl Pipeline {
         &self,
         circuit: &Circuit,
     ) -> (Result<CheckedCircuit, DiagnosticReport>, PassStats) {
-        let (report, stats) = self.passes.run_timed(circuit);
-        if report.has_errors() {
-            (Err(report), stats)
-        } else {
-            (Ok(CheckedCircuit { circuit: circuit.clone(), warnings: report }), stats)
+        let (report, top, stats) = self.passes.check(circuit);
+        match top {
+            Some(top) if !report.has_errors() => {
+                (Ok(CheckedCircuit { circuit: circuit.clone(), warnings: report, top }), stats)
+            }
+            _ => (Err(report), stats),
         }
     }
 
-    /// Stage 2: lowers a checked circuit to a flat netlist.
+    /// Stage 2: lowers a checked circuit to a flat netlist, from the top module's
+    /// elaboration the checking stage built.
     ///
     /// # Errors
     ///
     /// Returns the first structural problem encountered; circuits that pass the
     /// standard checks lower successfully.
     pub fn lower(&self, checked: &CheckedCircuit) -> Result<Netlist, Diagnostic> {
-        lower_circuit(checked.circuit())
+        lower_elaborated(&checked.circuit, &checked.top)
     }
 
     /// Stage 3: emits the backend output for a checked and lowered design.
@@ -505,17 +550,20 @@ impl Pipeline {
     /// Unlike [`run`](Self::run), no [`CheckedCircuit`] artifact (and therefore no
     /// circuit clone) is materialized — this is the hot path the reflection loop's
     /// compiler uses, where every candidate of every iteration is compiled once and the
-    /// staged artifacts are not needed afterwards.
+    /// staged artifacts are not needed afterwards. Lowering reads the top module's
+    /// elaboration straight from the checking stage, and borrows the module itself
+    /// unless the design instantiates a module or leaves a width to inference.
     ///
     /// # Errors
     ///
     /// Returns every error-severity diagnostic of the failing stage.
     pub fn run_ref(&self, circuit: &Circuit) -> Result<(Netlist, String), Vec<Diagnostic>> {
-        let report = self.passes.run(circuit);
-        if report.has_errors() {
-            return Err(report.errors().cloned().collect());
-        }
-        let netlist = lower_circuit(circuit).map_err(|d| vec![d])?;
+        let (report, top, _) = self.passes.check(circuit);
+        let top = match top {
+            Some(top) if !report.has_errors() => top,
+            _ => return Err(report.errors().cloned().collect()),
+        };
+        let netlist = lower_elaborated(circuit, &top).map_err(|d| vec![d])?;
         let output = self.backend.emit(circuit, &netlist).map_err(|d| vec![d])?;
         Ok((netlist, output))
     }
@@ -592,6 +640,54 @@ mod tests {
         let messages: Vec<&str> =
             report.iter().map(|d| d.message.split(' ').next().unwrap()).collect();
         assert_eq!(messages, ["first", "second"]);
+    }
+
+    #[test]
+    fn elaborated_passes_share_one_elaboration_per_module() {
+        // Each pass records, per module, the address of the elaboration it was handed.
+        let seen: Arc<std::sync::Mutex<Vec<(String, usize)>>> = Arc::default();
+        let mut pm = PassManager::empty();
+        for name in ["first", "second"] {
+            let seen = Arc::clone(&seen);
+            pm.register(Pass::elaborated(name, move |module, circuit, elaborated| {
+                assert_eq!(*elaborated, Elaborated::new(module, circuit), "{name}");
+                let address = elaborated as *const Elaborated as usize;
+                seen.lock().unwrap().push((module.name.clone(), address));
+                DiagnosticReport::new()
+            }));
+        }
+        let mut other = passthrough().modules.remove(0);
+        other.name = "Other".into();
+        let mut circuit = passthrough();
+        circuit.modules.push(other);
+        assert!(!pm.run(&circuit).has_errors());
+
+        let seen = seen.lock().unwrap();
+        let modules: Vec<&str> = seen.iter().map(|(m, _)| m.as_str()).collect();
+        assert_eq!(modules, ["Pass", "Pass", "Other", "Other"]);
+        for pair in seen.chunks(2) {
+            let (first, second) = (pair[0].1 as *const Elaborated, pair[1].1 as *const Elaborated);
+            assert!(std::ptr::eq(first, second), "module {}", pair[0].0);
+        }
+    }
+
+    /// Symbol tables `f` builds on this thread.
+    fn tables_built(f: impl FnOnce()) -> usize {
+        let count = || crate::typeenv::TABLES_BUILT.with(std::cell::Cell::get);
+        let before = count();
+        f();
+        count() - before
+    }
+
+    #[test]
+    fn a_single_module_compile_builds_one_symbol_table() {
+        let pipeline = Pipeline::default();
+        let mut broken = passthrough();
+        broken.top_module_mut().unwrap().body.clear();
+        assert_eq!(tables_built(|| drop(pipeline.run_ref(&passthrough()).unwrap())), 1);
+        assert_eq!(tables_built(|| drop(pipeline.run_ref(&broken).unwrap_err())), 1);
+        assert_eq!(tables_built(|| drop(pipeline.run(&passthrough()).unwrap())), 1);
+        assert_eq!(tables_built(|| drop(crate::lower_circuit(&passthrough()).unwrap())), 1);
     }
 
     #[test]

@@ -1,11 +1,18 @@
-//! Symbol tables and expression typing.
+//! Elaboration, symbol tables and expression typing.
 //!
-//! The checking passes and the lowering pipeline both need to answer "what is the type
+//! The checking passes and the lowering pipeline all need to answer "what is the type
 //! of this expression in this module?". [`SymbolTable`] records every declared name of a
 //! module (ports, wires, registers, nodes, instances) and [`ExprTyper`] computes
 //! expression types, reporting the Table II-style diagnostics for ill-formed
 //! expressions: unknown references (A1), Scala casts (A2), bad invocations (A3),
 //! unsupported casts (B6), out-of-bounds static indices (B7) and type mismatches (B5).
+//!
+//! [`Elaborated`] is one module's elaboration: its symbol table plus the widths
+//! inferred for its width-less wires and registers. The pass manager builds it once
+//! per module and hands it to every check pass; the compile pipeline carries the top
+//! module's elaboration on into lowering, so a revision is elaborated once, not once
+//! per pass. Lowering builds another [`SymbolTable`] only for a flattened or
+//! width-resolved copy of the top module.
 
 use std::collections::BTreeMap;
 
@@ -13,6 +20,7 @@ use crate::diagnostics::{closest_name, Diagnostic, ErrorCode};
 use crate::ir::{
     Circuit, Direction, Expression, Field, Module, PrimOp, SourceInfo, Statement, Type,
 };
+use crate::paths::static_path;
 
 /// What kind of hardware object a name refers to.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,8 +72,14 @@ pub struct Symbol {
     pub info: SourceInfo,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Symbol tables built on this thread, counted by unit tests.
+    pub(crate) static TABLES_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// All symbols declared in one module.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SymbolTable {
     symbols: BTreeMap<String, Symbol>,
     duplicates: Vec<Diagnostic>,
@@ -78,6 +92,8 @@ impl SymbolTable {
     /// Duplicate declarations are recorded and reported via [`SymbolTable::duplicates`];
     /// the first declaration wins.
     pub fn build(module: &Module, circuit: &Circuit) -> Self {
+        #[cfg(test)]
+        TABLES_BUILT.with(|n| n.set(n.get() + 1));
         let mut table = SymbolTable::default();
         for port in &module.ports {
             let kind = match port.direction {
@@ -184,6 +200,117 @@ impl SymbolTable {
     /// True when no symbols are declared.
     pub fn is_empty(&self) -> bool {
         self.symbols.is_empty()
+    }
+}
+
+/// One module's elaboration: its [`SymbolTable`] and the widths inferred for its
+/// width-less ground wires and registers.
+///
+/// [`PassManager::run`](crate::pipeline::PassManager::run) builds one per module and
+/// hands it to every pass; the compile pipeline keeps the top module's elaboration
+/// and lowers from it. The standalone `passes::check_*` functions and
+/// [`lower_circuit`](crate::lower_circuit) build their own.
+///
+/// # Example
+///
+/// ```
+/// use rechisel_firrtl::ir::{
+///     Circuit, Direction, Expression, Module, ModuleKind, Port, SourceInfo, Statement, Type,
+/// };
+/// use rechisel_firrtl::typeenv::Elaborated;
+///
+/// let mut m = Module::new("T", ModuleKind::Module);
+/// m.ports.push(Port::new("a", Direction::Input, Type::uint(7)));
+/// m.body.push(Statement::Wire { name: "w".into(), ty: Type::UInt(None), info: SourceInfo::unknown() });
+/// m.body.push(Statement::Connect {
+///     loc: Expression::reference("w"),
+///     expr: Expression::reference("a"),
+///     info: SourceInfo::unknown(),
+/// });
+/// let circuit = Circuit::single(m);
+///
+/// let elaborated = Elaborated::new(circuit.top_module().unwrap(), &circuit);
+/// assert!(elaborated.symbols().get("w").is_some());
+/// assert_eq!(elaborated.inferred_widths().get("w"), Some(&Type::uint(7)));
+/// ```
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Elaborated {
+    symbols: SymbolTable,
+    widths: BTreeMap<String, Type>,
+}
+
+impl Elaborated {
+    /// Elaborates `module`, resolving instance port bundles against `circuit`.
+    pub fn new(module: &Module, circuit: &Circuit) -> Self {
+        let symbols = SymbolTable::build(module, circuit);
+        let widths = infer_declaration_widths(module, &symbols);
+        Self { symbols, widths }
+    }
+
+    /// The module's symbol table.
+    pub fn symbols(&self) -> &SymbolTable {
+        &self.symbols
+    }
+
+    /// The inferred ground type of every width-less ground wire and register that an
+    /// unconditional connect drives with a value of known width (the widest driver
+    /// wins). Empty when every declaration states its width.
+    pub fn inferred_widths(&self) -> &BTreeMap<String, Type> {
+        &self.widths
+    }
+}
+
+/// Infers a ground type for every width-less ground wire or register from the connects
+/// that drive exactly that name, taking the widest driver.
+fn infer_declaration_widths(module: &Module, symbols: &SymbolTable) -> BTreeMap<String, Type> {
+    let mut unresolved: Vec<(String, bool)> = Vec::new();
+    module.visit_statements(&mut |stmt| match stmt {
+        Statement::Wire { name, ty, .. } | Statement::Reg { name, ty, .. }
+            if !has_known_width(ty) && ty.is_ground() =>
+        {
+            unresolved.push((name.clone(), ty.is_signed()));
+        }
+        _ => {}
+    });
+    let mut inferred: BTreeMap<String, Type> = BTreeMap::new();
+    if unresolved.is_empty() {
+        return inferred;
+    }
+    // Look at every connect whose sink is exactly the unresolved name and take the
+    // widest driving expression.
+    module.visit_statements(&mut |stmt| {
+        if let Statement::Connect { loc, expr, info } = stmt {
+            if let Some(path) = static_path(loc) {
+                if let Some((_, signed)) = unresolved.iter().find(|(n, _)| *n == path) {
+                    let mut typer = ExprTyper::new(symbols, module);
+                    if let Ok(ty) = typer.at(info).infer(expr) {
+                        if let Some(w) = ty.width() {
+                            let new_ty =
+                                if *signed { Type::SInt(Some(w)) } else { Type::UInt(Some(w)) };
+                            inferred
+                                .entry(path)
+                                .and_modify(|existing| {
+                                    if existing.width().unwrap_or(0) < w {
+                                        *existing = new_ty.clone();
+                                    }
+                                })
+                                .or_insert(new_ty);
+                        }
+                    }
+                }
+            }
+        }
+    });
+    inferred
+}
+
+/// True when every ground leaf of `ty` states its width.
+pub(crate) fn has_known_width(ty: &Type) -> bool {
+    match ty {
+        Type::UInt(w) | Type::SInt(w) => w.is_some(),
+        Type::Vec(elem, _) => has_known_width(elem),
+        Type::Bundle(fields) => fields.iter().all(|f| has_known_width(&f.ty)),
+        _ => true,
     }
 }
 
