@@ -4,7 +4,8 @@
 //! the workflow) as fast as the substrate allows; this group quantifies the win on two
 //! suite circuits (a register file and an FSM). `sim/interp/*` vs `sim/compiled/*`
 //! measure a single `step()` on each engine; `sim/compile_tape/*` measures the
-//! one-time cost the per-case tape cache amortizes across a sweep. A direct
+//! one-time cost of compiling a tape, which a sweep pays once per case for the
+//! reference (whose recorded trace it then keeps). A direct
 //! steady-state speedup measurement is printed at the end (the acceptance bar:
 //! compiled ≥5× interp per cycle).
 
@@ -88,7 +89,7 @@ fn bench_sim(c: &mut Criterion) {
         poke_ones(&mut |name| compiled.poke(name, 1).unwrap(), &netlist);
         c.bench_function(&format!("sim/compiled/{label}/step"), |b| b.iter(|| compiled.step()));
 
-        // The one-time cost the per-case tape cache pays exactly once per sweep.
+        // The cost every new revision pays, and each case's reference once per sweep.
         c.bench_function(&format!("sim/compile_tape/{label}"), |b| {
             b.iter(|| Tape::compile(&netlist).unwrap())
         });

@@ -22,8 +22,13 @@
 //!
 //! * `RECHISEL_CASES` — number of benchmark cases (default 48, paper 216);
 //! * `RECHISEL_SAMPLES` — samples per case (default 4, paper 10).
+//!
+//! An unset variable keeps its default; a set value that is not a non-negative
+//! integer stops the binary with an error naming the variable and the value.
 
 #![warn(missing_docs)]
+
+use std::str::FromStr;
 
 use rechisel_benchsuite::{full_suite, sampled_suite, BenchmarkCase};
 
@@ -39,18 +44,31 @@ pub struct Scale {
 impl Scale {
     /// Reads the scale from `RECHISEL_CASES` / `RECHISEL_SAMPLES`, with defaults that
     /// keep every binary under a couple of minutes on a laptop.
+    ///
+    /// A set but unparsable value ends the process with status 2 and a message
+    /// naming the variable and the value, instead of silently running the default
+    /// scale.
     pub fn from_env() -> Self {
-        let cases = std::env::var("RECHISEL_CASES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(48)
-            .clamp(1, rechisel_benchsuite::SUITE_SIZE);
-        let samples = std::env::var("RECHISEL_SAMPLES")
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(4)
-            .clamp(1, 10);
-        Self { cases, samples }
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Self::from_vars(var("RECHISEL_CASES").as_deref(), var("RECHISEL_SAMPLES").as_deref())
+            .unwrap_or_else(|message| {
+                eprintln!("error: {message}");
+                std::process::exit(2)
+            })
+    }
+
+    /// The scale for the raw values of `RECHISEL_CASES` and `RECHISEL_SAMPLES`
+    /// (`None` when unset), clamped to 1..=216 cases and 1..=10 samples.
+    ///
+    /// # Errors
+    ///
+    /// Names the variable and the value when a set value does not parse.
+    fn from_vars(cases: Option<&str>, samples: Option<&str>) -> Result<Self, String> {
+        Ok(Self {
+            cases: parse_var("RECHISEL_CASES", cases, 48)?
+                .clamp(1, rechisel_benchsuite::SUITE_SIZE),
+            samples: parse_var("RECHISEL_SAMPLES", samples, 4)?.clamp(1, 10),
+        })
     }
 
     /// The benchmark cases for this scale.
@@ -85,6 +103,14 @@ impl Default for Scale {
     }
 }
 
+/// The raw value of the environment variable `name`, parsed; `default` when unset.
+fn parse_var<T: FromStr>(name: &str, raw: Option<&str>, default: T) -> Result<T, String> {
+    match raw {
+        None => Ok(default),
+        Some(value) => value.parse().map_err(|_| format!("{name}={value:?} is not a count")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,6 +122,30 @@ mod tests {
         assert!(s.samples <= 10);
         assert_eq!(s.suite().len(), s.cases);
         assert!(s.banner("Table I").contains("Table I"));
+    }
+
+    #[test]
+    fn unset_vars_keep_the_defaults_and_set_ones_are_clamped() {
+        assert_eq!(Scale::from_vars(None, None), Ok(Scale::default()));
+        assert_eq!(
+            Scale::from_vars(Some("216"), Some("10")),
+            Ok(Scale { cases: 216, samples: 10 })
+        );
+        assert_eq!(Scale::from_vars(Some("0"), Some("99")), Ok(Scale { cases: 1, samples: 10 }));
+        assert_eq!(Scale::from_vars(Some("9999"), None), Ok(Scale { cases: 216, samples: 4 }));
+    }
+
+    #[test]
+    fn unparsable_vars_are_errors_naming_the_variable_and_the_value() {
+        assert_eq!(
+            Scale::from_vars(Some("all"), None),
+            Err("RECHISEL_CASES=\"all\" is not a count".to_string())
+        );
+        for samples in ["8k", "", "-1", "2.5"] {
+            let message = Scale::from_vars(None, Some(samples)).unwrap_err();
+            assert!(message.starts_with("RECHISEL_SAMPLES="), "{message}");
+            assert!(message.contains(&format!("{samples:?}")), "{message}");
+        }
     }
 
     #[test]

@@ -203,11 +203,11 @@ impl BenchmarkCase {
     /// sample in a sweep — pay only a clone, which copies reference counts: the
     /// reference netlist and the testbench are shared, not lowered, regenerated or
     /// deep-copied. (The testbench is seeded by [`seed`](Self::seed), so sharing it and
-    /// regenerating it are identical.) Clones also share the prototype's lazily compiled
-    /// reference instruction tape **and its recorded reference output trace**, so on
-    /// the compiled simulation engine the whole sweep compiles *and simulates* each
-    /// reference **once per case** — every sample's DUT is compared against that one
-    /// shared reference walk instead of re-running the reference.
+    /// regenerating it are identical.) Clones also share the prototype's lazily recorded
+    /// **reference output trace**, so on the compiled simulation engine the whole sweep
+    /// compiles *and simulates* each reference **once per case** — every sample's DUT
+    /// is compared against that one shared reference walk instead of re-running the
+    /// reference.
     ///
     /// # Panics
     ///
@@ -229,9 +229,9 @@ impl BenchmarkCase {
     }
 
     /// Like [`tester`](Self::tester), but with an explicit simulation engine. The
-    /// returned tester still shares this case's cached reference netlist, compiled
-    /// tape and reference trace (each is produced — once — when a tester that needs
-    /// it first runs).
+    /// returned tester still shares this case's cached reference netlist and
+    /// reference trace (the trace is recorded — once — when a compiled-engine tester
+    /// first runs).
     pub fn tester_with_engine(&self, engine: EngineKind) -> FunctionalTester {
         self.tester().with_engine(engine)
     }

@@ -26,12 +26,13 @@ use rechisel_firrtl::lower::Netlist;
 use rechisel_firrtl::lower_circuit;
 use rechisel_sim::{CompiledSimulator, EdgeQueue, EngineKind, Simulator, Testbench};
 
-/// Generated-schedule count for the fuzz property: default 1000, raised in CI.
+/// Generated-schedule count for the fuzz property: default 1000, raised in CI. A set
+/// value that does not parse fails the test rather than running the default.
 fn fuzz_cases() -> u32 {
-    std::env::var("RECHISEL_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(1000)
+    let Some(raw) = std::env::var_os("RECHISEL_FUZZ_CASES") else { return 1000 };
+    let raw = raw.to_string_lossy();
+    raw.parse::<u32>()
+        .unwrap_or_else(|_| panic!("RECHISEL_FUZZ_CASES={raw:?} is not a case count"))
         .max(1)
 }
 

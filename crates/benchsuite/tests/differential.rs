@@ -12,9 +12,11 @@
 //! circuits and the suite references, each broken by a chain of 1–4 injected
 //! defects, the standard passes (which share one elaboration per module) report
 //! exactly what the standalone `check_*` functions report, the fused compile equals
-//! standalone lowering plus emission, and nothing on the way panics. A generated
-//! circuit wrapped as a child instance lowers to the same outputs, cycle for cycle,
-//! as the bare circuit: the flatten-then-elaborate path the sweeps never take.
+//! standalone lowering plus emission, and nothing on the way panics. Checking and
+//! compiling are deterministic, and moving every source location changes nothing
+//! but the diagnostics' locations. A generated circuit wrapped as a child instance
+//! lowers to the same outputs, cycle for cycle, as the bare circuit: the
+//! flatten-then-elaborate path the sweeps never take.
 //!
 //! All generated-circuit properties run over the narrow population and over
 //! [`RandomCircuitConfig::wide`], whose 64/127/128-bit signals and over-shifting
@@ -32,8 +34,8 @@ use rechisel_firrtl::ir::{
 };
 use rechisel_firrtl::pipeline::{EmitBackend, Pass, PassManager, Pipeline};
 use rechisel_firrtl::{
-    check_circuit, lower_circuit, passes, DiagnosticReport, Fingerprint, RebuildReason,
-    RecompileOutcome,
+    check_circuit, lower_circuit, passes, Diagnostic, DiagnosticReport, ErrorCode, Fingerprint,
+    RebuildReason, RecompileOutcome,
 };
 use rechisel_llm::{apply_defect, DefectInstance, DefectKind};
 use rechisel_sim::{
@@ -41,12 +43,13 @@ use rechisel_sim::{
 };
 use rechisel_verilog::VerilogBackend;
 
-/// Generated-circuit count for the property below: default 1000, raised in CI.
+/// Generated-circuit count for the property below: default 1000, raised in CI. A set
+/// value that does not parse fails the test rather than running the default.
 fn fuzz_cases() -> u32 {
-    std::env::var("RECHISEL_FUZZ_CASES")
-        .ok()
-        .and_then(|v| v.parse::<u32>().ok())
-        .unwrap_or(1000)
+    let Some(raw) = std::env::var_os("RECHISEL_FUZZ_CASES") else { return 1000 };
+    let raw = raw.to_string_lossy();
+    raw.parse::<u32>()
+        .unwrap_or_else(|_| panic!("RECHISEL_FUZZ_CASES={raw:?} is not a case count"))
         .max(1)
 }
 
@@ -374,31 +377,70 @@ fn with_defect_chain(mut circuit: Circuit, seed: u64) -> Circuit {
     circuit
 }
 
+/// `diagnostics` with their locations cleared: what a SourceInfo-only edit must
+/// leave unchanged. A duplicate declaration's message names the earlier
+/// declaration's location ("`x` is already declared at `<location>`"), so that
+/// message is cut before it.
+fn unlocated<'a>(diagnostics: impl IntoIterator<Item = &'a Diagnostic>) -> Vec<Diagnostic> {
+    let unlocate = |d: &Diagnostic| {
+        let mut d = d.clone();
+        d.location = SourceInfo::unknown();
+        if d.code == ErrorCode::DuplicateDeclaration {
+            let (head, _) =
+                d.message.rsplit_once(" at ").expect("the earlier declaration's location");
+            d.message = head.to_owned();
+        }
+        d
+    };
+    diagnostics.into_iter().map(unlocate).collect()
+}
+
 /// The front-door property over one (possibly broken) design, under the standard
 /// pass set and the AutoChip one (`without("clocking")`):
 ///
 /// * the manager, which shares one elaboration per module across its passes,
 ///   reports exactly what [`standalone_passes`] does: same text, order, locations;
-/// * a design the passes accept compiles through [`ChiselCompiler::compile`] to
-///   exactly standalone [`lower_circuit`] plus [`VerilogBackend`], and under the
-///   standard passes it does compile;
+/// * checking and compiling are deterministic: a clone of the design gets the same
+///   report and the same [`ChiselCompiler::compile`] result;
+/// * they are invariant under SourceInfo-only edits: the [`relocated`] design gets
+///   the same diagnostics in count, order, code, severity, subject, suggestion and
+///   message (see [`unlocated`]), and compiles to the same netlist and Verilog;
+/// * a design the passes accept compiles to exactly standalone [`lower_circuit`]
+///   plus [`VerilogBackend`], and under the standard passes it does compile;
 /// * checking, lowering, emission and [`Tape::compile`] return, never panic.
 fn front_door_run(circuit: &Circuit, label: &str) {
+    let clone = circuit.clone();
+    let moved = relocated(circuit);
     for passes in [PassManager::standard(), PassManager::standard().without("clocking")] {
+        let names = passes.names();
         let report = passes.run(circuit);
         assert_eq!(
             report,
             standalone_passes(&passes).run(circuit),
-            "{label}: shared and standalone elaboration disagree under {:?}",
-            passes.names(),
+            "{label}: shared and standalone elaboration disagree under {names:?}",
         );
-        if report.has_errors() {
-            continue;
-        }
+        assert_eq!(passes.run(&clone), report, "{label}: a clone checks differently");
+        assert_eq!(
+            unlocated(passes.run(&moved).iter()),
+            unlocated(report.iter()),
+            "{label}: relocating changes more than the locations under {names:?}",
+        );
+
         let standard = passes.contains("clocking");
         let compiler =
             ChiselCompiler::from_pipeline(Pipeline::new(VerilogBackend).with_passes(passes));
         let fused = compiler.compile(circuit).map(|c| (c.netlist, c.verilog));
+        let again = compiler.compile(&clone).map(|c| (c.netlist, c.verilog));
+        assert_eq!(again, fused, "{label}: a clone compiles differently under {names:?}");
+        let moved_fused = compiler.compile(&moved).map(|c| (c.netlist, c.verilog));
+        assert_eq!(
+            moved_fused.as_ref().map_err(unlocated),
+            fused.as_ref().map_err(unlocated),
+            "{label}: the relocated design compiles differently under {names:?}",
+        );
+        if report.has_errors() {
+            continue;
+        }
         let standalone = lower_circuit(circuit)
             .and_then(|netlist| {
                 let verilog = VerilogBackend.emit(circuit, &netlist)?;
@@ -508,7 +550,8 @@ proptest! {
     }
 
     /// Generated circuits broken by a chain of 1–4 defects: shared and standalone
-    /// elaboration report the same diagnostics, the fused compile equals standalone
+    /// elaboration report the same diagnostics, checking and compiling are
+    /// deterministic and location-invariant, the fused compile equals standalone
     /// lowering and emission, and nothing panics.
     #[test]
     fn front_door_holds_on_defective_generated_circuits(seed in 0u64..u64::MAX) {

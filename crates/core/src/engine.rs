@@ -33,7 +33,6 @@
 
 use std::sync::{Arc, Mutex};
 
-use rechisel_firrtl::pipeline::Pipeline;
 use rechisel_sim::EngineKind;
 
 use crate::agents::{Generator, Inspector, Reviewer};
@@ -179,12 +178,12 @@ type SharedObserver = Arc<Mutex<dyn Observer>>;
 /// # Example
 ///
 /// ```
-/// use rechisel_core::{Engine, WorkflowConfig};
+/// use rechisel_core::{ChiselCompiler, Engine, WorkflowConfig};
 /// use rechisel_firrtl::pipeline::{FirrtlBackend, Pipeline};
 ///
 /// let engine = Engine::builder()
 ///     .config(WorkflowConfig::zero_shot())
-///     .pipeline(Pipeline::new(FirrtlBackend))
+///     .compiler(ChiselCompiler::from_pipeline(Pipeline::new(FirrtlBackend)))
 ///     .build();
 /// assert_eq!(engine.config().max_iterations, 0);
 /// assert_eq!(engine.compiler().pipeline().backend().name(), "firrtl");
@@ -241,7 +240,8 @@ impl Engine {
         &self.config
     }
 
-    /// The compiler façade over the staged pipeline.
+    /// The compiler: the pipeline every revision of every session is checked,
+    /// lowered and emitted through.
     pub fn compiler(&self) -> &ChiselCompiler {
         &self.compiler
     }
@@ -261,7 +261,7 @@ impl Engine {
     ///
     /// Agents are taken by value; pass `&mut agent` to lend one out instead — the
     /// agent traits forward through mutable references. A tester clone is cheap: it
-    /// shares the reference netlist, testbench, tape and trace through `Arc`s.
+    /// shares the reference netlist, testbench and reference trace through `Arc`s.
     pub fn session<G, R, I>(
         &self,
         generator: G,
@@ -320,13 +320,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the compilation pipeline (default: the standard Verilog pipeline).
-    pub fn pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.compiler = Some(ChiselCompiler::from_pipeline(pipeline));
-        self
-    }
-
-    /// Sets the compiler façade directly (alternative to [`pipeline`](Self::pipeline)).
+    /// Sets the compiler (default: [`ChiselCompiler::new`], the standard passes with
+    /// the Verilog backend). A custom pass set or backend is
+    /// [`ChiselCompiler::from_pipeline`].
     pub fn compiler(mut self, compiler: ChiselCompiler) -> Self {
         self.compiler = Some(compiler);
         self

@@ -12,10 +12,10 @@
 //! benchmark harness) or a live LLM backend.
 //!
 //! The entry point is the [`Engine`]/[`Session`] façade
-//! (`Engine::builder().config(..).pipeline(..).observer(..).build()`): an engine holds
-//! the shared configuration, staged compilation pipeline and knowledge base, each
-//! session owns one case's agents and tester, and every run streams [`RunEvent`]s to
-//! the engine's [`Observer`].
+//! (`Engine::builder().config(..).compiler(..).observer(..).build()`): an engine holds
+//! the shared configuration, the compiler ([`ChiselCompiler`], one check → lower →
+//! emit run per revision) and the knowledge base, each session owns one case's agents
+//! and tester, and every run streams [`RunEvent`]s to the engine's [`Observer`].
 //!
 //! # Example
 //!

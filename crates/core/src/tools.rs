@@ -27,10 +27,11 @@ pub struct Compiled {
 /// The "Compiler" external tool: a [`Pipeline`] with the Verilog backend, packaged as
 /// workflow step ❷.
 ///
-/// The compiler is a thin façade: [`ChiselCompiler::compile`] runs the staged pipeline
-/// (check → lower → emit) and flattens the result into the [`Compiled`] pair the
-/// workflow consumes. Callers that want the staged artifacts, per-pass timing stats or
-/// a different backend use [`ChiselCompiler::pipeline`] / [`ChiselCompiler::from_pipeline`].
+/// The compiler is a thin façade: [`ChiselCompiler::compile`] is one
+/// [`Pipeline::run`] (check → lower → emit) returning the [`Compiled`] pair the
+/// workflow consumes, or the diagnostics. A different pass set or backend is
+/// [`ChiselCompiler::from_pipeline`]; [`ChiselCompiler::pipeline`] exposes the pass
+/// names and the backend.
 #[derive(Debug, Clone)]
 pub struct ChiselCompiler {
     pipeline: Pipeline,
@@ -53,22 +54,20 @@ impl ChiselCompiler {
         Self { pipeline }
     }
 
-    /// The underlying staged pipeline.
+    /// The underlying pipeline.
     pub fn pipeline(&self) -> &Pipeline {
         &self.pipeline
     }
 
-    /// Compiles a circuit.
-    ///
-    /// Uses the pipeline's borrowed fused path ([`Pipeline::run_ref`]), so the hot
-    /// reflection loop pays no circuit clone per candidate evaluation.
+    /// Compiles a circuit through [`Pipeline::run`], which borrows it throughout, so
+    /// the hot reflection loop pays no circuit clone per candidate evaluation.
     ///
     /// # Errors
     ///
     /// Returns the list of error-severity diagnostics when any check fails or lowering
     /// is impossible — the "syntax error" feedback of the ReChisel workflow.
     pub fn compile(&self, circuit: &Circuit) -> Result<Compiled, Vec<Diagnostic>> {
-        let (netlist, verilog) = self.pipeline.run_ref(circuit)?;
+        let (netlist, verilog) = self.pipeline.run(circuit)?;
         Ok(Compiled { netlist, verilog })
     }
 
@@ -213,21 +212,17 @@ impl IncrementalCompiler {
 /// benchmark's reference model.
 ///
 /// The tester runs on either simulation engine (see [`EngineKind`]); the default is
-/// the compiled engine. On the compiled path the reference netlist's instruction
-/// [`Tape`] is compiled once, lazily, and **shared across clones** — a benchmark case
-/// hands out one tester clone per sample, so the whole sweep pays a single reference
-/// compilation per case, mirroring the existing reference-netlist cache. The
-/// reference **output trace** (its outputs at every checked point) is cached the same
-/// way, so the reference simulation itself also runs once per case rather than once
-/// per sample. The reference netlist and the testbench are shared too, so a clone
-/// copies reference counts, not the design or its stimulus.
+/// the compiled engine. On the compiled path the reference **output trace** (its
+/// outputs at every checked point) is recorded once, lazily, and **shared across
+/// clones** — a benchmark case hands out one tester clone per sample, so the whole
+/// sweep compiles and simulates each case's reference once, and keeps only the trace.
+/// The reference netlist and the testbench are shared too, so a clone copies
+/// reference counts, not the design or its stimulus.
 #[derive(Debug, Clone)]
 pub struct FunctionalTester {
     reference: Arc<Netlist>,
     testbench: Arc<Testbench>,
     engine: EngineKind,
-    /// Lazily compiled reference tape, shared across clones of this tester.
-    reference_tape: Arc<OnceLock<Result<Arc<Tape>, SimError>>>,
     /// Lazily recorded reference output trace, shared across clones of this tester.
     reference_trace: Arc<OnceLock<Result<Arc<OutputTrace>, SimError>>>,
 }
@@ -240,12 +235,11 @@ impl FunctionalTester {
             reference: Arc::new(reference),
             testbench: Arc::new(testbench),
             engine: EngineKind::default(),
-            reference_tape: Arc::new(OnceLock::new()),
             reference_trace: Arc::new(OnceLock::new()),
         }
     }
 
-    /// Switches the execution engine, keeping the (shared) compiled-tape cache.
+    /// Switches the execution engine, keeping the (shared) reference-trace cache.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
         self
@@ -266,22 +260,17 @@ impl FunctionalTester {
         &self.reference
     }
 
-    /// The compiled reference tape (compiling it on first use), shared across clones.
-    fn reference_tape(&self) -> Result<Arc<Tape>, SimError> {
-        self.reference_tape.get_or_init(|| Tape::compile(&self.reference).map(Arc::new)).clone()
-    }
-
     /// The reference output trace (recording it on first use), shared across clones.
     ///
-    /// One reference tape walk serves every DUT tested through this tester or any of
-    /// its clones, so same-case benchmark samples never re-simulate the reference.
+    /// The reference is compiled and simulated once, on the compiled engine, and its
+    /// tape is dropped once the trace is recorded: the trace serves every DUT tested
+    /// through this tester or any of its clones, so same-case benchmark samples never
+    /// re-simulate the reference.
     fn reference_trace(&self) -> Result<Arc<OutputTrace>, SimError> {
         self.reference_trace
             .get_or_init(|| {
-                self.reference_tape().and_then(|tape| {
-                    let mut ref_sim = CompiledSimulator::from_tape(tape);
-                    record_reference_trace(&mut ref_sim, &self.testbench).map(Arc::new)
-                })
+                let mut ref_sim = CompiledSimulator::new(&self.reference)?;
+                record_reference_trace(&mut ref_sim, &self.testbench).map(Arc::new)
             })
             .clone()
     }
@@ -524,7 +513,7 @@ mod tests {
     }
 
     #[test]
-    fn tester_engines_agree_and_share_the_tape_across_clones() {
+    fn tester_engines_agree_and_share_the_trace_across_clones() {
         let compiler = ChiselCompiler::new();
         let reference = compiler.compile(&passthrough("Ref")).unwrap().netlist;
         let tb = Testbench::random_for(&reference, 8, 0, 3);
@@ -541,14 +530,10 @@ mod tests {
         let interp_report = tester.clone().with_engine(EngineKind::Interp).test(&wrong);
         assert_eq!(compiled_report, interp_report);
 
-        // Clones share the reference netlist, the testbench, the lazily compiled
-        // reference tape and the recorded trace.
+        // Clones share the reference netlist, the testbench and the recorded trace.
         let clone = tester.clone();
         assert!(std::ptr::eq(tester.reference(), clone.reference()));
         assert!(std::ptr::eq(tester.testbench(), clone.testbench()));
-        let a = tester.reference_tape().unwrap();
-        let b = clone.reference_tape().unwrap();
-        assert!(std::sync::Arc::ptr_eq(&a, &b));
         let ta = tester.reference_trace().unwrap();
         let tb = clone.reference_trace().unwrap();
         assert!(std::sync::Arc::ptr_eq(&ta, &tb));

@@ -16,8 +16,9 @@
 //!   reset inference, combinational-loop detection, width inference).
 //! * [`lower`] — lowering of checked circuits to a flat, ground-typed [`Netlist`]
 //!   consumed by the simulator and the Verilog emitter.
-//! * [`pipeline`] — the staged [`Pipeline`] (`Circuit → CheckedCircuit → Netlist →
-//!   emitted output`) with its named-pass [`PassManager`] and the pluggable
+//! * [`pipeline`] — the compile [`Pipeline`]: [`Pipeline::run`] checks, lowers and
+//!   emits a borrowed circuit (`Circuit → Netlist + emitted output`, or the
+//!   diagnostics) through its named-pass [`PassManager`] and the pluggable
 //!   [`EmitBackend`] seam.
 //! * [`fingerprint`] and [`incremental`] — the process-stable circuit [`Fingerprint`]
 //!   and the outcome types of the reflection loop's recompiler, which answers a
@@ -76,9 +77,6 @@ pub use ir::{Circuit, Expression, Module, ModuleKind, Port, PrimOp, SourceInfo, 
 pub use lower::{
     lower_circuit, MemSlot, NetDef, NetMem, NetMemWrite, NetPort, NetReg, Netlist, SignalInfo,
 };
-pub use pipeline::{
-    CheckedCircuit, EmitBackend, FirrtlBackend, Pass, PassManager, PassStats, PassTiming, Pipeline,
-    PipelineOutput,
-};
+pub use pipeline::{EmitBackend, FirrtlBackend, Pass, PassManager, Pipeline};
 pub use printer::{print_chisel, print_chisel_module, print_firrtl};
 pub use typeenv::Elaborated;

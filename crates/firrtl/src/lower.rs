@@ -1926,9 +1926,8 @@ mod tests {
             let netlist = lower_circuit(&declared).unwrap();
             assert_eq!(netlist.signal(wire).map(|s| s.width), Some(6));
             assert_eq!(lower_circuit(&inferred).unwrap(), netlist);
-            let pipeline = crate::pipeline::Pipeline::default();
-            assert_eq!(pipeline.run(&inferred).unwrap().netlist, netlist);
-            assert_eq!(pipeline.run_ref(&inferred).unwrap().0, netlist);
+            let pipeline = crate::pipeline::Pipeline::new(crate::pipeline::FirrtlBackend);
+            assert_eq!(pipeline.run(&inferred).unwrap().0, netlist);
         }
     }
 

@@ -1,31 +1,28 @@
-//! The staged compilation pipeline: explicit artifacts, a named-pass manager and
-//! pluggable emission backends.
-//!
-//! Historically the toolchain fused checking, lowering and Verilog emission into one
-//! opaque call. This module splits the flow into the staged artifacts
+//! The compile pipeline: a named-pass manager, lowering and a pluggable emission
+//! backend, run in one borrowed pass over a circuit.
 //!
 //! ```text
-//! Circuit --check--> CheckedCircuit --lower--> Netlist --emit--> backend output
+//! Circuit --check--> diagnostics + top Elaborated --lower--> Netlist --emit--> backend output
 //! ```
 //!
-//! so that orchestration layers can cache, instrument or swap any stage. A revision is
-//! elaborated once: the checks and lowering share one symbol table and one width
-//! inference per module. Lowering elaborates again only a flattened or width-resolved
-//! copy of the top module, which a design without instances or width-less
-//! declarations never needs.
+//! [`Pipeline::run`] is the one way through the stages. It borrows the circuit
+//! throughout and returns the netlist and the backend's output, or the error-severity
+//! diagnostics of the stage that failed. A revision is elaborated once: the checks
+//! and lowering share one symbol table and one width inference per module. Lowering
+//! elaborates again only a flattened or width-resolved copy of the top module, which a
+//! design without instances or width-less declarations never needs.
 //!
 //! * [`PassManager`] — the checking stage as an ordered list of *named* passes with
-//!   registration, ordering introspection and per-pass timing stats. It elaborates
-//!   each module once ([`Elaborated`]: the symbol table and the inferred widths) and
-//!   hands that one elaboration to every pass.
-//! * [`CheckedCircuit`] — proof that a circuit passed the checking stage; the only way
-//!   to reach the lowering stage. It carries the top module's elaboration, so
-//!   lowering does not elaborate the design again.
+//!   registration and ordering introspection. It elaborates each module once
+//!   ([`Elaborated`]: the symbol table and the inferred widths) and hands that one
+//!   elaboration to every pass.
 //! * [`EmitBackend`] — the emission seam. [`FirrtlBackend`] (this crate) and
 //!   `rechisel_verilog::VerilogBackend` are the two standard implementations.
-//! * [`Pipeline`] — ties the stages together and exposes them both individually
-//!   ([`Pipeline::check`], [`Pipeline::lower`], [`Pipeline::emit`]) and fused
-//!   ([`Pipeline::run`]).
+//! * [`Pipeline`] — a pass manager plus a backend, with lowering in between.
+//!
+//! The standalone entry points run the same code: [`crate::check_circuit`] is
+//! [`PassManager::standard`]'s [`PassManager::run`], and [`crate::lower_circuit`]
+//! elaborates the top module and lowers it like [`Pipeline::run`] does.
 //!
 //! # Example
 //!
@@ -50,20 +47,12 @@
 //! let pipeline = Pipeline::new(FirrtlBackend);
 //! assert_eq!(PassManager::standard().names(), pipeline.passes().names());
 //!
-//! // Staged: each artifact is available separately.
-//! let checked = pipeline.check(&circuit).expect("clean design");
-//! let netlist = pipeline.lower(&checked).expect("lowerable design");
-//! let firrtl = pipeline.emit(&checked, &netlist).expect("emittable design");
+//! let (netlist, firrtl) = pipeline.run(&circuit).expect("clean design");
+//! assert_eq!(netlist.name, "Pass");
 //! assert!(firrtl.starts_with("circuit Pass"));
-//!
-//! // Or fused, with per-pass timing stats on the side.
-//! let output = pipeline.run(&circuit).expect("clean design");
-//! assert_eq!(output.backend, "firrtl");
-//! assert_eq!(output.stats.len(), PassManager::standard().len());
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 use crate::ir::{Circuit, Module, SourceInfo};
@@ -120,50 +109,6 @@ impl Pass {
 impl std::fmt::Debug for Pass {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pass").field("name", &self.name).finish()
-    }
-}
-
-/// Wall-clock cost and yield of one pass over one checking run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PassTiming {
-    /// The pass name.
-    pub name: &'static str,
-    /// Total time spent in the pass, summed over all modules.
-    pub duration: Duration,
-    /// Number of diagnostics the pass produced.
-    pub diagnostics: usize,
-}
-
-/// Per-pass timing statistics of one checking run, in execution order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PassStats {
-    timings: Vec<PassTiming>,
-}
-
-impl PassStats {
-    /// The per-pass timings, in pass-registration order.
-    pub fn timings(&self) -> &[PassTiming] {
-        &self.timings
-    }
-
-    /// Number of passes measured.
-    pub fn len(&self) -> usize {
-        self.timings.len()
-    }
-
-    /// True when no passes were measured.
-    pub fn is_empty(&self) -> bool {
-        self.timings.is_empty()
-    }
-
-    /// Total time across all passes.
-    pub fn total(&self) -> Duration {
-        self.timings.iter().map(|t| t.duration).sum()
-    }
-
-    /// The timing entry of a pass, by name.
-    pub fn pass(&self, name: &str) -> Option<&PassTiming> {
-        self.timings.iter().find(|t| t.name == name)
     }
 }
 
@@ -263,97 +208,32 @@ impl PassManager {
         self.check(circuit).0
     }
 
-    /// Like [`run`](Self::run), additionally returning per-pass timing stats.
-    pub fn run_timed(&self, circuit: &Circuit) -> (DiagnosticReport, PassStats) {
-        let (report, _, stats) = self.check(circuit);
-        (report, stats)
-    }
-
     /// Elaborates each module once and runs every pass over it. Returns the
-    /// diagnostics, the top module's elaboration (`None` only when the top module is
-    /// missing) and the per-pass timing stats.
-    fn check(&self, circuit: &Circuit) -> (DiagnosticReport, Option<Elaborated>, PassStats) {
+    /// diagnostics and the top module's elaboration (`None` only when the top module
+    /// is missing).
+    fn check(&self, circuit: &Circuit) -> (DiagnosticReport, Option<Elaborated>) {
         let mut report = DiagnosticReport::new();
-        let mut stats = PassStats {
-            timings: self
-                .passes
-                .iter()
-                .map(|p| PassTiming { name: p.name, duration: Duration::ZERO, diagnostics: 0 })
-                .collect(),
-        };
         let Some(top) = circuit.top_module() else {
             report.push(Diagnostic::error(
                 ErrorCode::MissingTopModule,
                 SourceInfo::unknown(),
                 format!("top module {} is not defined in the circuit", circuit.top),
             ));
-            return (report, None, stats);
+            return (report, None);
         };
         let mut top_elaborated = None;
         // Modules outer, passes inner: diagnostics keep the exact order the fused
         // checker produced, which feedback consumers (and the parity tests) rely on.
         for module in &circuit.modules {
             let elaborated = Elaborated::new(module, circuit);
-            for (index, pass) in self.passes.iter().enumerate() {
-                let start = Instant::now();
-                let pass_report = (pass.run)(module, circuit, &elaborated);
-                let timing = &mut stats.timings[index];
-                timing.duration += start.elapsed();
-                timing.diagnostics += pass_report.len();
-                report.extend(pass_report);
+            for pass in &self.passes {
+                report.extend((pass.run)(module, circuit, &elaborated));
             }
             if std::ptr::eq(module, top) {
                 top_elaborated = Some(elaborated);
             }
         }
-        (report, top_elaborated, stats)
-    }
-}
-
-// ---------------------------------------------------------------------------------
-// Staged artifacts
-// ---------------------------------------------------------------------------------
-
-/// A circuit that passed the checking stage.
-///
-/// Constructing a `CheckedCircuit` is only possible through [`Pipeline::check`] (or
-/// [`CheckedCircuit::assume_checked`] for callers that validated by other means), which
-/// makes "checked" a property the type system carries to the lowering stage.
-///
-/// It also carries the top module's [`Elaborated`] symbol table and inferred widths
-/// from the checking stage into [`Pipeline::lower`], which lowers from it instead of
-/// elaborating the design again.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckedCircuit {
-    circuit: Circuit,
-    warnings: DiagnosticReport,
-    top: Elaborated,
-}
-
-impl CheckedCircuit {
-    /// Wraps a circuit the caller has already validated, elaborating its top module.
-    ///
-    /// Lowering a circuit that would not pass the checks produces an `Err` from
-    /// [`Pipeline::lower`] rather than undefined behaviour, so this constructor is
-    /// safe — it merely skips the diagnostics.
-    pub fn assume_checked(circuit: Circuit) -> Self {
-        let top = circuit.top_module().map(|m| Elaborated::new(m, &circuit)).unwrap_or_default();
-        Self { circuit, warnings: DiagnosticReport::new(), top }
-    }
-
-    /// The underlying circuit.
-    pub fn circuit(&self) -> &Circuit {
-        &self.circuit
-    }
-
-    /// Non-error diagnostics collected while checking.
-    pub fn warnings(&self) -> &DiagnosticReport {
-        &self.warnings
-    }
-
-    /// Unwraps the circuit.
-    pub fn into_circuit(self) -> Circuit {
-        self.circuit
+        (report, top_elaborated)
     }
 }
 
@@ -415,23 +295,8 @@ impl EmitBackend for FirrtlBackend {
 // Pipeline
 // ---------------------------------------------------------------------------------
 
-/// The output of a fused [`Pipeline::run`].
-#[derive(Debug, Clone)]
-pub struct PipelineOutput {
-    /// The checked circuit (stage 1 artifact).
-    pub checked: CheckedCircuit,
-    /// The lowered netlist (stage 2 artifact).
-    pub netlist: Netlist,
-    /// The emitted backend output (stage 3 artifact).
-    pub output: String,
-    /// Name of the backend that produced [`output`](Self::output).
-    pub backend: &'static str,
-    /// Per-pass timing stats of the checking stage.
-    pub stats: PassStats,
-}
-
-/// The staged compilation pipeline: a [`PassManager`] for checking plus an
-/// [`EmitBackend`] for emission, with lowering in between.
+/// The compile pipeline: a [`PassManager`] for checking plus an [`EmitBackend`] for
+/// emission, with lowering in between, behind one method, [`run`](Self::run).
 ///
 /// Cloning a pipeline is cheap — passes and backend are shared behind `Arc`s — so one
 /// pipeline can serve many threads.
@@ -450,15 +315,6 @@ impl std::fmt::Debug for Pipeline {
     }
 }
 
-impl Default for Pipeline {
-    /// The standard passes with the FIRRTL text backend. Verilog users plug in
-    /// `rechisel_verilog::VerilogBackend` (which `rechisel-core`'s compiler does by
-    /// default).
-    fn default() -> Self {
-        Self::new(FirrtlBackend)
-    }
-}
-
 impl Pipeline {
     /// A pipeline with the standard passes and the given backend.
     pub fn new(backend: impl EmitBackend + 'static) -> Self {
@@ -468,12 +324,6 @@ impl Pipeline {
     /// Replaces the pass manager.
     pub fn with_passes(mut self, passes: PassManager) -> Self {
         self.passes = passes;
-        self
-    }
-
-    /// Replaces the emission backend.
-    pub fn with_backend(mut self, backend: impl EmitBackend + 'static) -> Self {
-        self.backend = Arc::new(backend);
         self
     }
 
@@ -487,78 +337,22 @@ impl Pipeline {
         self.backend.as_ref()
     }
 
-    /// Stage 1: runs the checking passes.
+    /// Checks, lowers and emits `circuit`, borrowing it throughout, and returns the
+    /// netlist and the backend's output.
     ///
-    /// # Errors
-    ///
-    /// Returns the full diagnostic report when any pass reported an error.
-    pub fn check(&self, circuit: &Circuit) -> Result<CheckedCircuit, DiagnosticReport> {
-        self.check_timed(circuit).0
-    }
-
-    /// Stage 1 with per-pass timing stats.
-    pub fn check_timed(
-        &self,
-        circuit: &Circuit,
-    ) -> (Result<CheckedCircuit, DiagnosticReport>, PassStats) {
-        let (report, top, stats) = self.passes.check(circuit);
-        match top {
-            Some(top) if !report.has_errors() => {
-                (Ok(CheckedCircuit { circuit: circuit.clone(), warnings: report, top }), stats)
-            }
-            _ => (Err(report), stats),
-        }
-    }
-
-    /// Stage 2: lowers a checked circuit to a flat netlist, from the top module's
-    /// elaboration the checking stage built.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first structural problem encountered; circuits that pass the
-    /// standard checks lower successfully.
-    pub fn lower(&self, checked: &CheckedCircuit) -> Result<Netlist, Diagnostic> {
-        lower_elaborated(&checked.circuit, &checked.top)
-    }
-
-    /// Stage 3: emits the backend output for a checked and lowered design.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's emission error.
-    pub fn emit(&self, checked: &CheckedCircuit, netlist: &Netlist) -> Result<String, Diagnostic> {
-        self.backend.emit(checked.circuit(), netlist)
-    }
-
-    /// Runs all three stages, materializing every staged artifact.
+    /// This is the path every revision of the reflection loop takes, so it clones
+    /// nothing: lowering reads the top module's elaboration straight from the
+    /// checking stage, and borrows the module itself unless the design instantiates a
+    /// module or leaves a width to inference. The backend is called only on a design
+    /// that passed the checks and lowered.
     ///
     /// # Errors
     ///
     /// Returns every error-severity diagnostic of the failing stage — the "syntax
-    /// error" feedback of the ReChisel workflow.
-    pub fn run(&self, circuit: &Circuit) -> Result<PipelineOutput, Vec<Diagnostic>> {
-        let (checked, stats) = self.check_timed(circuit);
-        let checked = checked.map_err(|report| report.errors().cloned().collect::<Vec<_>>())?;
-        let netlist = self.lower(&checked).map_err(|d| vec![d])?;
-        let output = self.emit(&checked, &netlist).map_err(|d| vec![d])?;
-        Ok(PipelineOutput { checked, netlist, output, backend: self.backend.name(), stats })
-    }
-
-    /// Runs all three stages borrowing the circuit throughout, returning just the
-    /// netlist and the emitted output.
-    ///
-    /// Unlike [`run`](Self::run), no [`CheckedCircuit`] artifact (and therefore no
-    /// circuit clone) is materialized — this is the hot path the reflection loop's
-    /// compiler uses, where every candidate of every iteration is compiled once and the
-    /// staged artifacts are not needed afterwards. Lowering reads the top module's
-    /// elaboration straight from the checking stage, and borrows the module itself
-    /// unless the design instantiates a module or leaves a width to inference.
-    ///
-    /// # Errors
-    ///
-    /// Returns every error-severity diagnostic of the failing stage.
-    pub fn run_ref(&self, circuit: &Circuit) -> Result<(Netlist, String), Vec<Diagnostic>> {
-        let (report, top, _) = self.passes.check(circuit);
+    /// error" feedback of the ReChisel workflow. Warnings of a passing check are
+    /// dropped.
+    pub fn run(&self, circuit: &Circuit) -> Result<(Netlist, String), Vec<Diagnostic>> {
+        let (report, top) = self.passes.check(circuit);
         let top = match top {
             Some(top) if !report.has_errors() => top,
             _ => return Err(report.errors().cloned().collect()),
@@ -681,23 +475,12 @@ mod tests {
 
     #[test]
     fn a_single_module_compile_builds_one_symbol_table() {
-        let pipeline = Pipeline::default();
+        let pipeline = Pipeline::new(FirrtlBackend);
         let mut broken = passthrough();
         broken.top_module_mut().unwrap().body.clear();
-        assert_eq!(tables_built(|| drop(pipeline.run_ref(&passthrough()).unwrap())), 1);
-        assert_eq!(tables_built(|| drop(pipeline.run_ref(&broken).unwrap_err())), 1);
         assert_eq!(tables_built(|| drop(pipeline.run(&passthrough()).unwrap())), 1);
+        assert_eq!(tables_built(|| drop(pipeline.run(&broken).unwrap_err())), 1);
         assert_eq!(tables_built(|| drop(crate::lower_circuit(&passthrough()).unwrap())), 1);
-    }
-
-    #[test]
-    fn run_timed_reports_one_timing_per_pass() {
-        let (report, stats) = PassManager::standard().run_timed(&passthrough());
-        assert!(!report.has_errors());
-        assert_eq!(stats.len(), 5);
-        assert_eq!(stats.timings()[0].name, "connects");
-        assert!(stats.pass("comb-loops").is_some());
-        assert_eq!(stats.total(), stats.timings().iter().map(|t| t.duration).sum());
     }
 
     #[test]
@@ -706,51 +489,29 @@ mod tests {
         broken.top_module_mut().unwrap().body.clear();
         for circuit in [passthrough(), broken, Circuit::new("Ghost", vec![])] {
             let fused = crate::check::check_circuit(&circuit);
-            let staged = PassManager::standard().run(&circuit);
-            assert_eq!(fused, staged);
+            let managed = PassManager::standard().run(&circuit);
+            assert_eq!(fused, managed);
         }
     }
 
     #[test]
-    fn pipeline_stages_produce_artifacts() {
-        let pipeline = Pipeline::default();
-        let checked = pipeline.check(&passthrough()).unwrap();
-        assert!(checked.warnings().is_empty());
-        let netlist = pipeline.lower(&checked).unwrap();
-        assert_eq!(netlist.name, "Pass");
-        let text = pipeline.emit(&checked, &netlist).unwrap();
-        assert!(text.starts_with("circuit Pass"));
+    fn run_is_lower_circuit_plus_the_backend() {
+        let pipeline = Pipeline::new(FirrtlBackend);
         assert_eq!(pipeline.backend().name(), "firrtl");
         assert_eq!(pipeline.backend().file_extension(), "fir");
-    }
+        let circuit = passthrough();
+        let (netlist, text) = pipeline.run(&circuit).unwrap();
+        assert_eq!(netlist, crate::lower_circuit(&circuit).unwrap());
+        assert_eq!(text, print_firrtl(&circuit));
 
-    #[test]
-    fn pipeline_check_fails_with_diagnostics() {
+        // A rejected design reports exactly the checker's errors, a missing top included.
         let mut broken = passthrough();
         broken.top_module_mut().unwrap().body.clear();
-        let pipeline = Pipeline::default();
-        let report = pipeline.check(&broken).unwrap_err();
-        assert!(report.has_errors());
-        assert!(pipeline.run(&broken).is_err());
-    }
-
-    #[test]
-    fn run_ref_matches_staged_run() {
-        let pipeline = Pipeline::default();
-        let staged = pipeline.run(&passthrough()).unwrap();
-        let (netlist, output) = pipeline.run_ref(&passthrough()).unwrap();
-        assert_eq!(staged.netlist, netlist);
-        assert_eq!(staged.output, output);
-        let mut broken = passthrough();
-        broken.top_module_mut().unwrap().body.clear();
-        assert_eq!(pipeline.run(&broken).unwrap_err(), pipeline.run_ref(&broken).unwrap_err());
-    }
-
-    #[test]
-    fn assume_checked_skips_diagnostics() {
-        let checked = CheckedCircuit::assume_checked(passthrough());
-        let pipeline = Pipeline::default();
-        assert!(pipeline.lower(&checked).is_ok());
-        assert_eq!(checked.clone().into_circuit().top, "Pass");
+        for circuit in [broken, Circuit::new("Ghost", vec![])] {
+            let errors: Vec<Diagnostic> =
+                crate::check::check_circuit(&circuit).errors().cloned().collect();
+            assert!(!errors.is_empty());
+            assert_eq!(pipeline.run(&circuit).unwrap_err(), errors);
+        }
     }
 }

@@ -9,10 +9,11 @@
 //!
 //! [`Elaborated`] is one module's elaboration: its symbol table plus the widths
 //! inferred for its width-less wires and registers. The pass manager builds it once
-//! per module and hands it to every check pass; the compile pipeline carries the top
-//! module's elaboration on into lowering, so a revision is elaborated once, not once
-//! per pass. Lowering builds another [`SymbolTable`] only for a flattened or
-//! width-resolved copy of the top module.
+//! per module and hands it to every check pass; the compile pipeline
+//! ([`crate::pipeline::Pipeline::run`]) carries the top module's elaboration on into
+//! lowering, so a revision is elaborated once, not once per pass. Lowering builds
+//! another [`SymbolTable`] only for a flattened or width-resolved copy of the top
+//! module.
 
 use std::collections::BTreeMap;
 
@@ -207,9 +208,9 @@ impl SymbolTable {
 /// width-less ground wires and registers.
 ///
 /// [`PassManager::run`](crate::pipeline::PassManager::run) builds one per module and
-/// hands it to every pass; the compile pipeline keeps the top module's elaboration
-/// and lowers from it. The standalone `passes::check_*` functions and
-/// [`lower_circuit`](crate::lower_circuit) build their own.
+/// hands it to every pass; [`Pipeline::run`](crate::pipeline::Pipeline::run) keeps
+/// the top module's elaboration and lowers from it. The standalone `passes::check_*`
+/// functions and [`lower_circuit`](crate::lower_circuit) build their own.
 ///
 /// # Example
 ///
@@ -233,7 +234,7 @@ impl SymbolTable {
 /// assert!(elaborated.symbols().get("w").is_some());
 /// assert_eq!(elaborated.inferred_widths().get("w"), Some(&Type::uint(7)));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Elaborated {
     symbols: SymbolTable,
     widths: BTreeMap<String, Type>,

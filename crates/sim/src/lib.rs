@@ -17,7 +17,10 @@
 //! * [`run_testbench`] / [`run_testbench_with`] / [`run_testbench_on`] —
 //!   DUT-vs-reference comparison producing the [`SimReport`] whose
 //!   [`PointFailure`]s become the "functional error" feedback consumed by the ReChisel
-//!   Reviewer agent.
+//!   Reviewer agent. Each records the reference's outputs
+//!   ([`record_reference_trace`]) and compares the DUT against them
+//!   ([`run_testbench_against_trace`]), the two halves a caller that tests many DUTs
+//!   against one reference uses directly.
 //!
 //! # Example
 //!

@@ -223,9 +223,10 @@ pub fn run_testbench_with(
 /// Runs `testbench` against two already-constructed engines (not necessarily of the
 /// same kind), comparing outputs at every checked point.
 ///
-/// This is the engine-agnostic core of [`run_testbench`]: callers that cache a
-/// compiled reference tape per benchmark case instantiate the reference side from the
-/// shared tape and hand both engines here.
+/// This is the engine-agnostic core of [`run_testbench`]: it records the reference's
+/// outputs ([`record_reference_trace`]), then runs the DUT against them
+/// ([`run_testbench_against_trace`]), so a live reference and a recorded one produce
+/// the same report by construction.
 ///
 /// Stimulus values that do not apply — ports missing on one side, or out-of-range
 /// literals — are skipped on that side; a DUT whose interface does not match the
@@ -233,48 +234,16 @@ pub fn run_testbench_with(
 ///
 /// # Errors
 ///
-/// Returns a [`SimError`] when either simulation fails structurally. Functional
-/// mismatches are *not* errors; they are reported in the returned [`SimReport`].
+/// Returns a [`SimError`] when either simulation fails structurally, the reference's
+/// first. Functional mismatches are *not* errors; they are reported in the returned
+/// [`SimReport`].
 pub fn run_testbench_on(
     dut_sim: &mut dyn SimEngine,
     ref_sim: &mut dyn SimEngine,
     testbench: &Testbench,
 ) -> Result<SimReport, SimError> {
-    if testbench.reset_cycles > 0 {
-        dut_sim.reset(testbench.reset_cycles)?;
-        ref_sim.reset(testbench.reset_cycles)?;
-    }
-    let mut report = SimReport::default();
-    for (index, point) in testbench.points.iter().enumerate() {
-        for (name, value) in &point.inputs {
-            // Drive only ports that exist (and fit) on each side; a DUT with a missing
-            // or narrower port will simply diverge at the comparison.
-            let _ = ref_sim.poke(name, *value);
-            let _ = dut_sim.poke(name, *value);
-        }
-        if point.cycles == 0 {
-            dut_sim.eval()?;
-            ref_sim.eval()?;
-        } else {
-            dut_sim.step_n(point.cycles)?;
-            ref_sim.step_n(point.cycles)?;
-        }
-        if !point.check {
-            continue;
-        }
-        report.total_points += 1;
-        let expected = ref_sim.outputs();
-        let actual = dut_sim.outputs();
-        if expected != actual {
-            report.failures.push(PointFailure {
-                index,
-                inputs: point.inputs.clone(),
-                expected,
-                actual,
-            });
-        }
-    }
-    Ok(report)
+    let trace = record_reference_trace(ref_sim, testbench)?;
+    run_testbench_against_trace(dut_sim, &trace, testbench)
 }
 
 /// The reference model's outputs at every **checked** point of a testbench, in point
@@ -318,9 +287,9 @@ pub fn record_reference_trace(
 /// Runs `testbench` on a DUT engine alone, comparing every checked point against a
 /// pre-recorded reference [`OutputTrace`].
 ///
-/// Produces a report bit-identical to [`run_testbench_on`] with a live reference —
-/// same poke-skipping rules, same failure details — but the reference side is read
-/// from the trace instead of re-simulated per DUT.
+/// The reference side is read from the trace instead of re-simulated per DUT; inputs
+/// the DUT lacks (or that do not fit) are skipped, so a DUT whose interface does not
+/// match the testbench diverges at the comparison.
 ///
 /// # Errors
 ///
@@ -349,13 +318,13 @@ pub fn run_testbench_against_trace(
             continue;
         }
         report.total_points += 1;
-        let expected = expected_at.next().expect("trace covers every checked point").clone();
+        let expected = expected_at.next().expect("trace covers every checked point");
         let actual = dut_sim.outputs();
-        if expected != actual {
+        if *expected != actual {
             report.failures.push(PointFailure {
                 index,
                 inputs: point.inputs.clone(),
-                expected,
+                expected: expected.clone(),
                 actual,
             });
         }

@@ -1,4 +1,4 @@
-//! The Verilog [`EmitBackend`] — the production backend of the staged pipeline.
+//! The Verilog [`EmitBackend`] — the production backend of the compile pipeline.
 
 use rechisel_firrtl::diagnostics::{Diagnostic, ErrorCode};
 use rechisel_firrtl::ir::{Circuit, SourceInfo};
@@ -26,9 +26,9 @@ use crate::emit::emit_verilog;
 /// m.connect(&y, &a.not());
 ///
 /// let pipeline = Pipeline::new(VerilogBackend);
-/// let output = pipeline.run(&m.into_circuit()).expect("clean design");
-/// assert_eq!(output.backend, "verilog");
-/// assert!(output.output.contains("module Inverter"));
+/// assert_eq!(pipeline.backend().name(), "verilog");
+/// let (_netlist, verilog) = pipeline.run(&m.into_circuit()).expect("clean design");
+/// assert!(verilog.contains("module Inverter"));
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VerilogBackend;
@@ -60,21 +60,19 @@ mod tests {
     use rechisel_hcl::prelude::*;
 
     #[test]
-    fn verilog_and_firrtl_backends_emit_from_the_same_artifacts() {
+    fn verilog_and_firrtl_backends_emit_from_the_same_netlist() {
         let mut m = ModuleBuilder::new("Buf");
         let a = m.input("a", Type::bool());
         let y = m.output("y", Type::bool());
         m.connect(&y, &a);
         let circuit = m.into_circuit();
 
-        let pipeline = Pipeline::new(VerilogBackend);
-        let checked = pipeline.check(&circuit).unwrap();
-        let netlist = pipeline.lower(&checked).unwrap();
-
-        let verilog = pipeline.emit(&checked, &netlist).unwrap();
+        let (netlist, verilog) = Pipeline::new(VerilogBackend).run(&circuit).unwrap();
         assert!(verilog.contains("module Buf"));
+        assert_eq!(verilog, emit_verilog(&netlist).unwrap());
 
-        let firrtl = pipeline.clone().with_backend(FirrtlBackend).emit(&checked, &netlist).unwrap();
+        let (firrtl_netlist, firrtl) = Pipeline::new(FirrtlBackend).run(&circuit).unwrap();
+        assert_eq!(firrtl_netlist, netlist);
         assert!(firrtl.starts_with("circuit Buf"));
     }
 }

@@ -1,11 +1,11 @@
-//! Quickstart: build a small Chisel-like design and drive it through the staged
-//! pipeline — check, lower, emit (Verilog *and* FIRRTL backends), simulate — without
-//! the agents.
+//! Quickstart: build a small Chisel-like design, compile it with one
+//! `Pipeline::run` (check → lower → emit Verilog), print its FIRRTL, and simulate the
+//! netlist — without the agents.
 //!
 //! Run with `cargo run --example quickstart`.
 
-use rechisel::firrtl::pipeline::{FirrtlBackend, Pipeline};
-use rechisel::firrtl::print_chisel;
+use rechisel::firrtl::pipeline::Pipeline;
+use rechisel::firrtl::{print_chisel, print_firrtl, DiagnosticReport};
 use rechisel::hcl::prelude::*;
 use rechisel::sim::Simulator;
 use rechisel::verilog::VerilogBackend;
@@ -36,31 +36,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("=== pseudo-Chisel source ===\n{}", print_chisel(&circuit));
 
-    // 1. Check (the "Compiler" of the ReChisel workflow): stage one of the pipeline,
-    //    with per-pass timing stats on the side.
+    // 1. Compile (the "Compiler" of the ReChisel workflow): the checking passes, in
+    //    order, then lowering and Verilog emission, or the diagnostics.
     let pipeline = Pipeline::new(VerilogBackend);
-    let (checked, stats) = pipeline.check_timed(&circuit);
-    let checked = checked.map_err(|report| report.to_compiler_output())?;
-    println!("=== checking passes ===");
-    for timing in stats.timings() {
-        println!(
-            "{:<16} {:>8.1} us, {} diagnostics",
-            timing.name,
-            timing.duration.as_secs_f64() * 1e6,
-            timing.diagnostics
-        );
-    }
-    println!();
-
-    // 2. Lower, then emit through two pluggable backends.
-    let netlist = pipeline.lower(&checked)?;
-    let verilog = pipeline.emit(&checked, &netlist)?;
+    println!("=== checking passes ===\n{}\n", pipeline.passes().names().join(", "));
+    let (netlist, verilog) = pipeline
+        .run(&circuit)
+        .map_err(|errors| errors.into_iter().collect::<DiagnosticReport>().to_compiler_output())?;
     println!("=== emitted Verilog ({} backend) ===\n{verilog}", pipeline.backend().name());
-    let firrtl_pipeline = pipeline.with_backend(FirrtlBackend);
-    let firrtl = firrtl_pipeline.emit(&checked, &netlist)?;
-    println!("=== emitted FIRRTL ({} backend) ===\n{firrtl}", firrtl_pipeline.backend().name());
 
-    // 3. Simulate.
+    // 2. The same design as FIRRTL text, printed from the IR.
+    println!("=== FIRRTL ===\n{}", print_firrtl(&circuit));
+
+    // 3. Simulate the lowered netlist.
     let mut sim = Simulator::new(netlist);
     sim.reset(2)?;
     sim.poke("load", 1)?;
