@@ -9,7 +9,9 @@
 //!   the top module itself;
 //! * `substrate/compile/*` — [`ChiselCompiler::compile`], the fused check → lower →
 //!   emit path every reflection session runs, which elaborates each revision once;
-//! * `substrate/emit_verilog/regfile8x8` — Verilog emission from a lowered netlist.
+//! * `substrate/emit_verilog/regfile8x8` — Verilog emission from a lowered netlist:
+//!   one walk that writes each section of the module text directly, building no
+//!   syntax tree, and joins the sections in one allocation of the exact length.
 //!
 //! The `tester/*` and `simulate/*` ids are informational.
 
@@ -51,9 +53,10 @@ fn bench_substrate(c: &mut Criterion) {
         b.iter(|| emit_verilog(std::hint::black_box(&seq_netlist)).unwrap())
     });
 
-    // Tester construction: the per-sample cost the per-case caches remove. "uncached"
+    // Tester construction: the per-sample cost the per-case cache removes. "uncached"
     // is the reference lowering every tester() call used to pay; "cached" is a
-    // tester() call against the warm per-case caches (netlist + tester prototype).
+    // tester() call against the warm tester prototype, which owns the case's one
+    // lowered reference.
     let case = sequential::register_file(8, 8, SourceFamily::Rtllm);
     c.bench_function("tester/regfile8x8_uncached_lower", |b| {
         b.iter(|| lower_circuit(std::hint::black_box(case.reference())).unwrap())

@@ -80,23 +80,20 @@ pub struct BenchmarkCase {
     /// The specification handed to the Generator.
     pub spec: Spec,
     /// The reference implementation. Private so it cannot be swapped after the
-    /// netlist/tester caches below are populated; read it via
-    /// [`reference`](Self::reference).
+    /// tester cache below is populated; read it via [`reference`](Self::reference).
     reference: Circuit,
     /// Number of functional points in the testbench.
     pub test_points: usize,
     /// Clock cycles advanced per functional point (0 = combinational check).
     pub cycles_per_point: u32,
-    /// Lazily compiled reference netlist, so that building a tester per sample does
-    /// not recompile the reference per call.
-    reference_netlist: OnceLock<Netlist>,
-    /// Lazily built tester prototype; [`tester`](Self::tester) hands out clones so the
-    /// per-sample cost is a few reference counts, not a testbench regeneration.
+    /// Lazily built tester prototype, which owns the case's one lowered reference
+    /// netlist; [`tester`](Self::tester) hands out clones so the per-sample cost is a
+    /// few reference counts, not a recompile or a testbench regeneration.
     tester_cache: OnceLock<FunctionalTester>,
 }
 
 impl Clone for BenchmarkCase {
-    /// Clones the case with fresh (empty) caches; the clone re-derives them on first
+    /// Clones the case with a fresh (empty) cache; the clone re-derives it on first
     /// use from its own IR.
     fn clone(&self) -> Self {
         Self {
@@ -107,7 +104,6 @@ impl Clone for BenchmarkCase {
             reference: self.reference.clone(),
             test_points: self.test_points,
             cycles_per_point: self.cycles_per_point,
-            reference_netlist: OnceLock::new(),
             tester_cache: OnceLock::new(),
         }
     }
@@ -142,7 +138,6 @@ impl BenchmarkCase {
             reference,
             test_points,
             cycles_per_point,
-            reference_netlist: OnceLock::new(),
             tester_cache: OnceLock::new(),
         }
     }
@@ -152,7 +147,7 @@ impl BenchmarkCase {
         &self.reference
     }
 
-    /// Unwraps the reference implementation (drops the caches).
+    /// Unwraps the reference implementation (drops the cache).
     pub fn into_reference(self) -> Circuit {
         self.reference
     }
@@ -183,18 +178,15 @@ impl BenchmarkCase {
             .sum()
     }
 
-    /// The compiled reference netlist, lowered on first use and cached per instance
-    /// (clones start with a fresh cache).
+    /// The compiled reference netlist: the tester prototype's, lowered on first use
+    /// and cached per instance (clones start with a fresh cache).
     ///
     /// # Panics
     ///
     /// Panics if the reference design does not compile — reference designs are part of
     /// the suite and are validated by the suite's tests.
     pub fn reference_netlist(&self) -> &Netlist {
-        self.reference_netlist.get_or_init(|| {
-            lower_circuit(&self.reference)
-                .unwrap_or_else(|e| panic!("reference design {} failed to lower: {e}", self.id))
-        })
+        self.prototype().reference()
     }
 
     /// Builds the functional tester (reference netlist + testbench) for this case.
@@ -214,18 +206,22 @@ impl BenchmarkCase {
     /// Panics if the reference design does not compile — reference designs are part of
     /// the suite and are validated by the suite's tests.
     pub fn tester(&self) -> FunctionalTester {
-        self.tester_cache
-            .get_or_init(|| {
-                let netlist = self.reference_netlist().clone();
-                let testbench = Testbench::random_for(
-                    &netlist,
-                    self.test_points,
-                    self.cycles_per_point,
-                    self.seed(),
-                );
-                FunctionalTester::new(netlist, testbench)
-            })
-            .clone()
+        self.prototype().clone()
+    }
+
+    /// The cached tester prototype, built on first use.
+    fn prototype(&self) -> &FunctionalTester {
+        self.tester_cache.get_or_init(|| {
+            let netlist = lower_circuit(&self.reference)
+                .unwrap_or_else(|e| panic!("reference design {} failed to lower: {e}", self.id));
+            let testbench = Testbench::random_for(
+                &netlist,
+                self.test_points,
+                self.cycles_per_point,
+                self.seed(),
+            );
+            FunctionalTester::new(netlist, testbench)
+        })
     }
 
     /// Like [`tester`](Self::tester), but with an explicit simulation engine. The

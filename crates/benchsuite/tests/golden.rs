@@ -7,14 +7,20 @@
 //! evaluation semantics, lowering, or the stimulus generator shows up as a readable
 //! trace diff instead of a silent shift in benchmark results.
 //!
-//! To regenerate the stored traces after an intentional semantic change, run with
+//! The emitted Verilog of every suite reference is pinned too, as one FNV-1a-64
+//! digest per case in `tests/golden/suite_verilog.txt`: an emitter change that moves
+//! one byte of any reference's text names the cases it moved.
+//!
+//! To regenerate the stored files after an intentional change, run with
 //! `RECHISEL_BLESS=1` and commit the rewritten files.
 
 use std::fmt::Write as _;
 
 use rechisel_benchsuite::circuits::{arithmetic, combinational, fsm, memory, sequential};
-use rechisel_benchsuite::{BenchmarkCase, SourceFamily};
+use rechisel_benchsuite::{full_suite, BenchmarkCase, SourceFamily};
+use rechisel_firrtl::lower_circuit;
 use rechisel_sim::{EngineKind, SimEngine, Testbench};
+use rechisel_verilog::emit_verilog;
 
 /// Drives `tb` through an engine and renders the per-point output trace.
 fn trace(engine: &mut dyn SimEngine, tb: &Testbench) -> String {
@@ -138,4 +144,38 @@ fn golden_memory_sync_sram8x8() {
         "memory_sync_sram8x8.txt",
         include_str!("golden/memory_sync_sram8x8.txt"),
     );
+}
+
+/// FNV-1a, 64 bit, over `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
+        (hash ^ u64::from(*b)).wrapping_mul(0x1000_0000_01b3)
+    })
+}
+
+#[test]
+fn golden_suite_verilog() {
+    // One line per reference, in suite order: the case id and the digest of the
+    // Verilog emitted from its lowered netlist.
+    let mut got = String::new();
+    for case in full_suite() {
+        let netlist = lower_circuit(case.reference()).expect("suite references lower");
+        let verilog = emit_verilog(&netlist)
+            .unwrap_or_else(|e| panic!("reference {} failed to emit: {e}", case.id));
+        writeln!(got, "{} {:016x}", case.id, fnv1a64(verilog.as_bytes())).unwrap();
+    }
+    if std::env::var("RECHISEL_BLESS").is_ok() {
+        let path = format!("{}/tests/golden/suite_verilog.txt", env!("CARGO_MANIFEST_DIR"));
+        std::fs::write(&path, &got).unwrap();
+        return;
+    }
+    let golden = include_str!("golden/suite_verilog.txt");
+    for (got, want) in got.lines().zip(golden.lines()) {
+        assert_eq!(
+            got, want,
+            "emitted Verilog diverges from tests/golden/suite_verilog.txt \
+             (run with RECHISEL_BLESS=1 to re-record after an intentional change)"
+        );
+    }
+    assert_eq!(got.lines().count(), golden.lines().count(), "the suite changed size");
 }

@@ -12,7 +12,7 @@
 //! escape-mechanism cycle detection over the trace.
 
 use crate::candidate::Candidate;
-use crate::feedback::{Feedback, FeedbackDetail};
+use crate::feedback::Feedback;
 use crate::knowledge::CommonErrorKnowledge;
 use crate::revision::{RevisionItem, RevisionPlan};
 use crate::spec::Spec;
@@ -107,20 +107,12 @@ impl Inspector for TraceInspector {
 /// The synthetic LLM delegates plan *construction* to this type; what distinguishes the
 /// model profiles is whether the Generator manages to *apply* the plan correctly.
 #[derive(Debug, Clone, Default)]
-pub struct TemplateReviewer {
-    /// How much feedback detail reaches the plan.
-    pub detail: FeedbackDetail,
-}
+pub struct TemplateReviewer;
 
 impl TemplateReviewer {
-    /// Creates a reviewer with full feedback detail.
+    /// Creates a reviewer.
     pub fn new() -> Self {
-        Self { detail: FeedbackDetail::Full }
-    }
-
-    /// Creates a reviewer that only sees error counts (ablation).
-    pub fn counts_only() -> Self {
-        Self { detail: FeedbackDetail::CountsOnly }
+        Self
     }
 }
 
@@ -138,20 +130,15 @@ impl Reviewer for TemplateReviewer {
             Feedback::Syntax { diagnostics } => {
                 for d in diagnostics {
                     let guidance = knowledge.lookup(d.code);
-                    let cause = match (self.detail, guidance) {
-                        (FeedbackDetail::Full, Some(g)) => {
-                            format!("{} ({})", d.message, g.cause)
-                        }
-                        (FeedbackDetail::Full, None) => d.message.clone(),
-                        (FeedbackDetail::CountsOnly, _) => {
-                            format!("a {} was reported", d.code.summary())
-                        }
+                    let cause = match guidance {
+                        Some(g) => format!("{} ({})", d.message, g.cause),
+                        None => d.message.clone(),
                     };
-                    let solution = match (self.detail, guidance, &d.suggestion) {
-                        (FeedbackDetail::Full, Some(g), Some(s)) => format!("{}; {s}", g.fix),
-                        (FeedbackDetail::Full, Some(g), None) => g.fix.clone(),
-                        (FeedbackDetail::Full, None, Some(s)) => s.clone(),
-                        _ => "inspect the reported construct and rewrite it".to_string(),
+                    let solution = match (guidance, &d.suggestion) {
+                        (Some(g), Some(s)) => format!("{}; {s}", g.fix),
+                        (Some(g), None) => g.fix.clone(),
+                        (None, Some(s)) => s.clone(),
+                        (None, None) => "inspect the reported construct and rewrite it".to_string(),
                     };
                     let mut item =
                         RevisionItem::for_diagnostic(d.code, d.location.clone(), cause, solution);
@@ -161,28 +148,21 @@ impl Reviewer for TemplateReviewer {
                     items.push(item);
                 }
             }
-            Feedback::Functional { failures, total_points } => {
-                if self.detail == FeedbackDetail::CountsOnly {
-                    items.push(RevisionItem::for_functional(
-                        format!("{} of {total_points} functional points failed", failures.len()),
-                        "re-examine the functional description and adjust the logic",
-                    ));
-                } else {
-                    for f in failures.iter().take(4) {
-                        let ports = f.mismatched_ports().join(", ");
-                        items.push(
-                            RevisionItem::for_functional(
-                                format!(
-                                    "output(s) {ports} mismatch the reference for inputs {:?}: \
-                                     expected {:?}, got {:?}",
-                                    f.inputs, f.expected, f.actual
-                                ),
-                                "trace how these inputs propagate through the design and correct \
-                                 the logic that produces the mismatched output",
-                            )
-                            .with_subject(ports),
-                        );
-                    }
+            Feedback::Functional { failures, .. } => {
+                for f in failures.iter().take(4) {
+                    let ports = f.mismatched_ports().join(", ");
+                    items.push(
+                        RevisionItem::for_functional(
+                            format!(
+                                "output(s) {ports} mismatch the reference for inputs {:?}: \
+                                 expected {:?}, got {:?}",
+                                f.inputs, f.expected, f.actual
+                            ),
+                            "trace how these inputs propagate through the design and correct the \
+                             logic that produces the mismatched output",
+                        )
+                        .with_subject(ports),
+                    );
                 }
             }
         }
@@ -221,25 +201,6 @@ mod tests {
         assert_eq!(plan.len(), 1);
         assert!(plan.items[0].solution.contains("WireDefault"));
         assert_eq!(plan.items[0].code, Some(ErrorCode::NotFullyInitialized));
-    }
-
-    #[test]
-    fn counts_only_reviewer_omits_details() {
-        let feedback = Feedback::Syntax {
-            diagnostics: vec![Diagnostic::error(
-                ErrorCode::TypeMismatch,
-                SourceInfo::new("T.scala", 9, 3),
-                "found Bool required UInt",
-            )],
-        };
-        let mut reviewer = TemplateReviewer::counts_only();
-        let plan = reviewer.review(
-            &candidate(),
-            &feedback,
-            &Trace::new(),
-            &CommonErrorKnowledge::standard(),
-        );
-        assert!(!plan.items[0].cause.contains("found Bool"));
     }
 
     #[test]

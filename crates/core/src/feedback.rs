@@ -2,8 +2,7 @@
 //!
 //! ReChisel distinguishes two error types (paper §IV-B): *syntax errors* reported by the
 //! compiler and *functional errors* discovered in simulation. [`Feedback`] carries the
-//! structured error lists for both, and [`FeedbackDetail`] controls how much of that
-//! structure is exposed to the Reviewer (the "feedback richness" ablation).
+//! structured error lists for both.
 
 use rechisel_firrtl::diagnostics::Diagnostic;
 use rechisel_sim::PointFailure;
@@ -25,17 +24,6 @@ impl std::fmt::Display for ErrorKind {
             ErrorKind::Functional => write!(f, "functional error"),
         }
     }
-}
-
-/// How much detail the Reviewer receives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FeedbackDetail {
-    /// Full structured feedback: locations, causes, suggestions, failing points.
-    #[default]
-    Full,
-    /// Only the number and kind of errors (ablation: shows that located diagnostics are
-    /// what drives effective repair).
-    CountsOnly,
 }
 
 /// The result of compiling and testing one candidate.
@@ -96,46 +84,35 @@ impl Feedback {
         }
     }
 
-    /// Renders the feedback as the text block handed to the Reviewer, honouring the
-    /// requested detail level.
-    pub fn to_report(&self, detail: FeedbackDetail) -> String {
+    /// Renders the feedback as the text block handed to the Reviewer: locations,
+    /// causes and suggestions of compile errors, or the first failing points.
+    pub fn to_report(&self) -> String {
         match self {
             Feedback::Success => "All tests passed.".to_string(),
-            Feedback::Syntax { diagnostics } => match detail {
-                FeedbackDetail::CountsOnly => {
-                    format!("[error] compilation failed with {} error(s)\n", diagnostics.len())
-                }
-                FeedbackDetail::Full => {
-                    let mut out = String::new();
-                    for d in diagnostics {
-                        out.push_str(&format!("[error] {}: {}\n", d.location, d.message));
-                        if let Some(s) = &d.suggestion {
-                            out.push_str(&format!("[error]   {s}\n"));
-                        }
+            Feedback::Syntax { diagnostics } => {
+                let mut out = String::new();
+                for d in diagnostics {
+                    out.push_str(&format!("[error] {}: {}\n", d.location, d.message));
+                    if let Some(s) = &d.suggestion {
+                        out.push_str(&format!("[error]   {s}\n"));
                     }
-                    out.push_str("[error] (Compile / compileIncremental) Compilation failed\n");
-                    out
                 }
-            },
-            Feedback::Functional { failures, total_points } => match detail {
-                FeedbackDetail::CountsOnly => format!(
+                out.push_str("[error] (Compile / compileIncremental) Compilation failed\n");
+                out
+            }
+            Feedback::Functional { failures, total_points } => {
+                let mut out = format!(
                     "simulation failed: {} of {total_points} functional points mismatched\n",
                     failures.len()
-                ),
-                FeedbackDetail::Full => {
-                    let mut out = format!(
-                        "simulation failed: {} of {total_points} functional points mismatched\n",
-                        failures.len()
-                    );
-                    for f in failures.iter().take(8) {
-                        out.push_str(&format!("  {f}\n"));
-                    }
-                    if failures.len() > 8 {
-                        out.push_str(&format!("  ... and {} more\n", failures.len() - 8));
-                    }
-                    out
+                );
+                for f in failures.iter().take(8) {
+                    out.push_str(&format!("  {f}\n"));
                 }
-            },
+                if failures.len() > 8 {
+                    out.push_str(&format!("  ... and {} more\n", failures.len() - 8));
+                }
+                out
+            }
         }
     }
 }
@@ -169,17 +146,10 @@ mod tests {
 
     #[test]
     fn full_report_contains_location_and_suggestion() {
-        let text = syntax_feedback().to_report(FeedbackDetail::Full);
+        let text = syntax_feedback().to_report();
         assert!(text.contains("M.scala:7:3"));
         assert!(text.contains("WireDefault"));
         assert!(text.contains("Compilation failed"));
-    }
-
-    #[test]
-    fn counts_only_report_hides_details() {
-        let text = syntax_feedback().to_report(FeedbackDetail::CountsOnly);
-        assert!(!text.contains("M.scala"));
-        assert!(text.contains("1 error(s)"));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use engine::{
     CollectingObserver, Engine, EngineBuilder, NullObserver, Observer, RunEvent, RunEventKind,
     Session,
 };
-pub use feedback::{ErrorKind, Feedback, FeedbackDetail};
+pub use feedback::{ErrorKind, Feedback};
 pub use knowledge::{CommonErrorKnowledge, ErrorGuidance};
 pub use rechisel_sim::EngineKind;
 pub use revision::{RevisionItem, RevisionPlan};

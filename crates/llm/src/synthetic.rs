@@ -61,9 +61,6 @@ pub struct SyntheticLlm {
     language: Language,
     reference: Circuit,
     case_seed: u64,
-    /// Whether revision plans carry enough structure to target specific defects
-    /// (`false` models the counts-only feedback ablation).
-    guided: bool,
     reviewer: TemplateReviewer,
     states: HashMap<u64, CandidateState>,
     next_id: u64,
@@ -83,18 +80,11 @@ impl SyntheticLlm {
             language,
             reference,
             case_seed,
-            guided: true,
             reviewer: TemplateReviewer::new(),
             states: HashMap::new(),
             next_id: 0,
             attempt: 0,
         }
-    }
-
-    /// Disables plan targeting (models the counts-only feedback ablation).
-    pub fn with_guidance(mut self, guided: bool) -> Self {
-        self.guided = guided;
-        self
     }
 
     /// The model profile.
@@ -249,7 +239,7 @@ impl Generator for SyntheticLlm {
                 next.push(LiveDefect { stuck: true, ..defect });
                 continue;
             }
-            let targeted = self.guided && self.plan_targets(plan, &defect);
+            let targeted = self.plan_targets(plan, &defect);
             let base = if defect.instance.kind.is_syntax() {
                 repair.syntax_repair
             } else {

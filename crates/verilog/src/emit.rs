@@ -1,16 +1,16 @@
 //! Lowered-netlist → Verilog emission.
 //!
-//! [`emit_netlist`] converts a [`Netlist`] into a [`VModule`]; [`emit_verilog`] renders
-//! it to source text. In the ReChisel workflow this is the final stage of the "Chisel →
-//! FIRRTL → Verilog" compilation path whose output is handed to the simulator as the
-//! device under test.
+//! [`emit_verilog`] walks a [`Netlist`] once and writes synthesizable Verilog text. In
+//! the ReChisel workflow this is the final stage of the "Chisel → FIRRTL → Verilog"
+//! compilation path whose output is handed to the simulator as the device under test.
+//!
+//! Every operator is written fully parenthesized, so the text never relies on
+//! Verilog's operator precedence.
+
+use std::fmt::Write as _;
 
 use rechisel_firrtl::ir::{Direction, Expression, PrimOp};
-use rechisel_firrtl::lower::{Netlist, SignalInfo};
-
-use crate::ast::{
-    VAlways, VAssign, VDecl, VExpr, VMemDecl, VMemWrite, VModule, VPort, VPortDir, VRegUpdate,
-};
+use rechisel_firrtl::lower::{NetMem, NetMemWrite, NetReg, Netlist, SignalInfo};
 
 /// Errors produced during emission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,137 +29,180 @@ impl std::fmt::Display for EmitError {
 
 impl std::error::Error for EmitError {}
 
-/// Emits a netlist as a Verilog module AST.
+/// Emits a netlist as Verilog source text.
+///
+/// The module's sections come in a fixed order: the ports; `wire` declarations of
+/// the non-output definitions, then `reg` declarations; the memory arrays; `initial`
+/// images; the continuous assignments; then one `always` block per clock, in
+/// first-use order, with register updates before memory writes.
 ///
 /// # Errors
 ///
 /// Returns [`EmitError::Unsupported`] if the netlist contains expression forms that
-/// lowering should have eliminated (aggregate accesses, defect carriers).
-pub fn emit_netlist(netlist: &Netlist) -> Result<VModule, EmitError> {
-    let mut module = VModule { name: netlist.name.clone(), ..VModule::default() };
-    for port in &netlist.ports {
-        module.ports.push(VPort {
-            name: port.name.clone(),
-            dir: match port.direction {
-                Direction::Input => VPortDir::Input,
-                Direction::Output => VPortDir::Output,
-            },
-            width: port.info.width,
-        });
-    }
-    let output_names: Vec<String> = netlist.outputs().map(|p| p.name.clone()).collect();
-    for def in &netlist.defs {
-        if !output_names.contains(&def.name) {
-            module.decls.push(VDecl {
-                name: def.name.clone(),
-                width: def.info.width,
-                is_reg: false,
-            });
-        }
-        module
-            .assigns
-            .push(VAssign { target: def.name.clone(), expr: emit_expr(&def.expr, netlist)? });
-    }
-    // Group register updates by clock.
-    for reg in &netlist.regs {
-        module.decls.push(VDecl { name: reg.name.clone(), width: reg.info.width, is_reg: true });
-        let update = VRegUpdate {
-            target: reg.name.clone(),
-            next: emit_expr(&reg.next, netlist)?,
-            reset: match &reg.reset {
-                Some((cond, init)) => Some((emit_expr(cond, netlist)?, emit_expr(init, netlist)?)),
-                None => None,
-            },
+/// lowering should have eliminated (aggregate accesses, defect carriers, sequential
+/// reads); the first one in text order is reported.
+pub fn emit_verilog(netlist: &Netlist) -> Result<String, EmitError> {
+    // One walk fills each section; they are joined at the end.
+    let mut head = String::new();
+    let mut initials = String::new();
+    let mut assigns = String::new();
+    let mut blocks: Vec<(&str, String)> = Vec::new();
+
+    let _ = writeln!(head, "module {}(", netlist.name);
+    for (i, port) in netlist.ports.iter().enumerate() {
+        let dir = match port.direction {
+            Direction::Input => "input",
+            Direction::Output => "output",
         };
-        match module.always.iter_mut().find(|a| a.clock == reg.clock) {
-            Some(block) => block.updates.push(update),
-            None => module.always.push(VAlways {
-                clock: reg.clock.clone(),
-                updates: vec![update],
-                mem_writes: Vec::new(),
-            }),
+        let comma = if i + 1 == netlist.ports.len() { "" } else { "," };
+        let _ = writeln!(head, "  {dir} wire {}{}{comma}", Range(port.info.width), port.name);
+    }
+    head.push_str(");\n");
+    let ports_end = head.len();
+    for def in &netlist.defs {
+        if !netlist.outputs().any(|p| p.name == def.name) {
+            let _ = writeln!(head, "  wire {}{};", Range(def.info.width), def.name);
         }
+        let _ = write!(assigns, "  assign {} = ", def.name);
+        expr(&mut assigns, &def.expr, netlist)?;
+        assigns.push_str(";\n");
+    }
+    for reg in &netlist.regs {
+        let _ = writeln!(head, "  reg {}{};", Range(reg.info.width), reg.name);
+        reg_update(block(&mut blocks, &reg.clock), reg, netlist)?;
     }
     // Memories: a reg array per memory (with an `initial` image when declared), each
     // write port folded into the always block of ITS OWN clock — ports of one memory
-    // may sit in different clock domains. Combinational reads appear inline in
-    // `assigns`/register next-state expressions as array indexing; sequential reads
-    // were hoisted by lowering into ordinary registers (emitted above) whose
-    // next-state is the guarded array read.
+    // may sit in different clock domains. Combinational reads appear inline as array
+    // indexing; sequential reads were hoisted by lowering into ordinary registers
+    // (emitted above) whose next-state is the guarded array read.
     for mem in &netlist.mems {
-        module.mems.push(VMemDecl {
-            name: mem.name.clone(),
-            width: mem.info.width,
-            depth: mem.depth,
-            init: mem.init.clone(),
-        });
-        for port in &mem.writes {
-            let enable = match &port.enable {
-                Expression::UIntLiteral { value: 1, .. } => None,
-                e => Some(emit_expr(e, netlist)?),
-            };
-            // The engines drop out-of-range writes; IEEE Verilog leaves an
-            // out-of-bounds array store implementation-defined, so fold the range
-            // check into the enable whenever the address can exceed the depth.
-            let enable = if addr_can_overrun(&port.addr, mem.depth, netlist) {
-                let guard = in_range(emit_expr(&port.addr, netlist)?, mem.depth);
-                Some(match enable {
-                    Some(en) => VExpr::Binary { op: "&&", lhs: Box::new(en), rhs: Box::new(guard) },
-                    None => guard,
-                })
-            } else {
-                enable
-            };
-            // A lane-masked port stores a read-modify-write merge: lanes whose mask
-            // bit is clear keep the old word (nonblocking reads see pre-edge data, so
-            // the merge composes with the engines' old-data semantics).
-            let value = match &port.mask {
-                None => emit_expr(&port.value, netlist)?,
-                Some(mask) => {
-                    let old = VExpr::Index {
-                        base: mem.name.clone(),
-                        index: Box::new(emit_expr(&port.addr, netlist)?),
-                    };
-                    let mask_e = emit_expr(mask, netlist)?;
-                    let keep = VExpr::Binary {
-                        op: "&",
-                        lhs: Box::new(old),
-                        rhs: Box::new(VExpr::Unary { op: "~", arg: Box::new(mask_e.clone()) }),
-                    };
-                    let store = VExpr::Binary {
-                        op: "&",
-                        lhs: Box::new(emit_expr(&port.value, netlist)?),
-                        rhs: Box::new(mask_e),
-                    };
-                    VExpr::Binary { op: "|", lhs: Box::new(keep), rhs: Box::new(store) }
-                }
-            };
-            let write = VMemWrite {
-                mem: mem.name.clone(),
-                addr: emit_expr(&port.addr, netlist)?,
-                value,
-                enable,
-            };
-            match module.always.iter_mut().find(|a| a.clock == port.clock) {
-                Some(block) => block.mem_writes.push(write),
-                None => module.always.push(VAlways {
-                    clock: port.clock.clone(),
-                    updates: Vec::new(),
-                    mem_writes: vec![write],
-                }),
+        let last = mem.depth.saturating_sub(1);
+        let _ = writeln!(head, "  reg {}{} [0:{last}];", Range(mem.info.width), mem.name);
+        if !mem.init.is_empty() {
+            initials.push_str("  initial begin\n");
+            for (index, word) in mem.init.iter().enumerate() {
+                let _ =
+                    writeln!(initials, "    {}[{index}] = {}'d{word};", mem.name, mem.info.width);
             }
+            initials.push_str("  end\n\n");
+        }
+        for port in &mem.writes {
+            mem_write(block(&mut blocks, &port.clock), mem, port, netlist)?;
         }
     }
-    Ok(module)
+    // A blank line closes the declarations, when there are any.
+    if head.len() > ports_end {
+        head.push('\n');
+    }
+    for (_, block) in &mut blocks {
+        block.push_str("  end\n");
+    }
+    let mut sections = vec![head.as_str(), &initials, &assigns];
+    sections.extend(blocks.iter().map(|(_, block)| block.as_str()));
+    sections.push("endmodule\n");
+    // One allocation, of the text's exact length.
+    Ok(sections.concat())
 }
 
-/// Emits a netlist directly as Verilog source text.
-///
-/// # Errors
-///
-/// See [`emit_netlist`].
-pub fn emit_verilog(netlist: &Netlist) -> Result<String, EmitError> {
-    Ok(emit_netlist(netlist)?.to_verilog())
+/// A declaration's bit range, `[W-1:0] `; empty for one bit.
+struct Range(u32);
+
+impl std::fmt::Display for Range {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        if self.0 <= 1 {
+            Ok(())
+        } else {
+            write!(f, "[{}:0] ", self.0 - 1)
+        }
+    }
+}
+
+/// The `always` block of `clock`, opened at the clock's first use.
+fn block<'b, 'n>(blocks: &'b mut Vec<(&'n str, String)>, clock: &'n str) -> &'b mut String {
+    let at = match blocks.iter().position(|(c, _)| *c == clock) {
+        Some(at) => at,
+        None => {
+            blocks.push((clock, format!("\n  always @(posedge {clock}) begin\n")));
+            blocks.len() - 1
+        }
+    };
+    &mut blocks[at].1
+}
+
+fn reg_update(out: &mut String, reg: &NetReg, netlist: &Netlist) -> Result<(), EmitError> {
+    match &reg.reset {
+        Some((cond, init)) => {
+            out.push_str("    if (");
+            expr(out, cond, netlist)?;
+            let _ = write!(out, ") begin\n      {} <= ", reg.name);
+            expr(out, init, netlist)?;
+            let _ = write!(out, ";\n    end else begin\n      {} <= ", reg.name);
+            expr(out, &reg.next, netlist)?;
+            out.push_str(";\n    end\n");
+        }
+        None => {
+            let _ = write!(out, "    {} <= ", reg.name);
+            expr(out, &reg.next, netlist)?;
+            out.push_str(";\n");
+        }
+    }
+    Ok(())
+}
+
+fn mem_write(
+    out: &mut String,
+    mem: &NetMem,
+    port: &NetMemWrite,
+    netlist: &Netlist,
+) -> Result<(), EmitError> {
+    let enabled = !matches!(port.enable, Expression::UIntLiteral { value: 1, .. });
+    // The engines drop out-of-range writes; IEEE Verilog leaves an out-of-bounds array
+    // store implementation-defined, so fold the range check into the enable whenever
+    // the address can exceed the depth.
+    let guarded = addr_can_overrun(&port.addr, mem.depth, netlist);
+    if enabled || guarded {
+        out.push_str("    if (");
+        match (enabled, guarded) {
+            (true, true) => {
+                out.push('(');
+                expr(out, &port.enable, netlist)?;
+                out.push_str(" && ");
+                in_range(out, &port.addr, mem.depth, netlist)?;
+                out.push(')');
+            }
+            (true, false) => expr(out, &port.enable, netlist)?,
+            _ => in_range(out, &port.addr, mem.depth, netlist)?,
+        }
+        out.push_str(") begin\n      ");
+    } else {
+        out.push_str("    ");
+    }
+    let _ = write!(out, "{}[", mem.name);
+    expr(out, &port.addr, netlist)?;
+    out.push_str("] <= ");
+    match &port.mask {
+        None => expr(out, &port.value, netlist)?,
+        // A lane-masked port stores a read-modify-write merge: lanes whose mask bit
+        // is clear keep the old word (nonblocking reads see pre-edge data, so the
+        // merge composes with the engines' old-data semantics).
+        Some(mask) => {
+            let _ = write!(out, "(({}[", mem.name);
+            expr(out, &port.addr, netlist)?;
+            out.push_str("] & (~");
+            expr(out, mask, netlist)?;
+            out.push_str(")) | (");
+            expr(out, &port.value, netlist)?;
+            out.push_str(" & ");
+            expr(out, mask, netlist)?;
+            out.push_str("))");
+        }
+    }
+    out.push_str(";\n");
+    if enabled || guarded {
+        out.push_str("    end\n");
+    }
+    Ok(())
 }
 
 fn signal_info(netlist: &Netlist, name: &str) -> SignalInfo {
@@ -177,53 +220,66 @@ fn addr_can_overrun(addr: &Expression, depth: usize, netlist: &Netlist) -> bool 
     (1u128 << width) > depth as u128
 }
 
-/// `addr < depth` as a Verilog comparison against an unsized-friendly literal.
-fn in_range(addr: VExpr, depth: usize) -> VExpr {
-    let bound_width = min_width(depth as u128);
-    VExpr::Binary {
-        op: "<",
-        lhs: Box::new(addr),
-        rhs: Box::new(VExpr::lit(depth as u128, bound_width)),
-    }
+/// `(addr < depth)`, the bound sized to its own minimal width.
+fn in_range(
+    out: &mut String,
+    addr: &Expression,
+    depth: usize,
+    netlist: &Netlist,
+) -> Result<(), EmitError> {
+    out.push('(');
+    expr(out, addr, netlist)?;
+    let _ = write!(out, " < {}'d{depth})", min_width(depth as u128));
+    Ok(())
 }
 
-fn emit_expr(expr: &Expression, netlist: &Netlist) -> Result<VExpr, EmitError> {
-    match expr {
-        Expression::Ref(name) => Ok(VExpr::ident(name.clone())),
+fn expr(out: &mut String, e: &Expression, netlist: &Netlist) -> Result<(), EmitError> {
+    match e {
+        Expression::Ref(name) => out.push_str(name),
         Expression::UIntLiteral { value, width } => {
-            Ok(VExpr::lit(*value, width.unwrap_or_else(|| min_width(*value))))
+            let _ = write!(out, "{}'d{value}", width.unwrap_or_else(|| min_width(*value)));
         }
         Expression::SIntLiteral { value, width } => {
             let w = width.unwrap_or(32);
             let masked =
                 if w >= 128 { *value as u128 } else { (*value as u128) & ((1u128 << w) - 1) };
-            Ok(VExpr::lit(masked, w))
+            let _ = write!(out, "{w}'d{masked}");
         }
-        Expression::Mux { cond, tval, fval } => Ok(VExpr::Conditional {
-            cond: Box::new(emit_expr(cond, netlist)?),
-            then: Box::new(emit_expr(tval, netlist)?),
-            otherwise: Box::new(emit_expr(fval, netlist)?),
-        }),
-        // Sequential reads are hoisted into implicit registers by lowering; a
-        // surviving sync read means the netlist skipped lowering.
-        Expression::MemRead { sync: true, .. } => Err(EmitError::Unsupported(expr.to_string())),
+        Expression::Mux { cond, tval, fval } => {
+            out.push('(');
+            expr(out, cond, netlist)?;
+            out.push_str(" ? ");
+            expr(out, tval, netlist)?;
+            out.push_str(" : ");
+            expr(out, fval, netlist)?;
+            out.push(')');
+        }
         Expression::MemRead { mem, addr, sync: false, .. } => {
-            let indexed =
-                VExpr::Index { base: mem.clone(), index: Box::new(emit_expr(addr, netlist)?) };
             // The engines define out-of-range reads as zero; plain `mem[addr]` would
             // read X in Verilog, so guard whenever the address can exceed the depth.
-            match netlist.mems.iter().find(|m| &m.name == mem) {
-                Some(m) if addr_can_overrun(addr, m.depth, netlist) => Ok(VExpr::Conditional {
-                    cond: Box::new(in_range(emit_expr(addr, netlist)?, m.depth)),
-                    then: Box::new(indexed),
-                    otherwise: Box::new(VExpr::lit(0, m.info.width)),
-                }),
-                _ => Ok(indexed),
+            let guard = netlist
+                .mems
+                .iter()
+                .find(|m| &m.name == mem)
+                .filter(|m| addr_can_overrun(addr, m.depth, netlist));
+            if let Some(m) = guard {
+                out.push('(');
+                in_range(out, addr, m.depth, netlist)?;
+                out.push_str(" ? ");
+            }
+            let _ = write!(out, "{mem}[");
+            expr(out, addr, netlist)?;
+            out.push(']');
+            if let Some(m) = guard {
+                let _ = write!(out, " : {}'d0)", m.info.width);
             }
         }
-        Expression::Prim { op, args, params } => emit_prim(*op, args, params, netlist),
-        other => Err(EmitError::Unsupported(other.to_string())),
+        Expression::Prim { op, args, params } => prim(out, *op, args, params, netlist)?,
+        // Sequential reads are hoisted into implicit registers by lowering; a
+        // surviving sync read means the netlist skipped lowering.
+        other => return Err(EmitError::Unsupported(other.to_string())),
     }
+    Ok(())
 }
 
 fn min_width(value: u128) -> u32 {
@@ -254,95 +310,144 @@ fn is_signed(expr: &Expression, netlist: &Netlist) -> bool {
     }
 }
 
-fn emit_prim(
+/// The name `e` emits as when it emits as a bare identifier: a reference, possibly
+/// under the casts, `tail` and `pad` that [`prim`] emits as their operand.
+fn bare_ident(e: &Expression) -> Option<&str> {
+    use PrimOp::*;
+    match e {
+        Expression::Ref(name) => Some(name),
+        Expression::Prim {
+            op: AsUInt | AsBool | AsClock | AsAsyncReset | Tail | Pad,
+            args,
+            ..
+        } => bare_ident(&args[0]),
+        _ => None,
+    }
+}
+
+/// `name[hi:lo]`, or `name[hi]` for one bit.
+fn slice(out: &mut String, name: &str, hi: u32, lo: u32) {
+    let _ = if hi == lo { write!(out, "{name}[{hi}]") } else { write!(out, "{name}[{hi}:{lo}]") };
+}
+
+fn binary(
+    out: &mut String,
+    token: &str,
+    args: &[Expression],
+    netlist: &Netlist,
+) -> Result<(), EmitError> {
+    let signed = is_signed(&args[0], netlist) || is_signed(&args[1], netlist);
+    out.push('(');
+    operand(out, &args[0], signed, netlist)?;
+    let _ = write!(out, " {token} ");
+    operand(out, &args[1], signed, netlist)?;
+    out.push(')');
+    Ok(())
+}
+
+/// `arg`, reinterpreted as `$signed(..)` when `signed`.
+fn operand(
+    out: &mut String,
+    arg: &Expression,
+    signed: bool,
+    netlist: &Netlist,
+) -> Result<(), EmitError> {
+    if signed {
+        out.push_str("$signed(");
+    }
+    expr(out, arg, netlist)?;
+    if signed {
+        out.push(')');
+    }
+    Ok(())
+}
+
+fn unary(
+    out: &mut String,
+    token: &str,
+    arg: &Expression,
+    netlist: &Netlist,
+) -> Result<(), EmitError> {
+    let _ = write!(out, "({token}");
+    expr(out, arg, netlist)?;
+    out.push(')');
+    Ok(())
+}
+
+fn prim(
+    out: &mut String,
     op: PrimOp,
     args: &[Expression],
     params: &[i64],
     netlist: &Netlist,
-) -> Result<VExpr, EmitError> {
+) -> Result<(), EmitError> {
     use PrimOp::*;
-    let arg = |i: usize| emit_expr(&args[i], netlist);
-    let signed_wrap = |e: VExpr, signed: bool| if signed { VExpr::Signed(Box::new(e)) } else { e };
-    let binary = |op_token: &'static str, netlist: &Netlist| -> Result<VExpr, EmitError> {
-        let signed = is_signed(&args[0], netlist) || is_signed(&args[1], netlist);
-        Ok(VExpr::Binary {
-            op: op_token,
-            lhs: Box::new(signed_wrap(emit_expr(&args[0], netlist)?, signed)),
-            rhs: Box::new(signed_wrap(emit_expr(&args[1], netlist)?, signed)),
-        })
-    };
     match op {
-        Add => binary("+", netlist),
-        Sub => binary("-", netlist),
-        Mul => binary("*", netlist),
-        Div => binary("/", netlist),
-        Rem => binary("%", netlist),
-        And => binary("&", netlist),
-        Or => binary("|", netlist),
-        Xor => binary("^", netlist),
-        Eq => binary("==", netlist),
-        Neq => binary("!=", netlist),
-        Lt => binary("<", netlist),
-        Leq => binary("<=", netlist),
-        Gt => binary(">", netlist),
-        Geq => binary(">=", netlist),
-        Dshl => binary("<<", netlist),
-        Dshr => binary(">>", netlist),
-        Not => Ok(VExpr::Unary { op: "~", arg: Box::new(arg(0)?) }),
-        Neg => Ok(VExpr::Unary { op: "-", arg: Box::new(arg(0)?) }),
-        AndR => Ok(VExpr::Unary { op: "&", arg: Box::new(arg(0)?) }),
-        OrR => Ok(VExpr::Unary { op: "|", arg: Box::new(arg(0)?) }),
-        XorR => Ok(VExpr::Unary { op: "^", arg: Box::new(arg(0)?) }),
-        Shl => Ok(VExpr::Binary {
-            op: "<<",
-            lhs: Box::new(arg(0)?),
-            rhs: Box::new(VExpr::lit(params[0].max(0) as u128, 32)),
-        }),
-        Shr => Ok(VExpr::Binary {
-            op: ">>",
-            lhs: Box::new(arg(0)?),
-            rhs: Box::new(VExpr::lit(params[0].max(0) as u128, 32)),
-        }),
-        Cat => Ok(VExpr::Concat(vec![arg(0)?, arg(1)?])),
+        Add => binary(out, "+", args, netlist),
+        Sub => binary(out, "-", args, netlist),
+        Mul => binary(out, "*", args, netlist),
+        Div => binary(out, "/", args, netlist),
+        Rem => binary(out, "%", args, netlist),
+        And => binary(out, "&", args, netlist),
+        Or => binary(out, "|", args, netlist),
+        Xor => binary(out, "^", args, netlist),
+        Eq => binary(out, "==", args, netlist),
+        Neq => binary(out, "!=", args, netlist),
+        Lt => binary(out, "<", args, netlist),
+        Leq => binary(out, "<=", args, netlist),
+        Gt => binary(out, ">", args, netlist),
+        Geq => binary(out, ">=", args, netlist),
+        Dshl => binary(out, "<<", args, netlist),
+        Dshr => binary(out, ">>", args, netlist),
+        Not => unary(out, "~", &args[0], netlist),
+        Neg => unary(out, "-", &args[0], netlist),
+        AndR => unary(out, "&", &args[0], netlist),
+        OrR => unary(out, "|", &args[0], netlist),
+        XorR => unary(out, "^", &args[0], netlist),
+        Shl | Shr => {
+            out.push('(');
+            expr(out, &args[0], netlist)?;
+            let token = if op == Shl { "<<" } else { ">>" };
+            let _ = write!(out, " {token} 32'd{})", params[0].max(0));
+            Ok(())
+        }
+        Cat => {
+            out.push('{');
+            expr(out, &args[0], netlist)?;
+            out.push_str(", ");
+            expr(out, &args[1], netlist)?;
+            out.push('}');
+            Ok(())
+        }
         Bits => {
             let hi = params[0].max(0) as u32;
             let lo = params[1].max(0) as u32;
-            match arg(0)? {
-                base @ VExpr::Ident(_) => Ok(VExpr::Slice { base: Box::new(base), hi, lo }),
-                other => {
-                    // Verilog cannot slice arbitrary expressions; shift and mask instead.
-                    let shifted = VExpr::Binary {
-                        op: ">>",
-                        lhs: Box::new(other),
-                        rhs: Box::new(VExpr::lit(lo as u128, 32)),
-                    };
-                    let width = hi - lo + 1;
-                    let mask = if width >= 128 { u128::MAX } else { (1u128 << width) - 1 };
-                    Ok(VExpr::Binary {
-                        op: "&",
-                        lhs: Box::new(shifted),
-                        rhs: Box::new(VExpr::lit(mask, width)),
-                    })
-                }
+            if let Some(name) = bare_ident(&args[0]) {
+                slice(out, name, hi, lo);
+                return Ok(());
             }
+            // Verilog cannot slice arbitrary expressions; shift and mask instead.
+            out.push_str("((");
+            expr(out, &args[0], netlist)?;
+            let width = hi - lo + 1;
+            let mask = if width >= 128 { u128::MAX } else { (1u128 << width) - 1 };
+            let _ = write!(out, " >> 32'd{lo}) & {width}'d{mask})");
+            Ok(())
         }
-        AsUInt | AsBool | AsClock | AsAsyncReset | Tail => arg(0),
-        AsSInt => Ok(VExpr::Signed(Box::new(arg(0)?))),
-        Pad => arg(0),
+        AsUInt | AsBool | AsClock | AsAsyncReset | Tail | Pad => expr(out, &args[0], netlist),
+        AsSInt => operand(out, &args[0], true, netlist),
         Head => {
             let keep = params[0].max(1) as u32;
             let total = expr_width(&args[0], netlist);
             let lo = total.saturating_sub(keep);
-            match arg(0)? {
-                base @ VExpr::Ident(_) => {
-                    Ok(VExpr::Slice { base: Box::new(base), hi: total.saturating_sub(1), lo })
-                }
-                other => Ok(VExpr::Binary {
-                    op: ">>",
-                    lhs: Box::new(other),
-                    rhs: Box::new(VExpr::lit(lo as u128, 32)),
-                }),
+            if let Some(name) = bare_ident(&args[0]) {
+                slice(out, name, total.saturating_sub(1), lo);
+                return Ok(());
             }
+            out.push('(');
+            expr(out, &args[0], netlist)?;
+            let _ = write!(out, " >> 32'd{lo})");
+            Ok(())
         }
     }
 }
@@ -387,13 +492,15 @@ mod tests {
         let r = m.reg_next_init("r", Type::uint(4), &d, &Signal::lit_w(0, 4));
         m.connect(&q, &r);
         let netlist = lower_circuit(&m.into_circuit()).unwrap();
-        let module = emit_netlist(&netlist).unwrap();
-        assert_eq!(module.always.len(), 1);
-        assert_eq!(module.always[0].clock, "clock");
-        assert!(module.always[0].updates[0].reset.is_some());
-        let text = module.to_verilog();
-        assert!(text.contains("always @(posedge clock)"));
-        assert!(text.contains("r <= d;"));
+        let text = emit_verilog(&netlist).unwrap();
+        assert_eq!(text.matches("always @(").count(), 1, "{text}");
+        assert!(
+            text.contains(
+                "  always @(posedge clock) begin\n    if (reset) begin\n      r <= 4'd0;\n    \
+                 end else begin\n      r <= d;\n    end\n  end\n"
+            ),
+            "{text}"
+        );
     }
 
     #[test]
@@ -438,10 +545,8 @@ mod tests {
         });
         m.connect(&rdata, &mem.read(&raddr));
         let netlist = lower_circuit(&m.into_circuit()).unwrap();
-        let module = emit_netlist(&netlist).unwrap();
-        assert_eq!(module.mems.len(), 1);
-        assert_eq!(module.mems[0].depth, 8);
-        let text = module.to_verilog();
+        let text = emit_verilog(&netlist).unwrap();
+        assert_eq!(text.matches(" [0:").count(), 1, "one memory array: {text}");
         assert!(text.contains("reg [7:0] store [0:7];"));
         assert!(text.contains("assign rdata = store[raddr];"));
         assert!(text.contains("always @(posedge clock)"));
@@ -512,9 +617,8 @@ mod tests {
         m.with_clock(&clk_b, |m| m.mem_write(&mem, &addr, &din));
         m.connect(&dout, &mem.read(&addr));
         let netlist = rechisel_firrtl::lower_circuit(&m.into_circuit()).unwrap();
-        let module = emit_netlist(&netlist).unwrap();
-        assert_eq!(module.always.len(), 2, "one always block per write clock");
-        let text = module.to_verilog();
+        let text = emit_verilog(&netlist).unwrap();
+        assert_eq!(text.matches("always @(").count(), 2, "one always block per write clock");
         assert!(text.contains("always @(posedge clk_a)"), "{text}");
         assert!(text.contains("always @(posedge clk_b)"), "{text}");
     }
@@ -565,8 +669,32 @@ mod tests {
         let out = m.output("out", Type::uint(8));
         m.connect(&out, &a);
         let netlist = lower_circuit(&m.into_circuit()).unwrap();
-        let module = emit_netlist(&netlist).unwrap();
-        assert!(module.decls.iter().all(|d| d.name != "out"));
-        assert!(module.assigns.iter().any(|a| a.target == "out"));
+        let text = emit_verilog(&netlist).unwrap();
+        assert!(text.contains("  output wire [7:0] out\n"), "{text}");
+        assert!(!text.contains(" out;"), "the output port is not declared again: {text}");
+        assert!(text.contains("assign out = a;"), "{text}");
+    }
+
+    #[test]
+    fn bits_of_an_identifier_emit_as_slices() {
+        let mut m = ModuleBuilder::new("Slices");
+        let x = m.input("x", Type::uint(8));
+        let s = m.input("s", Type::sint(8));
+        let bit = m.output("bit", Type::bool());
+        let nibble = m.output("nibble", Type::uint(4));
+        let low = m.output("low", Type::uint(4));
+        let wide = m.output("wide", Type::uint(6));
+        m.connect(&bit, &x.bits(3, 3));
+        // Casts, `tail` and `pad` emit as their operand, so their bits still slice
+        // the identifier.
+        m.connect(&nibble, &s.as_uint().bits(7, 4));
+        m.connect(&low, &x.tail(2).bits(3, 0));
+        m.connect(&wide, &x.pad(12).bits(7, 2));
+        let netlist = lower_circuit(&m.into_circuit()).unwrap();
+        let text = emit_verilog(&netlist).unwrap();
+        assert!(text.contains("assign bit = x[3];"), "{text}");
+        assert!(text.contains("assign nibble = s[7:4];"), "{text}");
+        assert!(text.contains("assign low = x[3:0];"), "{text}");
+        assert!(text.contains("assign wide = x[7:2];"), "{text}");
     }
 }

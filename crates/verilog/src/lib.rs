@@ -1,10 +1,14 @@
 //! # rechisel-verilog
 //!
-//! Verilog AST and emitter for the ReChisel reproduction. The Chisel-like designs built
-//! with `rechisel-hcl` are checked and lowered by `rechisel-firrtl`; this crate turns
-//! the lowered netlist into synthesizable Verilog text — the artifact that the ReChisel
-//! workflow hands to the simulator as the device under test, and the output a user of
-//! the original system would ultimately consume.
+//! Verilog emitter for the ReChisel reproduction. The Chisel-like designs built with
+//! `rechisel-hcl` are checked and lowered by `rechisel-firrtl`; this crate writes the
+//! lowered netlist as synthesizable Verilog text in one walk — the artifact that the
+//! ReChisel workflow hands to the simulator as the device under test, and the output a
+//! user of the original system would ultimately consume.
+//!
+//! There is no Verilog syntax tree: [`emit_verilog`] writes the text directly. Code
+//! that called `emit_netlist(n)?.to_verilog()` calls `emit_verilog(n)`; the `V*`
+//! tree types have no replacement.
 //!
 //! # Example
 //!
@@ -26,10 +30,8 @@
 
 #![warn(missing_docs)]
 
-pub mod ast;
 pub mod backend;
 pub mod emit;
 
-pub use ast::{VAlways, VAssign, VDecl, VExpr, VModule, VPort, VPortDir, VRegUpdate};
 pub use backend::VerilogBackend;
-pub use emit::{emit_netlist, emit_verilog, EmitError};
+pub use emit::{emit_verilog, EmitError};

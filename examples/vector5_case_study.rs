@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("=== reflection trace (sample #{attempt}, model {}) ===", profile.name);
     for entry in result.trace.entries() {
         println!("--- iteration {} ---", entry.iteration);
-        println!("feedback:\n{}", entry.feedback.to_report(rechisel::core::FeedbackDetail::Full));
+        println!("feedback:\n{}", entry.feedback.to_report());
         if let Some(plan) = &entry.plan {
             println!("revision plan:\n{}", plan.to_text());
         }

@@ -6,7 +6,7 @@
 //!
 //! * [`hcl`] — Chisel-like hardware construction language.
 //! * [`firrtl`] — FIRRTL-like IR, checking passes, diagnostics and lowering.
-//! * [`verilog`] — Verilog AST and emitter.
+//! * [`verilog`] — Verilog emitter.
 //! * [`sim`] — cycle-accurate simulator and testbench framework.
 //! * [`llm`] — synthetic LLM substrate (model profiles, defect taxonomy).
 //! * [`core`] — the ReChisel agentic workflow (reflection + escape mechanism).
