@@ -24,6 +24,9 @@
 //! proptest stub (fixed per test name), so a failure reproduces forever; the case
 //! count is raised in CI's dedicated fuzz job via `RECHISEL_FUZZ_CASES`.
 
+mod common;
+
+use common::with_defect_chain;
 use proptest::prelude::*;
 use rechisel_benchsuite::{
     full_suite, random_circuit, random_stimulus, sampled_suite, RandomCircuitConfig,
@@ -37,7 +40,6 @@ use rechisel_firrtl::{
     check_circuit, lower_circuit, passes, Diagnostic, DiagnosticReport, ErrorCode, Fingerprint,
     RebuildReason, RecompileOutcome,
 };
-use rechisel_llm::{apply_defect, DefectInstance, DefectKind};
 use rechisel_sim::{
     run_testbench, run_testbench_with, CompiledSimulator, EngineKind, Simulator, Tape,
 };
@@ -353,28 +355,6 @@ fn standalone_passes(passes: &PassManager) -> PassManager {
         wrapped.register(Pass::new(name, *check));
     }
     wrapped
-}
-
-/// One step of the splitmix64 stream.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// `circuit` after a seeded chain of 1–4 defects, each of any kind the synthetic LLM
-/// injects (syntax or functional).
-fn with_defect_chain(mut circuit: Circuit, seed: u64) -> Circuit {
-    let kinds: Vec<DefectKind> =
-        DefectKind::syntax_kinds().iter().chain(DefectKind::functional_kinds()).copied().collect();
-    let mut state = seed;
-    for _ in 0..1 + splitmix(&mut state) % 4 {
-        let kind = kinds[(splitmix(&mut state) % kinds.len() as u64) as usize];
-        apply_defect(&mut circuit, DefectInstance::new(kind, splitmix(&mut state)));
-    }
-    circuit
 }
 
 /// `diagnostics` with their locations cleared: what a SourceInfo-only edit must

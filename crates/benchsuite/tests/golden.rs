@@ -11,14 +11,25 @@
 //! digest per case in `tests/golden/suite_verilog.txt`: an emitter change that moves
 //! one byte of any reference's text names the cases it moved.
 //!
+//! Lowering and emission are pinned beyond the references too: one digest each over
+//! the Verilog of every design that lowers in two seeded scans of unchecked designs,
+//! defect chains of the suite references and generated circuits. The two digests and
+//! lowered counts live in `golden_lowering_scan` itself.
+//!
 //! To regenerate the stored files after an intentional change, run with
-//! `RECHISEL_BLESS=1` and commit the rewritten files.
+//! `RECHISEL_BLESS=1` and commit the rewritten files; such a change also updates the
+//! scan's digests by hand, from the values its failure prints.
+
+mod common;
 
 use std::fmt::Write as _;
 
+use common::with_defect_chain;
 use rechisel_benchsuite::circuits::{arithmetic, combinational, fsm, memory, sequential};
-use rechisel_benchsuite::{full_suite, BenchmarkCase, SourceFamily};
-use rechisel_firrtl::lower_circuit;
+use rechisel_benchsuite::{
+    full_suite, random_circuit, BenchmarkCase, RandomCircuitConfig, SourceFamily,
+};
+use rechisel_firrtl::{lower_circuit, Circuit};
 use rechisel_sim::{EngineKind, SimEngine, Testbench};
 use rechisel_verilog::emit_verilog;
 
@@ -146,11 +157,17 @@ fn golden_memory_sync_sram8x8() {
     );
 }
 
+/// The FNV-1a, 64 bit, offset basis: the digest of no bytes.
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a, 64 bit, over `bytes`, continuing from `hash`.
+fn fnv1a64_from(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, b| (hash ^ u64::from(*b)).wrapping_mul(0x1000_0000_01b3))
+}
+
 /// FNV-1a, 64 bit, over `bytes`.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, b| {
-        (hash ^ u64::from(*b)).wrapping_mul(0x1000_0000_01b3)
-    })
+    fnv1a64_from(FNV_BASIS, bytes)
 }
 
 #[test]
@@ -178,4 +195,34 @@ fn golden_suite_verilog() {
         );
     }
     assert_eq!(got.lines().count(), golden.lines().count(), "the suite changed size");
+}
+
+/// FNV-1a-64 over, for each of `designs` that lowers and in order, `0x01` followed by
+/// its emitted Verilog; and the number that lowered. A design that lowers must emit.
+fn lowered_verilog_digest(designs: impl Iterator<Item = Circuit>) -> (String, usize) {
+    let (mut hash, mut lowered) = (FNV_BASIS, 0);
+    for circuit in designs {
+        let Ok(netlist) = lower_circuit(&circuit) else { continue };
+        let verilog = emit_verilog(&netlist).expect("a lowered design emits");
+        hash = fnv1a64_from(fnv1a64_from(hash, &[1]), verilog.as_bytes());
+        lowered += 1;
+    }
+    (format!("{hash:016x}"), lowered)
+}
+
+#[test]
+fn golden_lowering_scan() {
+    // Seed `i` breaks `suite[i % 216]` with a chain of 1-4 defects.
+    let suite = full_suite();
+    let chains = (0..20_000u64).map(|i| {
+        with_defect_chain(suite[(i % suite.len() as u64) as usize].reference().clone(), i)
+    });
+    assert_eq!(lowered_verilog_digest(chains), ("28a3e92f27204278".to_owned(), 9_604));
+    // Per seed: a default and a wide generated circuit, then the default one broken.
+    let (default, wide) = (RandomCircuitConfig::default(), RandomCircuitConfig::wide());
+    let generated = (0..5_000u64).flat_map(|s| {
+        let narrow = random_circuit(s, &default);
+        [narrow.clone(), random_circuit(s, &wide), with_defect_chain(narrow, s)]
+    });
+    assert_eq!(lowered_verilog_digest(generated), ("9073d3734a7b632f".to_owned(), 12_552));
 }

@@ -19,6 +19,10 @@
 //! 5. **Topological ordering** — combinational definitions are sorted so the simulator
 //!    can evaluate them in one forward pass.
 //!
+//! Steps 4 and 5 consume the ground module that step 3 builds: each expression moves
+//! into the netlist (a sink's earlier value into the mux that falls back to it), and
+//! the sort orders definition indices before moving the definitions into place.
+//!
 //! A design with no instance and every width declared, which is every revision that
 //! reaches lowering in the paper sweeps, skips steps 1 and 2 and is lowered without
 //! copying a module.
@@ -29,7 +33,7 @@
 //! Lowering assumes the circuit has already passed [`crate::check::check_circuit`];
 //! defect-carrier nodes or unresolved names produce an [`Err`] rather than a panic.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -255,6 +259,12 @@ impl SlotAssignment {
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
         self.names.iter().enumerate().map(|(i, n)| (i as u32, n.as_str()))
     }
+
+    /// The name→slot map behind [`SlotAssignment::slot_of`], taken by value: an engine
+    /// that looks signals up by name keeps this map rather than building a second one.
+    pub fn into_index(self) -> BTreeMap<String, u32> {
+        self.index
+    }
 }
 
 impl Netlist {
@@ -419,7 +429,7 @@ fn lower_flat(
 ) -> Result<Netlist, Diagnostic> {
     let inferred = elaborated.inferred_widths();
     if inferred.is_empty() {
-        return build_netlist(&expand_aggregates(module, elaborated.symbols())?);
+        return build_netlist(expand_aggregates(module, elaborated.symbols())?);
     }
     let mut resolved = module.clone();
     resolved.visit_statements_mut(&mut |stmt| match stmt {
@@ -433,7 +443,7 @@ fn lower_flat(
         _ => {}
     });
     let symbols = SymbolTable::build(&resolved, circuit);
-    build_netlist(&expand_aggregates(&resolved, &symbols)?)
+    build_netlist(expand_aggregates(&resolved, &symbols)?)
 }
 
 fn top_module(circuit: &Circuit) -> Result<&Module, Diagnostic> {
@@ -940,8 +950,7 @@ impl<'a> Expander<'a> {
                     ));
                 }
                 Statement::Node { name, value, info } => {
-                    let mut typer = ExprTyper::new(self.symbols, self.module);
-                    let ty = typer.at(info).infer(value)?;
+                    let ty = ExprTyper::new(self.symbols).at(info).infer(value)?;
                     let expr = self.expand_expr(value)?;
                     out.push(GroundStatement::Node(name.clone(), SignalInfo::from_type(&ty), expr));
                 }
@@ -950,8 +959,7 @@ impl<'a> Expander<'a> {
                 }
                 Statement::Invalidate { loc, info } => {
                     // DontCare: drive with zero.
-                    let mut typer = ExprTyper::new(self.symbols, self.module);
-                    let ty = typer.at(info).infer(loc)?;
+                    let ty = ExprTyper::new(self.symbols).at(info).infer(loc)?;
                     let path = static_path(loc).ok_or_else(|| {
                         Diagnostic::error(
                             ErrorCode::InvalidSink,
@@ -980,13 +988,12 @@ impl<'a> Expander<'a> {
         expr: &Expression,
         info: &SourceInfo,
     ) -> Result<Vec<GroundStatement>, Diagnostic> {
-        let mut typer = ExprTyper::new(self.symbols, self.module);
+        let mut typer = ExprTyper::new(self.symbols);
         let sink_ty = typer.at(info).infer(loc)?;
 
         // Dynamic sink: expand into per-element conditional connects.
         if let Expression::SubAccess(inner, index) = loc {
-            let mut typer = ExprTyper::new(self.symbols, self.module);
-            let inner_ty = typer.at(info).infer(inner)?;
+            let inner_ty = typer.infer(inner)?;
             let Type::Vec(_, len) = inner_ty else {
                 return Err(Diagnostic::error(
                     ErrorCode::InvalidSink,
@@ -1065,9 +1072,8 @@ impl<'a> Expander<'a> {
             Expression::SubIndex(inner, idx) => {
                 // A static index on a Vec selects an element signal; on a UInt/Bool it
                 // is a bit extract and must become a `bits` operation.
-                let mut typer = ExprTyper::new(self.symbols, self.module);
                 let inner_ty =
-                    typer.at(&SourceInfo::unknown()).infer(inner).unwrap_or(Type::UInt(None));
+                    ExprTyper::new(self.symbols).infer(inner).unwrap_or(Type::UInt(None));
                 match inner_ty {
                     Type::Vec(..) => {
                         let path = static_path(expr).ok_or_else(nested_dynamic_access)?;
@@ -1079,22 +1085,14 @@ impl<'a> Expander<'a> {
                     }
                 }
             }
+            // A whole-aggregate read is only legal under asUInt, which expands it
+            // below; anywhere else it lowers to the same mangled reference.
             Expression::Ref(_) | Expression::SubField(..) => {
                 let path = static_path(expr).ok_or_else(nested_dynamic_access)?;
-                let mut typer = ExprTyper::new(self.symbols, self.module);
-                let ty = typer.at(&SourceInfo::unknown()).infer(expr).unwrap_or(Type::UInt(None));
-                if ty.is_ground() {
-                    Ok(Expression::reference(mangle(&path)))
-                } else {
-                    // Whole-aggregate read in expression position is only legal under
-                    // asUInt, handled below; represent it as a marker reference that
-                    // the asUInt expansion replaces.
-                    Ok(Expression::reference(mangle(&path)))
-                }
+                Ok(Expression::reference(mangle(&path)))
             }
             Expression::SubAccess(inner, index) => {
-                let mut typer = ExprTyper::new(self.symbols, self.module);
-                let inner_ty = typer.at(&SourceInfo::unknown()).infer(inner)?;
+                let inner_ty = ExprTyper::new(self.symbols).infer(inner)?;
                 let index_e = self.expand_expr(index)?;
                 match inner_ty {
                     Type::Vec(_, len) => {
@@ -1151,9 +1149,8 @@ impl<'a> Expander<'a> {
                 // asUInt over an aggregate concatenates its elements (element 0 ends up
                 // in the least-significant bits, per Chisel semantics).
                 if *op == PrimOp::AsUInt && args.len() == 1 {
-                    let mut typer = ExprTyper::new(self.symbols, self.module);
                     if let Ok(ty @ (Type::Vec(..) | Type::Bundle(..))) =
-                        typer.at(&SourceInfo::unknown()).infer(&args[0])
+                        ExprTyper::new(self.symbols).infer(&args[0])
                     {
                         let base = static_path(&args[0]).ok_or_else(|| {
                             Diagnostic::error(
@@ -1182,8 +1179,11 @@ impl<'a> Expander<'a> {
                         return Ok(acc);
                     }
                 }
-                let new_args =
-                    args.iter().map(|a| self.expand_expr(a)).collect::<Result<Vec<_>, _>>()?;
+                // Sized exactly: the arguments move on into the netlist, which keeps them.
+                let mut new_args = Vec::with_capacity(args.len());
+                for a in args {
+                    new_args.push(self.expand_expr(a)?);
+                }
                 Ok(Expression::Prim { op: *op, args: new_args, params: params.clone() })
             }
             Expression::ScalaCast { .. } | Expression::BadApply { .. } => Err(Diagnostic::error(
@@ -1199,176 +1199,146 @@ impl<'a> Expander<'a> {
 // Step 4+5: when expansion and netlist construction
 // ---------------------------------------------------------------------------------
 
-fn build_netlist(ground: &GroundModule) -> Result<Netlist, Diagnostic> {
+fn build_netlist(ground: GroundModule) -> Result<Netlist, Diagnostic> {
+    let GroundModule { name, ports, wires, regs, mems, body } = ground;
+    // A name declared twice (only unchecked callers pass such a design) gives every
+    // one of its sinks a copy of the accumulated value; otherwise each value moves
+    // into the one sink that reads it.
     let mut signals: BTreeMap<String, SignalInfo> = BTreeMap::new();
-    for p in &ground.ports {
-        signals.insert(p.name.clone(), p.info);
+    let mut shared = false;
+    let mut declare = |name: &String, info| shared |= signals.insert(name.clone(), info).is_some();
+    for p in &ports {
+        declare(&p.name, p.info);
     }
-    for (name, info) in &ground.wires {
-        signals.insert(name.clone(), *info);
+    for (name, info) in &wires {
+        declare(name, *info);
     }
-    for (name, info, _, _) in &ground.regs {
-        signals.insert(name.clone(), *info);
+    for (name, info, _, _) in &regs {
+        declare(name, *info);
     }
-    collect_node_infos(&ground.body, &mut signals);
-
-    let reg_names: BTreeSet<String> = ground.regs.iter().map(|(n, _, _, _)| n.clone()).collect();
 
     // Expand when blocks: last-connect-wins, per ground sink. Memory writes collect
     // their surrounding conditions into per-port enables instead.
+    let reg_names: BTreeSet<&str> = regs.iter().map(|(n, ..)| n.as_str()).collect();
     let mut values: BTreeMap<String, Expression> = BTreeMap::new();
-    let mut nodes: Vec<(String, SignalInfo, Expression)> = Vec::new();
-    let mut mem_writes: Vec<(String, NetMemWrite)> = Vec::new();
-    expand_when(&ground.body, &None, &reg_names, &mut values, &mut nodes, &mut mem_writes);
-
-    // Combinational definitions: wires, outputs and nodes.
     let mut defs: Vec<NetDef> = Vec::new();
-    for (name, info, expr) in &nodes {
-        defs.push(NetDef { name: name.clone(), info: *info, expr: expr.clone() });
+    let mut mem_writes: Vec<(String, NetMemWrite)> = Vec::new();
+    expand_when(body, None, &reg_names, &mut values, &mut defs, &mut mem_writes);
+    for node in &defs {
+        signals.insert(node.name.clone(), node.info);
     }
-    for (name, info) in &ground.wires {
-        let expr = values.get(name).cloned().unwrap_or(Expression::uint_lit(0));
-        defs.push(NetDef { name: name.clone(), info: *info, expr });
+    let mut take = |name: &str| {
+        if shared {
+            values.get(name).cloned()
+        } else {
+            values.remove(name)
+        }
+    };
+
+    // Combinational definitions: the nodes (already in `defs`), wires and outputs.
+    for (name, info) in wires {
+        let expr = take(&name).unwrap_or(Expression::uint_lit(0));
+        defs.push(NetDef { name, info, expr });
     }
-    for port in ground.ports.iter().filter(|p| p.direction == Direction::Output) {
-        let expr = values.get(&port.name).cloned().unwrap_or(Expression::uint_lit(0));
+    for port in ports.iter().filter(|p| p.direction == Direction::Output) {
+        let expr = take(&port.name).unwrap_or(Expression::uint_lit(0));
         defs.push(NetDef { name: port.name.clone(), info: port.info, expr });
     }
 
     // Registers: the accumulated value (or the register itself when never assigned)
     // becomes the next-state function.
-    let mut regs: Vec<NetReg> = Vec::new();
-    for (name, info, clock, reset) in &ground.regs {
-        let next = values.get(name).cloned().unwrap_or_else(|| Expression::reference(name.clone()));
-        regs.push(NetReg {
-            name: name.clone(),
-            info: *info,
-            clock: clock.clone(),
-            next,
-            reset: reset.clone(),
-        });
+    let mut net_regs: Vec<NetReg> = Vec::with_capacity(regs.len());
+    for (name, info, clock, reset) in regs {
+        let next = take(&name).unwrap_or_else(|| Expression::reference(name.clone()));
+        net_regs.push(NetReg { name, info, clock, next, reset });
     }
 
-    // Memories: attach the collected write ports (declaration order preserved). Each
-    // port carries its own clock net, so several ports of one memory may sit in
-    // different clock domains (per-port `withClock`) without being collapsed.
-    let mut mems: Vec<NetMem> = Vec::new();
-    let mut ruw_of: BTreeMap<String, ReadUnderWrite> = BTreeMap::new();
-    for (name, info, depth, init, ruw) in &ground.mems {
-        ruw_of.insert(name.clone(), *ruw);
-        mems.push(NetMem {
-            name: name.clone(),
-            info: *info,
-            depth: *depth,
-            init: init.clone(),
-            writes: mem_writes.iter().filter(|(m, _)| m == name).map(|(_, w)| w.clone()).collect(),
-            sync_reads: Vec::new(),
-        });
-    }
-    for (name, _) in &mem_writes {
-        if !ground.mems.iter().any(|(m, ..)| m == name) {
+    // Memories: attach the collected write ports (declaration order preserved), a
+    // copy to each memory declared under the port's name. Each port carries its own
+    // clock net, so several ports of one memory may sit in different clock domains
+    // (per-port `withClock`) without being collapsed.
+    let mut writes: Vec<Vec<NetMemWrite>> = vec![Vec::new(); mems.len()];
+    for (mem, write) in mem_writes {
+        let mut declared = (0..mems.len()).filter(|&i| mems[i].0 == mem);
+        let Some(first) = declared.next() else {
             return Err(Diagnostic::error(
                 ErrorCode::UnknownReference,
                 SourceInfo::unknown(),
-                format!("write port targets undeclared memory {name}"),
+                format!("write port targets undeclared memory {mem}"),
             ));
+        };
+        for i in declared {
+            writes[i].push(write.clone());
         }
+        writes[first].push(write);
+    }
+    let mut ruw_of: BTreeMap<String, ReadUnderWrite> = BTreeMap::new();
+    let mut net_mems: Vec<NetMem> = Vec::with_capacity(mems.len());
+    for ((name, info, depth, init, ruw), writes) in mems.into_iter().zip(writes) {
+        ruw_of.insert(name.clone(), ruw);
+        net_mems.push(NetMem { name, info, depth, init, writes, sync_reads: Vec::new() });
     }
 
-    hoist_sync_reads(&mut defs, &mut regs, &mut mems, &ruw_of, &mut signals)?;
-    let defs = topo_sort_defs(defs, &reg_names, &signals)?;
-    Ok(Netlist {
-        name: ground.name.clone(),
-        ports: ground.ports.clone(),
-        defs,
-        regs,
-        mems,
-        signals,
-    })
+    hoist_sync_reads(&mut defs, &mut net_regs, &mut net_mems, &ruw_of, &mut signals)?;
+    let defs = topo_sort_defs(defs, &net_regs)?;
+    Ok(Netlist { name, ports, defs, regs: net_regs, mems: net_mems, signals })
 }
 
-fn collect_node_infos(body: &[GroundStatement], signals: &mut BTreeMap<String, SignalInfo>) {
-    for stmt in body {
-        match stmt {
-            GroundStatement::Node(name, info, _) => {
-                signals.insert(name.clone(), *info);
-            }
-            GroundStatement::When(_, t, e) => {
-                collect_node_infos(t, signals);
-                collect_node_infos(e, signals);
-            }
-            GroundStatement::Connect(..) | GroundStatement::MemWrite { .. } => {}
-        }
-    }
-}
-
-/// Resolves last-connect-wins semantics under nested conditions.
+/// Resolves last-connect-wins semantics under nested conditions, consuming `body`;
+/// nodes become definitions in statement order.
 ///
 /// The fallback value of a conditionally assigned sink is the sink's *previous*
 /// accumulated value; when there is none, registers fall back to themselves (hold) and
 /// wires/outputs fall back to zero (the initialization check has already guaranteed
 /// that every path assigns them, so the zero branch is unreachable).
 fn expand_when(
-    body: &[GroundStatement],
-    condition: &Option<Expression>,
-    regs: &BTreeSet<String>,
+    body: Vec<GroundStatement>,
+    condition: Option<&Expression>,
+    regs: &BTreeSet<&str>,
     values: &mut BTreeMap<String, Expression>,
-    nodes: &mut Vec<(String, SignalInfo, Expression)>,
+    defs: &mut Vec<NetDef>,
     mem_writes: &mut Vec<(String, NetMemWrite)>,
 ) {
     for stmt in body {
         match stmt {
-            GroundStatement::Node(name, info, expr) => {
-                nodes.push((name.clone(), *info, expr.clone()));
-            }
+            GroundStatement::Node(name, info, expr) => defs.push(NetDef { name, info, expr }),
             GroundStatement::MemWrite { mem, addr, value, mask, clock } => {
                 // The port's enable is the conjunction of the surrounding conditions;
                 // an unconditional write is always enabled.
-                let enable = condition.clone().unwrap_or_else(|| Expression::uint_lit(1));
-                mem_writes.push((
-                    mem.clone(),
-                    NetMemWrite {
-                        addr: addr.clone(),
-                        value: value.clone(),
-                        enable,
-                        mask: mask.clone(),
-                        clock: clock.clone(),
-                    },
-                ));
+                let enable = condition.cloned().unwrap_or_else(|| Expression::uint_lit(1));
+                mem_writes.push((mem, NetMemWrite { addr, value, enable, mask, clock }));
             }
             GroundStatement::Connect(sink, expr) => {
                 let new_value = match condition {
-                    None => expr.clone(),
+                    None => expr,
                     Some(cond) => {
-                        let fallback = values.get(sink).cloned().unwrap_or_else(|| {
-                            if regs.contains(sink) {
+                        let fallback = values.remove(&sink).unwrap_or_else(|| {
+                            if regs.contains(sink.as_str()) {
                                 Expression::reference(sink.clone())
                             } else {
                                 Expression::uint_lit(0)
                             }
                         });
-                        Expression::mux(cond.clone(), expr.clone(), fallback)
+                        Expression::mux(cond.clone(), expr, fallback)
                     }
                 };
-                values.insert(sink.clone(), new_value);
+                values.insert(sink, new_value);
             }
             GroundStatement::When(cond, then_body, else_body) => {
+                let not = Expression::prim(PrimOp::Not, vec![cond.clone()], vec![]);
                 let nested_then = and_conditions(condition, cond);
-                let nested_else = and_conditions(
-                    condition,
-                    &Expression::prim(PrimOp::Not, vec![cond.clone()], vec![]),
-                );
-                expand_when(then_body, &Some(nested_then), regs, values, nodes, mem_writes);
-                expand_when(else_body, &Some(nested_else), regs, values, nodes, mem_writes);
+                let nested_else = and_conditions(condition, not);
+                expand_when(then_body, Some(&nested_then), regs, values, defs, mem_writes);
+                expand_when(else_body, Some(&nested_else), regs, values, defs, mem_writes);
             }
         }
     }
 }
 
-fn and_conditions(outer: &Option<Expression>, inner: &Expression) -> Expression {
+fn and_conditions(outer: Option<&Expression>, inner: Expression) -> Expression {
     match outer {
-        None => inner.clone(),
-        Some(o) => Expression::prim(PrimOp::And, vec![o.clone(), inner.clone()], vec![]),
+        None => inner,
+        Some(o) => Expression::prim(PrimOp::And, vec![o.clone(), inner], vec![]),
     }
 }
 
@@ -1624,59 +1594,61 @@ fn hoist_sync_reads(
 }
 
 /// Orders combinational definitions so every definition only reads signals defined
-/// earlier (inputs and registers are always available).
-fn topo_sort_defs(
-    defs: Vec<NetDef>,
-    regs: &BTreeSet<String>,
-    signals: &BTreeMap<String, SignalInfo>,
-) -> Result<Vec<NetDef>, Diagnostic> {
-    let mut by_name: BTreeMap<String, NetDef> = BTreeMap::new();
-    let mut order: Vec<String> = Vec::new();
-    for d in defs {
-        order.push(d.name.clone());
-        by_name.insert(d.name.clone(), d);
+/// earlier (inputs and registers are always available). Of several definitions of one
+/// name, the last is kept, at the place of the first.
+fn topo_sort_defs(defs: Vec<NetDef>, regs: &[NetReg]) -> Result<Vec<NetDef>, Diagnostic> {
+    let mut by_name: HashMap<&str, usize> =
+        defs.iter().enumerate().map(|(i, d)| (d.name.as_str(), i)).collect();
+    let resolved: Vec<usize> = defs.iter().map(|d| by_name[d.name.as_str()]).collect();
+    // Each definition's dependencies in reference order, `deps[ends[i]..ends[i + 1]]`
+    // for definition `i`; registers impose no order.
+    for r in regs {
+        by_name.remove(r.name.as_str());
     }
-    let mut sorted: Vec<NetDef> = Vec::new();
-    let mut state: BTreeMap<String, u8> = BTreeMap::new();
-    for name in &order {
-        visit_def(name, &by_name, regs, signals, &mut state, &mut sorted)?;
+    let (mut deps, mut ends) = (Vec::new(), vec![0]);
+    for d in &defs {
+        d.expr.visit(&mut |e| {
+            if let Expression::Ref(name) = e {
+                deps.extend(by_name.get(name.as_str()));
+            }
+        });
+        ends.push(deps.len());
     }
-    Ok(sorted)
+    let mut state = vec![0u8; defs.len()];
+    let mut order = Vec::with_capacity(defs.len());
+    for i in resolved {
+        visit_def(i, &defs, (&deps, &ends), &mut state, &mut order)?;
+    }
+    let mut defs: Vec<Option<NetDef>> = defs.into_iter().map(Some).collect();
+    Ok(order.into_iter().filter_map(|i| defs[i].take()).collect())
 }
 
+/// Places definition `i` after its dependencies: `state` is 0 for unvisited, 1 while
+/// on the walk's stack and 2 once placed in `order`.
 fn visit_def(
-    name: &str,
-    by_name: &BTreeMap<String, NetDef>,
-    regs: &BTreeSet<String>,
-    signals: &BTreeMap<String, SignalInfo>,
-    state: &mut BTreeMap<String, u8>,
-    sorted: &mut Vec<NetDef>,
+    i: usize,
+    defs: &[NetDef],
+    (deps, ends): (&[usize], &[usize]),
+    state: &mut [u8],
+    order: &mut Vec<usize>,
 ) -> Result<(), Diagnostic> {
-    match state.get(name).copied().unwrap_or(0) {
+    match state[i] {
         2 => return Ok(()),
         1 => {
             return Err(Diagnostic::error(
                 ErrorCode::CombinationalLoop,
                 SourceInfo::unknown(),
-                format!("detected combinational cycle involving {name} during lowering"),
+                format!("detected combinational cycle involving {} during lowering", defs[i].name),
             ));
         }
         _ => {}
     }
-    let Some(def) = by_name.get(name) else {
-        return Ok(());
-    };
-    state.insert(name.to_string(), 1);
-    for dep in def.expr.referenced_names() {
-        if regs.contains(&dep) || !by_name.contains_key(&dep) {
-            // Registers and ports/unknowns do not impose ordering constraints.
-            let _ = signals;
-            continue;
-        }
-        visit_def(&dep, by_name, regs, signals, state, sorted)?;
+    state[i] = 1;
+    for &dep in &deps[ends[i]..ends[i + 1]] {
+        visit_def(dep, defs, (deps, ends), state, order)?;
     }
-    state.insert(name.to_string(), 2);
-    sorted.push(def.clone());
+    state[i] = 2;
+    order.push(i);
     Ok(())
 }
 
@@ -1929,6 +1901,52 @@ mod tests {
             let pipeline = crate::pipeline::Pipeline::new(crate::pipeline::FirrtlBackend);
             assert_eq!(pipeline.run(&inferred).unwrap().0, netlist);
         }
+    }
+
+    /// The defs (`name := expr`), then the registers (`name <= next`), that lowering
+    /// gives `x := a; out := x` over 8-bit ports `a` and `out` after `decls`, two
+    /// declarations of `x`. The checks reject the duplicate; only an unchecked caller
+    /// of [`lower_circuit`] can lower such a design.
+    fn lowered_after(decls: [Statement; 2]) -> Vec<String> {
+        let mut m = Module::new("Twice", ModuleKind::Module);
+        m.ports.push(Port::new("clock", Direction::Input, Type::Clock));
+        m.ports.push(Port::new("reset", Direction::Input, Type::bool()));
+        m.ports.push(Port::new("a", Direction::Input, Type::uint(8)));
+        m.ports.push(Port::new("out", Direction::Output, Type::uint(8)));
+        let x = decls[0].declared_name().unwrap().to_string();
+        m.body.extend(decls);
+        for (loc, expr) in [(x.as_str(), "a"), ("out", x.as_str())] {
+            m.body.push(Statement::Connect {
+                loc: Expression::reference(loc),
+                expr: Expression::reference(expr),
+                info: SourceInfo::unknown(),
+            });
+        }
+        let c = Circuit::single(m);
+        assert!(check_circuit(&c).errors().any(|d| d.code == ErrorCode::DuplicateDeclaration));
+        let netlist = lower_circuit(&c).unwrap();
+        let defs = netlist.defs.iter().map(|d| format!("{} := {}", d.name, d.expr));
+        defs.chain(netlist.regs.iter().map(|r| format!("{} <= {}", r.name, r.next))).collect()
+    }
+
+    #[test]
+    fn every_declaration_of_a_shared_name_reads_its_value() {
+        let wire = |name: &str| Statement::Wire {
+            name: name.into(),
+            ty: Type::uint(8),
+            info: SourceInfo::unknown(),
+        };
+        let reg = Statement::Reg {
+            name: "r".into(),
+            ty: Type::uint(8),
+            clock: ClockSpec::Implicit,
+            reset: None,
+            info: SourceInfo::unknown(),
+        };
+        // Two wires `w`: the sort keeps the last def, which reads `a`, not zero.
+        assert_eq!(lowered_after([wire("w"), wire("w")]), ["w := a", "out := w"]);
+        // A wire and a register `r`: both read `a`, so the register does not hold.
+        assert_eq!(lowered_after([wire("r"), reg]), ["r := a", "out := r", "r <= a"]);
     }
 
     #[test]

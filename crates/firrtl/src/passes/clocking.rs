@@ -66,27 +66,24 @@ pub(crate) fn run(
                         );
                     }
                 }
-                ClockSpec::Explicit(expr) => {
-                    let mut typer = ExprTyper::new(symbols, module);
-                    match typer.at(info).infer(expr) {
-                        Ok(Type::Clock) => {}
-                        Ok(other) => {
-                            report.push(
-                                Diagnostic::error(
-                                    ErrorCode::TypeMismatch,
-                                    info.clone(),
-                                    format!(
-                                        "withClock requires a Clock, found {}",
-                                        other.chisel_name()
-                                    ),
-                                )
-                                .with_suggestion("convert with .asClock if the source is a Bool")
-                                .with_subject(name.clone()),
-                            );
-                        }
-                        Err(d) => report.push(d),
+                ClockSpec::Explicit(expr) => match ExprTyper::new(symbols).at(info).infer(expr) {
+                    Ok(Type::Clock) => {}
+                    Ok(other) => {
+                        report.push(
+                            Diagnostic::error(
+                                ErrorCode::TypeMismatch,
+                                info.clone(),
+                                format!(
+                                    "withClock requires a Clock, found {}",
+                                    other.chisel_name()
+                                ),
+                            )
+                            .with_suggestion("convert with .asClock if the source is a Bool")
+                            .with_subject(name.clone()),
+                        );
                     }
-                }
+                    Err(d) => report.push(d),
+                },
             }
         }
     });

@@ -29,7 +29,7 @@ pub(crate) fn run(
 ) -> DiagnosticReport {
     let symbols = elaborated.symbols();
     let mut graph = DependencyGraph::default();
-    let mut builder = GraphBuilder { module, symbols, graph: &mut graph };
+    let mut builder = GraphBuilder { symbols, graph: &mut graph };
     builder.build(&module.body, &[]);
 
     let mut report = DiagnosticReport::new();
@@ -118,7 +118,6 @@ impl DependencyGraph {
 }
 
 struct GraphBuilder<'a> {
-    module: &'a Module,
     symbols: &'a SymbolTable,
     graph: &'a mut DependencyGraph,
 }
@@ -163,8 +162,7 @@ impl<'a> GraphBuilder<'a> {
     /// participate in a statically detectable loop in this analysis).
     fn sink_paths(&self, loc: &Expression) -> Vec<String> {
         let Some(path) = static_path(loc) else { return Vec::new() };
-        let mut typer = ExprTyper::new(self.symbols, self.module);
-        match typer.at(&SourceInfo::unknown()).infer(loc) {
+        match ExprTyper::new(self.symbols).infer(loc) {
             Ok(ty) => ground_paths(&path, &ty).into_iter().map(|(p, _)| p).collect(),
             Err(_) => vec![path],
         }
@@ -184,8 +182,7 @@ impl<'a> GraphBuilder<'a> {
                 if let Some(path) = static_path(expr) {
                     let root = expr.root_ref().unwrap_or_default();
                     if self.is_combinational_source(root) {
-                        let mut typer = ExprTyper::new(self.symbols, self.module);
-                        match typer.at(&SourceInfo::unknown()).infer(expr) {
+                        match ExprTyper::new(self.symbols).infer(expr) {
                             Ok(ty) => {
                                 out.extend(ground_paths(&path, &ty).into_iter().map(|(p, _)| p))
                             }
@@ -199,8 +196,7 @@ impl<'a> GraphBuilder<'a> {
                 if let Some(path) = static_path(inner) {
                     let root = inner.root_ref().unwrap_or_default();
                     if self.is_combinational_source(root) {
-                        let mut typer = ExprTyper::new(self.symbols, self.module);
-                        if let Ok(ty) = typer.at(&SourceInfo::unknown()).infer(inner) {
+                        if let Ok(ty) = ExprTyper::new(self.symbols).infer(inner) {
                             out.extend(ground_paths(&path, &ty).into_iter().map(|(p, _)| p));
                         } else {
                             out.push(path);

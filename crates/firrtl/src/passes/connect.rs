@@ -46,14 +46,8 @@ impl<'a> ConnectChecker<'a> {
         }
     }
 
-    fn typer(&self, info: &SourceInfo) -> ExprTyper<'a> {
-        let mut t = ExprTyper::new(self.symbols, self.module);
-        t.at(info);
-        t
-    }
-
     fn type_of(&mut self, expr: &Expression, info: &SourceInfo) -> Option<Type> {
-        match self.typer(info).infer(expr) {
+        match ExprTyper::new(self.symbols).at(info).infer(expr) {
             Ok(ty) => Some(ty),
             Err(d) => {
                 self.report.push(d);
@@ -366,7 +360,9 @@ impl<'a> ConnectChecker<'a> {
     fn check_sink(&mut self, loc: &Expression, info: &SourceInfo) {
         // Bit-select on a UInt used as a sink: the Fig. 8 case-study error.
         if let Expression::SubIndex(inner, _) | Expression::SubAccess(inner, _) = loc {
-            if let Ok(Type::UInt(_)) | Ok(Type::Bool) = self.typer(info).infer(inner) {
+            if let Ok(Type::UInt(_) | Type::Bool) =
+                ExprTyper::new(self.symbols).at(info).infer(inner)
+            {
                 self.report.push(
                     Diagnostic::error(
                         ErrorCode::InvalidSink,

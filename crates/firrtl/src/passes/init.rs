@@ -11,7 +11,7 @@
 //!   instance inputs), and
 //! * [`ErrorCode::UndrivenOutput`] for output ports that are never driven anywhere.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 use crate::ir::{Circuit, Direction, Module, SourceInfo, Statement, Type};
@@ -71,22 +71,19 @@ pub(crate) fn run(module: &Module, circuit: &Circuit, elaborated: &Elaborated) -
 
     let expand = |loc: &crate::ir::Expression| -> Vec<String> {
         let Some(path) = static_path(loc) else { return Vec::new() };
-        let mut typer = ExprTyper::new(symbols, module);
-        match typer.at(&SourceInfo::unknown()).infer(loc) {
+        match ExprTyper::new(symbols).infer(loc) {
             Ok(ty) => ground_paths(&path, &ty).into_iter().map(|(p, _)| p).collect(),
             Err(_) => vec![path],
         }
     };
 
-    let full = full_coverage(&module.body, &expand);
-    let touched = any_coverage(&module.body, &expand);
-
+    let covered = coverage(&module.body, &expand);
     for (path, info, req, subject) in required {
-        let is_full = full.contains(&path);
-        let is_touched = touched.contains(&path);
-        if is_full {
-            continue;
-        }
+        let is_touched = match covered.get(&path) {
+            Some(true) => continue,
+            Some(false) => true,
+            None => false,
+        };
         match req {
             Requirement::Wire => {
                 report.push(
@@ -142,42 +139,27 @@ pub(crate) fn run(module: &Module, circuit: &Circuit, elaborated: &Elaborated) -
     report
 }
 
-/// Ground paths assigned on *every* control path through `stmts`.
-fn full_coverage(
+/// Every ground path assigned on *any* control path through `stmts`, mapped to
+/// whether it is assigned on *every* control path.
+fn coverage(
     stmts: &[Statement],
     expand: &impl Fn(&crate::ir::Expression) -> Vec<String>,
-) -> BTreeSet<String> {
-    let mut covered: BTreeSet<String> = BTreeSet::new();
+) -> BTreeMap<String, bool> {
+    let mut covered: BTreeMap<String, bool> = BTreeMap::new();
     for s in stmts {
         match s {
             Statement::Connect { loc, .. } | Statement::Invalidate { loc, .. } => {
-                covered.extend(expand(loc));
+                covered.extend(expand(loc).into_iter().map(|path| (path, true)));
             }
             Statement::When { then_body, else_body, .. } => {
-                let t = full_coverage(then_body, expand);
-                let e = full_coverage(else_body, expand);
-                covered.extend(t.intersection(&e).cloned());
-            }
-            _ => {}
-        }
-    }
-    covered
-}
-
-/// Ground paths assigned on *any* control path through `stmts`.
-fn any_coverage(
-    stmts: &[Statement],
-    expand: &impl Fn(&crate::ir::Expression) -> Vec<String>,
-) -> BTreeSet<String> {
-    let mut covered: BTreeSet<String> = BTreeSet::new();
-    for s in stmts {
-        match s {
-            Statement::Connect { loc, .. } | Statement::Invalidate { loc, .. } => {
-                covered.extend(expand(loc));
-            }
-            Statement::When { then_body, else_body, .. } => {
-                covered.extend(any_coverage(then_body, expand));
-                covered.extend(any_coverage(else_body, expand));
+                let mut otherwise = coverage(else_body, expand);
+                for (path, full) in coverage(then_body, expand) {
+                    let full = otherwise.remove(&path) == Some(true) && full;
+                    *covered.entry(path).or_default() |= full;
+                }
+                for (path, _) in otherwise {
+                    covered.entry(path).or_default();
+                }
             }
             _ => {}
         }

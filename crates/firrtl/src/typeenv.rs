@@ -2,10 +2,11 @@
 //!
 //! The checking passes and the lowering pipeline all need to answer "what is the type
 //! of this expression in this module?". [`SymbolTable`] records every declared name of a
-//! module (ports, wires, registers, nodes, instances) and [`ExprTyper`] computes
-//! expression types, reporting the Table II-style diagnostics for ill-formed
-//! expressions: unknown references (A1), Scala casts (A2), bad invocations (A3),
-//! unsupported casts (B6), out-of-bounds static indices (B7) and type mismatches (B5).
+//! module (ports, wires, registers, nodes, instances) and the value of each node, and
+//! [`ExprTyper`] computes expression types from the table alone, reporting the Table
+//! II-style diagnostics for ill-formed expressions: unknown references (A1), Scala
+//! casts (A2), bad invocations (A3), unsupported casts (B6), out-of-bounds static
+//! indices (B7) and type mismatches (B5).
 //!
 //! [`Elaborated`] is one module's elaboration: its symbol table plus the widths
 //! inferred for its width-less wires and registers. The pass manager builds it once
@@ -83,6 +84,8 @@ thread_local! {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SymbolTable {
     symbols: BTreeMap<String, Symbol>,
+    /// The value of every name whose first declaration is a node.
+    nodes: BTreeMap<String, Expression>,
     duplicates: Vec<Diagnostic>,
 }
 
@@ -121,14 +124,19 @@ impl SymbolTable {
                 kind: SymbolKind::Reg,
                 info: info.clone(),
             }),
-            Statement::Node { name, info, .. } => table.insert(Symbol {
-                name: name.clone(),
-                // Node types are computed on demand by the typer; store an unknown
-                // width placeholder here and let `ExprTyper` resolve it lazily.
-                ty: Type::UInt(None),
-                kind: SymbolKind::Node,
-                info: info.clone(),
-            }),
+            Statement::Node { name, value, info } => {
+                if table.get(name).is_none() {
+                    table.nodes.insert(name.clone(), value.clone());
+                }
+                table.insert(Symbol {
+                    name: name.clone(),
+                    // Node types are computed on demand by the typer from the recorded
+                    // value; the symbol holds an unknown-width placeholder.
+                    ty: Type::UInt(None),
+                    kind: SymbolKind::Node,
+                    info: info.clone(),
+                })
+            }
             Statement::Mem { name, ty, depth, info, .. } => table.insert(Symbol {
                 name: name.clone(),
                 ty: ty.clone(),
@@ -176,6 +184,11 @@ impl SymbolTable {
     /// Looks up a symbol by name.
     pub fn get(&self, name: &str) -> Option<&Symbol> {
         self.symbols.get(name)
+    }
+
+    /// The value of node `name`, when the first declaration of `name` is a node.
+    pub(crate) fn node_value(&self, name: &str) -> Option<&Expression> {
+        self.nodes.get(name)
     }
 
     /// Iterates over all symbols in name order.
@@ -283,8 +296,7 @@ fn infer_declaration_widths(module: &Module, symbols: &SymbolTable) -> BTreeMap<
         if let Statement::Connect { loc, expr, info } = stmt {
             if let Some(path) = static_path(loc) {
                 if let Some((_, signed)) = unresolved.iter().find(|(n, _)| *n == path) {
-                    let mut typer = ExprTyper::new(symbols, module);
-                    if let Ok(ty) = typer.at(info).infer(expr) {
+                    if let Ok(ty) = ExprTyper::new(symbols).at(info).infer(expr) {
                         if let Some(w) = ty.width() {
                             let new_ty =
                                 if *signed { Type::SInt(Some(w)) } else { Type::UInt(Some(w)) };
@@ -349,36 +361,28 @@ pub fn min_sint_width(value: i128) -> u32 {
     }
 }
 
+/// The location of diagnostics typed without one.
+static UNKNOWN: SourceInfo = SourceInfo { file: String::new(), line: 0, col: 0 };
+
 /// Expression typer for a single module.
 pub struct ExprTyper<'a> {
     symbols: &'a SymbolTable,
-    module: &'a Module,
     /// Location to attribute diagnostics to when the expression itself has no location.
-    context: SourceInfo,
+    context: &'a SourceInfo,
 }
 
 impl<'a> ExprTyper<'a> {
-    /// Creates a typer over `symbols` for `module`.
-    pub fn new(symbols: &'a SymbolTable, module: &'a Module) -> Self {
-        Self { symbols, module, context: SourceInfo::unknown() }
+    /// Creates a typer over the module whose symbol table is `symbols`. Its diagnostics
+    /// carry an unknown location until [`ExprTyper::at`] sets one.
+    pub fn new(symbols: &'a SymbolTable) -> Self {
+        Self { symbols, context: &UNKNOWN }
     }
 
-    /// Sets the source location used for diagnostics produced while typing.
-    pub fn at(&mut self, info: &SourceInfo) -> &mut Self {
-        self.context = info.clone();
+    /// Sets the source location used for diagnostics produced while typing. The typer
+    /// borrows `info`; only a diagnostic it returns holds a copy.
+    pub fn at(&mut self, info: &'a SourceInfo) -> &mut Self {
+        self.context = info;
         self
-    }
-
-    fn node_value(&self, name: &str) -> Option<&'a Expression> {
-        let mut found = None;
-        self.module.visit_statements(&mut |s| {
-            if let Statement::Node { name: n, value, .. } = s {
-                if n == name && found.is_none() {
-                    found = Some(value);
-                }
-            }
-        });
-        found
     }
 
     /// Infers the type of `expr`, producing a diagnostic on the first error found.
@@ -398,7 +402,7 @@ impl<'a> ExprTyper<'a> {
             Expression::Ref(name) => match self.symbols.get(name) {
                 Some(sym) => {
                     if sym.kind == SymbolKind::Node {
-                        if let Some(value) = self.node_value(name) {
+                        if let Some(value) = self.symbols.node_value(name) {
                             return self.infer_depth(value, depth + 1);
                         }
                     }
@@ -1032,7 +1036,7 @@ mod tests {
     fn unknown_reference_has_suggestion() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         let err = typer.infer(&Expression::reference("flg")).unwrap_err();
         assert_eq!(err.code, ErrorCode::UnknownReference);
         assert!(err.suggestion.unwrap().contains("flag"));
@@ -1042,7 +1046,7 @@ mod tests {
     fn node_types_resolve_through_definition() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         let ty = typer.infer(&Expression::reference("sum")).unwrap();
         assert_eq!(ty, Type::UInt(Some(5)));
     }
@@ -1051,7 +1055,7 @@ mod tests {
     fn add_and_mul_widths() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         let add = Expression::prim(
             PrimOp::Add,
             vec![Expression::reference("a"), Expression::reference("b")],
@@ -1070,7 +1074,7 @@ mod tests {
     fn static_index_bounds_checked() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         let ok = Expression::SubIndex(Box::new(Expression::reference("v")), 4);
         assert_eq!(typer.infer(&ok).unwrap(), Type::Bool);
         let bad = Expression::SubIndex(Box::new(Expression::reference("v")), 5);
@@ -1085,7 +1089,7 @@ mod tests {
     fn scala_cast_is_rejected() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         let cast = Expression::ScalaCast {
             arg: Box::new(Expression::reference("a")),
             target: "SInt".into(),
@@ -1099,7 +1103,7 @@ mod tests {
     fn bad_apply_is_rejected() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         let call = Expression::BadApply {
             target: Box::new(Expression::reference("v")),
             args: vec![Expression::uint_lit(0), Expression::uint_lit(2)],
@@ -1113,7 +1117,7 @@ mod tests {
     fn asclock_on_wide_uint_is_unsupported() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         let cast = Expression::prim(PrimOp::AsClock, vec![Expression::reference("a")], vec![]);
         let err = typer.infer(&cast).unwrap_err();
         assert_eq!(err.code, ErrorCode::UnsupportedCast);
@@ -1126,7 +1130,7 @@ mod tests {
     fn literal_width_checked() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         assert!(typer.infer(&Expression::uint_lit_w(255, 8)).is_ok());
         assert!(typer.infer(&Expression::uint_lit_w(256, 8)).is_err());
     }
@@ -1148,7 +1152,7 @@ mod tests {
     fn bits_range_checked() {
         let (m, c) = test_module();
         let table = SymbolTable::build(&m, &c);
-        let typer = ExprTyper::new(&table, &m);
+        let typer = ExprTyper::new(&table);
         let ok = Expression::prim(PrimOp::Bits, vec![Expression::reference("a")], vec![3, 1]);
         assert_eq!(typer.infer(&ok).unwrap(), Type::UInt(Some(3)));
         let bad = Expression::prim(PrimOp::Bits, vec![Expression::reference("a")], vec![4, 0]);

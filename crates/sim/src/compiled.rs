@@ -261,10 +261,9 @@ struct Builder<'n> {
 impl<'n> Builder<'n> {
     fn new(netlist: &'n Netlist) -> Self {
         let slots = netlist.slot_assignment();
-        let mut index = BTreeMap::new();
         let mut init = Vec::with_capacity(slots.len());
         let mut metas = Vec::with_capacity(slots.len());
-        for (slot, name) in slots.iter() {
+        for (_, name) in slots.iter() {
             // The interpreter defaults missing metadata to a 64-bit unsigned signal;
             // mirror that so the engines cannot diverge even on odd netlists.
             let info = netlist.signal(name).unwrap_or(SignalInfo {
@@ -272,7 +271,6 @@ impl<'n> Builder<'n> {
                 signed: false,
                 is_clock: false,
             });
-            index.insert(name.to_string(), slot);
             let zero = EvalValue::new(0, info.width, info.signed);
             init.push(zero);
             // Named slots are only ever written by masked commits (and pokes), so
@@ -291,6 +289,7 @@ impl<'n> Builder<'n> {
                 width: m.info.width,
             });
         }
+        let index = slots.into_index();
         Self { netlist, index, init, metas, consts: BTreeMap::new(), mems, mem_index }
     }
 
