@@ -18,6 +18,11 @@
 //! lowers to the same outputs, cycle for cycle, as the bare circuit: the
 //! flatten-then-elaborate path the sweeps never take.
 //!
+//! The functional tester is held to the same standard on failing designs: a
+//! generated circuit broken by a defect chain, tested against the clean circuit,
+//! gets the same report, the same rendered feedback and the same identity keys from
+//! both engines.
+//!
 //! All generated-circuit properties run over the narrow population and over
 //! [`RandomCircuitConfig::wide`], whose 64/127/128-bit signals and over-shifting
 //! amounts live at the `u128` word boundary. Seeds are produced by the deterministic
@@ -31,7 +36,7 @@ use proptest::prelude::*;
 use rechisel_benchsuite::{
     full_suite, random_circuit, random_stimulus, sampled_suite, RandomCircuitConfig,
 };
-use rechisel_core::{ChiselCompiler, IncrementalCompiled};
+use rechisel_core::{ChiselCompiler, Feedback, FunctionalTester, IncrementalCompiled};
 use rechisel_firrtl::ir::{
     Circuit, Direction, Expression, Module, ModuleKind, PrimOp, SourceInfo, Statement,
 };
@@ -41,7 +46,7 @@ use rechisel_firrtl::{
     RebuildReason, RecompileOutcome,
 };
 use rechisel_sim::{
-    run_testbench, run_testbench_with, CompiledSimulator, EngineKind, Simulator, Tape,
+    run_testbench, run_testbench_with, CompiledSimulator, EngineKind, Simulator, Tape, Testbench,
 };
 use rechisel_verilog::VerilogBackend;
 
@@ -498,8 +503,42 @@ fn instance_differential_run(seed: u64, config: &RandomCircuitConfig) {
     }
 }
 
+/// One tester run: the generated circuit is the reference, its defect chain the DUT
+/// (when it compiles), and a seeded random testbench drives both. The Compiled and
+/// Interp testers must return the same report, rendered feedback and identity keys.
+fn tester_differential_run(seed: u64, config: &RandomCircuitConfig) {
+    let clean = random_circuit(seed, config);
+    let reference = lower_circuit(&clean)
+        .unwrap_or_else(|e| panic!("seed {seed}: generated circuit fails to lower: {e}"));
+    let Ok(dut) = ChiselCompiler::new().compile(&with_defect_chain(clean, seed)) else { return };
+    let testbench = Testbench::random_for(&reference, 12, (seed % 3) as u32, seed);
+    let compiled = FunctionalTester::new(reference, testbench);
+    let interp = compiled.clone().with_engine(EngineKind::Interp);
+    let (a, b) = (compiled.test(&dut.netlist), interp.test(&dut.netlist));
+    assert_eq!(a, b, "seed {seed}: the engines' reports differ");
+    let render = |report: rechisel_sim::SimReport| {
+        let feedback =
+            Feedback::Functional { total_points: report.total_points, failures: report.failures };
+        (feedback.to_report(), feedback.identity_keys())
+    };
+    assert_eq!(render(a), render(b), "seed {seed}: the engines' feedback differs");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
+
+    /// Generated circuits broken by a defect chain, tested against their clean
+    /// originals: both engines' testers report, render and key the failures alike.
+    #[test]
+    fn testers_agree_on_defective_generated_circuits(seed in 0u64..u64::MAX) {
+        tester_differential_run(seed, &RandomCircuitConfig::default());
+    }
+
+    /// The same tester property over the wide population.
+    #[test]
+    fn testers_agree_on_defective_wide_circuits(seed in 0u64..u64::MAX) {
+        tester_differential_run(seed, &RandomCircuitConfig::wide());
+    }
 
     /// Thousands of generated circuits × random stimulus: both engines, identical
     /// peeks, cycle for cycle.

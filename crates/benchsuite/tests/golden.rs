@@ -16,6 +16,10 @@
 //! defect chains of the suite references and generated circuits. The two digests and
 //! lowered counts live in `golden_lowering_scan` itself.
 //!
+//! The feedback text the Reviewer and the Inspector read is pinned the same way: one
+//! digest over the rendered functional feedback of every defect chain that compiles
+//! but fails its testbench, written in `golden_feedback_scan`.
+//!
 //! To regenerate the stored files after an intentional change, run with
 //! `RECHISEL_BLESS=1` and commit the rewritten files; such a change also updates the
 //! scan's digests by hand, from the values its failure prints.
@@ -28,6 +32,9 @@ use common::with_defect_chain;
 use rechisel_benchsuite::circuits::{arithmetic, combinational, fsm, memory, sequential};
 use rechisel_benchsuite::{
     full_suite, random_circuit, BenchmarkCase, RandomCircuitConfig, SourceFamily,
+};
+use rechisel_core::{
+    Candidate, ChiselCompiler, CommonErrorKnowledge, Feedback, Reviewer, TemplateReviewer, Trace,
 };
 use rechisel_firrtl::{lower_circuit, Circuit};
 use rechisel_sim::{EngineKind, SimEngine, Testbench};
@@ -170,6 +177,14 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     fnv1a64_from(FNV_BASIS, bytes)
 }
 
+/// [`fnv1a64_from`] with the standard 64-bit FNV prime, `0x100_0000_01b3`.
+///
+/// `fnv1a64_from` multiplies by `0x1000_0000_01b3`, the constant every hash in the
+/// workspace uses; the digests pinned with it keep it.
+fn fnv1a64_std_from(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, b| (hash ^ u64::from(*b)).wrapping_mul(0x100_0000_01b3))
+}
+
 #[test]
 fn golden_suite_verilog() {
     // One line per reference, in suite order: the case id and the digest of the
@@ -225,4 +240,51 @@ fn golden_lowering_scan() {
         [narrow.clone(), random_circuit(s, &wide), with_defect_chain(narrow, s)]
     });
     assert_eq!(lowered_verilog_digest(generated), ("9073d3734a7b632f".to_owned(), 12_552));
+}
+
+#[test]
+fn golden_feedback_scan() {
+    // Seed `i` breaks `suite[i % 216]` with a chain of 1-4 defects, as in the lowering
+    // scan. Every chain that compiles but fails its testbench is rendered the way the
+    // Reviewer and the Inspector read it: the report, the identity keys, and the
+    // revision plan with its subjects. FNV-1a-64 over those, each design's starting
+    // with 0x01 and its first two parts ending with 0x00.
+    let suite = full_suite();
+    let compiler = ChiselCompiler::new();
+    let knowledge = CommonErrorKnowledge::standard();
+    let (mut hash, mut designs, mut points) = (FNV_BASIS, 0, 0);
+    for i in 0..20_000u64 {
+        let case = &suite[(i % suite.len() as u64) as usize];
+        let circuit = with_defect_chain(case.reference().clone(), i);
+        let Ok(compiled) = compiler.compile(&circuit) else { continue };
+        let report = case.tester().test(&compiled.netlist);
+        let interp = case.tester_with_engine(EngineKind::Interp).test(&compiled.netlist);
+        assert_eq!(interp, report, "case {} chain {i}: the engines report differently", case.id);
+        if report.passed() {
+            continue;
+        }
+        designs += 1;
+        points += report.failures.len();
+        let feedback =
+            Feedback::Functional { failures: report.failures, total_points: report.total_points };
+        hash = fnv1a64_std_from(hash, &[1]);
+        hash = fnv1a64_std_from(hash, feedback.to_report().as_bytes());
+        hash = fnv1a64_std_from(hash, &[0]);
+        hash = fnv1a64_std_from(hash, feedback.identity_keys().join("\n").as_bytes());
+        hash = fnv1a64_std_from(hash, &[0]);
+        let plan = TemplateReviewer::new().review(
+            &Candidate::new(0, 0, circuit),
+            &feedback,
+            &Trace::new(),
+            &knowledge,
+        );
+        hash = fnv1a64_std_from(hash, plan.to_text().as_bytes());
+        for item in &plan.items {
+            hash = fnv1a64_std_from(hash, format!("{:?}", item.subject).as_bytes());
+        }
+    }
+    assert_eq!(
+        (format!("{hash:016x}"), designs, points),
+        ("bb9afd74bdf90ac9".to_owned(), 2_377, 60_484)
+    );
 }

@@ -156,7 +156,9 @@ impl Reviewer for TemplateReviewer {
                             format!(
                                 "output(s) {ports} mismatch the reference for inputs {:?}: \
                                  expected {:?}, got {:?}",
-                                f.inputs, f.expected, f.actual
+                                f.inputs(),
+                                f.expected(),
+                                f.actual()
                             ),
                             "trace how these inputs propagate through the design and correct the \
                              logic that produces the mismatched output",
@@ -206,12 +208,7 @@ mod tests {
     #[test]
     fn functional_failures_produce_items_with_io_details() {
         let feedback = Feedback::Functional {
-            failures: vec![PointFailure {
-                index: 3,
-                inputs: vec![("a".into(), 1)],
-                expected: vec![("out".into(), 5)],
-                actual: vec![("out".into(), 7)],
-            }],
+            failures: vec![PointFailure::from_pairs(3, &[("a", 1)], &[("out", 5)], &[("out", 7)])],
             total_points: 16,
         };
         let mut reviewer = TemplateReviewer::new();

@@ -10,7 +10,7 @@ use rechisel_firrtl::pipeline::Pipeline;
 use rechisel_firrtl::{Fingerprint, RebuildReason, RecompileOutcome};
 use rechisel_sim::{
     record_reference_trace, run_testbench, run_testbench_against_trace, CompiledSimulator,
-    EngineKind, OutputTrace, SimError, SimReport, Tape, Testbench,
+    EngineKind, OutputTrace, PointFailure, SimError, SimReport, Stimulus, Tape, Testbench,
 };
 use rechisel_verilog::VerilogBackend;
 
@@ -216,12 +216,16 @@ impl IncrementalCompiler {
 /// outputs at every checked point) is recorded once, lazily, and **shared across
 /// clones** — a benchmark case hands out one tester clone per sample, so the whole
 /// sweep compiles and simulates each case's reference once, and keeps only the trace.
-/// The reference netlist and the testbench are shared too, so a clone copies
-/// reference counts, not the design or its stimulus.
+/// The reference netlist and the testbench, with its input names interned once
+/// ([`Stimulus`]), are shared too, so a clone copies reference counts, not the design
+/// or its stimulus. Every failure of a run renders its inputs and expected values
+/// from that shared stimulus and trace.
 #[derive(Debug, Clone)]
 pub struct FunctionalTester {
     reference: Arc<Netlist>,
     testbench: Arc<Testbench>,
+    /// The testbench with its input names interned, shared across clones.
+    stimulus: Arc<Stimulus>,
     engine: EngineKind,
     /// Lazily recorded reference output trace, shared across clones of this tester.
     reference_trace: Arc<OnceLock<Result<Arc<OutputTrace>, SimError>>>,
@@ -233,6 +237,7 @@ impl FunctionalTester {
     pub fn new(reference: Netlist, testbench: Testbench) -> Self {
         Self {
             reference: Arc::new(reference),
+            stimulus: Arc::new(Stimulus::new(&testbench)),
             testbench: Arc::new(testbench),
             engine: EngineKind::default(),
             reference_trace: Arc::new(OnceLock::new()),
@@ -270,7 +275,7 @@ impl FunctionalTester {
         self.reference_trace
             .get_or_init(|| {
                 let mut ref_sim = CompiledSimulator::new(&self.reference)?;
-                record_reference_trace(&mut ref_sim, &self.testbench).map(Arc::new)
+                record_reference_trace(&mut ref_sim, &self.stimulus).map(Arc::new)
             })
             .clone()
     }
@@ -297,26 +302,16 @@ impl FunctionalTester {
                     Some(tape) => CompiledSimulator::from_tape(tape),
                     None => CompiledSimulator::new(dut)?,
                 };
-                run_testbench_against_trace(&mut dut_sim, &trace, &self.testbench)
+                run_testbench_against_trace(&mut dut_sim, &trace, &self.stimulus)
             }),
         };
-        match outcome {
-            Ok(report) => report,
-            Err(_) => {
-                let total = self.testbench.checked_points();
-                SimReport {
-                    total_points: total,
-                    failures: (0..total)
-                        .map(|index| rechisel_sim::PointFailure {
-                            index,
-                            inputs: Vec::new(),
-                            expected: Vec::new(),
-                            actual: Vec::new(),
-                        })
-                        .collect(),
-                }
+        outcome.unwrap_or_else(|_| {
+            let total = self.testbench.checked_points();
+            SimReport {
+                total_points: total,
+                failures: (0..total).map(PointFailure::bare).collect(),
             }
-        }
+        })
     }
 }
 
@@ -324,6 +319,7 @@ impl FunctionalTester {
 mod tests {
     use super::*;
     use rechisel_hcl::prelude::*;
+    use rechisel_sim::FunctionalPoint;
 
     fn passthrough(name: &str) -> Circuit {
         let mut m = ModuleBuilder::new(name);
@@ -569,6 +565,166 @@ mod tests {
             let interp = tester.clone().with_engine(EngineKind::Interp).test(dut);
             assert_eq!(compiled, interp);
         }
+    }
+
+    /// `to_report()` of the functional feedback for `dut` against `reference` under
+    /// `tb`, after checking that the Interp and Compiled testers report the same.
+    fn feedback_text(reference: &Netlist, dut: &Netlist, tb: &Testbench) -> String {
+        let tester = FunctionalTester::new(reference.clone(), tb.clone());
+        let report = tester.test(dut);
+        assert_eq!(report, tester.clone().with_engine(EngineKind::Interp).test(dut));
+        let SimReport { failures, total_points } = report;
+        crate::Feedback::Functional { failures, total_points }.to_report()
+    }
+
+    /// A design with inputs `a` and `b` and outputs `x = a + b` and `y = a ^ b`,
+    /// declared in `outputs` order, plus `z = a` when `extra` is set.
+    fn two_outputs(outputs: [&str; 2], extra: bool) -> Netlist {
+        let mut m = ModuleBuilder::new("Pair");
+        let a = m.input("a", Type::uint(8));
+        let b = m.input("b", Type::uint(8));
+        for name in outputs {
+            let port = m.output(name, Type::uint(8));
+            let value = if name == "x" { a.add(&b).bits(7, 0) } else { a.xor(&b) };
+            m.connect(&port, &value);
+        }
+        if extra {
+            let z = m.output("z", Type::uint(8));
+            m.connect(&z, &a);
+        }
+        ChiselCompiler::new().compile(&m.into_circuit()).unwrap().netlist
+    }
+
+    /// `x = a + 1` over an `a` of `width` bits, or `x = a` when `off_by_one` is unset.
+    fn one_input(width: u32, off_by_one: bool) -> Netlist {
+        let mut m = ModuleBuilder::new("One");
+        let a = m.input("a", Type::uint(width));
+        let x = m.output("x", Type::uint(8));
+        let value = if off_by_one { a.pad(8).add(&Signal::lit_w(1, 8)).bits(7, 0) } else { a };
+        m.connect(&x, &value.pad(8));
+        ChiselCompiler::new().compile(&m.into_circuit()).unwrap().netlist
+    }
+
+    fn point(inputs: &[(&str, u128)]) -> Vec<(String, u128)> {
+        inputs.iter().map(|(name, value)| (name.to_string(), *value)).collect()
+    }
+
+    #[test]
+    fn a_dut_with_other_outputs_fails_every_point_under_its_own_names() {
+        let reference = two_outputs(["x", "y"], false);
+        let tb = Testbench::new(vec![
+            FunctionalPoint::comb(point(&[("a", 1), ("b", 2)])),
+            FunctionalPoint::comb(point(&[("a", 5), ("b", 5)])),
+        ]);
+        assert_eq!(
+            feedback_text(&reference, &two_outputs(["y", "x"], false), &tb),
+            "simulation failed: 2 of 2 functional points mismatched\n  \
+             point 0: inputs {a=1, b=2} expected {x=3, y=3} got {y=3, x=3}\n  \
+             point 1: inputs {a=5, b=5} expected {x=10, y=0} got {y=0, x=10}\n"
+        );
+        assert_eq!(
+            feedback_text(&reference, &two_outputs(["x", "y"], true), &tb),
+            "simulation failed: 2 of 2 functional points mismatched\n  \
+             point 0: inputs {a=1, b=2} expected {x=3, y=3} got {x=3, y=3, z=1}\n  \
+             point 1: inputs {a=5, b=5} expected {x=10, y=0} got {x=10, y=0, z=5}\n"
+        );
+    }
+
+    #[test]
+    fn an_input_the_dut_lacks_is_not_driven() {
+        let reference = two_outputs(["x", "y"], false);
+        let tb = Testbench::new(vec![
+            FunctionalPoint::comb(point(&[("a", 1), ("b", 2)])),
+            FunctionalPoint::comb(point(&[("a", 4), ("b", 0)])),
+        ]);
+        // The DUT has no `b`: its `x` and `y` follow `a` alone.
+        let mut m = ModuleBuilder::new("NoB");
+        let a = m.input("a", Type::uint(8));
+        let x = m.output("x", Type::uint(8));
+        let y = m.output("y", Type::uint(8));
+        m.connect(&x, &a);
+        m.connect(&y, &a);
+        let dut = ChiselCompiler::new().compile(&m.into_circuit()).unwrap().netlist;
+        assert_eq!(
+            feedback_text(&reference, &dut, &tb),
+            "simulation failed: 1 of 2 functional points mismatched\n  \
+             point 0: inputs {a=1, b=2} expected {x=3, y=3} got {x=1, y=1}\n"
+        );
+    }
+
+    #[test]
+    fn a_value_wider_than_the_dut_port_leaves_the_port_as_it_was() {
+        let tb = Testbench::new(vec![
+            FunctionalPoint::comb(point(&[("a", 3)])),
+            FunctionalPoint::comb(point(&[("a", 200)])),
+            FunctionalPoint::comb(point(&[("a", 9)])),
+        ]);
+        assert_eq!(
+            feedback_text(&one_input(8, false), &one_input(4, false), &tb),
+            "simulation failed: 1 of 3 functional points mismatched\n  \
+             point 1: inputs {a=200} expected {x=200} got {x=3}\n"
+        );
+    }
+
+    #[test]
+    fn an_input_named_twice_takes_its_last_value() {
+        let tb = Testbench::new(vec![FunctionalPoint::comb(point(&[("a", 1), ("a", 7)]))]);
+        assert_eq!(
+            feedback_text(&one_input(8, false), &one_input(8, true), &tb),
+            "simulation failed: 1 of 1 functional points mismatched\n  \
+             point 0: inputs {a=1, a=7} expected {x=7} got {x=8}\n"
+        );
+    }
+
+    #[test]
+    fn failures_after_setup_points_carry_the_point_index_and_the_checked_row() {
+        let accumulator = |off_by_one: bool| {
+            let mut m = ModuleBuilder::new("Acc");
+            let a = m.input("a", Type::uint(8));
+            let x = m.output("x", Type::uint(8));
+            let acc = m.reg_init("acc", Type::uint(8), &Signal::lit_w(0, 8));
+            m.connect(&acc, &acc.add(&a).bits(7, 0));
+            let shown = if off_by_one { acc.add(&Signal::lit_w(1, 8)).bits(7, 0) } else { acc };
+            m.connect(&x, &shown);
+            ChiselCompiler::new().compile(&m.into_circuit()).unwrap().netlist
+        };
+        let tb = Testbench::new(vec![
+            FunctionalPoint::setup(point(&[("a", 1)]), 1),
+            FunctionalPoint::seq(point(&[("a", 2)]), 1),
+            FunctionalPoint::setup(point(&[("a", 3)]), 1),
+            FunctionalPoint::setup(point(&[("a", 4)]), 1),
+            FunctionalPoint::seq(point(&[("a", 5)]), 1),
+        ]);
+        let text = feedback_text(&accumulator(false), &accumulator(true), &tb);
+        assert_eq!(
+            text,
+            "simulation failed: 2 of 2 functional points mismatched\n  \
+             point 1: inputs {a=2} expected {x=3} got {x=4}\n  \
+             point 4: inputs {a=5} expected {x=15} got {x=16}\n"
+        );
+    }
+
+    #[test]
+    fn the_structural_fallback_reports_every_point_with_nothing_attached() {
+        let reference = one_input(8, false);
+        let mut broken = reference.clone();
+        broken.defs[0].expr = rechisel_firrtl::ir::Expression::reference("ghost");
+        let tb = Testbench::new(vec![
+            FunctionalPoint::setup(point(&[("a", 1)]), 0),
+            FunctionalPoint::comb(point(&[("a", 2)])),
+            FunctionalPoint::comb(point(&[("a", 3)])),
+        ]);
+        let text = feedback_text(&reference, &broken, &tb);
+        assert_eq!(
+            text,
+            "simulation failed: 2 of 2 functional points mismatched\n  \
+             point 0: inputs {} expected {} got {}\n  \
+             point 1: inputs {} expected {} got {}\n"
+        );
+        let tester = FunctionalTester::new(reference, tb);
+        let report = tester.test(&broken);
+        let feedback = crate::Feedback::Functional { failures: report.failures, total_points: 2 };
+        assert_eq!(feedback.identity_keys(), vec!["func@".to_string(); 2]);
     }
 
     #[test]

@@ -578,8 +578,10 @@ fn handle_line(line: &[u8], conn: &Arc<ConnState>, inner: &Arc<Inner>) {
         }
         Op::Shutdown => {
             inner.shutting_down.store(true, Ordering::SeqCst);
-            conn.send(inner, &ok_reply(request.id, [("stopping", Json::Bool(true))]), false);
+            // Raise the flag before the ack goes out, so a client that has read the
+            // ack always finds `shutdown_requested()` true.
             request_shutdown(inner);
+            conn.send(inner, &ok_reply(request.id, [("stopping", Json::Bool(true))]), false);
         }
         // Heavy ops go to the shard pool.
         Op::Compile { case } | Op::Simulate { case, .. } | Op::RunSession { case, .. } => {

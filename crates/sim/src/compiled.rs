@@ -25,6 +25,7 @@ use std::sync::Arc;
 use rechisel_firrtl::ir::{Direction, Expression, PrimOp};
 use rechisel_firrtl::lower::{Netlist, SignalInfo};
 
+use crate::engine::InputPort;
 use crate::eval::{apply_prim, mask, min_width, EvalError, EvalValue};
 use crate::simulator::SimError;
 
@@ -205,7 +206,8 @@ pub struct Tape {
     /// Implicit sync-read registers with the index of their clock domain: the initial
     /// `uncaptured` set of a fresh simulator, drained per-domain as edges happen.
     sync_regs: Vec<(String, u32)>,
-    inputs: BTreeMap<String, InPort>,
+    /// Input ports in port order; an [`InputPort`] indexes this list.
+    inputs: Vec<InPort>,
     outputs: Vec<(String, u32)>,
     has_reset: bool,
 }
@@ -616,16 +618,11 @@ impl<'n> Builder<'n> {
             .ports
             .iter()
             .filter(|p| p.direction == Direction::Input)
-            .map(|p| {
-                (
-                    p.name.clone(),
-                    InPort {
-                        name: p.name.clone(),
-                        slot: self.index[&p.name],
-                        width: p.info.width,
-                        signed: p.info.signed,
-                    },
-                )
+            .map(|p| InPort {
+                name: p.name.clone(),
+                slot: self.index[&p.name],
+                width: p.info.width,
+                signed: p.info.signed,
             })
             .collect();
         let outputs = self
@@ -813,17 +810,29 @@ impl CompiledSimulator {
     /// Returns [`SimError::NoSuchPort`] if `name` is not an input port and
     /// [`SimError::ValueTooWide`] if `value` does not fit in the port's width.
     pub fn poke(&mut self, name: &str, value: u128) -> Result<(), SimError> {
-        let port =
-            self.tape.inputs.get(name).ok_or_else(|| SimError::NoSuchPort(name.to_string()))?;
-        if value != mask(value, port.width) {
-            return Err(SimError::ValueTooWide {
-                port: port.name.clone(),
-                width: port.width,
-                value,
-            });
+        let port = self.input_port(name).ok_or_else(|| SimError::NoSuchPort(name.to_string()))?;
+        if self.poke_input(port, value) {
+            Ok(())
+        } else {
+            let width = self.tape.inputs[port.0].width;
+            Err(SimError::ValueTooWide { port: name.to_string(), width, value })
         }
-        self.state[port.slot as usize] = EvalValue::new(value, port.width, port.signed);
-        Ok(())
+    }
+
+    /// Resolves an input port by name, once, for [`poke_input`](Self::poke_input).
+    pub fn input_port(&self, name: &str) -> Option<InputPort> {
+        self.tape.inputs.iter().position(|p| p.name == name).map(InputPort)
+    }
+
+    /// Drives a resolved input port; a value wider than the port is not applied, and
+    /// the call returns `false`.
+    pub fn poke_input(&mut self, port: InputPort, value: u128) -> bool {
+        let port = &self.tape.inputs[port.0];
+        let fits = value == mask(value, port.width);
+        if fits {
+            self.state[port.slot as usize] = EvalValue::new(value, port.width, port.signed);
+        }
+        fits
     }
 
     /// Reads the current value of any signal (port, wire or register).
@@ -1081,6 +1090,22 @@ impl crate::engine::SimEngine for CompiledSimulator {
 
     fn outputs(&self) -> Vec<(String, u128)> {
         CompiledSimulator::outputs(self)
+    }
+
+    fn input_port(&self, name: &str) -> Option<InputPort> {
+        CompiledSimulator::input_port(self, name)
+    }
+
+    fn poke_input(&mut self, port: InputPort, value: u128) -> bool {
+        CompiledSimulator::poke_input(self, port, value)
+    }
+
+    fn output_names(&self) -> Vec<&str> {
+        self.tape.outputs.iter().map(|(name, _)| name.as_str()).collect()
+    }
+
+    fn read_outputs(&self, values: &mut Vec<u128>) {
+        values.extend(self.tape.outputs.iter().map(|(_, slot)| self.state[*slot as usize].bits));
     }
 
     fn has_reset(&self) -> bool {

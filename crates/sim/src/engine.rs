@@ -140,6 +140,24 @@ pub trait SimEngine {
     /// `peek` when the distinction matters.
     fn outputs(&self) -> Vec<(String, u128)>;
 
+    /// Resolves the input port `name` once, for repeated
+    /// [`poke_input`](Self::poke_input)s that look up no name. `None` when the design
+    /// has no input of that name.
+    fn input_port(&self, name: &str) -> Option<InputPort>;
+
+    /// Drives an input port resolved by [`input_port`](Self::input_port). A value
+    /// wider than the port is not applied: the port keeps its previous value and the
+    /// call returns `false`.
+    fn poke_input(&mut self, port: InputPort, value: u128) -> bool;
+
+    /// The output port names, in port order: the names of [`outputs`](Self::outputs).
+    fn output_names(&self) -> Vec<&str>;
+
+    /// Appends every output port's raw value, in port order, to `values`: the values
+    /// of [`outputs`](Self::outputs), with no names and no allocation once `values`
+    /// has room.
+    fn read_outputs(&self, values: &mut Vec<u128>);
+
     /// True when the design has a `reset` input port.
     fn has_reset(&self) -> bool;
 
@@ -238,6 +256,12 @@ pub trait SimEngine {
         Ok(())
     }
 }
+
+/// An input port of one engine instance, resolved by [`SimEngine::input_port`].
+///
+/// A handle is only meaningful to the engine that resolved it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct InputPort(pub(crate) usize);
 
 /// Which [`SimEngine`] implementation to instantiate.
 ///

@@ -17,10 +17,15 @@
 //! * [`run_testbench`] / [`run_testbench_with`] / [`run_testbench_on`] —
 //!   DUT-vs-reference comparison producing the [`SimReport`] whose
 //!   [`PointFailure`]s become the "functional error" feedback consumed by the ReChisel
-//!   Reviewer agent. Each records the reference's outputs
-//!   ([`record_reference_trace`]) and compares the DUT against them
-//!   ([`run_testbench_against_trace`]), the two halves a caller that tests many DUTs
-//!   against one reference uses directly.
+//!   Reviewer agent. Each interns the testbench's input names ([`Stimulus`]), records
+//!   the reference's outputs as a flat [`OutputTrace`] ([`record_reference_trace`])
+//!   and compares the DUT against them ([`run_testbench_against_trace`]), the pieces a
+//!   caller that tests many DUTs against one reference keeps and reuses.
+//! * Compact failures: the runner binds each input name to a DUT port once per run
+//!   ([`SimEngine::input_port`]) and compares output values in place, and a
+//!   [`PointFailure`] holds its point index, its trace row and the DUT's values. Names,
+//!   inputs and expected values are rendered ([`PortValues`]) from the stimulus and
+//!   trace that the failures of a run share.
 //!
 //! # Example
 //!
@@ -55,11 +60,12 @@ pub mod simulator;
 pub mod testbench;
 
 pub use compiled::{CompiledSimulator, Tape};
-pub use engine::{EngineKind, SimEngine};
+pub use engine::{EngineKind, InputPort, SimEngine};
 pub use eval::{apply_prim, eval_expr, EvalError, EvalValue};
 pub use schedule::{Edge, EdgeQueue};
 pub use simulator::{SimError, Simulator};
 pub use testbench::{
     record_reference_trace, run_testbench, run_testbench_against_trace, run_testbench_on,
-    run_testbench_with, FunctionalPoint, OutputTrace, PointFailure, SimReport, Testbench,
+    run_testbench_with, FunctionalPoint, OutputTrace, PointFailure, PortValues, SimReport,
+    Stimulus, Testbench,
 };

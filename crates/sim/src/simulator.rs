@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use rechisel_firrtl::ir::Direction;
 use rechisel_firrtl::lower::Netlist;
 
+use crate::engine::InputPort;
 use crate::eval::{eval_expr_with_mems, mask, EvalError, MemState};
 
 /// Errors produced by simulation.
@@ -184,18 +185,34 @@ impl Simulator {
     /// literals are rejected rather than silently masked, so a testbench driving
     /// `256` into an 8-bit port is a caller bug, not a quiet truncation to 0).
     pub fn poke(&mut self, name: &str, value: u128) -> Result<(), SimError> {
-        let port = self
-            .netlist
+        let port = self.input_port(name).ok_or_else(|| SimError::NoSuchPort(name.to_string()))?;
+        if self.poke_input(port, value) {
+            Ok(())
+        } else {
+            let width = self.netlist.ports[port.0].info.width;
+            Err(SimError::ValueTooWide { port: name.to_string(), width, value })
+        }
+    }
+
+    /// Resolves an input port by name, once, for [`poke_input`](Self::poke_input).
+    pub fn input_port(&self, name: &str) -> Option<InputPort> {
+        self.netlist
             .ports
             .iter()
-            .find(|p| p.name == name && p.direction == Direction::Input)
-            .ok_or_else(|| SimError::NoSuchPort(name.to_string()))?;
-        let width = port.info.width;
-        if value != mask(value, width) {
-            return Err(SimError::ValueTooWide { port: name.to_string(), width, value });
+            .position(|p| p.name == name && p.direction == Direction::Input)
+            .map(InputPort)
+    }
+
+    /// Drives a resolved input port; a value wider than the port is not applied, and
+    /// the call returns `false`.
+    pub fn poke_input(&mut self, port: InputPort, value: u128) -> bool {
+        let port = &self.netlist.ports[port.0];
+        let fits = value == mask(value, port.info.width);
+        if fits {
+            // Every port has held a value since construction.
+            *self.values.get_mut(&port.name).expect("ports have values") = value;
         }
-        self.values.insert(name.to_string(), value);
-        Ok(())
+        fits
     }
 
     /// Reads the current value of any signal (port, wire or register).
@@ -517,6 +534,23 @@ impl crate::engine::SimEngine for Simulator {
 
     fn outputs(&self) -> Vec<(String, u128)> {
         Simulator::outputs(self)
+    }
+
+    fn input_port(&self, name: &str) -> Option<InputPort> {
+        Simulator::input_port(self, name)
+    }
+
+    fn poke_input(&mut self, port: InputPort, value: u128) -> bool {
+        Simulator::poke_input(self, port, value)
+    }
+
+    fn output_names(&self) -> Vec<&str> {
+        self.netlist.outputs().map(|p| p.name.as_str()).collect()
+    }
+
+    fn read_outputs(&self, values: &mut Vec<u128>) {
+        values
+            .extend(self.netlist.outputs().map(|p| self.values.get(&p.name).copied().unwrap_or(0)));
     }
 
     fn has_reset(&self) -> bool {
