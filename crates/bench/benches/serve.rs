@@ -2,7 +2,7 @@
 //!
 //! Every datapoint drives a real `rechisel-serve` instance over loopback TCP with the
 //! blocking client, so the measured cost is the full path: request encode → framing →
-//! shard queue → worker → reply (plus streamed events for sessions). The server
+//! job queue → worker → reply (plus streamed events for sessions). The server
 //! compiles each case's reference once, on the case's first request, so every timed
 //! `compile` is a lookup of that compiled reference; the `substrate` and `pipeline/`
 //! groups time the check/lower/emit work itself. The calibration spin is re-emitted

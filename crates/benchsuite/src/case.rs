@@ -12,6 +12,7 @@ use rechisel_core::{FunctionalTester, PortSpec, Spec};
 use rechisel_firrtl::ir::{Circuit, Direction};
 use rechisel_firrtl::lower::Netlist;
 use rechisel_firrtl::lower_circuit;
+use rechisel_llm::rng::fnv1a64;
 use rechisel_sim::{EngineKind, Testbench};
 
 /// Which benchmark family a case is modelled after.
@@ -152,15 +153,10 @@ impl BenchmarkCase {
         self.reference
     }
 
-    /// A stable per-case seed derived from the id.
+    /// A stable per-case seed derived from the id: [`fnv1a64`] over its bytes, stable
+    /// across runs and platforms.
     pub fn seed(&self) -> u64 {
-        // FNV-1a over the id bytes: stable across runs and platforms.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.id.as_bytes() {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-        hash
+        fnv1a64(self.id.as_bytes())
     }
 
     /// True for purely combinational cases.
@@ -226,8 +222,10 @@ impl BenchmarkCase {
 
     /// Like [`tester`](Self::tester), but with an explicit simulation engine. The
     /// returned tester still shares this case's cached reference netlist and
-    /// reference trace (the trace is recorded — once — when a compiled-engine tester
-    /// first runs).
+    /// testbench. On the prototype's engine (compiled) it shares the case's reference
+    /// trace too, recorded once when such a tester first runs; on the other engine it
+    /// records a trace of its own on first use, which lives only as long as that
+    /// tester and its clones.
     pub fn tester_with_engine(&self, engine: EngineKind) -> FunctionalTester {
         self.tester().with_engine(engine)
     }

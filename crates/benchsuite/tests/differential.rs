@@ -45,9 +45,7 @@ use rechisel_firrtl::{
     check_circuit, lower_circuit, passes, Diagnostic, DiagnosticReport, ErrorCode, Fingerprint,
     RebuildReason, RecompileOutcome,
 };
-use rechisel_sim::{
-    run_testbench, run_testbench_with, CompiledSimulator, EngineKind, Simulator, Tape, Testbench,
-};
+use rechisel_sim::{run_testbench, CompiledSimulator, EngineKind, Simulator, Tape, Testbench};
 use rechisel_verilog::VerilogBackend;
 
 /// Generated-circuit count for the property below: default 1000, raised in CI. A set
@@ -614,13 +612,14 @@ fn front_door_holds_on_defective_suite_references() {
 #[test]
 fn engines_agree_on_suite_references() {
     // Beyond generated circuits: both engines must produce byte-identical testbench
-    // reports over real benchmark-suite reference designs (all five categories).
+    // reports over real benchmark-suite reference designs (all five categories). The
+    // case's tester runs the compiled engine on both sides.
     for case in sampled_suite(24) {
         let netlist = case.reference_netlist();
         let tester = case.tester();
         let tb = tester.testbench();
         let interp = run_testbench(netlist, netlist, tb).unwrap();
-        let compiled = run_testbench_with(EngineKind::Compiled, netlist, netlist, tb).unwrap();
+        let compiled = tester.test(netlist);
         assert_eq!(interp, compiled, "case {}", case.id);
         assert!(compiled.passed(), "case {}", case.id);
     }

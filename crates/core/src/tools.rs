@@ -9,8 +9,8 @@ use rechisel_firrtl::lower::Netlist;
 use rechisel_firrtl::pipeline::Pipeline;
 use rechisel_firrtl::{Fingerprint, RebuildReason, RecompileOutcome};
 use rechisel_sim::{
-    record_reference_trace, run_testbench, run_testbench_against_trace, CompiledSimulator,
-    EngineKind, OutputTrace, PointFailure, SimError, SimReport, Stimulus, Tape, Testbench,
+    record_reference_trace, run_testbench_against_trace, CompiledSimulator, EngineKind,
+    OutputTrace, PointFailure, SimError, SimReport, Simulator, Stimulus, Tape, Testbench,
 };
 use rechisel_verilog::VerilogBackend;
 
@@ -212,11 +212,12 @@ impl IncrementalCompiler {
 /// benchmark's reference model.
 ///
 /// The tester runs on either simulation engine (see [`EngineKind`]); the default is
-/// the compiled engine. On the compiled path the reference **output trace** (its
-/// outputs at every checked point) is recorded once, lazily, and **shared across
-/// clones** — a benchmark case hands out one tester clone per sample, so the whole
-/// sweep compiles and simulates each case's reference once, and keeps only the trace.
-/// The reference netlist and the testbench, with its input names interned once
+/// the compiled engine. On both, the reference **output trace** (its outputs at every
+/// checked point) is recorded once, lazily, on the tester's own engine, and **shared
+/// across clones** — a benchmark case hands out one tester clone per sample, so the
+/// whole sweep simulates each case's reference once, and keeps only the trace. Every
+/// DUT is then compared against that trace ([`run_testbench_against_trace`]). The
+/// reference netlist and the testbench, with its input names interned once
 /// ([`Stimulus`]), are shared too, so a clone copies reference counts, not the design
 /// or its stimulus. Every failure of a run renders its inputs and expected values
 /// from that shared stimulus and trace.
@@ -244,9 +245,14 @@ impl FunctionalTester {
         }
     }
 
-    /// Switches the execution engine, keeping the (shared) reference-trace cache.
+    /// Switches the execution engine. A different engine starts a trace cache of its
+    /// own, so the reference is recorded on the engine that tests the DUTs, and that
+    /// trace lives only as long as this tester and its clones.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
+        if engine != self.engine {
+            self.engine = engine;
+            self.reference_trace = Arc::new(OnceLock::new());
+        }
         self
     }
 
@@ -267,15 +273,15 @@ impl FunctionalTester {
 
     /// The reference output trace (recording it on first use), shared across clones.
     ///
-    /// The reference is compiled and simulated once, on the compiled engine, and its
-    /// tape is dropped once the trace is recorded: the trace serves every DUT tested
-    /// through this tester or any of its clones, so same-case benchmark samples never
+    /// The reference is simulated once, on the tester's engine, and the simulator is
+    /// dropped once the trace is recorded: the trace serves every DUT tested through
+    /// this tester or any of its clones, so same-case benchmark samples never
     /// re-simulate the reference.
     fn reference_trace(&self) -> Result<Arc<OutputTrace>, SimError> {
         self.reference_trace
             .get_or_init(|| {
-                let mut ref_sim = CompiledSimulator::new(&self.reference)?;
-                record_reference_trace(&mut ref_sim, &self.stimulus).map(Arc::new)
+                let mut ref_sim = self.engine.simulator(&self.reference)?;
+                record_reference_trace(ref_sim.as_mut(), &self.stimulus).map(Arc::new)
             })
             .clone()
     }
@@ -295,16 +301,19 @@ impl FunctionalTester {
     /// scratch. `tape` must be the compilation of `dut` (a mismatched tape produces
     /// nonsense reports). The interpreter ignores it.
     pub fn test_with_tape(&self, dut: &Netlist, tape: Option<Arc<Tape>>) -> SimReport {
-        let outcome = match self.engine {
-            EngineKind::Interp => run_testbench(dut, &self.reference, &self.testbench),
-            EngineKind::Compiled => self.reference_trace().and_then(|trace| {
+        let outcome = self.reference_trace().and_then(|trace| match self.engine {
+            EngineKind::Interp => {
+                let mut dut_sim = Simulator::new(dut.clone());
+                run_testbench_against_trace(&mut dut_sim, &trace, &self.stimulus)
+            }
+            EngineKind::Compiled => {
                 let mut dut_sim = match tape {
                     Some(tape) => CompiledSimulator::from_tape(tape),
                     None => CompiledSimulator::new(dut)?,
                 };
                 run_testbench_against_trace(&mut dut_sim, &trace, &self.stimulus)
-            }),
-        };
+            }
+        });
         outcome.unwrap_or_else(|_| {
             let total = self.testbench.checked_points();
             SimReport {
@@ -532,7 +541,32 @@ mod tests {
         assert!(std::ptr::eq(tester.testbench(), clone.testbench()));
         let ta = tester.reference_trace().unwrap();
         let tb = clone.reference_trace().unwrap();
-        assert!(std::sync::Arc::ptr_eq(&ta, &tb));
+        assert!(Arc::ptr_eq(&ta, &tb));
+
+        // Switching to another engine starts a trace of its own; keeping the engine
+        // keeps the shared one.
+        let same = tester.clone().with_engine(EngineKind::Compiled);
+        assert!(Arc::ptr_eq(&same.reference_trace, &tester.reference_trace));
+        let interp = tester.clone().with_engine(EngineKind::Interp);
+        assert!(!Arc::ptr_eq(&interp.reference_trace, &tester.reference_trace));
+        assert!(interp.reference_trace.get().is_none(), "recorded only when first used");
+        assert_eq!(*interp.reference_trace().unwrap(), *ta);
+    }
+
+    #[test]
+    fn an_interp_tester_reports_what_run_testbench_reports() {
+        let compiler = ChiselCompiler::new();
+        let reference = compiler.compile(&staged("Ref", false)).unwrap().netlist;
+        let wrong = compiler.compile(&staged("Wrong", true)).unwrap().netlist;
+        let tb = Testbench::random_for(&reference, 10, 1, 5);
+        let tester =
+            FunctionalTester::new(reference.clone(), tb.clone()).with_engine(EngineKind::Interp);
+        let expected = rechisel_sim::run_testbench(&wrong, &reference, &tb).unwrap();
+        assert!(!expected.passed());
+        // The first test records the trace, the second compares against it.
+        assert_eq!(tester.test(&wrong), expected);
+        assert_eq!(tester.test(&wrong), expected);
+        assert!(tester.test(&reference).passed());
     }
 
     #[test]

@@ -428,12 +428,6 @@ fn hash_circuit(circuit: &Circuit, located: bool) -> Fingerprint {
     h.finish()
 }
 
-/// Computes the stable fingerprint of a circuit. Exposed as
-/// [`Circuit::fingerprint`]; this free function is the implementation.
-pub fn fingerprint_circuit(circuit: &Circuit) -> Fingerprint {
-    hash_circuit(circuit, false)
-}
-
 impl Circuit {
     /// A process-stable, content-addressed 128-bit digest of this circuit.
     ///
@@ -442,7 +436,7 @@ impl Circuit {
     /// are excluded so relocated-but-identical designs share cached artifacts.
     /// See the [`fingerprint`](crate::fingerprint) module docs for the encoding.
     pub fn fingerprint(&self) -> Fingerprint {
-        fingerprint_circuit(self)
+        hash_circuit(self, false)
     }
 
     /// [`fingerprint`](Self::fingerprint) plus the [`SourceInfo`] of every port and

@@ -994,11 +994,6 @@ impl Module {
         self.ports.iter().filter(|p| p.direction == Direction::Output)
     }
 
-    /// Returns true if the module has an implicit clock.
-    pub fn has_implicit_clock(&self) -> bool {
-        self.kind == ModuleKind::Module
-    }
-
     /// Visits every statement (including nested `when` bodies) in pre-order.
     pub fn visit_statements<'a>(&'a self, f: &mut impl FnMut(&'a Statement)) {
         fn walk<'a>(stmts: &'a [Statement], f: &mut impl FnMut(&'a Statement)) {

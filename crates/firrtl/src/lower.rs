@@ -210,17 +210,11 @@ pub struct MemSlot {
 pub struct SlotAssignment {
     names: Vec<String>,
     index: BTreeMap<String, u32>,
-    mems: Vec<(String, MemSlot)>,
-    mem_index: BTreeMap<String, usize>,
+    mems: BTreeMap<String, MemSlot>,
     mem_words: u32,
 }
 
 impl SlotAssignment {
-    /// Number of memories.
-    pub fn mem_count(&self) -> usize {
-        self.mems.len()
-    }
-
     /// Total number of backing-store words across all memories.
     pub fn mem_words(&self) -> u32 {
         self.mem_words
@@ -228,13 +222,9 @@ impl SlotAssignment {
 
     /// The backing-store layout of memory `name`, if it exists.
     pub fn mem_slot_of(&self, name: &str) -> Option<MemSlot> {
-        self.mem_index.get(name).map(|i| self.mems[*i].1)
+        self.mems.get(name).copied()
     }
 
-    /// Iterates `(name, layout)` pairs in memory-declaration order.
-    pub fn iter_mems(&self) -> impl Iterator<Item = (&str, MemSlot)> {
-        self.mems.iter().map(|(n, s)| (n.as_str(), *s))
-    }
     /// Number of slots (named signals).
     pub fn len(&self) -> usize {
         self.names.len()
@@ -309,32 +299,14 @@ impl Netlist {
         for d in &self.defs {
             push(&d.name, &mut names, &mut index);
         }
-        let mut mems = Vec::with_capacity(self.mems.len());
-        let mut mem_index = BTreeMap::new();
+        let mut mems = BTreeMap::new();
         let mut mem_words: u32 = 0;
         for (i, m) in self.mems.iter().enumerate() {
             let slot = MemSlot { index: i as u32, base: mem_words, depth: m.depth as u32 };
-            mem_index.insert(m.name.clone(), i);
-            mems.push((m.name.clone(), slot));
+            mems.insert(m.name.clone(), slot);
             mem_words = mem_words.saturating_add(m.depth as u32);
         }
-        SlotAssignment { names, index, mems, mem_index, mem_words }
-    }
-
-    /// Total number of state bits held in memories.
-    pub fn mem_state_bits(&self) -> u64 {
-        self.mems.iter().map(|m| m.info.width as u64 * m.depth as u64).sum()
-    }
-
-    /// Names of every signal whose value depends on a sequential (registered) memory
-    /// read: the implicit read registers themselves plus every combinational
-    /// definition that (transitively) reads one.
-    ///
-    /// Before the first clock edge these signals have never captured a word, so both
-    /// simulation engines reject peeks of them with
-    /// `SimError::SyncReadBeforeClock` until the first `step`.
-    pub fn sync_read_tainted(&self) -> BTreeSet<String> {
-        self.sync_read_sources().into_keys().collect()
+        SlotAssignment { names, index, mems, mem_words }
     }
 
     /// For every signal whose value depends on a sequential (registered) memory read,

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
-use crate::ir::{Circuit, Direction, Module, SourceInfo, Statement, Type};
+use crate::ir::{Circuit, Direction, Module, SourceInfo, Statement};
 use crate::paths::{ground_paths, static_path};
 use crate::typeenv::{Elaborated, ExprTyper};
 
@@ -167,16 +167,10 @@ fn coverage(
     covered
 }
 
-/// Convenience used by tests and the knowledge base: returns true when `ty` needs
-/// initialization tracking at all.
-pub fn needs_initialization(ty: &Type) -> bool {
-    !matches!(ty, Type::Clock)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Expression, ModuleKind, Port};
+    use crate::ir::{Expression, ModuleKind, Port, Type};
 
     fn base_module() -> Module {
         let mut m = Module::new("T", ModuleKind::Module);

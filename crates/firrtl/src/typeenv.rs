@@ -46,21 +46,6 @@ pub enum SymbolKind {
     BareIo,
 }
 
-impl SymbolKind {
-    /// True if a value of this kind may legally appear as the target of a connect.
-    pub fn is_sink(&self) -> bool {
-        matches!(
-            self,
-            SymbolKind::OutputPort | SymbolKind::Wire | SymbolKind::Reg | SymbolKind::Instance(_)
-        )
-    }
-
-    /// True if the symbol holds sequential state.
-    pub fn is_reg(&self) -> bool {
-        matches!(self, SymbolKind::Reg)
-    }
-}
-
 /// A declared symbol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Symbol {

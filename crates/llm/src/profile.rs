@@ -44,11 +44,6 @@ pub struct GenerationRates {
 }
 
 impl GenerationRates {
-    /// Probability that a zero-shot sample of an *ordinary* case is defect-free.
-    pub fn ordinary_success_rate(&self) -> f64 {
-        (1.0 - self.syntax_rate) * (1.0 - self.functional_rate)
-    }
-
     /// Share of failures that are syntax failures (used to keep hard-case failures
     /// compositionally identical to ordinary ones).
     pub fn syntax_share_of_failures(&self) -> f64 {

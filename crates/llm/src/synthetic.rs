@@ -26,7 +26,7 @@ use rechisel_firrtl::ir::Circuit;
 use crate::defects::{DefectInstance, DefectKind};
 use crate::inject::inject_defects;
 use crate::profile::{Language, ModelProfile};
-use crate::rng::{mix, rng_from};
+use crate::rng::{fnv1a64, mix, rng_from};
 
 /// One live mistake in a candidate, with its repair state.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,16 +42,6 @@ struct LiveDefect {
 #[derive(Debug, Clone, Default)]
 struct CandidateState {
     defects: Vec<LiveDefect>,
-}
-
-/// FNV-1a hash of a model name, used to derive the per-case hardness seed.
-fn name_hash(name: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 /// A synthetic LLM bound to one benchmark case (one reference design).
@@ -95,11 +85,6 @@ impl SyntheticLlm {
     /// The language this instance generates.
     pub fn language(&self) -> Language {
         self.language
-    }
-
-    /// Number of live defects in the given candidate (for tests and diagnostics).
-    pub fn live_defects(&self, candidate_id: u64) -> usize {
-        self.states.get(&candidate_id).map(|s| s.defects.len()).unwrap_or(0)
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -170,7 +155,7 @@ impl Generator for SyntheticLlm {
         // Per-case (not per-attempt) hardness: some problems are simply beyond a model's
         // zero-shot ability no matter how many samples are drawn, which is what keeps
         // the paper's zero-shot Pass@10 well below 100%.
-        let name_seed = name_hash(&self.profile.name);
+        let name_seed = fnv1a64(self.profile.name.as_bytes());
         let language_tag = match self.language {
             Language::Chisel => 1u64,
             Language::Verilog => 2u64,

@@ -5,6 +5,9 @@
 //! rechisel-serve [--addr HOST:PORT] [--shards N] [--queue-capacity N]
 //!                [--max-line-bytes N] [--read-timeout-ms N]
 //! ```
+//!
+//! `--shards` is the worker count, and `--queue-capacity` bounds the one job queue
+//! they all pop: a heavy request that finds that many jobs waiting gets `busy`.
 
 use std::time::Duration;
 

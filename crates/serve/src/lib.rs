@@ -8,8 +8,8 @@
 //! Pieces:
 //!
 //! * [`server`] — the [`Server`]: acceptor + per-connection reader
-//!   threads + a fixed worker-shard pool over bounded work-stealing [`queue`]s,
-//!   with typed `busy` backpressure and graceful drain on shutdown.
+//!   threads + a fixed pool of workers that all pop one bounded job queue, with
+//!   typed `busy` backpressure and graceful drain on shutdown.
 //! * One compile per suite case: the first heavy request for a case compiles its
 //!   reference, and every later request, or one that waited for that compile,
 //!   counts a hit in [`CacheStats`].
@@ -44,7 +44,7 @@
 
 pub mod client;
 pub mod json;
-pub mod queue;
+mod queue;
 pub mod server;
 pub mod wire;
 

@@ -1,248 +1,250 @@
-//! Bounded, sharded work queues with work-stealing.
+//! The server's one bounded job queue.
 //!
-//! The server partitions heavy jobs across a fixed set of shard queues — one per
-//! worker — keyed by a job hash, so same-case jobs tend to land on the same worker
-//! (warm per-case caches). Each queue is bounded: when every shard is full,
-//! [`WorkQueues::try_push`] fails and the caller sends a typed `Busy` reply —
-//! backpressure instead of unbounded memory growth. Workers pop their own shard
-//! first and **steal** from the others when idle, so a skewed key distribution
-//! cannot strand work behind one busy shard.
+//! Every worker pops the same FIFO, so a pushed job goes to whichever worker is idle
+//! first. The queue is bounded: when `capacity` jobs are waiting,
+//! [`JobQueue::try_push`] hands the job back and the caller sends a typed `busy`
+//! reply — backpressure instead of unbounded memory growth. [`JobQueue::close`]
+//! makes pushes fail and wakes every worker; workers drain the jobs still waiting,
+//! then [`JobQueue::pop`] returns `None`.
 //!
-//! The implementation is condvar-based (`Mutex<VecDeque>` per shard) rather than
-//! channel-based: `std::sync::mpsc` has no bounded try-send without a `sync_channel`
-//! per shard, and stealing needs two-ended access anyway.
+//! The closed flag lives under the same mutex as the jobs, so a push either lands
+//! before the close (and is drained) or sees the close and hands its job back.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::{Condvar, Mutex, MutexGuard};
 
-/// How long an idle worker parks on its own shard before re-scanning for steals
-/// and re-checking the closed flag.
-const IDLE_PARK: Duration = Duration::from_millis(10);
+/// Why [`JobQueue::try_push`] handed a job back.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Rejected<T> {
+    /// `capacity` jobs are already waiting.
+    Full(T),
+    /// The queue is closed.
+    Closed(T),
+}
 
-struct Shard<T> {
-    jobs: Mutex<VecDeque<T>>,
+struct State<T> {
+    jobs: VecDeque<T>,
+    closed: bool,
+}
+
+/// A bounded FIFO that any number of workers pop.
+pub(crate) struct JobQueue<T> {
+    state: Mutex<State<T>>,
+    /// Signalled on every push and on close.
     ready: Condvar,
-}
-
-/// A fixed set of bounded FIFO queues with cross-shard stealing.
-pub struct WorkQueues<T> {
-    shards: Vec<Shard<T>>,
     capacity: usize,
-    closed: AtomicBool,
 }
 
-impl<T> WorkQueues<T> {
-    /// Creates `shards` queues of `capacity` jobs each.
+impl<T> JobQueue<T> {
+    /// A queue that holds at most `capacity` waiting jobs.
     ///
     /// # Panics
     ///
-    /// Panics when `shards` is zero or `capacity` is zero.
-    pub fn new(shards: usize, capacity: usize) -> Self {
-        assert!(shards > 0, "need at least one shard");
+    /// Panics when `capacity` is zero.
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "need a non-zero queue capacity");
         Self {
-            shards: (0..shards)
-                .map(|_| Shard { jobs: Mutex::new(VecDeque::new()), ready: Condvar::new() })
-                .collect(),
+            state: Mutex::new(State { jobs: VecDeque::new(), closed: false }),
+            ready: Condvar::new(),
             capacity,
-            closed: AtomicBool::new(false),
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().expect("job queue poisoned")
     }
 
-    /// Enqueues on the hinted shard, spilling to the least-loaded other shard when
-    /// the hint is full. Returns the job when every shard is full (the caller's
-    /// backpressure signal) or when the queues are closed.
-    pub fn try_push(&self, hint: usize, job: T) -> Result<(), T> {
-        let n = self.shards.len();
-        let mut job = Some(job);
-        for offset in 0..n {
-            let index = (hint + offset) % n;
-            let shard = &self.shards[index];
-            let mut jobs = shard.jobs.lock().expect("work queue poisoned");
-            // The closed check happens under the shard lock (and `closed` is
-            // SeqCst): a worker that observed `closed` before its final drain scan
-            // can then never miss a concurrently pushed job — the push either
-            // lands before that scan's lock acquisition or observes `closed` and
-            // fails. Checked per shard so a close racing a multi-shard spill scan
-            // cannot slip an insert in late.
-            if self.closed.load(Ordering::SeqCst) {
-                return Err(job.take().expect("job still owned"));
-            }
-            if jobs.len() < self.capacity {
-                jobs.push_back(job.take().expect("job still owned"));
-                drop(jobs);
-                shard.ready.notify_one();
-                return Ok(());
-            }
+    /// Enqueues `job` and wakes one waiting worker, or hands the job back when the
+    /// queue is full or closed.
+    pub(crate) fn try_push(&self, job: T) -> Result<(), Rejected<T>> {
+        let mut state = self.lock();
+        if state.closed {
+            return Err(Rejected::Closed(job));
         }
-        Err(job.take().expect("job still owned"))
-    }
-
-    /// Jobs currently enqueued across all shards.
-    pub fn depth(&self) -> usize {
-        self.shards.iter().map(|s| s.jobs.lock().expect("work queue poisoned").len()).sum()
-    }
-
-    /// Pops a job for worker `own`: its own shard first, then a steal scan over the
-    /// other shards, then a bounded park on its own condvar. Returns `None` only
-    /// after [`close`](Self::close) once every shard is empty — workers drain
-    /// in-flight work before exiting.
-    pub fn pop(&self, own: usize) -> Option<T> {
-        let n = self.shards.len();
-        loop {
-            // Observe `closed` BEFORE scanning: if it was already set, any push
-            // that could still insert would itself observe `closed` under the
-            // shard lock and fail, so an all-empty scan below is a safe exit.
-            let was_closed = self.closed.load(Ordering::SeqCst);
-            // Own shard first: cheap, and preserves the locality the hash gives us.
-            {
-                let mut jobs = self.shards[own % n].jobs.lock().expect("work queue poisoned");
-                if let Some(job) = jobs.pop_front() {
-                    return Some(job);
-                }
-            }
-            // Steal scan, starting after our own shard for fairness.
-            for offset in 1..n {
-                let mut jobs =
-                    self.shards[(own + offset) % n].jobs.lock().expect("work queue poisoned");
-                if let Some(job) = jobs.pop_front() {
-                    return Some(job);
-                }
-            }
-            if was_closed {
-                return None;
-            }
-            // Park briefly on our own shard; the timeout bounds how stale a steal
-            // opportunity (a push to a different shard) can get.
-            let shard = &self.shards[own % n];
-            let jobs = shard.jobs.lock().expect("work queue poisoned");
-            let _ = shard
-                .ready
-                .wait_timeout_while(jobs, IDLE_PARK, |jobs| jobs.is_empty())
-                .expect("work queue poisoned");
+        if state.jobs.len() >= self.capacity {
+            return Err(Rejected::Full(job));
         }
+        state.jobs.push_back(job);
+        drop(state);
+        self.ready.notify_one();
+        Ok(())
     }
 
-    /// Closes the queues: pushes start failing, and workers exit once the remaining
-    /// jobs drain.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        for shard in &self.shards {
-            shard.ready.notify_all();
-        }
+    /// Jobs currently waiting.
+    pub(crate) fn depth(&self) -> usize {
+        self.lock().jobs.len()
     }
 
-    /// True once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::SeqCst)
+    /// The oldest waiting job, blocking until one arrives. Returns `None` only once
+    /// the queue is closed and empty, so workers drain every accepted job first.
+    pub(crate) fn pop(&self) -> Option<T> {
+        let mut state = self
+            .ready
+            .wait_while(self.lock(), |state| state.jobs.is_empty() && !state.closed)
+            .expect("job queue poisoned");
+        state.jobs.pop_front()
+    }
+
+    /// Closes the queue: pushes start failing, and every blocked
+    /// [`pop`](Self::pop) wakes to drain what is left.
+    pub(crate) fn close(&self) {
+        self.lock().closed = true;
+        self.ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::mpsc::{self, Receiver};
+    use std::sync::{Arc, Barrier};
+    use std::thread::JoinHandle;
+    use std::time::Duration;
+
+    /// How long a test waits for a woken worker before calling the wakeup lost.
+    const WAKE_DEADLINE: Duration = Duration::from_secs(10);
+
+    /// A worker thread that pops until `None`, reporting each pop through a channel
+    /// (`Some(job)`, then one final `None`).
+    struct Worker {
+        reports: Receiver<Option<u32>>,
+        thread: JoinHandle<()>,
+    }
+
+    impl Worker {
+        /// Spawns a worker that waits at `start` before its first pop.
+        fn spawn(q: &Arc<JobQueue<u32>>, start: &Arc<Barrier>) -> Self {
+            let (tx, reports) = mpsc::channel();
+            let (q, start) = (Arc::clone(q), Arc::clone(start));
+            let thread = std::thread::spawn(move || {
+                start.wait();
+                loop {
+                    let job = q.pop();
+                    let done = job.is_none();
+                    tx.send(job).expect("the test reads every report");
+                    if done {
+                        return;
+                    }
+                }
+            });
+            Self { reports, thread }
+        }
+
+        /// Every job the worker reports until its final `None`, then joins it. A
+        /// worker that does not report within [`WAKE_DEADLINE`] fails the test
+        /// instead of hanging it.
+        fn finish(self) -> Vec<u32> {
+            let mut jobs = Vec::new();
+            loop {
+                match self.reports.recv_timeout(WAKE_DEADLINE) {
+                    Ok(Some(job)) => jobs.push(job),
+                    Ok(None) => break,
+                    Err(e) => panic!("a worker never returned from pop ({e})"),
+                }
+            }
+            self.thread.join().expect("worker thread");
+            jobs
+        }
+    }
 
     #[test]
     fn push_pop_round_trips_in_fifo_order() {
-        let q = WorkQueues::new(1, 8);
+        let q = JobQueue::new(8);
         for i in 0..5 {
-            q.try_push(0, i).unwrap();
+            q.try_push(i).unwrap();
         }
         assert_eq!(q.depth(), 5);
         for i in 0..5 {
-            assert_eq!(q.pop(0), Some(i));
+            assert_eq!(q.pop(), Some(i));
         }
+        assert_eq!(q.depth(), 0);
     }
 
     #[test]
-    fn full_queues_reject_with_the_job_returned() {
-        let q = WorkQueues::new(2, 1);
-        q.try_push(0, "a").unwrap();
-        q.try_push(0, "b").unwrap(); // spills to shard 1
-        assert_eq!(q.try_push(0, "c"), Err("c"), "all shards full");
+    fn a_full_queue_hands_the_job_back() {
+        let q = JobQueue::new(2);
+        q.try_push("a").unwrap();
+        q.try_push("b").unwrap();
+        assert_eq!(q.try_push("c"), Err(Rejected::Full("c")));
         assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
-    fn workers_steal_from_other_shards() {
-        let q = WorkQueues::new(4, 4);
-        q.try_push(2, 99).unwrap();
-        // Worker 0's own shard is empty; it must steal the job from shard 2.
-        assert_eq!(q.pop(0), Some(99));
+        assert_eq!(q.pop(), Some("a"));
+        q.try_push("c").unwrap();
     }
 
     #[test]
     fn close_drains_remaining_jobs_then_returns_none() {
-        let q = WorkQueues::new(2, 4);
-        q.try_push(0, 1).unwrap();
-        q.try_push(1, 2).unwrap();
+        let q = JobQueue::new(4);
+        q.try_push(1).unwrap();
+        q.try_push(2).unwrap();
         q.close();
-        assert!(q.try_push(0, 3).is_err(), "closed queues reject pushes");
-        let mut drained = vec![q.pop(0).unwrap(), q.pop(1).unwrap()];
-        drained.sort_unstable();
-        assert_eq!(drained, [1, 2]);
-        assert_eq!(q.pop(0), None);
-        assert_eq!(q.pop(1), None);
+        assert_eq!(q.try_push(3), Err(Rejected::Closed(3)), "a closed queue rejects pushes");
+        assert_eq!(q.pop(), Some(1));
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
-    fn blocked_workers_wake_on_push_and_on_close() {
-        let q = Arc::new(WorkQueues::new(2, 2));
-        let worker = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(job) = q.pop(0) {
-                    got.push(job);
-                }
-                got
-            })
-        };
+    fn a_closed_full_queue_reports_closed() {
+        let q = JobQueue::new(1);
+        q.try_push(1).unwrap();
+        q.close();
+        assert_eq!(q.try_push(2), Err(Rejected::Closed(2)));
+    }
+
+    #[test]
+    fn a_blocked_pop_wakes_on_a_push_and_on_close() {
+        let q = Arc::new(JobQueue::new(2));
+        let worker = Worker::spawn(&q, &Arc::new(Barrier::new(1)));
+        // Give the worker time to block in `pop` on the empty queue; the assertions
+        // hold whether or not it has.
         std::thread::sleep(Duration::from_millis(20));
-        q.try_push(1, 7).unwrap(); // lands on the other shard; worker must steal it
-        std::thread::sleep(Duration::from_millis(50));
+        q.try_push(7).unwrap();
+        assert_eq!(worker.reports.recv_timeout(WAKE_DEADLINE), Ok(Some(7)), "woken by the push");
+        std::thread::sleep(Duration::from_millis(20));
         q.close();
-        assert_eq!(worker.join().unwrap(), vec![7]);
+        assert_eq!(worker.finish(), Vec::<u32>::new(), "woken by the close");
     }
 
     #[test]
-    fn concurrent_producers_and_stealing_consumers_lose_nothing() {
-        let q = Arc::new(WorkQueues::new(4, 64));
-        let total = 400;
-        let consumers: Vec<_> = (0..4)
-            .map(|w| {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    while let Some(job) = q.pop(w) {
-                        got.push(job);
-                    }
-                    got
-                })
-            })
-            .collect();
+    fn close_racing_blocked_workers_wakes_every_one() {
+        const WORKERS: usize = 4;
+        for round in 0..200u32 {
+            let q = Arc::new(JobQueue::new(WORKERS));
+            let start = Arc::new(Barrier::new(WORKERS + 1));
+            let workers: Vec<_> = (0..WORKERS).map(|_| Worker::spawn(&q, &start)).collect();
+            start.wait();
+            // Every worker is entering `pop`. Odd rounds push a job into the race;
+            // rounds 2 and 3 of every four sleep first, so the close finds the
+            // workers blocked.
+            if round % 2 == 1 {
+                q.try_push(round).unwrap();
+            }
+            if round % 4 >= 2 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            q.close();
+            let popped: Vec<u32> = workers.into_iter().flat_map(Worker::finish).collect();
+            let expected: Vec<u32> = if round % 2 == 1 { vec![round] } else { Vec::new() };
+            assert_eq!(popped, expected, "round {round}: the pushed job drained exactly once");
+        }
+    }
+
+    #[test]
+    fn concurrent_producers_and_consumers_lose_nothing() {
+        let q = Arc::new(JobQueue::new(16));
+        let per_producer = 100u32;
+        let start = Arc::new(Barrier::new(1));
+        let consumers: Vec<_> = (0..4).map(|_| Worker::spawn(&q, &start)).collect();
         let producers: Vec<_> = (0..4)
             .map(|p| {
                 let q = Arc::clone(&q);
                 std::thread::spawn(move || {
-                    for i in 0..total / 4 {
+                    for i in 0..per_producer {
                         let mut job = p * 1000 + i;
-                        loop {
-                            match q.try_push(job % 4, job) {
-                                Ok(()) => break,
-                                Err(j) => {
-                                    job = j;
-                                    std::thread::yield_now();
-                                }
-                            }
+                        while let Err(Rejected::Full(back)) = q.try_push(job) {
+                            job = back;
+                            std::thread::yield_now();
                         }
                     }
                 })
@@ -251,15 +253,11 @@ mod tests {
         for p in producers {
             p.join().unwrap();
         }
-        // Let consumers drain, then close.
-        while q.depth() > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
         q.close();
-        let mut all: Vec<_> = consumers.into_iter().flat_map(|c| c.join().unwrap()).collect();
+        let mut all: Vec<u32> = consumers.into_iter().flat_map(Worker::finish).collect();
         all.sort_unstable();
         let mut expected: Vec<_> =
-            (0..4).flat_map(|p| (0..total / 4).map(move |i| p * 1000 + i)).collect();
+            (0..4).flat_map(|p| (0..per_producer).map(move |i| p * 1000 + i)).collect();
         expected.sort_unstable();
         assert_eq!(all, expected, "every job popped exactly once");
     }

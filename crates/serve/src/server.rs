@@ -1,12 +1,13 @@
-//! The experiment server: TCP acceptor, connection readers, worker-shard pool.
+//! The experiment server: TCP acceptor, connection readers, worker pool.
 //!
-//! One [`Server`] owns the full 216-case benchmark suite, a [`WorkQueues`] shard pool
-//! sized by [`ServerConfig::shards`], and the listener. Each case compiles its
-//! reference once per server, on its first heavy request ([`CacheStats`]). Light
-//! operations (`ping`, `stats`, `shutdown`) are answered inline on the connection's
-//! reader thread; heavy ones (`compile`, `simulate`, `run_session`) are enqueued to
-//! the shard keyed by FNV(case, sample) — so repeated requests for one case land on a
-//! warm worker — with work-stealing and a typed `busy` reply when every queue is full.
+//! One [`Server`] owns the full 216-case benchmark suite, one bounded job queue, the
+//! [`ServerConfig::shards`] workers that pop it, and the listener. Each case compiles
+//! its reference once per server, on its first heavy request ([`CacheStats`]), and
+//! every per-case cache lives in the state the workers share, so any worker serves
+//! any job. Light operations (`ping`, `stats`, `shutdown`) are answered inline on the
+//! connection's reader thread; heavy ones (`compile`, `simulate`, `run_session`) are
+//! pushed to the queue, which the first idle worker pops, with a typed `busy` reply
+//! when [`ServerConfig::queue_capacity`] jobs are already waiting.
 //!
 //! `run_session` streams the session's [`RunEvent`]s to the client *as they
 //! happen* through a [`WireObserver`] plugged into the engine's observer seam, then
@@ -29,7 +30,7 @@ use rechisel_core::{ChiselCompiler, Engine, Observer, RunEvent, WorkflowConfig};
 use rechisel_sim::EngineKind;
 
 use crate::json::{parse, Json};
-use crate::queue::WorkQueues;
+use crate::queue::{JobQueue, Rejected};
 use crate::wire::{
     decode_request, encode_event, error_reply, ok_reply, ErrorKind, Op, Request, SERVED_LANGUAGE,
 };
@@ -40,9 +41,10 @@ use crate::wire::{
 pub struct ServerConfig {
     /// Listen address; use port 0 for an ephemeral port.
     pub addr: String,
-    /// Worker/shard count.
+    /// Worker count: the threads that pop the job queue and run heavy requests.
     pub shards: usize,
-    /// Bounded per-shard queue capacity (backpressure trips when all are full).
+    /// Bound of the one job queue all workers share: a heavy request that finds this
+    /// many jobs waiting gets a `busy` reply.
     pub queue_capacity: usize,
     /// Maximum request line length in bytes; longer lines get an `oversized` reply.
     pub max_line_bytes: usize,
@@ -237,14 +239,13 @@ struct Job {
 /// State shared by the acceptor, connection readers and workers.
 struct Inner {
     cases: HashMap<String, ServedCase>,
-    queues: WorkQueues<Job>,
+    queue: JobQueue<Job>,
     counters: Counters,
     config: ServerConfig,
-    shutting_down: AtomicBool,
-    /// Set by the wire `shutdown` op; [`ServerHandle::wait_shutdown_requested`]
-    /// parks on it (the binary's main thread uses this).
-    shutdown_requested: Mutex<bool>,
-    shutdown_cv: Condvar,
+    /// Raised by [`ServerHandle::shutdown`] or the wire `shutdown` op: the acceptor
+    /// and the readers stop, and [`ServerHandle::wait_shutdown_requested`] returns.
+    shutting_down: Mutex<bool>,
+    shutdown_raised: Condvar,
 }
 
 impl Inner {
@@ -275,6 +276,16 @@ impl Inner {
 
     fn job_done(&self) {
         self.counters.jobs_in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    fn shutting_down(&self) -> bool {
+        *self.shutting_down.lock().expect("shutdown flag poisoned")
+    }
+
+    /// Raises the shutdown flag and wakes [`ServerHandle::wait_shutdown_requested`].
+    fn request_shutdown(&self) {
+        *self.shutting_down.lock().expect("shutdown flag poisoned") = true;
+        self.shutdown_raised.notify_all();
     }
 }
 
@@ -315,7 +326,13 @@ impl Server {
     /// # Errors
     ///
     /// Returns the bind error when the address is unavailable.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`ServerConfig::shards`] or [`ServerConfig::queue_capacity`] is
+    /// zero.
     pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
+        assert!(config.shards > 0, "need at least one worker");
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let cases = full_suite()
@@ -324,20 +341,19 @@ impl Server {
             .collect();
         let inner = Arc::new(Inner {
             cases,
-            queues: WorkQueues::new(config.shards, config.queue_capacity),
+            queue: JobQueue::new(config.queue_capacity),
             counters: Counters::default(),
             config,
-            shutting_down: AtomicBool::new(false),
-            shutdown_requested: Mutex::new(false),
-            shutdown_cv: Condvar::new(),
+            shutting_down: Mutex::new(false),
+            shutdown_raised: Condvar::new(),
         });
 
-        let workers = (0..inner.queues.shard_count())
+        let workers = (0..inner.config.shards)
             .map(|index| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("rechisel-worker-{index}"))
-                    .spawn(move || worker_loop(&inner, index))
+                    .spawn(move || worker_loop(&inner))
                     .expect("spawn worker")
             })
             .collect();
@@ -375,42 +391,39 @@ impl ServerHandle {
     /// True once a client sent the wire `shutdown` op (or
     /// [`shutdown`][Self::shutdown] ran).
     pub fn shutdown_requested(&self) -> bool {
-        *self.inner.shutdown_requested.lock().expect("shutdown flag poisoned")
+        self.inner.shutting_down()
     }
 
     /// Parks until a client requests shutdown over the wire.
     pub fn wait_shutdown_requested(&self) {
-        let requested = self.inner.shutdown_requested.lock().expect("shutdown flag poisoned");
-        let _guard =
-            self.inner.shutdown_cv.wait_while(requested, |r| !*r).expect("shutdown flag poisoned");
+        let raised = self.inner.shutting_down.lock().expect("shutdown flag poisoned");
+        let _guard = self
+            .inner
+            .shutdown_raised
+            .wait_while(raised, |raised| !*raised)
+            .expect("shutdown flag poisoned");
     }
 
     /// Graceful shutdown: stop accepting, reject new work with `shutting_down`,
     /// drain every queued job (each still gets its reply), then join all threads.
     pub fn shutdown(mut self) {
-        self.inner.shutting_down.store(true, Ordering::SeqCst);
-        request_shutdown(&self.inner);
+        self.inner.request_shutdown();
         // Unblock the acceptor's blocking `accept` with a no-op connection.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
         // Readers notice the flag within their poll interval and finish; workers
-        // drain the queues before exiting.
+        // drain the queue before exiting.
         let conns = std::mem::take(&mut *self.connections.lock().expect("connection list"));
         for conn in conns {
             let _ = conn.join();
         }
-        self.inner.queues.close();
+        self.inner.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
-}
-
-fn request_shutdown(inner: &Inner) {
-    *inner.shutdown_requested.lock().expect("shutdown flag poisoned") = true;
-    inner.shutdown_cv.notify_all();
 }
 
 fn acceptor_loop(
@@ -419,7 +432,7 @@ fn acceptor_loop(
     connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     for stream in listener.incoming() {
-        if inner.shutting_down.load(Ordering::SeqCst) {
+        if inner.shutting_down() {
             return;
         }
         let Ok(stream) = stream else { continue };
@@ -478,9 +491,7 @@ fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
                     let line = std::mem::take(&mut buffer);
                     line_started = None;
                     handle_line(&line, &conn, inner);
-                    if inner.shutting_down.load(Ordering::SeqCst)
-                        && conn.dead.load(Ordering::Relaxed)
-                    {
+                    if inner.shutting_down() && conn.dead.load(Ordering::Relaxed) {
                         break;
                     }
                 }
@@ -506,7 +517,7 @@ fn connection_loop(stream: TcpStream, inner: &Arc<Inner>) {
                 }
             }
             Err(e) if e.kind() == IoErrorKind::WouldBlock || e.kind() == IoErrorKind::TimedOut => {
-                if inner.shutting_down.load(Ordering::SeqCst) {
+                if inner.shutting_down() {
                     break;
                 }
                 if let Some(started) = line_started {
@@ -577,15 +588,14 @@ fn handle_line(line: &[u8], conn: &Arc<ConnState>, inner: &Arc<Inner>) {
             conn.send(inner, &stats_reply(request.id, inner), false);
         }
         Op::Shutdown => {
-            inner.shutting_down.store(true, Ordering::SeqCst);
             // Raise the flag before the ack goes out, so a client that has read the
             // ack always finds `shutdown_requested()` true.
-            request_shutdown(inner);
+            inner.request_shutdown();
             conn.send(inner, &ok_reply(request.id, [("stopping", Json::Bool(true))]), false);
         }
-        // Heavy ops go to the shard pool.
-        Op::Compile { case } | Op::Simulate { case, .. } | Op::RunSession { case, .. } => {
-            if inner.shutting_down.load(Ordering::SeqCst) {
+        // Heavy ops go to the job queue.
+        Op::Compile { .. } | Op::Simulate { .. } | Op::RunSession { .. } => {
+            if inner.shutting_down() {
                 conn.send(
                     inner,
                     &error_reply(Some(request.id), ErrorKind::ShuttingDown, "server is draining"),
@@ -593,39 +603,24 @@ fn handle_line(line: &[u8], conn: &Arc<ConnState>, inner: &Arc<Inner>) {
                 );
                 return;
             }
-            let sample = match &request.op {
-                Op::RunSession { sample, .. } => *sample,
-                _ => 0,
-            };
-            let hint = shard_hint(case, sample, inner.queues.shard_count());
             let id = request.id;
             conn.job_started();
             inner.job_enqueued();
             let job = Job { conn: Arc::clone(conn), request };
-            if let Err(rejected) = inner.queues.try_push(hint, job) {
-                rejected.conn.job_finished();
-                inner.job_done();
-                inner.counters.busy.fetch_add(1, Ordering::Relaxed);
-                let kind = if inner.queues.is_closed() {
-                    ErrorKind::ShuttingDown
-                } else {
-                    ErrorKind::Busy
+            if let Err(rejected) = inner.queue.try_push(job) {
+                let (job, kind, message) = match rejected {
+                    Rejected::Full(job) => {
+                        inner.counters.busy.fetch_add(1, Ordering::Relaxed);
+                        (job, ErrorKind::Busy, "the job queue is full")
+                    }
+                    Rejected::Closed(job) => (job, ErrorKind::ShuttingDown, "server is draining"),
                 };
-                conn.send(inner, &error_reply(Some(id), kind, "all work queues are full"), false);
+                job.conn.job_finished();
+                inner.job_done();
+                conn.send(inner, &error_reply(Some(id), kind, message), false);
             }
         }
     }
-}
-
-/// FNV-1a over `case` and `sample`: same case+sample → same shard (warm caches);
-/// distinct samples spread across the pool.
-fn shard_hint(case: &str, sample: u32, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in case.as_bytes().iter().chain(sample.to_le_bytes().iter()) {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    (hash as usize) % shards
 }
 
 fn stats_reply(id: u64, inner: &Inner) -> Json {
@@ -653,15 +648,15 @@ fn stats_reply(id: u64, inner: &Inner) -> Json {
                     ("sessions", Json::from(server.sessions)),
                     ("jobs_in_flight", Json::from(server.jobs_in_flight)),
                     ("jobs_high_water", Json::from(server.jobs_high_water)),
-                    ("queue_depth", Json::from(inner.queues.depth())),
+                    ("queue_depth", Json::from(inner.queue.depth())),
                 ]),
             ),
         ],
     )
 }
 
-fn worker_loop(inner: &Arc<Inner>, index: usize) {
-    while let Some(job) = inner.queues.pop(index) {
+fn worker_loop(inner: &Arc<Inner>) {
+    while let Some(job) = inner.queue.pop() {
         run_job(inner, job);
     }
 }
@@ -771,15 +766,6 @@ fn session_op(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_hints_are_stable_and_spread() {
-        let a = shard_hint("hdlbits/vector5", 0, 8);
-        assert_eq!(a, shard_hint("hdlbits/vector5", 0, 8), "stable");
-        let hints: std::collections::HashSet<_> =
-            (0..32).map(|s| shard_hint("hdlbits/vector5", s, 8)).collect();
-        assert!(hints.len() > 1, "samples spread across shards");
-    }
 
     #[test]
     fn concurrent_lookups_compile_a_case_once() {

@@ -49,7 +49,7 @@ pub enum ErrorKind {
     Oversized,
     /// The request line did not complete within the read deadline.
     Timeout,
-    /// All work queues are full; retry later.
+    /// The job queue is full; retry later.
     Busy,
     /// The `case` id is not in the server's suite.
     UnknownCase,

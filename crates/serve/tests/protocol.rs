@@ -1,6 +1,6 @@
 //! Protocol robustness: a server fed malformed, truncated or oversized request
 //! lines must answer every one with a typed error — and never panic, never wedge a
-//! shard, never leave a line unanswered.
+//! worker, never leave a line unanswered.
 //!
 //! The property test drives one shared server (a `static OnceLock`, because the
 //! offline proptest stub generates whole test functions and cannot capture locals)
@@ -79,7 +79,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Every malformed line gets one typed error reply, and the connection (and the
-    /// shard behind it) keeps serving afterwards.
+    /// workers behind it) keeps serving afterwards.
     #[test]
     fn malformed_lines_get_typed_errors_and_never_wedge_the_server(seed in 0u64..1_000_000) {
         let mut client = Client::connect(server().addr()).expect("connect");
@@ -104,7 +104,7 @@ proptest! {
             kind,
             line
         );
-        // The same connection still serves — no shard wedged, no state corrupted.
+        // The same connection still serves — no worker wedged, no state corrupted.
         client.ping().expect("server still serving after malformed line");
     }
 }

@@ -14,13 +14,13 @@
 //!   compile once, simulate many; the default).
 //! * [`Testbench`] / [`FunctionalPoint`] — stimulus description, including seeded random
 //!   stimulus generation.
-//! * [`run_testbench`] / [`run_testbench_with`] / [`run_testbench_on`] —
-//!   DUT-vs-reference comparison producing the [`SimReport`] whose
-//!   [`PointFailure`]s become the "functional error" feedback consumed by the ReChisel
-//!   Reviewer agent. Each interns the testbench's input names ([`Stimulus`]), records
-//!   the reference's outputs as a flat [`OutputTrace`] ([`record_reference_trace`])
-//!   and compares the DUT against them ([`run_testbench_against_trace`]), the pieces a
-//!   caller that tests many DUTs against one reference keeps and reuses.
+//! * [`run_testbench`] — DUT-vs-reference comparison producing the [`SimReport`]
+//!   whose [`PointFailure`]s become the "functional error" feedback consumed by the
+//!   ReChisel Reviewer agent. It interns the testbench's input names ([`Stimulus`]),
+//!   records the reference's outputs as a flat [`OutputTrace`]
+//!   ([`record_reference_trace`]) and compares the DUT against them
+//!   ([`run_testbench_against_trace`]), the pieces a caller that tests many DUTs
+//!   against one reference, on either engine, keeps and reuses.
 //! * Compact failures: the runner binds each input name to a DUT port once per run
 //!   ([`SimEngine::input_port`]) and compares output values in place, and a
 //!   [`PointFailure`] holds its point index, its trace row and the DUT's values. Names,
@@ -65,7 +65,6 @@ pub use eval::{apply_prim, eval_expr, EvalError, EvalValue};
 pub use schedule::{Edge, EdgeQueue};
 pub use simulator::{SimError, Simulator};
 pub use testbench::{
-    record_reference_trace, run_testbench, run_testbench_against_trace, run_testbench_on,
-    run_testbench_with, FunctionalPoint, OutputTrace, PointFailure, PortValues, SimReport,
-    Stimulus, Testbench,
+    record_reference_trace, run_testbench, run_testbench_against_trace, FunctionalPoint,
+    OutputTrace, PointFailure, PortValues, SimReport, Stimulus, Testbench,
 };

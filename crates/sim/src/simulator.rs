@@ -492,11 +492,6 @@ impl Simulator {
             .map(|p| (p.name.clone(), self.values.get(&p.name).copied().unwrap_or(0)))
             .collect()
     }
-
-    /// Names of the data input ports (excluding clock and reset).
-    pub fn input_names(&self) -> Vec<String> {
-        self.netlist.data_inputs().filter(|p| p.name != "reset").map(|p| p.name.clone()).collect()
-    }
 }
 
 impl crate::engine::SimEngine for Simulator {
@@ -689,7 +684,6 @@ mod tests {
         let outs = sim.outputs();
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].0, "out");
-        assert_eq!(sim.input_names(), vec!["en".to_string()]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use rechisel_firrtl::lower::Netlist;
 
-use crate::engine::{EngineKind, InputPort, SimEngine};
+use crate::engine::{InputPort, SimEngine};
 use crate::simulator::{SimError, Simulator};
 
 /// One functional point: a set of input assignments, how many clock cycles to advance
@@ -441,50 +441,14 @@ impl SimReport {
     }
 }
 
-/// Runs `testbench` against a DUT and a reference netlist, comparing outputs at every
-/// checked point.
+/// Runs `testbench` against a DUT and a reference netlist on the interpreter,
+/// comparing outputs at every checked point.
 ///
-/// # Errors
-///
-/// Returns a [`SimError`] when either simulation fails structurally (e.g. the DUT is
-/// missing a port that the testbench drives). Functional mismatches are *not* errors;
-/// they are reported in the returned [`SimReport`].
-pub fn run_testbench(
-    dut: &Netlist,
-    reference: &Netlist,
-    testbench: &Testbench,
-) -> Result<SimReport, SimError> {
-    let mut dut_sim = Simulator::new(dut.clone());
-    let mut ref_sim = Simulator::new(reference.clone());
-    run_testbench_on(&mut dut_sim, &mut ref_sim, testbench)
-}
-
-/// Runs `testbench` against DUT and reference netlists using the chosen execution
-/// engine — [`run_testbench`] with an [`EngineKind`] knob.
-///
-/// # Errors
-///
-/// Same conditions as [`run_testbench`]; additionally, [`EngineKind::Compiled`]
-/// reports structural netlist problems eagerly (at tape compilation) instead of at the
-/// first evaluation.
-pub fn run_testbench_with(
-    engine: EngineKind,
-    dut: &Netlist,
-    reference: &Netlist,
-    testbench: &Testbench,
-) -> Result<SimReport, SimError> {
-    let mut dut_sim = engine.simulator(dut)?;
-    let mut ref_sim = engine.simulator(reference)?;
-    run_testbench_on(dut_sim.as_mut(), ref_sim.as_mut(), testbench)
-}
-
-/// Runs `testbench` against two already-constructed engines (not necessarily of the
-/// same kind), comparing outputs at every checked point.
-///
-/// This is the engine-agnostic core of [`run_testbench`]: it interns the testbench
-/// ([`Stimulus`]), records the reference's outputs ([`record_reference_trace`]), then
-/// runs the DUT against them ([`run_testbench_against_trace`]), so a live reference
-/// and a recorded one produce the same report by construction.
+/// This is the one-shot convenience runner: it interns the testbench ([`Stimulus`]),
+/// records the reference's outputs ([`record_reference_trace`]), then runs the DUT
+/// against them ([`run_testbench_against_trace`]). A caller that tests many DUTs
+/// against one reference, or wants another engine, keeps those pieces and reuses
+/// them.
 ///
 /// Stimulus values that do not apply — ports missing on one side, or out-of-range
 /// literals — are skipped on that side; a DUT whose interface does not match the
@@ -492,17 +456,18 @@ pub fn run_testbench_with(
 ///
 /// # Errors
 ///
-/// Returns a [`SimError`] when either simulation fails structurally, the reference's
-/// first. Functional mismatches are *not* errors; they are reported in the returned
-/// [`SimReport`].
-pub fn run_testbench_on(
-    dut_sim: &mut dyn SimEngine,
-    ref_sim: &mut dyn SimEngine,
+/// Returns a [`SimError`] when either simulation fails structurally (e.g. the DUT is
+/// missing a port that the testbench drives), the reference's first. Functional
+/// mismatches are *not* errors; they are reported in the returned [`SimReport`].
+pub fn run_testbench(
+    dut: &Netlist,
+    reference: &Netlist,
     testbench: &Testbench,
 ) -> Result<SimReport, SimError> {
     let stimulus = Arc::new(Stimulus::new(testbench));
-    let trace = Arc::new(record_reference_trace(ref_sim, &stimulus)?);
-    run_testbench_against_trace(dut_sim, &trace, &stimulus)
+    let trace =
+        Arc::new(record_reference_trace(&mut Simulator::new(reference.clone()), &stimulus)?);
+    run_testbench_against_trace(&mut Simulator::new(dut.clone()), &trace, &stimulus)
 }
 
 /// The reference model's outputs at every **checked** point of a testbench — a
@@ -617,6 +582,7 @@ pub fn run_testbench_against_trace<E: SimEngine + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineKind;
     use rechisel_firrtl::lower_circuit;
     use rechisel_hcl::prelude::*;
 
@@ -700,19 +666,21 @@ mod tests {
     #[test]
     fn engines_produce_identical_reports() {
         let tb = Testbench::random_for(&adder(), 16, 0, 9);
-        let interp =
-            run_testbench_with(EngineKind::Interp, &broken_adder(), &adder(), &tb).unwrap();
-        let compiled =
-            run_testbench_with(EngineKind::Compiled, &broken_adder(), &adder(), &tb).unwrap();
-        assert_eq!(interp, compiled);
-        assert!(!compiled.passed());
-        // The legacy entry point is the interpreter path.
+        let stimulus = Arc::new(Stimulus::new(&tb));
+        let run = |reference: EngineKind, dut: EngineKind, design: &Netlist| {
+            let mut ref_sim = reference.simulator(&adder()).unwrap();
+            let trace = Arc::new(record_reference_trace(ref_sim.as_mut(), &stimulus).unwrap());
+            let mut dut_sim = dut.simulator(design).unwrap();
+            run_testbench_against_trace(dut_sim.as_mut(), &trace, &stimulus).unwrap()
+        };
+        let interp = run(EngineKind::Interp, EngineKind::Interp, &broken_adder());
+        assert!(!interp.passed());
+        assert_eq!(run(EngineKind::Compiled, EngineKind::Compiled, &broken_adder()), interp);
+        // The convenience runner is the interpreter on both sides.
         assert_eq!(run_testbench(&broken_adder(), &adder(), &tb).unwrap(), interp);
-        // Mixed engines agree too: the interpreter DUT vs the compiled reference.
-        let mut dut = Simulator::new(adder());
-        let mut reference = EngineKind::Compiled.simulator(&adder()).unwrap();
-        let mixed = run_testbench_on(&mut dut, reference.as_mut(), &tb).unwrap();
-        assert!(mixed.passed());
+        // Mixed engines agree too: an interpreter DUT against a compiled reference.
+        assert_eq!(run(EngineKind::Compiled, EngineKind::Interp, &broken_adder()), interp);
+        assert!(run(EngineKind::Compiled, EngineKind::Interp, &adder()).passed());
     }
 
     #[test]

@@ -12,8 +12,8 @@ use rechisel::serve::client::{Client, SessionRequest};
 use rechisel::serve::server::{Server, ServerConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // An ephemeral loopback port; the handle owns the worker-shard pool and the
-    // suite, whose cases each compile their reference on their first request.
+    // An ephemeral loopback port; the handle owns the worker pool and the suite,
+    // whose cases each compile their reference on their first request.
     let handle = Server::start(ServerConfig::default())?;
     println!("server listening on {}", handle.addr());
 

@@ -12,7 +12,7 @@
 //! * [`core`] — the ReChisel agentic workflow (reflection + escape mechanism).
 //! * [`benchsuite`] — 216-case benchmark suite, Pass@k, experiment runners.
 //! * [`autochip`] — the AutoChip direct-Verilog baseline.
-//! * [`serve`] — sharded experiment server (line protocol over TCP) that compiles
+//! * [`serve`] — experiment server (line protocol over TCP) that compiles
 //!   each suite case's reference once, plus the blocking client.
 //!
 //! # Quickstart
