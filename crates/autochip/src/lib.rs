@@ -22,7 +22,7 @@
 
 use rechisel_benchsuite::runner::{run_sample_with_engine, sweep_suite, ModelOutcome};
 use rechisel_benchsuite::BenchmarkCase;
-use rechisel_core::{ChiselCompiler, Engine, EngineKind, WorkflowConfig};
+use rechisel_core::{ChiselCompiler, Engine, WorkflowConfig};
 use rechisel_firrtl::pipeline::PassManager;
 use rechisel_llm::{Language, ModelProfile};
 
@@ -35,9 +35,6 @@ pub struct AutoChipConfig {
     pub max_iterations: u32,
     /// Worker threads.
     pub threads: usize,
-    /// Simulation engine used by the functional testers (defaults to the compiled
-    /// instruction-tape engine, like the ReChisel sweeps).
-    pub sim_engine: EngineKind,
 }
 
 impl Default for AutoChipConfig {
@@ -49,12 +46,7 @@ impl Default for AutoChipConfig {
 impl AutoChipConfig {
     /// The paper's comparison configuration.
     pub fn paper() -> Self {
-        Self {
-            samples: 10,
-            max_iterations: 10,
-            threads: default_threads(),
-            sim_engine: EngineKind::default(),
-        }
+        Self { samples: 10, max_iterations: 10, threads: default_threads() }
     }
 
     /// A fast configuration for tests.
@@ -68,7 +60,6 @@ impl AutoChipConfig {
         Engine::builder()
             .config(autochip_workflow_config(self.max_iterations))
             .compiler(autochip_compiler())
-            .sim_engine(self.sim_engine)
             .build()
     }
 }
@@ -110,6 +101,7 @@ pub fn run_autochip_model(
 mod tests {
     use super::*;
     use rechisel_benchsuite::sampled_suite;
+    use rechisel_core::EngineKind;
 
     #[test]
     fn autochip_baseline_runs_and_improves_with_feedback() {
@@ -143,10 +135,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_honours_sim_engine_and_runs_the_verilog_checks() {
-        let config = AutoChipConfig { sim_engine: EngineKind::Interp, ..AutoChipConfig::quick() };
+    fn engine_runs_the_verilog_checks() {
+        let config = AutoChipConfig::quick();
         let engine = config.engine();
-        assert_eq!(engine.sim_engine(), EngineKind::Interp);
         assert_eq!(engine.config().max_iterations, config.max_iterations);
         assert!(engine.knowledge().is_empty(), "no Chisel knowledge base");
         // The Verilog-style checks: every standard pass but `clocking`, in order.

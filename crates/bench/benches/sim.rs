@@ -15,7 +15,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rechisel_benchsuite::circuits::{cdc, fsm, memory, sequential};
 use rechisel_benchsuite::SourceFamily;
 use rechisel_firrtl::lower::Netlist;
-use rechisel_sim::{CompiledSimulator, Simulator, Tape};
+use rechisel_sim::{CompiledSimulator, SimEngine, Simulator, Tape};
 
 /// Drives every data input with an in-range, activity-producing value.
 fn poke_ones(poke: &mut dyn FnMut(&str), netlist: &Netlist) {
@@ -40,9 +40,9 @@ fn measured_speedup(netlist: &Netlist) -> f64 {
     let mut compiled = CompiledSimulator::new(netlist).unwrap();
     compiled.reset(2).unwrap();
     poke_ones(&mut |name| compiled.poke(name, 1).unwrap(), netlist);
-    compiled.step_n(WARMUP);
+    compiled.step_n(WARMUP).unwrap();
     let start = Instant::now();
-    compiled.step_n(CYCLES);
+    compiled.step_n(CYCLES).unwrap();
     let compiled_time = start.elapsed();
 
     assert_eq!(interp.outputs(), compiled.outputs(), "engines diverged during the benchmark");
@@ -87,7 +87,9 @@ fn bench_sim(c: &mut Criterion) {
         let mut compiled = CompiledSimulator::new(&netlist).unwrap();
         compiled.reset(2).unwrap();
         poke_ones(&mut |name| compiled.poke(name, 1).unwrap(), &netlist);
-        c.bench_function(&format!("sim/compiled/{label}/step"), |b| b.iter(|| compiled.step()));
+        c.bench_function(&format!("sim/compiled/{label}/step"), |b| {
+            b.iter(|| compiled.step().unwrap())
+        });
 
         // The cost every new revision pays, and each case's reference once per sweep.
         c.bench_function(&format!("sim/compile_tape/{label}"), |b| {

@@ -179,7 +179,7 @@ pub fn mac(width: u32, family: SourceFamily) -> BenchmarkCase {
 mod tests {
     use super::*;
     use rechisel_firrtl::{check_circuit, lower_circuit};
-    use rechisel_sim::Simulator;
+    use rechisel_sim::{SimEngine, Simulator};
 
     fn assert_clean(case: &BenchmarkCase) {
         let report = check_circuit(case.reference());

@@ -249,6 +249,7 @@ pub fn cdc_handshake(width: u32, family: SourceFamily) -> BenchmarkCase {
 mod tests {
     use super::*;
     use rechisel_firrtl::{check_circuit, lower_circuit};
+    use rechisel_sim::SimEngine;
 
     #[test]
     fn cdc_references_check_and_lower_with_two_domains() {

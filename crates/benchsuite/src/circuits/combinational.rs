@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn vector5_matches_its_specification() {
         use rechisel_firrtl::lower_circuit;
-        use rechisel_sim::Simulator;
+        use rechisel_sim::{SimEngine, Simulator};
         let case = vector5();
         let netlist = lower_circuit(case.reference()).unwrap();
         let mut sim = Simulator::new(netlist);
@@ -463,7 +463,7 @@ mod tests {
     #[test]
     fn priority_encoder_prefers_lowest_bit() {
         use rechisel_firrtl::lower_circuit;
-        use rechisel_sim::Simulator;
+        use rechisel_sim::{SimEngine, Simulator};
         let case = priority_encoder(8, SourceFamily::VerilogEval);
         let netlist = lower_circuit(case.reference()).unwrap();
         let mut sim = Simulator::new(netlist);
@@ -479,7 +479,7 @@ mod tests {
     #[test]
     fn byte_swap_swaps() {
         use rechisel_firrtl::lower_circuit;
-        use rechisel_sim::Simulator;
+        use rechisel_sim::{SimEngine, Simulator};
         let case = byte_swap(2, SourceFamily::HdlBits);
         let netlist = lower_circuit(case.reference()).unwrap();
         let mut sim = Simulator::new(netlist);

@@ -335,6 +335,7 @@ pub fn bitmask_ram(width: u32, depth: usize, family: SourceFamily) -> BenchmarkC
 mod tests {
     use super::*;
     use rechisel_firrtl::{check_circuit, lower_circuit};
+    use rechisel_sim::SimEngine;
 
     #[test]
     fn memory_references_check_and_lower_with_mems() {

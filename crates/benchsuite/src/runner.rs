@@ -14,7 +14,6 @@
 
 use rechisel_core::{Engine, Observer, TemplateReviewer, TraceInspector, WorkflowResult};
 use rechisel_llm::{Language, ModelProfile, SyntheticLlm};
-use rechisel_sim::EngineKind;
 
 use crate::case::BenchmarkCase;
 use crate::passk::mean_pass_at_k;
@@ -34,12 +33,6 @@ pub struct ExperimentConfig {
     pub language: Language,
     /// Worker threads used to evaluate cases in parallel.
     pub threads: usize,
-    /// Simulation engine used by the functional testers. Defaults to the compiled
-    /// instruction-tape engine, which amortizes one tape compilation per case over
-    /// every sample's testbench points and compares same-case samples against one
-    /// recorded reference output trace; [`EngineKind::Interp`] re-simulates on the
-    /// tree-walking reference interpreter.
-    pub sim_engine: EngineKind,
 }
 
 impl Default for ExperimentConfig {
@@ -59,7 +52,6 @@ impl ExperimentConfig {
             knowledge_enabled: true,
             language: Language::Chisel,
             threads: default_threads(),
-            sim_engine: EngineKind::default(),
         }
     }
 
@@ -104,12 +96,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Selects the simulation engine for the sweep's testers.
-    pub fn with_sim_engine(mut self, engine: EngineKind) -> Self {
-        self.sim_engine = engine;
-        self
-    }
-
     /// The equivalent workflow configuration.
     pub fn workflow_config(&self) -> rechisel_core::WorkflowConfig {
         rechisel_core::WorkflowConfig {
@@ -121,16 +107,12 @@ impl ExperimentConfig {
 
     /// Builds an engine for this configuration (standard pipeline, silent observer).
     pub fn engine(&self) -> Engine {
-        Engine::builder().config(self.workflow_config()).sim_engine(self.sim_engine).build()
+        Engine::builder().config(self.workflow_config()).build()
     }
 
     /// Builds an engine for this configuration that streams run events to `observer`.
     pub fn engine_with_observer(&self, observer: impl Observer + 'static) -> Engine {
-        Engine::builder()
-            .config(self.workflow_config())
-            .sim_engine(self.sim_engine)
-            .observer(observer)
-            .build()
+        Engine::builder().config(self.workflow_config()).observer(observer).build()
     }
 }
 
@@ -346,6 +328,7 @@ pub fn run_model(
 mod tests {
     use super::*;
     use crate::suite::sampled_suite;
+    use rechisel_sim::EngineKind;
 
     #[test]
     fn quick_sweep_produces_consistent_aggregates() {
@@ -389,16 +372,18 @@ mod tests {
     #[test]
     fn sweeps_default_to_the_compiled_engine_and_all_engines_agree() {
         let config = ExperimentConfig::quick().with_samples(2);
-        assert_eq!(config.sim_engine, EngineKind::Compiled);
         assert_eq!(config.engine().sim_engine(), EngineKind::Compiled);
-        let interp_config = config.with_sim_engine(EngineKind::Interp);
-        assert_eq!(interp_config.engine().sim_engine(), EngineKind::Interp);
+        let interp = Engine::builder()
+            .config(config.workflow_config())
+            .sim_engine(EngineKind::Interp)
+            .build();
+        assert_eq!(interp.sim_engine(), EngineKind::Interp);
 
         // The engine choice must be invisible in the results: a sweep over either
         // engine produces identical outcomes.
         let suite = sampled_suite(5);
         let fast = run_model(&ModelProfile::gpt4o(), &suite, &config);
-        let slow = run_model(&ModelProfile::gpt4o(), &suite, &interp_config);
+        let slow = run_model_with_engine(&interp, &ModelProfile::gpt4o(), &suite, &config);
         assert_eq!(fast.pass_at_k(1, 5), slow.pass_at_k(1, 5));
         assert_eq!(fast.status_proportions(0), slow.status_proportions(0));
         for (a, b) in fast.cases.iter().zip(&slow.cases) {

@@ -24,7 +24,7 @@ use rechisel_benchsuite::circuits::cdc;
 use rechisel_benchsuite::{random_stimulus, BenchmarkCase, SourceFamily};
 use rechisel_firrtl::lower::Netlist;
 use rechisel_firrtl::lower_circuit;
-use rechisel_sim::{CompiledSimulator, EdgeQueue, EngineKind, Simulator, Testbench};
+use rechisel_sim::{CompiledSimulator, EdgeQueue, EngineKind, SimEngine, Simulator, Testbench};
 
 /// Generated-schedule count for the fuzz property: default 1000, raised in CI. A set
 /// value that does not parse fails the test rather than running the default.
@@ -166,7 +166,7 @@ fn interleaved_edge_run(seed: u64) {
     let netlists = cdc_netlists();
     let netlist = &netlists[(seed % netlists.len() as u64) as usize];
     let domains = netlist.clock_domains();
-    let names: Vec<String> = netlist.slot_assignment().iter().map(|(_, n)| n.to_string()).collect();
+    let names: Vec<String> = netlist.signals.keys().cloned().collect();
     let mems: Vec<(String, usize)> =
         netlist.mems.iter().map(|m| (m.name.clone(), m.depth)).collect();
 

@@ -45,7 +45,9 @@ use rechisel_firrtl::{
     check_circuit, lower_circuit, passes, Diagnostic, DiagnosticReport, ErrorCode, Fingerprint,
     RebuildReason, RecompileOutcome,
 };
-use rechisel_sim::{run_testbench, CompiledSimulator, EngineKind, Simulator, Tape, Testbench};
+use rechisel_sim::{
+    run_testbench, CompiledSimulator, EngineKind, SimEngine, Simulator, Tape, Testbench,
+};
 use rechisel_verilog::VerilogBackend;
 
 /// Generated-circuit count for the property below: default 1000, raised in CI. A set
@@ -99,7 +101,7 @@ fn differential_run(seed: u64, config: &RandomCircuitConfig) {
     let circuit = random_circuit(seed, config);
     let netlist = lower_circuit(&circuit)
         .unwrap_or_else(|e| panic!("seed {seed}: generated circuit fails to lower: {e}"));
-    let names: Vec<String> = netlist.slot_assignment().iter().map(|(_, n)| n.to_string()).collect();
+    let names: Vec<String> = netlist.signals.keys().cloned().collect();
     let mems: Vec<(String, usize)> =
         netlist.mems.iter().map(|m| (m.name.clone(), m.depth)).collect();
 
@@ -118,10 +120,10 @@ fn differential_run(seed: u64, config: &RandomCircuitConfig) {
             compiled.poke(name, *value).unwrap();
         }
         interp.eval().unwrap();
-        compiled.eval();
+        compiled.eval().unwrap();
         assert_all_peeks_agree(&interp, &compiled, &names, &mems, seed, &format!("eval {cycle}"));
         interp.step().unwrap();
-        compiled.step();
+        compiled.step().unwrap();
         assert_all_peeks_agree(&interp, &compiled, &names, &mems, seed, &format!("step {cycle}"));
         assert_eq!(interp.outputs(), compiled.outputs(), "seed {seed} cycle {cycle}");
         assert_eq!(interp.cycles(), compiled.cycles(), "seed {seed} cycle {cycle}");

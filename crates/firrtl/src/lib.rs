@@ -74,9 +74,7 @@ pub use diagnostics::{Diagnostic, DiagnosticReport, ErrorCode, Severity};
 pub use fingerprint::Fingerprint;
 pub use incremental::{RebuildReason, RecompileOutcome};
 pub use ir::{Circuit, Expression, Module, ModuleKind, Port, PrimOp, SourceInfo, Statement, Type};
-pub use lower::{
-    lower_circuit, MemSlot, NetDef, NetMem, NetMemWrite, NetPort, NetReg, Netlist, SignalInfo,
-};
+pub use lower::{lower_circuit, NetDef, NetMem, NetMemWrite, NetPort, NetReg, Netlist, SignalInfo};
 pub use pipeline::{EmitBackend, FirrtlBackend, Pass, PassManager, Pipeline};
 pub use printer::{print_chisel, print_chisel_module, print_firrtl};
 pub use typeenv::Elaborated;

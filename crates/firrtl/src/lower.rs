@@ -164,8 +164,8 @@ pub struct NetMem {
     /// Write ports, in declaration order (each carries its own clock domain).
     pub writes: Vec<NetMemWrite>,
     /// Names of the implicit read registers backing this memory's sequential read
-    /// ports, in hoisting order. Each name is also a register in [`Netlist::regs`]
-    /// and owns a slot in the slot assignment.
+    /// ports, in hoisting order. Each name is also a register in [`Netlist::regs`],
+    /// with a state slot like any other register on the compiled engine.
     pub sync_reads: Vec<String>,
 }
 
@@ -187,76 +187,6 @@ pub struct Netlist {
     pub signals: BTreeMap<String, SignalInfo>,
 }
 
-/// The backing-store layout of one memory within a [`SlotAssignment`]: memories share
-/// one contiguous word array, each occupying `depth` words starting at `base`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemSlot {
-    /// Dense memory index (declaration order).
-    pub index: u32,
-    /// First word offset in the shared backing store.
-    pub base: u32,
-    /// Number of words.
-    pub depth: u32,
-}
-
-/// A dense, deterministic slot numbering of every signal of a [`Netlist`].
-///
-/// Compiled execution engines index signal state by integer slot instead of hashing
-/// names: ports come first (in port order), then registers (in register order), then
-/// the remaining combinational definitions (in evaluation order). Output ports — which
-/// appear both as ports and as defs — keep their port slot. Memories get a separate
-/// word-store layout (see [`MemSlot`]): declaration order, packed contiguously.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlotAssignment {
-    names: Vec<String>,
-    index: BTreeMap<String, u32>,
-    mems: BTreeMap<String, MemSlot>,
-    mem_words: u32,
-}
-
-impl SlotAssignment {
-    /// Total number of backing-store words across all memories.
-    pub fn mem_words(&self) -> u32 {
-        self.mem_words
-    }
-
-    /// The backing-store layout of memory `name`, if it exists.
-    pub fn mem_slot_of(&self, name: &str) -> Option<MemSlot> {
-        self.mems.get(name).copied()
-    }
-
-    /// Number of slots (named signals).
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// True when the netlist has no signals at all.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-
-    /// The slot assigned to `name`, if the signal exists.
-    pub fn slot_of(&self, name: &str) -> Option<u32> {
-        self.index.get(name).copied()
-    }
-
-    /// The signal name occupying `slot`.
-    pub fn name_of(&self, slot: u32) -> Option<&str> {
-        self.names.get(slot as usize).map(String::as_str)
-    }
-
-    /// Iterates `(slot, name)` pairs in slot order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.names.iter().enumerate().map(|(i, n)| (i as u32, n.as_str()))
-    }
-
-    /// The name→slot map behind [`SlotAssignment::slot_of`], taken by value: an engine
-    /// that looks signals up by name keeps this map rather than building a second one.
-    pub fn into_index(self) -> BTreeMap<String, u32> {
-        self.index
-    }
-}
-
 impl Netlist {
     /// Flattened input ports (excluding clocks).
     pub fn data_inputs(&self) -> impl Iterator<Item = &NetPort> {
@@ -271,74 +201,6 @@ impl Netlist {
     /// Looks up the physical properties of a signal.
     pub fn signal(&self, name: &str) -> Option<SignalInfo> {
         self.signals.get(name).copied()
-    }
-
-    /// Total number of state bits held in registers.
-    pub fn state_bits(&self) -> u64 {
-        self.regs.iter().map(|r| r.info.width as u64).sum()
-    }
-
-    /// Assigns every signal a dense slot index (ports, then registers, then remaining
-    /// combinational defs). The assignment is deterministic for a given netlist and is
-    /// the layout contract compiled simulators build their state vectors on.
-    pub fn slot_assignment(&self) -> SlotAssignment {
-        let mut names: Vec<String> = Vec::with_capacity(self.signals.len());
-        let mut index: BTreeMap<String, u32> = BTreeMap::new();
-        let push = |name: &String, names: &mut Vec<String>, index: &mut BTreeMap<String, u32>| {
-            if !index.contains_key(name) {
-                index.insert(name.clone(), names.len() as u32);
-                names.push(name.clone());
-            }
-        };
-        for p in &self.ports {
-            push(&p.name, &mut names, &mut index);
-        }
-        for r in &self.regs {
-            push(&r.name, &mut names, &mut index);
-        }
-        for d in &self.defs {
-            push(&d.name, &mut names, &mut index);
-        }
-        let mut mems = BTreeMap::new();
-        let mut mem_words: u32 = 0;
-        for (i, m) in self.mems.iter().enumerate() {
-            let slot = MemSlot { index: i as u32, base: mem_words, depth: m.depth as u32 };
-            mems.insert(m.name.clone(), slot);
-            mem_words = mem_words.saturating_add(m.depth as u32);
-        }
-        SlotAssignment { names, index, mems, mem_words }
-    }
-
-    /// For every signal whose value depends on a sequential (registered) memory read,
-    /// the set of implicit read registers it (transitively) depends on.
-    ///
-    /// Engines track which implicit read registers have never captured a word — a
-    /// register leaves that "uncaptured" set on the first edge of **its own** clock
-    /// domain — and reject peeks of any signal that still depends on an uncaptured
-    /// register with `SimError::SyncReadBeforeClock`.
-    pub fn sync_read_sources(&self) -> BTreeMap<String, BTreeSet<String>> {
-        let mut sources: BTreeMap<String, BTreeSet<String>> = self
-            .mems
-            .iter()
-            .flat_map(|m| m.sync_reads.iter())
-            .map(|r| (r.clone(), BTreeSet::from([r.clone()])))
-            .collect();
-        if sources.is_empty() {
-            return sources;
-        }
-        // `defs` is topologically ordered, so one forward pass closes the map.
-        for def in &self.defs {
-            let mut acc: BTreeSet<String> = BTreeSet::new();
-            for name in def.expr.referenced_names() {
-                if let Some(up) = sources.get(&name) {
-                    acc.extend(up.iter().cloned());
-                }
-            }
-            if !acc.is_empty() {
-                sources.insert(def.name.clone(), acc);
-            }
-        }
-        sources
     }
 
     /// Every clock domain of the netlist, in first-appearance order: register domains
@@ -1447,8 +1309,8 @@ impl SyncReadHoist {
 }
 
 /// Hoists every sequential read port (`MemRead { sync: true }`) into an implicit read
-/// register: the register joins [`Netlist::regs`] (and therefore the slot assignment
-/// and the engines' ordinary staged-commit machinery) clocked by the port's own read
+/// register: the register joins [`Netlist::regs`] (and therefore the engines' state
+/// and their ordinary staged-commit machinery) clocked by the port's own read
 /// clock, its name is recorded in the owning [`NetMem::sync_reads`], and every use
 /// site becomes a plain reference. The memory's read-under-write policy and the
 /// port's read enable are folded into the register's next-state expression, so the
@@ -1712,7 +1574,6 @@ mod tests {
         assert!(reg.reset.is_some());
         // Next state must be a mux over the enable.
         assert!(matches!(reg.next, Expression::Mux { .. }));
-        assert_eq!(netlist.state_bits(), 8);
     }
 
     #[test]
@@ -1919,51 +1780,6 @@ mod tests {
         assert_eq!(lowered_after([wire("w"), wire("w")]), ["w := a", "out := w"]);
         // A wire and a register `r`: both read `a`, so the register does not hold.
         assert_eq!(lowered_after([wire("r"), reg]), ["r := a", "out := r", "r <= a"]);
-    }
-
-    #[test]
-    fn slot_assignment_is_dense_and_deterministic() {
-        let mut m = Module::new("Counter", ModuleKind::Module);
-        m.ports.push(Port::new("clock", Direction::Input, Type::Clock));
-        m.ports.push(Port::new("reset", Direction::Input, Type::bool()));
-        m.ports.push(Port::new("en", Direction::Input, Type::bool()));
-        m.ports.push(Port::new("count", Direction::Output, Type::uint(8)));
-        m.body.push(Statement::Reg {
-            name: "r".into(),
-            ty: Type::uint(8),
-            clock: ClockSpec::Implicit,
-            reset: Some(RegReset {
-                reset: Expression::reference("reset"),
-                init: Expression::uint_lit(0),
-            }),
-            info: SourceInfo::unknown(),
-        });
-        m.body.push(Statement::Connect {
-            loc: Expression::reference("count"),
-            expr: Expression::reference("r"),
-            info: SourceInfo::unknown(),
-        });
-        let netlist = lower_circuit(&Circuit::single(m)).unwrap();
-        let slots = netlist.slot_assignment();
-        // Every signal gets exactly one slot; output ports keep their port slot even
-        // though they reappear as defs.
-        assert_eq!(slots.len(), netlist.signals.len());
-        assert!(!slots.is_empty());
-        // Ports first, in port order.
-        assert_eq!(slots.slot_of("clock"), Some(0));
-        assert_eq!(slots.slot_of("reset"), Some(1));
-        assert_eq!(slots.slot_of("en"), Some(2));
-        assert_eq!(slots.slot_of("count"), Some(3));
-        // Registers after ports.
-        assert_eq!(slots.slot_of("r"), Some(4));
-        assert_eq!(slots.slot_of("ghost"), None);
-        assert_eq!(slots.name_of(4), Some("r"));
-        assert_eq!(slots.name_of(99), None);
-        // Round trip: iter covers every slot exactly once.
-        let names: Vec<&str> = slots.iter().map(|(_, n)| n).collect();
-        assert_eq!(names.len(), slots.len());
-        // Deterministic: recomputing yields the identical assignment.
-        assert_eq!(slots, netlist.slot_assignment());
     }
 
     #[test]

@@ -940,8 +940,8 @@ mod tests {
         let netlist = lower_circuit(&c).unwrap();
         assert_eq!(netlist.mems[0].sync_reads, vec!["store_sr0".to_string()]);
         assert!(netlist.regs.iter().any(|r| r.name == "store_sr0"));
-        // The implicit read register owns a slot like any other register.
-        assert!(netlist.slot_assignment().slot_of("store_sr0").is_some());
+        // The implicit read register is a signal like any other register.
+        assert!(netlist.signal("store_sr0").is_some());
     }
 
     #[test]

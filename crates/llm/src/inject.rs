@@ -49,11 +49,11 @@ pub fn apply_defect(circuit: &mut Circuit, instance: DefectInstance) {
         DefectKind::OutOfBounds => inject_out_of_bounds(module, &mut rng),
         DefectKind::NoImplicitClock => inject_no_implicit_clock(module),
         DefectKind::CombLoop => inject_comb_loop(module),
-        DefectKind::WrongOperator => inject_wrong_operator(module, &mut rng),
-        DefectKind::OffByOneIndex => inject_off_by_one(module, &mut rng),
-        DefectKind::WrongConstant => inject_wrong_constant(module, &mut rng),
+        DefectKind::WrongOperator => inject_at_site(module, &mut rng, WRONG_OPERATOR),
+        DefectKind::OffByOneIndex => inject_at_site(module, &mut rng, OFF_BY_ONE_INDEX),
+        DefectKind::WrongConstant => inject_at_site(module, &mut rng, WRONG_CONSTANT),
         DefectKind::InvertedCondition => inject_inverted_condition(module, &mut rng),
-        DefectKind::SwappedMuxArms => inject_swapped_mux(module, &mut rng),
+        DefectKind::SwappedMuxArms => inject_at_site(module, &mut rng, SWAPPED_MUX_ARMS),
         DefectKind::WrongResetValue => inject_wrong_reset(module, &mut rng),
     };
     if !applied {
@@ -438,132 +438,79 @@ fn swap_operator(op: PrimOp) -> Option<PrimOp> {
     })
 }
 
-fn inject_wrong_operator(module: &mut Module, rng: &mut impl Rng) -> bool {
-    // Collect connects whose expression contains a swappable operator.
-    let mut sites = Vec::new();
-    let mut i = 0usize;
-    module.visit_statements(&mut |s| {
-        if let Statement::Connect { expr, .. } = s {
-            let mut found = false;
-            expr.visit(&mut |e| {
-                if let Expression::Prim { op, .. } = e {
-                    if swap_operator(*op).is_some() {
-                        found = true;
-                    }
-                }
-            });
-            if found {
-                sites.push(i);
-            }
-            i += 1;
-        }
-    });
-    if sites.is_empty() {
-        return false;
-    }
-    let target = sites[rng.gen_range(0..sites.len())];
-    with_connect_mut(module, target, |_loc, expr| {
-        swap_first_operator(expr);
-    })
+/// A functional defect that edits one node of one connect: the nodes it applies to
+/// (`matches`) and what it does to such a node (`edit`).
+#[derive(Clone, Copy)]
+struct SiteEdit {
+    matches: fn(&Expression) -> bool,
+    edit: fn(&mut Expression),
 }
 
-fn swap_first_operator(expr: &mut Expression) -> bool {
-    if let Expression::Prim { op, .. } = expr {
-        if let Some(new_op) = swap_operator(*op) {
-            *op = new_op;
-            return true;
+/// An operator swapped for a related one (`+` for `-`, `<` for `>=`, ...).
+const WRONG_OPERATOR: SiteEdit = SiteEdit {
+    matches: |e| matches!(e, Expression::Prim { op, .. } if swap_operator(*op).is_some()),
+    edit: |e| {
+        if let Expression::Prim { op, .. } = e {
+            *op = swap_operator(*op).unwrap_or(*op);
         }
-    }
-    match expr {
-        Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => {
-            swap_first_operator(inner)
-        }
-        Expression::SubAccess(inner, idx) => swap_first_operator(inner) || swap_first_operator(idx),
-        Expression::Mux { cond, tval, fval } => {
-            swap_first_operator(cond) || swap_first_operator(tval) || swap_first_operator(fval)
-        }
-        Expression::Prim { args, .. } => {
-            for a in args {
-                if swap_first_operator(a) {
-                    return true;
-                }
-            }
-            false
-        }
-        _ => false,
-    }
-}
+    },
+};
 
-fn inject_off_by_one(module: &mut Module, rng: &mut impl Rng) -> bool {
-    let mut sites = Vec::new();
-    let mut i = 0usize;
-    module.visit_statements(&mut |s| {
-        if let Statement::Connect { expr, .. } = s {
-            let mut found = false;
-            expr.visit(&mut |e| {
-                if let Expression::SubIndex(_, idx) = e {
-                    if *idx > 0 {
-                        found = true;
-                    }
-                }
-            });
-            if found {
-                sites.push(i);
-            }
-            i += 1;
-        }
-    });
-    if sites.is_empty() {
-        return false;
-    }
-    let target = sites[rng.gen_range(0..sites.len())];
-    with_connect_mut(module, target, |_loc, expr| {
-        decrement_first_positive_index(expr);
-    })
-}
-
-fn decrement_first_positive_index(expr: &mut Expression) -> bool {
-    if let Expression::SubIndex(_, idx) = expr {
-        if *idx > 0 {
+/// A positive static index one lower.
+const OFF_BY_ONE_INDEX: SiteEdit = SiteEdit {
+    matches: |e| matches!(e, Expression::SubIndex(_, idx) if *idx > 0),
+    edit: |e| {
+        if let Expression::SubIndex(_, idx) = e {
             *idx -= 1;
-            return true;
         }
-    }
-    match expr {
-        Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => {
-            decrement_first_positive_index(inner)
+    },
+};
+
+/// An unsigned literal with its low bit flipped.
+const WRONG_CONSTANT: SiteEdit = SiteEdit {
+    matches: |e| matches!(e, Expression::UIntLiteral { .. }),
+    edit: |e| {
+        if let Expression::UIntLiteral { value, .. } = e {
+            *value ^= 1;
         }
-        Expression::SubAccess(inner, idx) => {
-            decrement_first_positive_index(inner) || decrement_first_positive_index(idx)
+    },
+};
+
+/// A mux with its arms swapped.
+const SWAPPED_MUX_ARMS: SiteEdit = SiteEdit {
+    matches: |e| matches!(e, Expression::Mux { .. }),
+    edit: |e| {
+        if let Expression::Mux { tval, fval, .. } = e {
+            std::mem::swap(tval, fval);
         }
-        Expression::Mux { cond, tval, fval } => {
-            decrement_first_positive_index(cond)
-                || decrement_first_positive_index(tval)
-                || decrement_first_positive_index(fval)
-        }
-        Expression::Prim { args, .. } => {
-            for a in args {
-                if decrement_first_positive_index(a) {
-                    return true;
-                }
-            }
-            false
-        }
-        _ => false,
-    }
+    },
+};
+
+/// Applies `defect` at one site: draws one of the connects whose expression holds a
+/// node the defect matches, then edits the first such node of that connect. False,
+/// drawing nothing, when no connect qualifies.
+fn inject_at_site(module: &mut Module, rng: &mut impl Rng, defect: SiteEdit) -> bool {
+    let Some(target) = pick_site(module, rng, defect.matches) else { return false };
+    with_connect_mut(module, target, |_loc, expr| {
+        edit_first(expr, defect);
+    })
 }
 
-fn inject_wrong_constant(module: &mut Module, rng: &mut impl Rng) -> bool {
+/// The one site picker: the index (among all connects, pre-order) of a connect whose
+/// expression holds a node `matches` accepts, drawn with one `gen_range`; `None`,
+/// drawing nothing, when there is none. The scan is [`Expression::visit`], which
+/// enters every child.
+fn pick_site(
+    module: &Module,
+    rng: &mut impl Rng,
+    matches: fn(&Expression) -> bool,
+) -> Option<usize> {
     let mut sites = Vec::new();
     let mut i = 0usize;
     module.visit_statements(&mut |s| {
         if let Statement::Connect { expr, .. } = s {
             let mut found = false;
-            expr.visit(&mut |e| {
-                if matches!(e, Expression::UIntLiteral { .. }) {
-                    found = true;
-                }
-            });
+            expr.visit(&mut |e| found |= matches(e));
             if found {
                 sites.push(i);
             }
@@ -571,35 +518,34 @@ fn inject_wrong_constant(module: &mut Module, rng: &mut impl Rng) -> bool {
         }
     });
     if sites.is_empty() {
-        return false;
+        None
+    } else {
+        Some(sites[rng.gen_range(0..sites.len())])
     }
-    let target = sites[rng.gen_range(0..sites.len())];
-    with_connect_mut(module, target, |_loc, expr| {
-        flip_first_literal(expr);
-    })
 }
 
-fn flip_first_literal(expr: &mut Expression) -> bool {
-    if let Expression::UIntLiteral { value, .. } = expr {
-        *value ^= 1;
+/// The one first-match walker: edits the first node, in pre-order, that `defect`
+/// matches, and reports whether there was one. It descends the inner expression of
+/// `SubField` and `SubIndex`, a `SubAccess`'s inner expression then its index, a
+/// `Mux`'s condition, true arm then false arm, and a `Prim`'s arguments in order.
+///
+/// Unlike the site picker's [`Expression::visit`], it does not enter `MemRead`,
+/// `ScalaCast` or `BadApply`: a connect whose only match lies under one of those is
+/// picked as a site, edited nowhere, and the defect still counts as applied.
+fn edit_first(expr: &mut Expression, defect: SiteEdit) -> bool {
+    if (defect.matches)(expr) {
+        (defect.edit)(expr);
         return true;
     }
     match expr {
         Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => {
-            flip_first_literal(inner)
+            edit_first(inner, defect)
         }
-        Expression::SubAccess(inner, idx) => flip_first_literal(inner) || flip_first_literal(idx),
+        Expression::SubAccess(inner, idx) => edit_first(inner, defect) || edit_first(idx, defect),
         Expression::Mux { cond, tval, fval } => {
-            flip_first_literal(cond) || flip_first_literal(tval) || flip_first_literal(fval)
+            edit_first(cond, defect) || edit_first(tval, defect) || edit_first(fval, defect)
         }
-        Expression::Prim { args, .. } => {
-            for a in args {
-                if flip_first_literal(a) {
-                    return true;
-                }
-            }
-            false
-        }
+        Expression::Prim { args, .. } => args.iter_mut().any(|a| edit_first(a, defect)),
         _ => false,
     }
 }
@@ -631,52 +577,6 @@ fn inject_inverted_condition(module: &mut Module, rng: &mut impl Rng) -> bool {
         }
     });
     done
-}
-
-fn inject_swapped_mux(module: &mut Module, rng: &mut impl Rng) -> bool {
-    let mut sites = Vec::new();
-    let mut i = 0usize;
-    module.visit_statements(&mut |s| {
-        if let Statement::Connect { expr, .. } = s {
-            let mut found = false;
-            expr.visit(&mut |e| {
-                if matches!(e, Expression::Mux { .. }) {
-                    found = true;
-                }
-            });
-            if found {
-                sites.push(i);
-            }
-            i += 1;
-        }
-    });
-    if sites.is_empty() {
-        return false;
-    }
-    let target = sites[rng.gen_range(0..sites.len())];
-    with_connect_mut(module, target, |_loc, expr| {
-        swap_first_mux(expr);
-    })
-}
-
-fn swap_first_mux(expr: &mut Expression) -> bool {
-    if let Expression::Mux { tval, fval, .. } = expr {
-        std::mem::swap(tval, fval);
-        return true;
-    }
-    match expr {
-        Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => swap_first_mux(inner),
-        Expression::SubAccess(inner, idx) => swap_first_mux(inner) || swap_first_mux(idx),
-        Expression::Prim { args, .. } => {
-            for a in args {
-                if swap_first_mux(a) {
-                    return true;
-                }
-            }
-            false
-        }
-        _ => false,
-    }
 }
 
 fn inject_wrong_reset(module: &mut Module, rng: &mut impl Rng) -> bool {

@@ -7,7 +7,9 @@
 //! ```
 //!
 //! `--shards` is the worker count, and `--queue-capacity` bounds the one job queue
-//! they all pop: a heavy request that finds that many jobs waiting gets `busy`.
+//! they all pop: a heavy request that finds that many jobs waiting gets `busy`. Both
+//! must be at least 1; a zero, like any bad value, prints the usage line and exits
+//! with status 2 before anything binds.
 
 use std::time::Duration;
 
@@ -33,9 +35,9 @@ fn main() {
         };
         match flag.as_str() {
             "--addr" => config.addr = value("--addr"),
-            "--shards" => config.shards = parse_num(&value("--shards"), "--shards"),
+            "--shards" => config.shards = parse_count(&value("--shards"), "--shards"),
             "--queue-capacity" => {
-                config.queue_capacity = parse_num(&value("--queue-capacity"), "--queue-capacity")
+                config.queue_capacity = parse_count(&value("--queue-capacity"), "--queue-capacity")
             }
             "--max-line-bytes" => {
                 config.max_line_bytes = parse_num(&value("--max-line-bytes"), "--max-line-bytes")
@@ -80,4 +82,16 @@ fn parse_num<T: std::str::FromStr>(text: &str, flag: &str) -> T {
         eprintln!("invalid value `{text}` for {flag}");
         usage()
     })
+}
+
+/// A count that must be at least 1: the worker count and the queue bound, which
+/// `Server::start` asserts.
+fn parse_count(text: &str, flag: &str) -> usize {
+    match parse_num(text, flag) {
+        0 => {
+            eprintln!("{flag} must be at least 1");
+            usage()
+        }
+        count => count,
+    }
 }

@@ -4,16 +4,18 @@
 //! combinational definition and register next-state function into a dense instruction
 //! program:
 //!
-//! * state is a slot-indexed `Vec` (layout fixed by
-//!   [`Netlist::slot_assignment`]) instead of a name-keyed map — no hashing, no string
-//!   allocation per evaluation;
+//! * state is a slot-indexed `Vec` instead of a name-keyed map — no hashing, no string
+//!   allocation per evaluation. The tape lays the slots out itself: ports (in port
+//!   order), then registers, then the remaining combinational definitions (in
+//!   evaluation order), with output ports keeping their port slot; memories share one
+//!   word array, packed in declaration order;
 //! * every operand is a pre-resolved slot index; literals are pooled into constant
 //!   slots that are written once at construction and never touched again;
 //! * masks and result metadata for named stores are pre-computed at compile time;
 //! * registers get a commit list applied after all next-states are staged, preserving
 //!   the simultaneous-update semantics of the interpreter.
 //!
-//! Per cycle, [`CompiledSimulator::step`] therefore executes a flat `for` loop over
+//! Per cycle, [`SimEngine::step`] therefore executes a flat `for` loop over
 //! copy-type instructions — the generated-kernel idea of the paper's throughput story
 //! applied to the Simulator tool. Instruction semantics are shared with the
 //! interpreter through [`crate::eval::apply_prim`], and the two engines are pinned
@@ -25,7 +27,7 @@ use std::sync::Arc;
 use rechisel_firrtl::ir::{Direction, Expression, PrimOp};
 use rechisel_firrtl::lower::{Netlist, SignalInfo};
 
-use crate::engine::InputPort;
+use crate::engine::{InputPort, SimEngine, SyncReadGuard};
 use crate::eval::{apply_prim, mask, min_width, EvalError, EvalValue};
 use crate::simulator::SimError;
 
@@ -127,7 +129,7 @@ struct Commit {
     reg: u32,
     staged: u32,
     mask: u128,
-    domain: u32,
+    domain: usize,
 }
 
 /// A staged memory write: when `bits[en] & 1` is set and `bits[addr] < depth`, store
@@ -149,7 +151,7 @@ struct MemCommit {
     /// the interpreter and the Verilog nonblocking read).
     lane: Option<(u32, u32)>,
     /// Index into [`Tape::domains`] of the port's write clock.
-    domain: u32,
+    domain: usize,
 }
 
 /// Backing-store layout and word metadata of one memory in a [`Tape`].
@@ -177,7 +179,6 @@ struct InPort {
 /// recompiling (the benchmark suite caches one tape per case this way).
 #[derive(Debug)]
 pub struct Tape {
-    name: String,
     /// Initial state: named slots (zeroed, with their signal metadata), then the
     /// constant pool, then temporaries.
     init: Vec<EvalValue>,
@@ -199,17 +200,11 @@ pub struct Tape {
     /// Clock domains (mangled clock nets), first-appearance order — registers in
     /// declaration order, then memory write ports. Commit entries index into this.
     domains: Vec<String>,
-    /// Signal -> set of implicit sync-read registers it combinationally depends on.
-    /// A signal cannot be peeked while any of its sources is still uncaptured (its
-    /// own clock domain has not ticked yet).
-    sync_sources: BTreeMap<String, std::collections::BTreeSet<String>>,
-    /// Implicit sync-read registers with the index of their clock domain: the initial
-    /// `uncaptured` set of a fresh simulator, drained per-domain as edges happen.
-    sync_regs: Vec<(String, u32)>,
+    /// The sequential-read rule of the netlist, shared by every simulator of the tape.
+    sync: SyncReadGuard,
     /// Input ports in port order; an [`InputPort`] indexes this list.
     inputs: Vec<InPort>,
     outputs: Vec<(String, u32)>,
-    has_reset: bool,
 }
 
 impl Tape {
@@ -221,27 +216,6 @@ impl Tape {
     /// forms — the conditions the interpreter reports lazily at evaluation time.
     pub fn compile(netlist: &Netlist) -> Result<Self, SimError> {
         Builder::new(netlist).build()
-    }
-
-    /// The module name of the compiled netlist.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total instructions executed per [`CompiledSimulator::step`] (the combinational
-    /// program runs twice: once before and once after the register commit).
-    pub fn instructions_per_cycle(&self) -> usize {
-        2 * self.comb.len() + self.reg_program.len() + self.commits.len() + self.mem_commits.len()
-    }
-
-    /// Number of state slots (named signals + constants + temporaries).
-    pub fn slot_count(&self) -> usize {
-        self.init.len()
-    }
-
-    /// Total backing-store words across all memories.
-    pub fn mem_word_count(&self) -> usize {
-        self.mem_init.len()
     }
 }
 
@@ -261,11 +235,21 @@ struct Builder<'n> {
 }
 
 impl<'n> Builder<'n> {
+    /// Lays out the named slots and the memories: one slot per signal, ports first
+    /// (in port order), then registers, then the remaining definitions (in evaluation
+    /// order), so an output port keeps its port slot; memories packed into one word
+    /// array in declaration order.
     fn new(netlist: &'n Netlist) -> Self {
-        let slots = netlist.slot_assignment();
-        let mut init = Vec::with_capacity(slots.len());
-        let mut metas = Vec::with_capacity(slots.len());
-        for (_, name) in slots.iter() {
+        let mut index = BTreeMap::new();
+        let mut init = Vec::with_capacity(netlist.signals.len());
+        let mut metas = Vec::with_capacity(netlist.signals.len());
+        let ports = netlist.ports.iter().map(|p| &p.name);
+        let names = ports.chain(netlist.regs.iter().map(|r| &r.name));
+        for name in names.chain(netlist.defs.iter().map(|d| &d.name)) {
+            if index.contains_key(name) {
+                continue;
+            }
+            index.insert(name.clone(), init.len() as u32);
             // The interpreter defaults missing metadata to a 64-bit unsigned signal;
             // mirror that so the engines cannot diverge even on odd netlists.
             let info = netlist.signal(name).unwrap_or(SignalInfo {
@@ -281,17 +265,13 @@ impl<'n> Builder<'n> {
         }
         let mut mems = Vec::with_capacity(netlist.mems.len());
         let mut mem_index = BTreeMap::new();
+        let mut base: u32 = 0;
         for m in &netlist.mems {
-            let layout = slots.mem_slot_of(&m.name).expect("memory is in the slot assignment");
+            let depth = m.depth as u32;
             mem_index.insert(m.name.clone(), mems.len() as u32);
-            mems.push(TapeMem {
-                name: m.name.clone(),
-                base: layout.base,
-                depth: layout.depth,
-                width: m.info.width,
-            });
+            mems.push(TapeMem { name: m.name.clone(), base, depth, width: m.info.width });
+            base = base.saturating_add(depth);
         }
-        let index = slots.into_index();
         Self { netlist, index, init, metas, consts: BTreeMap::new(), mems, mem_index }
     }
 
@@ -506,10 +486,10 @@ impl<'n> Builder<'n> {
         }
 
         // Clock-domain table: every register and write-port clock resolves to an
-        // index, so filtered steps compare a u32 instead of a string per commit.
+        // index, so filtered steps compare an index instead of a string per commit.
         let domains = self.netlist.clock_domains();
-        let domain_index = |clock: &str| -> u32 {
-            domains.iter().position(|d| d == clock).expect("clock is in the domain table") as u32
+        let domain_index = |clock: &str| -> usize {
+            domains.iter().position(|d| d == clock).expect("clock is in the domain table")
         };
 
         let mut reg_program = Vec::new();
@@ -596,22 +576,7 @@ impl<'n> Builder<'n> {
                 mem_init[base + offset] = word & word_mask;
             }
         }
-        let sync_sources = self.netlist.sync_read_sources();
-        let sync_regs = self
-            .netlist
-            .mems
-            .iter()
-            .flat_map(|m| m.sync_reads.iter())
-            .map(|name| {
-                let reg = self
-                    .netlist
-                    .regs
-                    .iter()
-                    .find(|r| &r.name == name)
-                    .expect("sync-read register is in the register list");
-                (name.clone(), domain_index(&reg.clock))
-            })
-            .collect();
+        let sync = SyncReadGuard::new(self.netlist, &domains);
 
         let inputs = self
             .netlist
@@ -632,11 +597,8 @@ impl<'n> Builder<'n> {
             .filter(|p| p.direction == Direction::Output)
             .map(|p| (p.name.clone(), self.index[&p.name]))
             .collect();
-        let has_reset =
-            self.netlist.ports.iter().any(|p| p.name == "reset" && p.direction == Direction::Input);
 
         Ok(Tape {
-            name: self.netlist.name.clone(),
             init: self.init,
             index: self.index,
             comb,
@@ -646,11 +608,9 @@ impl<'n> Builder<'n> {
             mems: self.mems,
             mem_init,
             domains,
-            sync_sources,
-            sync_regs,
+            sync,
             inputs,
             outputs,
-            has_reset,
         })
     }
 }
@@ -735,12 +695,14 @@ fn exec(instrs: &[Instr], state: &mut [EvalValue], mem: &[u128]) {
 
 /// The compiled engine: executes a [`Tape`] with slot-indexed state.
 ///
+/// It drives through the [`SimEngine`] trait, which holds the rules both engines share.
+///
 /// # Example
 ///
 /// ```
 /// use std::sync::Arc;
 /// use rechisel_hcl::prelude::*;
-/// use rechisel_sim::{CompiledSimulator, Tape};
+/// use rechisel_sim::{CompiledSimulator, SimEngine, Tape};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut m = ModuleBuilder::new("Counter");
@@ -756,7 +718,7 @@ fn exec(instrs: &[Instr], state: &mut [EvalValue], mem: &[u128]) {
 /// let mut sim = CompiledSimulator::from_tape(tape);
 /// sim.reset(2)?;
 /// sim.poke("en", 1)?;
-/// sim.step_n(5);
+/// sim.step_n(5)?;
 /// assert_eq!(sim.peek("out")?, 5);
 /// # Ok(())
 /// # }
@@ -767,9 +729,10 @@ pub struct CompiledSimulator {
     state: Vec<EvalValue>,
     /// Shared backing store of all memories (layout fixed by the tape's `mems`).
     mem: Vec<u128>,
-    /// Implicit sync-read registers whose own clock domain has not ticked yet; peeks
-    /// of signals depending on them fail with [`SimError::SyncReadBeforeClock`].
-    uncaptured: std::collections::BTreeSet<String>,
+    /// Implicit sync-read registers whose own clock domain has not ticked yet, as the
+    /// tape's guard numbers them; peeks of signals depending on them fail with
+    /// [`SimError::SyncReadBeforeClock`].
+    uncaptured: Vec<usize>,
     cycles: u64,
 }
 
@@ -789,7 +752,7 @@ impl CompiledSimulator {
     pub fn from_tape(tape: Arc<Tape>) -> Self {
         let state = tape.init.clone();
         let mem = tape.mem_init.clone();
-        let uncaptured = tape.sync_regs.iter().map(|(name, _)| name.clone()).collect();
+        let uncaptured = tape.sync.uncaptured();
         Self { tape, state, mem, uncaptured, cycles: 0 }
     }
 
@@ -797,60 +760,25 @@ impl CompiledSimulator {
     pub fn tape(&self) -> &Arc<Tape> {
         &self.tape
     }
+}
 
-    /// Number of clock cycles simulated so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycles
+impl SimEngine for CompiledSimulator {
+    fn input_port(&self, name: &str) -> Option<InputPort> {
+        let index = self.tape.inputs.iter().position(|p| p.name == name)?;
+        Some(InputPort { index, width: self.tape.inputs[index].width })
     }
 
-    /// Drives an input port.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchPort`] if `name` is not an input port and
-    /// [`SimError::ValueTooWide`] if `value` does not fit in the port's width.
-    pub fn poke(&mut self, name: &str, value: u128) -> Result<(), SimError> {
-        let port = self.input_port(name).ok_or_else(|| SimError::NoSuchPort(name.to_string()))?;
-        if self.poke_input(port, value) {
-            Ok(())
-        } else {
-            let width = self.tape.inputs[port.0].width;
-            Err(SimError::ValueTooWide { port: name.to_string(), width, value })
-        }
-    }
-
-    /// Resolves an input port by name, once, for [`poke_input`](Self::poke_input).
-    pub fn input_port(&self, name: &str) -> Option<InputPort> {
-        self.tape.inputs.iter().position(|p| p.name == name).map(InputPort)
-    }
-
-    /// Drives a resolved input port; a value wider than the port is not applied, and
-    /// the call returns `false`.
-    pub fn poke_input(&mut self, port: InputPort, value: u128) -> bool {
-        let port = &self.tape.inputs[port.0];
-        let fits = value == mask(value, port.width);
+    fn poke_input(&mut self, port: InputPort, value: u128) -> bool {
+        let fits = port.fits(value);
         if fits {
+            let port = &self.tape.inputs[port.index];
             self.state[port.slot as usize] = EvalValue::new(value, port.width, port.signed);
         }
         fits
     }
 
-    /// Reads the current value of any signal (port, wire or register).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchPort`] if the signal does not exist, and
-    /// [`SimError::SyncReadBeforeClock`] when the signal depends on a sequential
-    /// memory read whose own clock domain has not ticked yet (mirroring the
-    /// interpreter).
-    pub fn peek(&self, name: &str) -> Result<u128, SimError> {
-        if !self.uncaptured.is_empty() {
-            if let Some(sources) = self.tape.sync_sources.get(name) {
-                if sources.iter().any(|s| self.uncaptured.contains(s)) {
-                    return Err(SimError::SyncReadBeforeClock { signal: name.to_string() });
-                }
-            }
-        }
+    fn peek(&self, name: &str) -> Result<u128, SimError> {
+        self.tape.sync.check(&self.uncaptured, name)?;
         self.tape
             .index
             .get(name)
@@ -858,67 +786,18 @@ impl CompiledSimulator {
             .ok_or_else(|| SimError::NoSuchPort(name.to_string()))
     }
 
-    /// Re-evaluates all combinational logic (runs the combinational program).
-    pub fn eval(&mut self) {
+    /// Runs the combinational program.
+    fn eval(&mut self) -> Result<(), SimError> {
         exec(&self.tape.comb, &mut self.state, &self.mem);
-    }
-
-    /// Advances one clock cycle on **every** domain: combinational program, register
-    /// staging, simultaneous commit (memory writes first, while every operand slot
-    /// still holds its pre-edge value, then registers), combinational program again.
-    pub fn step(&mut self) {
-        self.step_filtered(None);
-    }
-
-    /// Edges one clock domain: the full program runs, but only commits tagged with
-    /// `domain` are applied (see [`crate::SimEngine::step_clock`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchClock`] when `domain` is not a clock domain of the
-    /// compiled design.
-    pub fn step_clock(&mut self, domain: &str) -> Result<(), SimError> {
-        let idx = self.domain_index(domain)?;
-        self.step_filtered(Some(&[idx]));
         Ok(())
     }
 
-    /// Edges several clock domains **simultaneously**: one edge event, one cycle,
-    /// with every listed domain's commits applied against the same staged pre-edge
-    /// state (see [`crate::SimEngine::step_clocks`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchClock`] when `domains` is empty or names a domain
-    /// that is not a clock domain of the compiled design.
-    pub fn step_clocks(&mut self, domains: &[&str]) -> Result<(), SimError> {
-        if domains.is_empty() {
-            return Err(SimError::NoSuchClock("(empty domain set)".to_string()));
-        }
-        let mut indices = Vec::with_capacity(domains.len());
-        for domain in domains {
-            indices.push(self.domain_index(domain)?);
-        }
-        self.step_filtered(Some(&indices));
-        Ok(())
-    }
-
-    fn domain_index(&self, domain: &str) -> Result<u32, SimError> {
-        self.tape
-            .domains
-            .iter()
-            .position(|d| d == domain)
-            .map(|i| i as u32)
-            .ok_or_else(|| SimError::NoSuchClock(domain.to_string()))
-    }
-
-    /// The design's clock domains, in first-appearance order.
-    pub fn clock_domains(&self) -> &[String] {
-        &self.tape.domains
-    }
-
-    fn step_filtered(&mut self, domains: Option<&[u32]>) {
-        self.eval();
+    /// The full program runs on every edge: combinational program, register staging,
+    /// the commits of the edged domains (memory writes first, while every operand
+    /// slot still holds its pre-edge value, then registers), combinational program
+    /// again. The all-domain edge (`None`) filters no commit.
+    fn edge(&mut self, domains: Option<&[usize]>) -> Result<(), SimError> {
+        exec(&self.tape.comb, &mut self.state, &self.mem);
         exec(&self.tape.reg_program, &mut self.state, &self.mem);
         for commit in &self.tape.mem_commits {
             if domains.is_some_and(|ds| !ds.contains(&commit.domain)) {
@@ -951,153 +830,18 @@ impl CompiledSimulator {
             self.state[commit.reg as usize].bits =
                 self.state[commit.staged as usize].bits & commit.mask;
         }
-        if !self.uncaptured.is_empty() {
-            let sync_regs = &self.tape.sync_regs;
-            self.uncaptured.retain(|name| {
-                !sync_regs.iter().any(|(reg, reg_domain)| {
-                    reg == name && domains.is_none_or(|ds| ds.contains(reg_domain))
-                })
-            });
-        }
+        self.tape.sync.capture(&mut self.uncaptured, domains);
         self.cycles += 1;
-        self.eval();
-    }
-
-    /// Advances `n` clock cycles.
-    pub fn step_n(&mut self, n: u32) {
-        for _ in 0..n {
-            self.step();
-        }
-    }
-
-    /// Asserts the `reset` input (when present) for `cycles` cycles, then deasserts it.
-    ///
-    /// Each cycle is a full [`step`](Self::step), so the pulse edges **every** clock
-    /// domain. Memory init images are not restored — initialization applies at time
-    /// zero only.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchPort`] only if the tape's reset bookkeeping is
-    /// inconsistent (cannot happen for tapes produced by [`Tape::compile`]).
-    pub fn reset(&mut self, cycles: u32) -> Result<(), SimError> {
-        if self.tape.has_reset {
-            self.poke("reset", 1)?;
-            self.step_n(cycles);
-            self.poke("reset", 0)?;
-            self.eval();
-        }
+        exec(&self.tape.comb, &mut self.state, &self.mem);
         Ok(())
     }
 
-    /// Reads all output ports, in port order (raw values — no
-    /// [`SimError::SyncReadBeforeClock`] guard; see `SimEngine::outputs`).
-    pub fn outputs(&self) -> Vec<(String, u128)> {
-        self.tape
-            .outputs
-            .iter()
-            .map(|(name, slot)| (name.clone(), self.state[*slot as usize].bits))
-            .collect()
-    }
-
-    fn tape_mem(&self, mem: &str) -> Result<&TapeMem, SimError> {
-        self.tape
-            .mems
-            .iter()
-            .find(|m| m.name == mem)
-            .ok_or_else(|| SimError::NoSuchMem(mem.to_string()))
-    }
-
-    /// Reads the current contents of one memory word.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchMem`] for unknown memories and
-    /// [`SimError::MemAddrOutOfRange`] for addresses outside `0..depth`.
-    pub fn peek_mem(&self, mem: &str, addr: u128) -> Result<u128, SimError> {
-        let m = self.tape_mem(mem)?;
-        if addr >= u128::from(m.depth) {
-            return Err(SimError::MemAddrOutOfRange {
-                mem: mem.to_string(),
-                depth: m.depth as usize,
-                addr,
-            });
-        }
-        Ok(self.mem[(m.base + addr as u32) as usize])
-    }
-
-    /// Overwrites one memory word, validating the address and value first.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::NoSuchMem`] for unknown memories,
-    /// [`SimError::MemAddrOutOfRange`] for addresses outside `0..depth`, and
-    /// [`SimError::MemValueTooWide`] when `value` has bits above the word width
-    /// (out-of-range data is rejected rather than silently masked, mirroring
-    /// [`CompiledSimulator::poke`]).
-    pub fn poke_mem(&mut self, mem: &str, addr: u128, value: u128) -> Result<(), SimError> {
-        let m = self.tape_mem(mem)?;
-        if addr >= u128::from(m.depth) {
-            return Err(SimError::MemAddrOutOfRange {
-                mem: mem.to_string(),
-                depth: m.depth as usize,
-                addr,
-            });
-        }
-        if value != mask(value, m.width) {
-            return Err(SimError::MemValueTooWide { mem: mem.to_string(), width: m.width, value });
-        }
-        let word = (m.base + addr as u32) as usize;
-        self.mem[word] = value;
-        Ok(())
-    }
-}
-
-impl crate::engine::SimEngine for CompiledSimulator {
-    fn poke(&mut self, name: &str, value: u128) -> Result<(), SimError> {
-        CompiledSimulator::poke(self, name, value)
-    }
-
-    fn peek(&self, name: &str) -> Result<u128, SimError> {
-        CompiledSimulator::peek(self, name)
-    }
-
-    fn eval(&mut self) -> Result<(), SimError> {
-        CompiledSimulator::eval(self);
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<(), SimError> {
-        CompiledSimulator::step(self);
-        Ok(())
-    }
-
-    fn step_clock(&mut self, domain: &str) -> Result<(), SimError> {
-        CompiledSimulator::step_clock(self, domain)
-    }
-
-    fn step_clocks(&mut self, domains: &[&str]) -> Result<(), SimError> {
-        CompiledSimulator::step_clocks(self, domains)
-    }
-
-    fn clock_domains(&self) -> Vec<String> {
-        self.tape.domains.clone()
+    fn clock_domains(&self) -> &[String] {
+        &self.tape.domains
     }
 
     fn cycles(&self) -> u64 {
-        CompiledSimulator::cycles(self)
-    }
-
-    fn outputs(&self) -> Vec<(String, u128)> {
-        CompiledSimulator::outputs(self)
-    }
-
-    fn input_port(&self, name: &str) -> Option<InputPort> {
-        CompiledSimulator::input_port(self, name)
-    }
-
-    fn poke_input(&mut self, port: InputPort, value: u128) -> bool {
-        CompiledSimulator::poke_input(self, port, value)
+        self.cycles
     }
 
     fn output_names(&self) -> Vec<&str> {
@@ -1108,24 +852,16 @@ impl crate::engine::SimEngine for CompiledSimulator {
         values.extend(self.tape.outputs.iter().map(|(_, slot)| self.state[*slot as usize].bits));
     }
 
-    fn has_reset(&self) -> bool {
-        self.tape.has_reset
+    fn mem(&self, mem: &str) -> Option<(&[u128], u32)> {
+        let m = self.tape.mems.iter().find(|m| m.name == mem)?;
+        let words = m.base as usize..(m.base + m.depth) as usize;
+        Some((&self.mem[words], m.width))
     }
 
-    fn peek_mem(&self, mem: &str, addr: u128) -> Result<u128, SimError> {
-        CompiledSimulator::peek_mem(self, mem, addr)
-    }
-
-    fn poke_mem(&mut self, mem: &str, addr: u128, value: u128) -> Result<(), SimError> {
-        CompiledSimulator::poke_mem(self, mem, addr, value)
-    }
-
-    fn mem_names(&self) -> Vec<String> {
-        self.tape.mems.iter().map(|m| m.name.clone()).collect()
-    }
-
-    fn mem_depth(&self, mem: &str) -> Option<usize> {
-        self.tape.mems.iter().find(|m| m.name == mem).map(|m| m.depth as usize)
+    fn mem_mut(&mut self, mem: &str) -> Option<(&mut [u128], u32)> {
+        let m = self.tape.mems.iter().find(|m| m.name == mem)?;
+        let words = m.base as usize..(m.base + m.depth) as usize;
+        Some((&mut self.mem[words], m.width))
     }
 }
 
@@ -1160,7 +896,7 @@ mod tests {
             interp.poke("en", en).unwrap();
             compiled.poke("en", en).unwrap();
             interp.step().unwrap();
-            compiled.step();
+            compiled.step().unwrap();
             assert_eq!(interp.peek("out").unwrap(), compiled.peek("out").unwrap());
             assert_eq!(interp.peek("count").unwrap(), compiled.peek("count").unwrap());
         }
@@ -1171,16 +907,14 @@ mod tests {
     #[test]
     fn tape_is_shared_between_instances() {
         let tape = Arc::new(Tape::compile(&counter_netlist()).unwrap());
-        assert_eq!(tape.name(), "Counter");
-        assert!(tape.instructions_per_cycle() > 0);
-        assert!(tape.slot_count() > 0);
+        assert!(!tape.comb.is_empty() && !tape.reg_program.is_empty());
         let mut a = CompiledSimulator::from_tape(tape.clone());
         let mut b = CompiledSimulator::from_tape(tape.clone());
         a.reset(1).unwrap();
         b.reset(1).unwrap();
         a.poke("en", 1).unwrap();
-        a.step_n(3);
-        b.step_n(3);
+        a.step_n(3).unwrap();
+        b.step_n(3).unwrap();
         // Independent state over the same program.
         assert_eq!(a.peek("out").unwrap(), 3);
         assert_eq!(b.peek("out").unwrap(), 0);
@@ -1210,7 +944,7 @@ mod tests {
             interp.poke("d", d_val).unwrap();
             compiled.poke("d", d_val).unwrap();
             interp.step().unwrap();
-            compiled.step();
+            compiled.step().unwrap();
             for name in ["a", "b", "q"] {
                 assert_eq!(
                     interp.peek(name).unwrap(),
@@ -1222,19 +956,6 @@ mod tests {
         // And the chain really is two stages deep: q lags d by two cycles.
         assert_eq!(compiled.peek("q").unwrap(), 0);
         assert_eq!(compiled.peek("a").unwrap(), 3);
-    }
-
-    #[test]
-    fn poke_and_peek_errors_match_the_interpreter() {
-        let mut sim = CompiledSimulator::new(&counter_netlist()).unwrap();
-        assert!(matches!(sim.poke("ghost", 1), Err(SimError::NoSuchPort(_))));
-        assert!(matches!(sim.poke("out", 1), Err(SimError::NoSuchPort(_))));
-        assert!(matches!(sim.peek("ghost"), Err(SimError::NoSuchPort(_))));
-        // Out-of-range literals are rejected, not silently masked.
-        let err = sim.poke("en", 2).unwrap_err();
-        assert!(
-            matches!(&err, SimError::ValueTooWide { port, width: 1, value: 2 } if port == "en")
-        );
     }
 
     fn ram_netlist() -> Netlist {
@@ -1257,7 +978,7 @@ mod tests {
         let netlist = ram_netlist();
         let mut interp = Simulator::new(netlist.clone());
         let mut compiled = CompiledSimulator::new(&netlist).unwrap();
-        assert_eq!(compiled.tape().mem_word_count(), 8);
+        assert_eq!(compiled.tape().mem_init.len(), 8);
         // Mixed write/read schedule, including a read-under-write collision at cycle 3.
         let schedule: &[(u128, u128, u128, u128)] = &[
             (1, 0, 0x11, 0),
@@ -1272,14 +993,14 @@ mod tests {
                 compiled.poke(name, v).unwrap();
             }
             interp.eval().unwrap();
-            compiled.eval();
+            compiled.eval().unwrap();
             assert_eq!(
                 interp.peek("rdata").unwrap(),
                 compiled.peek("rdata").unwrap(),
                 "pre-edge rdata, cycle {cycle}"
             );
             interp.step().unwrap();
-            compiled.step();
+            compiled.step().unwrap();
             assert_eq!(
                 interp.peek("rdata").unwrap(),
                 compiled.peek("rdata").unwrap(),
@@ -1294,26 +1015,6 @@ mod tests {
             );
         }
         assert_eq!(compiled.peek_mem("store", 1).unwrap(), 0x33);
-    }
-
-    #[test]
-    fn compiled_mem_poke_peek_validation() {
-        let mut sim = CompiledSimulator::new(&ram_netlist()).unwrap();
-        assert!(matches!(sim.poke_mem("ghost", 0, 0), Err(SimError::NoSuchMem(_))));
-        assert!(matches!(
-            sim.poke_mem("store", 8, 0),
-            Err(SimError::MemAddrOutOfRange { depth: 8, addr: 8, .. })
-        ));
-        assert!(matches!(
-            sim.poke_mem("store", 0, 0x100),
-            Err(SimError::MemValueTooWide { width: 8, value: 0x100, .. })
-        ));
-        assert!(matches!(sim.peek_mem("store", 8), Err(SimError::MemAddrOutOfRange { .. })));
-        // A valid poke is visible through a combinational read.
-        sim.poke_mem("store", 6, 0x5A).unwrap();
-        sim.poke("raddr", 6).unwrap();
-        sim.eval();
-        assert_eq!(sim.peek("rdata").unwrap(), 0x5A);
     }
 
     #[test]
@@ -1370,7 +1071,7 @@ mod tests {
             interp.poke("addr", sim_addr).unwrap();
             compiled.poke("addr", sim_addr).unwrap();
             interp.eval().unwrap();
-            compiled.eval();
+            compiled.eval().unwrap();
             assert_eq!(interp.peek("rdata_c").unwrap(), compiled.peek("rdata_c").unwrap());
         }
         let schedule: &[(u128, u128, u128, u128)] = &[
@@ -1387,7 +1088,7 @@ mod tests {
                 compiled.poke(name, v).unwrap();
             }
             interp.step().unwrap();
-            compiled.step();
+            compiled.step().unwrap();
             for name in ["rdata_c", "rdata_s"] {
                 assert_eq!(
                     interp.peek(name).unwrap(),
@@ -1453,10 +1154,48 @@ mod tests {
         m.connect(&x, &a.add(&Signal::lit_w(3, 4)));
         m.connect(&y, &a.sub(&Signal::lit_w(3, 4)));
         let netlist = lower_circuit(&m.into_circuit()).unwrap();
-        let with_sharing = Tape::compile(&netlist).unwrap().slot_count();
+        let tape = Tape::compile(&netlist).unwrap();
         // Named slots + 1 shared constant + 2 temps + (implicit reset constants if any).
-        let named = netlist.slot_assignment().len();
-        assert_eq!(with_sharing, named + 1 + 2);
+        assert_eq!(tape.init.len(), tape.index.len() + 1 + 2);
+    }
+
+    #[test]
+    fn slot_assignment_is_dense_and_deterministic() {
+        let mut m = ModuleBuilder::new("Counter");
+        let en = m.input("en", Type::bool());
+        let count = m.output("count", Type::uint(8));
+        let addr = m.input("addr", Type::uint(2));
+        let ra = m.output("ra", Type::uint(8));
+        let rb = m.output("rb", Type::uint(4));
+        let r = m.reg_init("r", Type::uint(8), &Signal::lit_w(0, 8));
+        m.when(&en, |m| m.connect(&r, &r.add(&Signal::lit_w(1, 8)).bits(7, 0)));
+        m.connect(&count, &r);
+        let a = m.mem("a", Type::uint(8), 4);
+        let b = m.mem("b", Type::uint(4), 8);
+        m.connect(&ra, &a.read(&addr));
+        m.connect(&rb, &b.read(&addr));
+        let netlist = lower_circuit(&m.into_circuit()).unwrap();
+        let tape = Tape::compile(&netlist).unwrap();
+        let slot = |name: &str| tape.index.get(name).copied();
+        // Every signal gets exactly one slot, and the named slots are the first ones;
+        // output ports keep their port slot even though they reappear as defs.
+        assert_eq!(tape.index.len(), netlist.signals.len());
+        let mut slots: Vec<u32> = tape.index.values().copied().collect();
+        slots.sort_unstable();
+        assert!(slots.iter().copied().eq(0..tape.index.len() as u32));
+        // Ports first, in port order, then registers.
+        let ports = ["clock", "reset", "en", "count", "addr", "ra", "rb", "r"];
+        for (expected, name) in ports.into_iter().enumerate() {
+            assert_eq!(slot(name), Some(expected as u32), "{name}");
+        }
+        assert_eq!(slot("ghost"), None);
+        // Memories share one word array, packed in declaration order.
+        let layout: Vec<(&str, u32, u32)> =
+            tape.mems.iter().map(|m| (m.name.as_str(), m.base, m.depth)).collect();
+        assert_eq!(layout, [("a", 0, 4), ("b", 4, 8)]);
+        assert_eq!(tape.mem_init.len(), 12);
+        // Deterministic: recompiling yields the identical layout.
+        assert_eq!(tape.index, Tape::compile(&netlist).unwrap().index);
     }
 
     #[test]

@@ -6,12 +6,16 @@
 //!
 //! The crate provides:
 //!
-//! * [`SimEngine`] — the execution-engine trait, with two implementations
-//!   selectable via [`EngineKind`]:
-//!   [`Simulator`] (tree-walking interpreter, the semantic reference) and
-//!   [`CompiledSimulator`] (a levelized instruction [`Tape`] with slot-indexed state —
-//!   no hashing or allocation per cycle, typically an order of magnitude faster;
-//!   compile once, simulate many; the default).
+//! * [`SimEngine`] — the one surface of both execution engines, selectable via
+//!   [`EngineKind`]: [`Simulator`] (tree-walking interpreter, the semantic reference)
+//!   and [`CompiledSimulator`] (a levelized instruction [`Tape`] with slot-indexed
+//!   state — no hashing or allocation per cycle, typically an order of magnitude
+//!   faster; compile once, simulate many; the default). Each engine supplies only its
+//!   kernels (resolve and drive a port, peek, evaluate, one edge primitive, its
+//!   outputs and memory words); the trait's provided methods hold every rule the two
+//!   must agree on — `poke`, the stepping and reset methods with their clock-domain
+//!   checks, `outputs`, `peek_mem` and `poke_mem` — once. Import the trait to drive
+//!   either engine.
 //! * [`Testbench`] / [`FunctionalPoint`] — stimulus description, including seeded random
 //!   stimulus generation.
 //! * [`run_testbench`] — DUT-vs-reference comparison producing the [`SimReport`]

@@ -7,7 +7,7 @@
 use rechisel::firrtl::pipeline::Pipeline;
 use rechisel::firrtl::{print_chisel, print_firrtl, DiagnosticReport};
 use rechisel::hcl::prelude::*;
-use rechisel::sim::Simulator;
+use rechisel::sim::{SimEngine, Simulator};
 use rechisel::verilog::VerilogBackend;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -2,15 +2,18 @@
 //!
 //! Demonstrates the `SimEngine` seam end to end: drive the same design through both
 //! engines via the trait object, verify they agree cycle-for-cycle, time a long run on
-//! each, and show how the engine choice threads through a benchmark sweep via
-//! `ExperimentConfig`.
+//! each, and show how the engine choice threads through a benchmark sweep: it is made
+//! in one place, `EngineBuilder::sim_engine`, and every tester of the sweep follows.
 //!
 //! Run with: `cargo run --release --example sim_engines`
 
 use std::time::Instant;
 
 use rechisel::benchsuite::circuits::sequential;
-use rechisel::benchsuite::{sampled_suite, ExperimentConfig, SourceFamily};
+use rechisel::benchsuite::{run_model, run_model_with_engine, sampled_suite};
+use rechisel::benchsuite::{ExperimentConfig, SourceFamily};
+use rechisel::core::Engine;
+use rechisel::llm::ModelProfile;
 use rechisel::sim::{EngineKind, SimEngine};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,7 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let case = sequential::register_file(8, 8, SourceFamily::Rtllm);
     let netlist = case.reference_netlist();
 
-    // The same driver code runs against either engine through the SimEngine trait.
+    // The same driver code runs against either engine through the SimEngine trait,
+    // whose provided methods (poke, step, reset, outputs, ...) hold the rules both
+    // engines share.
     println!("engine agreement on {}:", netlist.name);
     let mut engines: Vec<(EngineKind, Box<dyn SimEngine>)> = Vec::new();
     for kind in [EngineKind::Interp, EngineKind::Compiled] {
@@ -56,17 +61,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         times[0].as_secs_f64() / times[1].as_secs_f64().max(f64::MIN_POSITIVE)
     );
 
-    // Sweeps select the engine in one place; results are identical either way.
+    // Sweeps select the engine in one place, the engine builder; results are
+    // identical either way.
     let suite = sampled_suite(4);
-    let fast = ExperimentConfig::quick().with_samples(2);
-    let slow = fast.with_sim_engine(EngineKind::Interp);
-    let a = rechisel::benchsuite::run_model(&rechisel::llm::ModelProfile::gpt4o(), &suite, &fast);
-    let b = rechisel::benchsuite::run_model(&rechisel::llm::ModelProfile::gpt4o(), &suite, &slow);
+    let config = ExperimentConfig::quick().with_samples(2);
+    let interp =
+        Engine::builder().config(config.workflow_config()).sim_engine(EngineKind::Interp).build();
+    let a = run_model(&ModelProfile::gpt4o(), &suite, &config);
+    let b = run_model_with_engine(&interp, &ModelProfile::gpt4o(), &suite, &config);
     assert_eq!(a.pass_at_k(1, 5), b.pass_at_k(1, 5));
     println!(
         "\nsweep pass@1 identical on both engines: {:.3} (default engine: {})",
         a.pass_at_k(1, 5),
-        ExperimentConfig::quick().sim_engine
+        config.engine().sim_engine()
     );
     Ok(())
 }

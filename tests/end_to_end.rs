@@ -8,7 +8,7 @@ use rechisel::core::{
 };
 use rechisel::hcl::prelude::*;
 use rechisel::llm::{Language, ModelProfile, SyntheticLlm};
-use rechisel::sim::{Simulator, Testbench};
+use rechisel::sim::{SimEngine, Simulator, Testbench};
 
 #[test]
 fn hcl_to_verilog_to_simulation_pipeline() {

@@ -6,7 +6,7 @@ use rechisel::benchsuite::pass_at_k;
 use rechisel::firrtl::{check_circuit, lower_circuit};
 use rechisel::hcl::prelude::*;
 use rechisel::llm::{inject_defects, DefectInstance, DefectKind};
-use rechisel::sim::{Simulator, Testbench};
+use rechisel::sim::{SimEngine, Simulator, Testbench};
 
 /// Reference design used by the injection properties.
 fn rich_reference() -> Circuit {
