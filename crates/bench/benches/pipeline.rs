@@ -1,8 +1,9 @@
 //! `pipeline/` — what one reflection step pays to recompile a changed candidate.
 //!
-//! The session recompiler reuses artifacts only when a candidate's fingerprint is
-//! unchanged; every other candidate runs the from-scratch path. This group times
-//! that path on a large generated circuit (~900 netlist definitions):
+//! The evaluation memo answers a candidate only when its located fingerprint was
+//! already evaluated in the sweep part; every other candidate runs the from-scratch
+//! path. This group times that path on a large generated circuit (~900 netlist
+//! definitions):
 //!
 //! * `pipeline/full_compile` — the checking passes, a from-scratch lowering and a
 //!   from-scratch tape compile.

@@ -11,8 +11,19 @@
 //! [`sweep_suite`] at case × sample granularity. Attach an [`Observer`] to the engine (via
 //! [`ExperimentConfig::engine_with_observer`] + [`run_model_with_engine`]) to stream
 //! [`RunEvent`](rechisel_core::RunEvent)s from every run of a sweep.
+//!
+//! Each [`sweep_suite`] call is one sweep part (one arm and model in the paper
+//! binaries and perfbench) and creates one [`EvalMemo`]: every session that
+//! [`run_sample_with_engine`] runs inside the call evaluates through it, so a
+//! revision that several samples submit is compiled and simulated once per part.
+//! The memo is dropped when the call returns, so a later sweep of the same engine
+//! and suite (a timed sweep after a warm-up) starts from nothing. Outside a sweep
+//! every session keeps a private memo.
 
-use rechisel_core::{Engine, Observer, TemplateReviewer, TraceInspector, WorkflowResult};
+use std::cell::RefCell;
+use std::sync::Arc;
+
+use rechisel_core::{Engine, EvalMemo, Observer, TemplateReviewer, TraceInspector, WorkflowResult};
 use rechisel_llm::{Language, ModelProfile, SyntheticLlm};
 
 use crate::case::BenchmarkCase;
@@ -219,11 +230,37 @@ impl ModelOutcome {
     }
 }
 
+thread_local! {
+    /// The memo of the [`sweep_suite`] call running on this thread, if any.
+    static SWEEP_MEMO: RefCell<Option<Arc<EvalMemo>>> = const { RefCell::new(None) };
+}
+
+/// Installs a sweep's memo on the current thread for as long as it lives, and puts
+/// back what was installed before when dropped, on return and on unwind alike.
+struct SweepMemoGuard(Option<Arc<EvalMemo>>);
+
+impl SweepMemoGuard {
+    fn install(memo: &Arc<EvalMemo>) -> Self {
+        Self(SWEEP_MEMO.with(|slot| slot.replace(Some(Arc::clone(memo)))))
+    }
+}
+
+impl Drop for SweepMemoGuard {
+    fn drop(&mut self) {
+        let previous = self.0.take();
+        SWEEP_MEMO.with(|slot| *slot.borrow_mut() = previous);
+    }
+}
+
 /// Runs one sample of one case through a session of `engine`.
 ///
 /// This is the single per-sample body every runner entry point routes through: a fresh
 /// synthetic LLM seeded by the case, the deterministic Reviewer/Inspector pair, and a
 /// tester built from the case's cached reference netlist.
+///
+/// Inside a [`sweep_suite`] call the session evaluates through that call's shared
+/// [`EvalMemo`]; anywhere else it keeps a private one. The result is the same either
+/// way.
 pub fn run_sample_with_engine(
     engine: &Engine,
     case: &BenchmarkCase,
@@ -232,21 +269,29 @@ pub fn run_sample_with_engine(
     sample: u32,
 ) -> WorkflowResult {
     let llm = SyntheticLlm::new(profile.clone(), language, case.reference().clone(), case.seed());
-    engine
-        .session(
-            llm,
-            TemplateReviewer::new(),
-            TraceInspector::new(),
-            case.spec.clone(),
-            case.tester_with_engine(engine.sim_engine()),
-        )
-        .run(sample)
+    let mut session = engine.session(
+        llm,
+        TemplateReviewer::new(),
+        TraceInspector::new(),
+        case.spec.clone(),
+        case.tester_with_engine(engine.sim_engine()),
+    );
+    if let Some(memo) = SWEEP_MEMO.with(|slot| slot.borrow().clone()) {
+        session = session.with_memo(memo);
+    }
+    session.run(sample)
 }
 
 /// Sweeps a suite at case × sample granularity: every `(case, sample)` pair is an
 /// independent work item distributed over `threads` workers, and the results are
 /// reassembled into per-case outcomes in deterministic suite order (sample order within
 /// each case is preserved regardless of which worker finished first).
+///
+/// The call creates one [`EvalMemo`] and installs it on each worker (on the calling
+/// thread when it runs serially) until it returns or unwinds, so every
+/// [`run_sample_with_engine`] inside `run` shares it. Workers that miss the same
+/// revision at once both evaluate it rather than wait for each other. The memo is
+/// dropped before the call returns.
 pub fn sweep_suite<F>(
     suite: &[BenchmarkCase],
     samples: u32,
@@ -260,7 +305,9 @@ where
     let total = suite.len() * per_case;
     let threads = threads.max(1).min(total.max(1));
     let mut slots: Vec<Option<WorkflowResult>> = (0..total).map(|_| None).collect();
+    let memo = Arc::new(EvalMemo::new());
     if threads == 1 || total <= 1 {
+        let _memo = SweepMemoGuard::install(&memo);
         for (slot, item) in slots.iter_mut().enumerate() {
             let (case_index, sample) = (slot / per_case, (slot % per_case) as u32);
             *item = Some(run(&suite[case_index], sample));
@@ -269,17 +316,20 @@ where
         let next = std::sync::atomic::AtomicUsize::new(0);
         let results: std::sync::Mutex<Vec<(usize, WorkflowResult)>> =
             std::sync::Mutex::new(Vec::with_capacity(total));
-        let run = &run;
+        let (run, memo) = (&run, &memo);
         std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let slot = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if slot >= total {
-                        break;
+                scope.spawn(|| {
+                    let _memo = SweepMemoGuard::install(memo);
+                    loop {
+                        let slot = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if slot >= total {
+                            break;
+                        }
+                        let (case_index, sample) = (slot / per_case, (slot % per_case) as u32);
+                        let result = run(&suite[case_index], sample);
+                        results.lock().expect("sweep mutex").push((slot, result));
                     }
-                    let (case_index, sample) = (slot / per_case, (slot % per_case) as u32);
-                    let result = run(&suite[case_index], sample);
-                    results.lock().expect("sweep mutex").push((slot, result));
                 });
             }
         });
@@ -326,9 +376,15 @@ pub fn run_model(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use super::*;
     use crate::suite::sampled_suite;
+    use rechisel_core::ChiselCompiler;
+    use rechisel_firrtl::pipeline::{Pass, PassManager, Pipeline};
+    use rechisel_firrtl::DiagnosticReport;
     use rechisel_sim::EngineKind;
+    use rechisel_verilog::VerilogBackend;
 
     #[test]
     fn quick_sweep_produces_consistent_aggregates() {
@@ -391,6 +447,86 @@ mod tests {
                 assert_eq!(ra.statuses, rb.statuses, "case {}", a.case_id);
             }
         }
+    }
+
+    /// An engine at the quick cap whose compiler counts its check runs: one per
+    /// computed evaluation, since every suite design is a single module.
+    fn counting_engine() -> (Engine, Arc<AtomicUsize>) {
+        let checks = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&checks);
+        let passes = PassManager::standard().with_pass(Pass::new("count", move |_, _| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            DiagnosticReport::new()
+        }));
+        let compiler =
+            ChiselCompiler::from_pipeline(Pipeline::new(VerilogBackend).with_passes(passes));
+        let config = ExperimentConfig::quick().workflow_config();
+        (Engine::builder().config(config).compiler(compiler).build(), checks)
+    }
+
+    /// Runs one GPT-4o Chisel sample, as a sweep closure does.
+    fn run_gpt4o(engine: &Engine, case: &BenchmarkCase, sample: u32) -> WorkflowResult {
+        run_sample_with_engine(engine, case, &ModelProfile::gpt4o(), Language::Chisel, sample)
+    }
+
+    #[test]
+    fn each_sweep_shares_one_memo_across_its_sessions() {
+        const SAMPLES: u32 = 6;
+        let suite = sampled_suite(12);
+        let (engine, checks) = counting_engine();
+        let sweep = |threads| {
+            let outcomes = sweep_suite(&suite, SAMPLES, threads, |case, sample| {
+                run_gpt4o(&engine, case, sample)
+            });
+            outcomes.into_iter().flat_map(|o| o.samples).collect::<Vec<_>>()
+        };
+        // Outside a sweep, every session evaluates through a private memo.
+        let outside: Vec<WorkflowResult> = suite
+            .iter()
+            .flat_map(|case| (0..SAMPLES).map(move |sample| (case, sample)))
+            .map(|(case, sample)| run_gpt4o(&engine, case, sample))
+            .collect();
+        let private = checks.swap(0, Ordering::Relaxed);
+
+        // Sharing the memo changes no result, trace included, on 4 workers or 1.
+        assert_eq!(sweep(4), outside);
+        checks.store(0, Ordering::Relaxed);
+        assert_eq!(sweep(1), outside);
+        let shared = checks.swap(0, Ordering::Relaxed);
+        // A second sweep starts from an empty memo: nothing carries over.
+        assert_eq!(sweep(1), outside);
+        assert_eq!(checks.load(Ordering::Relaxed), shared);
+        assert!(shared < private, "shared {shared} vs private {private}");
+        // Pinned: 119 is the sessions' own distinct revisions summed, what a memo
+        // per session computes.
+        assert_eq!((private, shared), (119, 71));
+    }
+
+    #[test]
+    fn the_sweep_memo_is_gone_after_return_and_after_unwind() {
+        let suite = sampled_suite(3);
+        let (engine, checks) = counting_engine();
+        // The evaluations of one fresh session of the first item of every sweep below.
+        let fresh_session = || {
+            let before = checks.load(Ordering::Relaxed);
+            run_gpt4o(&engine, &suite[0], 0);
+            checks.load(Ordering::Relaxed) - before
+        };
+        let alone = fresh_session();
+        assert!(alone > 0);
+
+        sweep_suite(&suite, 2, 1, |case, sample| run_gpt4o(&engine, case, sample));
+        assert_eq!(fresh_session(), alone, "the memo outlived its sweep");
+
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sweep_suite(&suite, 2, 1, |case, sample| {
+                let result = run_gpt4o(&engine, case, sample);
+                assert_eq!(sample, 0, "the second item panics");
+                result
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(fresh_session(), alone, "the memo outlived an unwound sweep");
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! The compiled instruction-tape engine is only allowed to exist because it is
 //! mechanically indistinguishable from the tree-walking interpreter: for thousands of
 //! randomly generated circuits × random stimulus, every signal must agree **peek for
-//! peek, cycle for cycle**. The session recompiler is held to the from-scratch
+//! peek, cycle for cycle**. The incremental recompiler is held to the from-scratch
 //! compiler the same way: over random edits, SourceInfo-only resubmissions and
 //! repeats of earlier revisions, every result it returns is a from-scratch
-//! compile's — same diagnostics, same netlist, same Verilog.
+//! compile's — same diagnostics, same netlist, same Verilog. So is the evaluation
+//! memo the sessions of a sweep part share: over the same chains, replayed as a
+//! second session would and under a second tester and a second pass set, every
+//! evaluation it returns is a from-scratch compile and simulation's, and no tool
+//! is answered from another tool's entries.
 //!
 //! The check → lower front door is held to the same standard. Over generated
 //! circuits and the suite references, each broken by a chain of 1–4 injected
@@ -36,7 +40,7 @@ use proptest::prelude::*;
 use rechisel_benchsuite::{
     full_suite, random_circuit, random_stimulus, sampled_suite, RandomCircuitConfig,
 };
-use rechisel_core::{ChiselCompiler, Feedback, FunctionalTester, IncrementalCompiled};
+use rechisel_core::{ChiselCompiler, EvalMemo, Feedback, FunctionalTester, IncrementalCompiled};
 use rechisel_firrtl::ir::{
     Circuit, Direction, Expression, Module, ModuleKind, PrimOp, SourceInfo, Statement,
 };
@@ -241,7 +245,7 @@ fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<Circuit> {
 
 /// `circuit` with every port and every statement, nested ones included, moved to
 /// a new source location. The structural fingerprint ignores locations; the
-/// located fingerprint that keys the recompiler's memo does not.
+/// located fingerprint that keys the recompiler and the evaluation memo does not.
 fn relocated(circuit: &Circuit) -> Circuit {
     let mut moved = circuit.clone();
     let mut line = 0;
@@ -258,7 +262,7 @@ fn relocated(circuit: &Circuit) -> Circuit {
     moved
 }
 
-/// One recompiler differential run: drive one session recompiler over
+/// One recompiler differential run: drive one incremental recompiler over
 /// `[original, edited, relocated(edited), original, relocated(edited)]` and hold
 /// every result to a from-scratch compile of the same circuit — equal diagnostics,
 /// locations included, on rejection, otherwise an equal netlist, byte-equal Verilog
@@ -334,6 +338,102 @@ fn incremental_differential_run(seed: u64, config: &RandomCircuitConfig) {
                 );
                 compiled.push((key, got));
             }
+        }
+    }
+}
+
+/// One from-scratch evaluation, as a session without a memo would run it: compile,
+/// then test the netlist, keeping the Verilog only when the simulation passes.
+fn evaluate_from_scratch(
+    compiler: &ChiselCompiler,
+    tester: &FunctionalTester,
+    circuit: &Circuit,
+) -> (Feedback, Option<String>) {
+    let compiled = match compiler.compile(circuit) {
+        Ok(compiled) => compiled,
+        Err(diagnostics) => return (Feedback::Syntax { diagnostics }, None),
+    };
+    let report = tester.test(&compiled.netlist);
+    if report.passed() {
+        (Feedback::Success, Some(compiled.verilog))
+    } else {
+        (
+            Feedback::Functional { failures: report.failures, total_points: report.total_points },
+            None,
+        )
+    }
+}
+
+/// One memo differential run: drive one [`EvalMemo`] over
+/// `[original, edited, relocated(edited), original, relocated(edited)]` with
+/// compiler C1 and tester T1, then over the same chain again as a second session
+/// would, then with T2 (the same reference under another testbench seed) and with
+/// C2 (the standard passes without `comb-loops`). Every evaluation equals a
+/// from-scratch compile and test on the same compiler and tester, rendered text and
+/// identity keys included; the second C1/T1 chain runs no check pass; relocated
+/// steps report `Moved.scala` locations; and the memo grows by exactly one entry
+/// per distinct (compiler, tester, located fingerprint) triple, so neither T2 nor
+/// C2 is answered from T1's or C1's entries.
+fn memo_differential_run(seed: u64, config: &RandomCircuitConfig) {
+    use std::collections::HashSet;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    let original = random_circuit(seed, config);
+    let Some(edited) = edit_circuit(&original, seed ^ 0xA5A5) else {
+        return; // no statement of the chosen kind — vacuous seed
+    };
+    let moved = relocated(&edited);
+    let reference = lower_circuit(&original)
+        .unwrap_or_else(|e| panic!("seed {seed}: generated circuit fails to lower: {e}"));
+    let chain = [original.clone(), edited, moved.clone(), original, moved];
+
+    let cycles = (seed % 3) as u32;
+    let t1 = FunctionalTester::new(
+        reference.clone(),
+        Testbench::random_for(&reference, 12, cycles, seed),
+    );
+    let t2 = FunctionalTester::new(
+        reference.clone(),
+        Testbench::random_for(&reference, 12, cycles, seed ^ 0x5EED),
+    );
+    let checks = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&checks);
+    let c1 = ChiselCompiler::from_pipeline(Pipeline::new(VerilogBackend).with_passes(
+        PassManager::standard().with_pass(Pass::new("count", move |_, _| {
+            counter.fetch_add(1, Ordering::Relaxed);
+            DiagnosticReport::new()
+        })),
+    ));
+    let c2 = ChiselCompiler::from_pipeline(
+        Pipeline::new(VerilogBackend).with_passes(PassManager::standard().without("comb-loops")),
+    );
+
+    let memo = EvalMemo::new();
+    let mut keys = HashSet::new();
+    let runs = [("C1/T1", 0, &c1, 1, &t1), ("C1/T1 again", 0, &c1, 1, &t1)];
+    let others = [("C1/T2", 0, &c1, 2, &t2), ("C2/T1", 1, &c2, 1, &t1)];
+    for (label, compiler_id, compiler, tester_id, tester) in runs.into_iter().chain(others) {
+        for (step, circuit) in chain.iter().enumerate() {
+            let before = checks.load(Ordering::Relaxed);
+            let got = memo.evaluate(compiler, tester, circuit);
+            if label == "C1/T1 again" {
+                let after = checks.load(Ordering::Relaxed);
+                assert_eq!(after, before, "seed {seed} {label} step {step}: not a memo hit");
+            }
+            let want = evaluate_from_scratch(compiler, tester, circuit);
+            assert_eq!(got, want, "seed {seed} {label} step {step}: evaluation diverges");
+            assert_eq!(got.0.to_report(), want.0.to_report(), "seed {seed} {label} step {step}");
+            assert_eq!(got.0.identity_keys(), want.0.identity_keys(), "seed {seed} {label} {step}");
+            if let (2 | 4, Feedback::Syntax { diagnostics }) = (step, &got.0) {
+                // A memo keyed on structure alone would replay the edited revision's
+                // diagnostics here, with the old locations.
+                for d in diagnostics.iter().filter(|d| !d.location.is_unknown()) {
+                    assert_eq!(d.location.file, "Moved.scala", "seed {seed} {label}: stale {d}");
+                }
+            }
+            keys.insert((compiler_id, tester_id, circuit.located_fingerprint()));
+            assert_eq!(memo.len(), keys.len(), "seed {seed} {label} step {step}: memo size");
         }
     }
 }
@@ -555,7 +655,7 @@ proptest! {
     }
 
     /// Random single-statement edits, SourceInfo-only resubmissions and repeats of
-    /// earlier revisions: the session recompiler returns exactly what the
+    /// earlier revisions: the incremental recompiler returns exactly what the
     /// from-scratch compiler does.
     #[test]
     fn incremental_recompile_matches_full_rebuild(seed in 0u64..u64::MAX) {
@@ -566,6 +666,20 @@ proptest! {
     #[test]
     fn incremental_recompile_matches_full_rebuild_wide(seed in 0u64..u64::MAX) {
         incremental_differential_run(seed, &RandomCircuitConfig::wide());
+    }
+
+    /// The same chains through one shared evaluation memo, replayed as a second
+    /// session and under a second tester and pass set: every evaluation is a
+    /// from-scratch compile and test's, and no tool sees another tool's entries.
+    #[test]
+    fn shared_memo_matches_from_scratch_evaluation(seed in 0u64..u64::MAX) {
+        memo_differential_run(seed, &RandomCircuitConfig::default());
+    }
+
+    /// The same memo property over the wide population.
+    #[test]
+    fn shared_memo_matches_from_scratch_evaluation_wide(seed in 0u64..u64::MAX) {
+        memo_differential_run(seed, &RandomCircuitConfig::wide());
     }
 
     /// Generated circuits broken by a chain of 1–4 defects: shared and standalone

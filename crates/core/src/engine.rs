@@ -7,7 +7,8 @@
 //! A [`Session`] owns the per-case state — the agent trio and the functional tester —
 //! and drives the reflection loop of the paper's Fig. 2, emitting an event at every
 //! step so telemetry, progress bars or batched serving layers can hook in without
-//! touching the loop.
+//! touching the loop. Each revision is evaluated through an [`EvalMemo`]: the
+//! session's own, or one shared with other sessions ([`Session::with_memo`]).
 //!
 //! One engine serves many sessions, concurrently: cloning the compiler is cheap and the
 //! observer sits behind a mutex.
@@ -39,7 +40,7 @@ use crate::agents::{Generator, Inspector, Reviewer};
 use crate::feedback::{ErrorKind, Feedback};
 use crate::knowledge::CommonErrorKnowledge;
 use crate::spec::Spec;
-use crate::tools::{ChiselCompiler, FunctionalTester, IncrementalCompiler};
+use crate::tools::{ChiselCompiler, EvalMemo, FunctionalTester};
 use crate::trace::{Trace, TraceEntry};
 use crate::workflow::{IterationStatus, WorkflowConfig, WorkflowResult};
 
@@ -262,6 +263,10 @@ impl Engine {
     /// Agents are taken by value; pass `&mut agent` to lend one out instead — the
     /// agent traits forward through mutable references. A tester clone is cheap: it
     /// shares the reference netlist, testbench and reference trace through `Arc`s.
+    ///
+    /// The session evaluates through a private [`EvalMemo`], so it compiles and
+    /// simulates each of its distinct revisions once; [`Session::with_memo`] shares
+    /// a memo with other sessions instead.
     pub fn session<G, R, I>(
         &self,
         generator: G,
@@ -282,7 +287,7 @@ impl Engine {
             inspector,
             spec,
             tester,
-            recompiler: self.compiler.incremental(),
+            memo: Arc::new(EvalMemo::new()),
         }
     }
 
@@ -389,6 +394,11 @@ impl EngineBuilder {
 /// constructs a fresh session with fresh agents per sample instead; see
 /// `rechisel_benchsuite::run_sample_with_engine`.
 ///
+/// Every revision is evaluated through an [`EvalMemo`]. By default it is the
+/// session's own, so a resubmitted revision is neither compiled nor simulated again;
+/// [`with_memo`](Session::with_memo) attaches one shared with other sessions, as
+/// `rechisel_benchsuite::sweep_suite` does for the sessions of one sweep part.
+///
 /// # Example
 ///
 /// ```
@@ -438,11 +448,12 @@ pub struct Session<'e, G, R, I> {
     inspector: I,
     spec: Spec,
     tester: FunctionalTester,
-    /// Per-session compiler: it remembers every revision the session compiled,
-    /// rejected ones included, under its located fingerprint, so a resubmitted
-    /// revision gets its netlist, tape and Verilog, or its diagnostics, back without
-    /// a compile.
-    recompiler: IncrementalCompiler,
+    /// The memo every revision is evaluated through: private unless
+    /// [`with_memo`](Session::with_memo) attached a shared one. It remembers each
+    /// distinct revision's feedback and Verilog, rejected and failing revisions
+    /// included, under the engine's compiler, the tester and the revision's located
+    /// fingerprint.
+    memo: Arc<EvalMemo>,
 }
 
 impl<G, R, I> Session<'_, G, R, I>
@@ -451,6 +462,14 @@ where
     R: Reviewer,
     I: Inspector,
 {
+    /// Evaluates through `memo` instead of the session's private memo, sharing
+    /// evaluations with every other session attached to it. Feedback is unchanged:
+    /// a memoized evaluation equals a from-scratch one.
+    pub fn with_memo(mut self, memo: Arc<EvalMemo>) -> Self {
+        self.memo = memo;
+        self
+    }
+
     /// The engine this session runs against.
     pub fn engine(&self) -> &Engine {
         self.engine
@@ -475,26 +494,12 @@ where
 
     /// Evaluates one candidate: compile, then simulate (workflow steps ❷/❸).
     ///
-    /// The session's [`IncrementalCompiler`] answers a candidate whose circuit the
-    /// session already compiled, accepted or rejected, from its memo; the feedback
-    /// is that of a from-scratch compile either way.
-    fn evaluate(&mut self, candidate: &crate::candidate::Candidate) -> (Feedback, Option<String>) {
-        let compiled = match self.recompiler.compile(&candidate.circuit) {
-            Err(diagnostics) => return (Feedback::Syntax { diagnostics }, None),
-            Ok(compiled) => compiled,
-        };
-        let report = self.tester.test_with_tape(&compiled.netlist, compiled.tape);
-        if report.passed() {
-            (Feedback::Success, Some(compiled.verilog))
-        } else {
-            (
-                Feedback::Functional {
-                    failures: report.failures,
-                    total_points: report.total_points,
-                },
-                None,
-            )
-        }
+    /// The session's [`EvalMemo`] answers a candidate whose circuit it already
+    /// evaluated under this engine's compiler and this tester, in this session or in
+    /// another one sharing the memo, without compiling or simulating it; the feedback
+    /// and Verilog are those of a from-scratch evaluation either way.
+    fn evaluate(&self, candidate: &crate::candidate::Candidate) -> (Feedback, Option<String>) {
+        self.memo.evaluate(&self.engine.compiler, &self.tester, &candidate.circuit)
     }
 
     /// Runs the full reflection workflow for one sample of the session's case
@@ -864,8 +869,8 @@ mod tests {
 
     #[test]
     fn session_feedback_matches_from_scratch_compiles() {
-        // Broken, functionally wrong twice (the second compile reuses the first's
-        // netlist and tape), then fixed: the feedback and the shipped Verilog are
+        // Broken, functionally wrong twice (the second evaluation is answered from
+        // the session's memo), then fixed: the feedback and the shipped Verilog are
         // those of from-scratch compiles.
         let sequence = vec![
             bad_circuit("Pass"),
@@ -893,6 +898,36 @@ mod tests {
         );
         let scratch = ChiselCompiler::new().compile(&good_circuit("Pass")).unwrap();
         assert_eq!(result.final_verilog, Some(scratch.verilog));
+    }
+
+    #[test]
+    fn sessions_sharing_a_memo_evaluate_each_revision_once() {
+        let sequence = || vec![bad_circuit("Pass"), wrong_circuit("Pass"), good_circuit("Pass")];
+        let engine = Engine::default();
+        let tester = tester();
+        let memo = Arc::new(EvalMemo::new());
+        let run = |memo: Option<&Arc<EvalMemo>>| {
+            let mut session = engine.session(
+                ScriptedGenerator::new(sequence()),
+                TemplateReviewer::new(),
+                TraceInspector::new(),
+                spec(),
+                tester.clone(),
+            );
+            if let Some(memo) = memo {
+                session = session.with_memo(Arc::clone(memo));
+            }
+            session.run(0)
+        };
+        let private = run(None);
+        let first = run(Some(&memo));
+        assert_eq!(memo.len(), 3);
+        // The second session is answered from the first's entries, and its result
+        // equals a session with a private memo, trace included.
+        let second = run(Some(&memo));
+        assert_eq!(memo.len(), 3);
+        assert_eq!(first, private);
+        assert_eq!(second, private);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! (`Engine::builder().config(..).compiler(..).observer(..).build()`): an engine holds
 //! the shared configuration, the compiler ([`ChiselCompiler`], one check → lower →
 //! emit run per revision) and the knowledge base, each session owns one case's agents
-//! and tester, and every run streams [`RunEvent`]s to the engine's [`Observer`].
+//! and tester, and every run streams [`RunEvent`]s to the engine's [`Observer`]. A
+//! session evaluates each revision through an [`EvalMemo`], so a resubmitted revision
+//! is compiled and simulated once per memo; sessions can share one.
 //!
 //! # Example
 //!
@@ -59,7 +61,7 @@ pub use rechisel_sim::EngineKind;
 pub use revision::{RevisionItem, RevisionPlan};
 pub use spec::{PortSpec, Spec};
 pub use tools::{
-    ChiselCompiler, Compiled, FunctionalTester, IncrementalCompiled, IncrementalCompiler,
+    ChiselCompiler, Compiled, EvalMemo, FunctionalTester, IncrementalCompiled, IncrementalCompiler,
 };
 pub use trace::{Trace, TraceEntry};
 pub use workflow::{IterationStatus, WorkflowConfig, WorkflowResult};

@@ -1,7 +1,10 @@
 //! The external tools of the workflow: the Chisel→Verilog compiler wrapper and the
-//! functional tester (workflow steps ❷ and ❸ of the paper's Fig. 2).
+//! functional tester (workflow steps ❷ and ❸ of the paper's Fig. 2), and the
+//! [`EvalMemo`] that runs the two once per distinct revision.
 
-use std::sync::{Arc, OnceLock};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rechisel_firrtl::diagnostics::Diagnostic;
 use rechisel_firrtl::ir::Circuit;
@@ -13,6 +16,16 @@ use rechisel_sim::{
     OutputTrace, PointFailure, SimError, SimReport, Simulator, Stimulus, Tape, Testbench,
 };
 use rechisel_verilog::VerilogBackend;
+
+use crate::feedback::Feedback;
+
+/// A process-unique id for a new compiler or tester: the [`EvalMemo`] key names the
+/// tools by these ids, never by address, because a dropped tool's address can be
+/// reused while a memo is still alive.
+fn next_tool_id() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    NEXT.fetch_add(1, Ordering::Relaxed)
+}
 
 /// The output of a successful compilation.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,9 +45,13 @@ pub struct Compiled {
 /// workflow consumes, or the diagnostics. A different pass set or backend is
 /// [`ChiselCompiler::from_pipeline`]; [`ChiselCompiler::pipeline`] exposes the pass
 /// names and the backend.
+///
+/// Each constructor call draws a process-unique id that an [`EvalMemo`] keys on;
+/// clones share it, as they share the pipeline.
 #[derive(Debug, Clone)]
 pub struct ChiselCompiler {
     pipeline: Pipeline,
+    id: u64,
 }
 
 impl Default for ChiselCompiler {
@@ -46,12 +63,12 @@ impl Default for ChiselCompiler {
 impl ChiselCompiler {
     /// A compiler with all checks enabled (the normal Chisel/FIRRTL pipeline).
     pub fn new() -> Self {
-        Self { pipeline: Pipeline::new(VerilogBackend) }
+        Self::from_pipeline(Pipeline::new(VerilogBackend))
     }
 
     /// Wraps an explicit pipeline (custom passes and/or backend).
     pub fn from_pipeline(pipeline: Pipeline) -> Self {
-        Self { pipeline }
+        Self { pipeline, id: next_tool_id() }
     }
 
     /// The underlying pipeline.
@@ -71,16 +88,16 @@ impl ChiselCompiler {
         Ok(Compiled { netlist, verilog })
     }
 
-    /// An incremental session over this compiler: the returned
-    /// [`IncrementalCompiler`] remembers every revision it compiled, rejected ones
-    /// included, and answers a resubmission from that memo instead of compiling
-    /// it again.
+    /// An [`IncrementalCompiler`] over this compiler. Kept only so perfbench
+    /// compiles: its traced replay classifies each revision through one. Sessions
+    /// evaluate through an [`EvalMemo`].
     pub fn incremental(&self) -> IncrementalCompiler {
         IncrementalCompiler::new(self.clone())
     }
 }
 
-/// The output of one [`IncrementalCompiler::compile`] call.
+/// The output of one [`IncrementalCompiler::compile`] call. Kept only so perfbench
+/// compiles (see [`IncrementalCompiler`]).
 ///
 /// Unlike [`Compiled`], the netlist is shared (`Arc`) — on a memo hit it is
 /// literally the earlier revision's netlist — and the compiled simulation
@@ -100,8 +117,10 @@ pub struct IncrementalCompiled {
     pub outcome: RecompileOutcome,
 }
 
-/// A stateful compiler for the reflection loop: a memo of every revision the
-/// session compiled, in front of [`ChiselCompiler::compile`].
+/// A memo of every revision compiled through it, in front of
+/// [`ChiselCompiler::compile`]. Kept only so perfbench compiles: its traced replay
+/// classifies each revision of a session through one. Sessions evaluate through an
+/// [`EvalMemo`], which also skips the simulation of a repeat.
 ///
 /// Each revision is keyed by its [`Circuit::located_fingerprint`], which covers
 /// every port's and statement's source location as well as the structure:
@@ -116,9 +135,7 @@ pub struct IncrementalCompiled {
 ///
 /// The key covers locations because diagnostics carry them: a relocated copy of a
 /// rejected design must report the moved locations. A design resubmitted with only
-/// its locations moved therefore compiles again. The memo holds one entry per
-/// distinct revision of the session (at most 11 under the paper's reflection cap
-/// of 10) and is dropped with it.
+/// its locations moved therefore compiles again.
 ///
 /// # Example
 ///
@@ -221,6 +238,10 @@ impl IncrementalCompiler {
 /// ([`Stimulus`]), are shared too, so a clone copies reference counts, not the design
 /// or its stimulus. Every failure of a run renders its inputs and expected values
 /// from that shared stimulus and trace.
+///
+/// Like the trace, the process-unique id an [`EvalMemo`] keys on is shared across
+/// clones; [`FunctionalTester::new`] draws one, and so does a
+/// [`with_engine`](FunctionalTester::with_engine) call that changes the engine.
 #[derive(Debug, Clone)]
 pub struct FunctionalTester {
     reference: Arc<Netlist>,
@@ -230,6 +251,7 @@ pub struct FunctionalTester {
     engine: EngineKind,
     /// Lazily recorded reference output trace, shared across clones of this tester.
     reference_trace: Arc<OnceLock<Result<Arc<OutputTrace>, SimError>>>,
+    id: u64,
 }
 
 impl FunctionalTester {
@@ -242,16 +264,20 @@ impl FunctionalTester {
             testbench: Arc::new(testbench),
             engine: EngineKind::default(),
             reference_trace: Arc::new(OnceLock::new()),
+            id: next_tool_id(),
         }
     }
 
     /// Switches the execution engine. A different engine starts a trace cache of its
     /// own, so the reference is recorded on the engine that tests the DUTs, and that
-    /// trace lives only as long as this tester and its clones.
+    /// trace lives only as long as this tester and its clones. It also takes a fresh
+    /// [`EvalMemo`] id, so a memo never answers one engine's tester from another's
+    /// entries.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         if engine != self.engine {
             self.engine = engine;
             self.reference_trace = Arc::new(OnceLock::new());
+            self.id = next_tool_id();
         }
         self
     }
@@ -299,7 +325,8 @@ impl FunctionalTester {
     /// the compiled-engine path — e.g. the tape an [`IncrementalCompiler`]
     /// produced alongside the netlist — instead of recompiling the DUT from
     /// scratch. `tape` must be the compilation of `dut` (a mismatched tape produces
-    /// nonsense reports). The interpreter ignores it.
+    /// nonsense reports). The interpreter ignores it. Kept only so perfbench
+    /// compiles: its traced replay times simulation through it.
     pub fn test_with_tape(&self, dut: &Netlist, tape: Option<Arc<Tape>>) -> SimReport {
         let outcome = self.reference_trace().and_then(|trace| match self.engine {
             EngineKind::Interp => {
@@ -321,6 +348,137 @@ impl FunctionalTester {
                 failures: (0..total).map(PointFailure::bare).collect(),
             }
         })
+    }
+}
+
+/// One revision's evaluation: its feedback, and its Verilog when it passed.
+type Evaluation = (Feedback, Option<String>);
+
+/// A memo of evaluations: each distinct revision is compiled and simulated once, and
+/// every later evaluation of it, from any session sharing the memo, is a clone.
+///
+/// An evaluation is [`ChiselCompiler::compile`], then, when the revision compiles,
+/// [`FunctionalTester::test`] on its netlist; the Verilog is kept only when the
+/// simulation passes. That is a pure function of the compiler's pipeline, the
+/// tester (reference, testbench, engine) and the circuit, so the memo keys each
+/// result by three things:
+///
+/// * the compiler's id and the tester's id: process-unique numbers drawn by their
+///   constructors (and by a [`FunctionalTester::with_engine`] call that changes the
+///   engine) and shared by their clones. One memo can therefore serve two pass sets,
+///   or two testers of one reference, without mixing their entries;
+/// * the circuit's [`Circuit::located_fingerprint`], which covers every source
+///   location as well as the structure, because diagnostics carry locations: a
+///   relocated copy of a rejected design reports the moved locations.
+///
+/// A hit clones the feedback and Verilog out of the memo; no check, lowering,
+/// emission or simulation runs. A miss runs the from-scratch path and inserts its
+/// result unless another thread got there first. Two threads that miss the same key
+/// at once both compute it, rather than one waiting for the other: evaluation is
+/// deterministic, so the results are equal, and the first insert wins.
+///
+/// A [`Session`](crate::Session) evaluates through a private memo, or through one
+/// shared with [`Session::with_memo`](crate::Session::with_memo);
+/// `rechisel_benchsuite::sweep_suite` shares one across the sessions of each call.
+///
+/// # Example
+///
+/// ```
+/// use rechisel_core::{ChiselCompiler, EvalMemo, Feedback, FunctionalTester};
+/// use rechisel_hcl::prelude::*;
+/// use rechisel_sim::Testbench;
+///
+/// let build = |invert: bool| {
+///     let mut m = ModuleBuilder::new("Top");
+///     let a = m.input("a", Type::uint(8));
+///     let out = m.output("out", Type::uint(8));
+///     let expr = if invert { a.not().bits(7, 0) } else { a };
+///     m.connect(&out, &expr);
+///     m.into_circuit()
+/// };
+/// let compiler = ChiselCompiler::new();
+/// let reference = compiler.compile(&build(false)).unwrap().netlist;
+/// let tester = FunctionalTester::new(reference.clone(), Testbench::random_for(&reference, 8, 0, 1));
+///
+/// let memo = EvalMemo::new();
+/// let (feedback, verilog) = memo.evaluate(&compiler, &tester, &build(false));
+/// assert!(feedback.is_success() && verilog.is_some());
+/// let (wrong, _) = memo.evaluate(&compiler, &tester, &build(true));
+/// assert!(matches!(wrong, Feedback::Functional { .. }));
+/// // A resubmission, from this session or another, is answered from the memo.
+/// assert_eq!(memo.evaluate(&compiler, &tester.clone(), &build(true)).0, wrong);
+/// assert_eq!(memo.len(), 2);
+/// // Another tester of the same reference gets entries of its own.
+/// let other = FunctionalTester::new(reference.clone(), Testbench::random_for(&reference, 8, 0, 2));
+/// memo.evaluate(&compiler, &other, &build(true));
+/// assert_eq!(memo.len(), 3);
+/// ```
+#[derive(Default)]
+pub struct EvalMemo {
+    entries: Mutex<HashMap<(u64, u64, Fingerprint), Arc<Evaluation>>>,
+}
+
+impl std::fmt::Debug for EvalMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EvalMemo").field("entries", &self.len()).finish()
+    }
+}
+
+impl EvalMemo {
+    /// An empty memo.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Evaluates `circuit` with `compiler` and `tester`: the memoized result when
+    /// this memo already holds one for the three, otherwise a from-scratch compile
+    /// and simulation, remembered.
+    pub fn evaluate(
+        &self,
+        compiler: &ChiselCompiler,
+        tester: &FunctionalTester,
+        circuit: &Circuit,
+    ) -> (Feedback, Option<String>) {
+        let key = (compiler.id, tester.id, circuit.located_fingerprint());
+        let hit = self.entries.lock().expect("evaluation memo").get(&key).cloned();
+        let evaluation = hit.unwrap_or_else(|| {
+            let computed = Arc::new(evaluate_from_scratch(compiler, tester, circuit));
+            let mut entries = self.entries.lock().expect("evaluation memo");
+            Arc::clone(entries.entry(key).or_insert(computed))
+        });
+        Evaluation::clone(&evaluation)
+    }
+
+    /// The number of distinct (compiler, tester, revision) evaluations held.
+    pub fn len(&self) -> usize {
+        self.entries.lock().expect("evaluation memo").len()
+    }
+
+    /// True when the memo holds no evaluation.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Compiles `circuit` and, when it compiles, tests its netlist: workflow steps ❷
+/// and ❸ with no memo.
+fn evaluate_from_scratch(
+    compiler: &ChiselCompiler,
+    tester: &FunctionalTester,
+    circuit: &Circuit,
+) -> Evaluation {
+    let Compiled { netlist, verilog } = match compiler.compile(circuit) {
+        Ok(compiled) => compiled,
+        Err(diagnostics) => return (Feedback::Syntax { diagnostics }, None),
+    };
+    let report = tester.test(&netlist);
+    if report.passed() {
+        (Feedback::Success, Some(verilog))
+    } else {
+        (
+            Feedback::Functional { failures: report.failures, total_points: report.total_points },
+            None,
+        )
     }
 }
 

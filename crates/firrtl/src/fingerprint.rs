@@ -444,8 +444,9 @@ impl Circuit {
     ///
     /// The located walk covers every field of the circuit, so equal located
     /// fingerprints mean equal circuits, and so equal compiler output, diagnostic
-    /// locations included. This is the key under which a session remembers
-    /// rejected revisions as well as compiled ones.
+    /// locations included. It is the revision part of the key under which
+    /// `rechisel_core::EvalMemo` remembers each evaluation, rejected revisions
+    /// included.
     pub fn located_fingerprint(&self) -> Fingerprint {
         hash_circuit(self, true)
     }

@@ -20,9 +20,10 @@
 //!   emits a borrowed circuit (`Circuit → Netlist + emitted output`, or the
 //!   diagnostics) through its named-pass [`PassManager`] and the pluggable
 //!   [`EmitBackend`] seam.
-//! * [`fingerprint`] and [`incremental`] — the process-stable circuit [`Fingerprint`]
-//!   and the outcome types of the reflection loop's recompiler, which answers a
-//!   resubmitted revision from a per-session memo keyed by its located fingerprint.
+//! * [`fingerprint`] — the process-stable circuit [`Fingerprint`]; the located
+//!   fingerprint keys each revision in `rechisel_core::EvalMemo`.
+//! * [`incremental`] — the outcome types of `rechisel_core::IncrementalCompiler`,
+//!   kept only so perfbench compiles.
 //! * [`printer`] — FIRRTL-flavoured and pseudo-Chisel pretty-printers.
 //!
 //! # Example
