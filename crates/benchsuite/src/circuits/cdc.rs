@@ -10,7 +10,7 @@
 //! Under the suite's random testbench the circuits are driven by plain `step()`
 //! (every domain edges simultaneously — the legacy lockstep schedule), which keeps
 //! them valid [`BenchmarkCase`]s; the dedicated CDC tests additionally drive the two
-//! clocks at unequal ratios and assert all three engines agree cycle for cycle.
+//! clocks at unequal ratios and assert both engines agree cycle for cycle.
 
 use rechisel_hcl::prelude::*;
 

@@ -124,50 +124,52 @@ impl Reviewer for TemplateReviewer {
         _trace: &Trace,
         knowledge: &CommonErrorKnowledge,
     ) -> RevisionPlan {
-        let mut items = Vec::new();
-        match feedback {
-            Feedback::Success => {}
-            Feedback::Syntax { diagnostics } => {
-                for d in diagnostics {
+        // Exact-size `collect`s and `concat`s: the trace keeps every plan it is given,
+        // so spare capacity would stay allocated for the whole run.
+        let items = match feedback {
+            Feedback::Success => Vec::new(),
+            Feedback::Syntax { diagnostics } => diagnostics
+                .iter()
+                .map(|d| {
                     let guidance = knowledge.lookup(d.code);
                     let cause = match guidance {
-                        Some(g) => format!("{} ({})", d.message, g.cause),
+                        Some(g) => [d.message.as_str(), " (", &g.cause, ")"].concat(),
                         None => d.message.clone(),
                     };
                     let solution = match (guidance, &d.suggestion) {
-                        (Some(g), Some(s)) => format!("{}; {s}", g.fix),
+                        (Some(g), Some(s)) => [g.fix.as_str(), "; ", s].concat(),
                         (Some(g), None) => g.fix.clone(),
                         (None, Some(s)) => s.clone(),
                         (None, None) => "inspect the reported construct and rewrite it".to_string(),
                     };
-                    let mut item =
+                    let item =
                         RevisionItem::for_diagnostic(d.code, d.location.clone(), cause, solution);
-                    if let Some(subject) = &d.subject {
-                        item = item.with_subject(subject.clone());
+                    match &d.subject {
+                        Some(subject) => item.with_subject(subject.clone()),
+                        None => item,
                     }
-                    items.push(item);
-                }
-            }
-            Feedback::Functional { failures, .. } => {
-                for f in failures.iter().take(4) {
+                })
+                .collect(),
+            Feedback::Functional { failures, .. } => failures
+                .iter()
+                .take(4)
+                .map(|f| {
                     let ports = f.mismatched_ports().join(", ");
-                    items.push(
-                        RevisionItem::for_functional(
-                            format!(
-                                "output(s) {ports} mismatch the reference for inputs {:?}: \
-                                 expected {:?}, got {:?}",
-                                f.inputs(),
-                                f.expected(),
-                                f.actual()
-                            ),
-                            "trace how these inputs propagate through the design and correct the \
-                             logic that produces the mismatched output",
-                        )
-                        .with_subject(ports),
-                    );
-                }
-            }
-        }
+                    RevisionItem::for_functional(
+                        format!(
+                            "output(s) {ports} mismatch the reference for inputs {:?}: \
+                             expected {:?}, got {:?}",
+                            f.inputs(),
+                            f.expected(),
+                            f.actual()
+                        ),
+                        "trace how these inputs propagate through the design and correct the \
+                         logic that produces the mismatched output",
+                    )
+                    .with_subject(ports)
+                })
+                .collect(),
+        };
         RevisionPlan::new(items)
     }
 }

@@ -528,20 +528,13 @@ where
             statuses.push(status);
             self.emit(attempt, RunEventKind::FeedbackProduced { iteration, status });
 
-            if feedback.is_success() {
+            let success = feedback.is_success();
+            if success {
                 success_iteration = Some(iteration);
                 final_verilog = verilog;
                 self.emit(attempt, RunEventKind::Success { iteration });
-                trace.push(TraceEntry {
-                    iteration,
-                    candidate: candidate.clone(),
-                    feedback,
-                    plan: None,
-                });
-                break;
             }
-
-            if iteration == config.max_iterations {
+            if success || iteration == config.max_iterations {
                 trace.push(TraceEntry {
                     iteration,
                     candidate: candidate.clone(),
@@ -553,43 +546,37 @@ where
 
             // Step ❹/❺: the Inspector compares the feedback against the trace.
             let cycle = self.inspector.detect_cycle(&trace, &feedback);
-            if let (Some(start), true) = (cycle, config.escape_enabled) {
-                // Escape: discard the loop and restart the review from the entry that
-                // immediately precedes it (paper Fig. 5).
-                let discarded = trace.discard_loop(start);
-                self.emit(
-                    attempt,
-                    RunEventKind::EscapeFired { iteration, discarded: discarded.len() as u32 },
-                );
-                if let Some(basis) = trace.last().cloned() {
-                    let plan = self
-                        .reviewer
-                        .review(&basis.candidate, &basis.feedback, &trace, &self.engine.knowledge)
-                        .escaped();
-                    trace.attach_plan(plan.clone());
-                    candidate = self.generator.revise(&basis.candidate, &plan, iteration + 1);
-                } else {
-                    // The loop started at the very first attempt: regenerate from the
-                    // current candidate with the escape marker set.
-                    let plan = self
-                        .reviewer
-                        .review(&candidate, &feedback, &trace, &self.engine.knowledge)
-                        .escaped();
-                    candidate = self.generator.revise(&candidate, &plan, iteration + 1);
+            let escaped = match cycle {
+                Some(start) if config.escape_enabled => {
+                    // Escape: discard the loop and restart the review from the entry
+                    // that immediately precedes it (paper Fig. 5).
+                    let discarded = trace.discard_loop(start) as u32;
+                    self.emit(attempt, RunEventKind::EscapeFired { iteration, discarded });
+                    true
                 }
-                continue;
-            }
+                _ => {
+                    trace.push(TraceEntry {
+                        iteration,
+                        candidate: candidate.clone(),
+                        feedback: feedback.clone(),
+                        plan: None,
+                    });
+                    false
+                }
+            };
 
-            // Normal reflection: record the entry, review, revise (steps ❺–❼).
-            trace.push(TraceEntry {
-                iteration,
-                candidate: candidate.clone(),
-                feedback: feedback.clone(),
-                plan: None,
-            });
-            let plan = self.reviewer.review(&candidate, &feedback, &trace, &self.engine.knowledge);
-            trace.attach_plan(plan.clone());
-            candidate = self.generator.revise(&candidate, &plan, iteration + 1);
+            // Steps ❺–❼: review, revise, record the plan. After an escape the basis is
+            // the entry now ending the trace; when the loop started at the very first
+            // attempt there is none, and the current candidate is revised with the
+            // escape marker set.
+            let (basis, basis_feedback) = match trace.last() {
+                Some(entry) if escaped => (&entry.candidate, &entry.feedback),
+                _ => (&candidate, &feedback),
+            };
+            let plan = self.reviewer.review(basis, basis_feedback, &trace, &self.engine.knowledge);
+            let plan = if escaped { plan.escaped() } else { plan };
+            candidate = self.generator.revise(basis, &plan, iteration + 1);
+            trace.attach_plan(plan);
         }
 
         self.emit(

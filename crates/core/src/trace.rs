@@ -108,12 +108,12 @@ impl Trace {
     }
 
     /// Discards every entry from `start` onward (they form a non-progress loop) and
-    /// returns the discarded entries. The Reviewer then restarts from the entry that
+    /// returns how many there were. The Reviewer then restarts from the entry that
     /// now ends the trace.
-    pub fn discard_loop(&mut self, start: usize) -> Vec<TraceEntry> {
-        let removed: Vec<TraceEntry> = self.entries.drain(start..).collect();
+    pub fn discard_loop(&mut self, start: usize) -> usize {
+        let removed = self.entries.drain(start..).count();
         self.escapes += 1;
-        self.discarded += removed.len() as u32;
+        self.discarded += removed as u32;
         removed
     }
 
@@ -198,8 +198,7 @@ mod tests {
         for i in 0..4 {
             trace.push(entry(i, syntax_at(5)));
         }
-        let removed = trace.discard_loop(1);
-        assert_eq!(removed.len(), 3);
+        assert_eq!(trace.discard_loop(1), 3);
         assert_eq!(trace.len(), 1);
         assert_eq!(trace.escape_count(), 1);
         assert_eq!(trace.discarded_iterations(), 3);

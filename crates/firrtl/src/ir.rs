@@ -14,6 +14,18 @@
 //! [`Expression::BadApply`]) represent Scala-front-end constructs that the Chisel
 //! elaborator would reject before FIRRTL is ever produced (rows A2/A3 of Table II).
 //! They never survive checking and are rejected by lowering.
+//!
+//! # Walking the IR
+//!
+//! The children of each node, and their order, are written out once:
+//! [`Expression::for_each_child`] for an expression's sub-expressions and
+//! [`Statement::for_each_expr`] for the expressions a statement holds, each with a `_mut`
+//! twin that lists the same children in the same order. The pre-order walks build on
+//! them: [`Expression::visit`] over a whole expression tree, [`Statement::visit`] over a
+//! statement and the statements nested in its `when` bodies, and
+//! [`Module::visit_statements`] over a module body. A new variant is added to these
+//! lists and every generic traversal — reference renaming, instance flattening, the
+//! check passes, defect injection — follows.
 
 use std::fmt;
 
@@ -568,43 +580,83 @@ impl Expression {
         }
     }
 
-    /// Visits every sub-expression (including `self`) in pre-order.
-    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expression)) {
-        f(self);
+    /// Calls `f` on each direct child, in the IR's one child order: an access's inner
+    /// expression then a `SubAccess`'s index; a `MemRead`'s address, enable, clock; a
+    /// `Mux`'s condition, true arm, false arm; `Prim` arguments; a `ScalaCast`'s
+    /// argument; a `BadApply`'s target then its arguments. References and literals
+    /// have none. Every generic expression walk goes through this or its `_mut` twin.
+    pub fn for_each_child<'a>(&'a self, f: &mut impl FnMut(&'a Expression)) {
         match self {
-            Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => inner.visit(f),
-            Expression::SubAccess(inner, idx) => {
-                inner.visit(f);
-                idx.visit(f);
+            Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => f(inner),
+            Expression::SubAccess(inner, index) => {
+                f(inner);
+                f(index);
             }
             Expression::MemRead { addr, en, clock, .. } => {
-                addr.visit(f);
+                f(addr);
                 if let Some(en) = en {
-                    en.visit(f);
+                    f(en);
                 }
                 if let Some(clock) = clock {
-                    clock.visit(f);
+                    f(clock);
                 }
             }
             Expression::Mux { cond, tval, fval } => {
-                cond.visit(f);
-                tval.visit(f);
-                fval.visit(f);
+                f(cond);
+                f(tval);
+                f(fval);
             }
-            Expression::Prim { args, .. } => {
-                for a in args {
-                    a.visit(f);
-                }
-            }
-            Expression::ScalaCast { arg, .. } => arg.visit(f),
+            Expression::Prim { args, .. } => args.iter().for_each(f),
+            Expression::ScalaCast { arg, .. } => f(arg),
             Expression::BadApply { target, args } => {
-                target.visit(f);
-                for a in args {
-                    a.visit(f);
+                f(target);
+                args.iter().for_each(f);
+            }
+            Expression::Ref(_)
+            | Expression::UIntLiteral { .. }
+            | Expression::SIntLiteral { .. } => {}
+        }
+    }
+
+    /// [`for_each_child`](Self::for_each_child), mutably: the same children in the
+    /// same order.
+    pub fn for_each_child_mut(&mut self, f: &mut impl FnMut(&mut Expression)) {
+        match self {
+            Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => f(inner),
+            Expression::SubAccess(inner, index) => {
+                f(inner);
+                f(index);
+            }
+            Expression::MemRead { addr, en, clock, .. } => {
+                f(addr);
+                if let Some(en) = en {
+                    f(en);
+                }
+                if let Some(clock) = clock {
+                    f(clock);
                 }
             }
-            _ => {}
+            Expression::Mux { cond, tval, fval } => {
+                f(cond);
+                f(tval);
+                f(fval);
+            }
+            Expression::Prim { args, .. } => args.iter_mut().for_each(f),
+            Expression::ScalaCast { arg, .. } => f(arg),
+            Expression::BadApply { target, args } => {
+                f(target);
+                args.iter_mut().for_each(f);
+            }
+            Expression::Ref(_)
+            | Expression::UIntLiteral { .. }
+            | Expression::SIntLiteral { .. } => {}
         }
+    }
+
+    /// Visits every sub-expression (including `self`) in pre-order.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Expression)) {
+        f(self);
+        self.for_each_child(&mut |child| child.visit(f));
     }
 
     /// Collects the names of every reference read by this expression.
@@ -618,50 +670,14 @@ impl Expression {
         out
     }
 
-    /// Rewrites references in place using `f`.
+    /// Rewrites references, and the memory a `MemRead` names, in place using `f`.
     pub fn rename_refs(&mut self, f: &impl Fn(&str) -> Option<String>) {
-        match self {
-            Expression::Ref(name) => {
-                if let Some(new) = f(name) {
-                    *name = new;
-                }
+        if let Expression::Ref(name) | Expression::MemRead { mem: name, .. } = self {
+            if let Some(new) = f(name) {
+                *name = new;
             }
-            Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => inner.rename_refs(f),
-            Expression::SubAccess(inner, idx) => {
-                inner.rename_refs(f);
-                idx.rename_refs(f);
-            }
-            Expression::MemRead { mem, addr, en, clock, .. } => {
-                if let Some(new) = f(mem) {
-                    *mem = new;
-                }
-                addr.rename_refs(f);
-                if let Some(en) = en {
-                    en.rename_refs(f);
-                }
-                if let Some(clock) = clock {
-                    clock.rename_refs(f);
-                }
-            }
-            Expression::Mux { cond, tval, fval } => {
-                cond.rename_refs(f);
-                tval.rename_refs(f);
-                fval.rename_refs(f);
-            }
-            Expression::Prim { args, .. } => {
-                for a in args {
-                    a.rename_refs(f);
-                }
-            }
-            Expression::ScalaCast { arg, .. } => arg.rename_refs(f),
-            Expression::BadApply { target, args } => {
-                target.rename_refs(f);
-                for a in args {
-                    a.rename_refs(f);
-                }
-            }
-            _ => {}
         }
+        self.for_each_child_mut(&mut |child| child.rename_refs(f));
     }
 }
 
@@ -948,6 +964,100 @@ impl Statement {
             _ => None,
         }
     }
+
+    /// Calls `f` on each expression the statement holds itself, in the IR's one
+    /// order: a node's value; a connect's sink then source; an invalidated sink; a
+    /// `when`'s condition; a register's explicit clock, reset signal, init value; a
+    /// memory write's address, value, mask, explicit clock. The statements of a
+    /// `when`'s bodies are not entered; [`visit`](Self::visit) reaches them.
+    pub fn for_each_expr<'a>(&'a self, f: &mut impl FnMut(&'a Expression)) {
+        match self {
+            Statement::Node { value, .. } => f(value),
+            Statement::Connect { loc, expr, .. } => {
+                f(loc);
+                f(expr);
+            }
+            Statement::Invalidate { loc, .. } => f(loc),
+            Statement::When { cond, .. } => f(cond),
+            Statement::Reg { clock, reset, .. } => {
+                if let ClockSpec::Explicit(clock) = clock {
+                    f(clock);
+                }
+                if let Some(RegReset { reset, init }) = reset {
+                    f(reset);
+                    f(init);
+                }
+            }
+            Statement::MemWrite { addr, value, mask, clock, .. } => {
+                f(addr);
+                f(value);
+                if let Some(mask) = mask {
+                    f(mask);
+                }
+                if let ClockSpec::Explicit(clock) = clock {
+                    f(clock);
+                }
+            }
+            Statement::Wire { .. }
+            | Statement::Mem { .. }
+            | Statement::Instance { .. }
+            | Statement::BareIoDecl { .. } => {}
+        }
+    }
+
+    /// [`for_each_expr`](Self::for_each_expr), mutably: the same expressions in the
+    /// same order.
+    pub fn for_each_expr_mut(&mut self, f: &mut impl FnMut(&mut Expression)) {
+        match self {
+            Statement::Node { value, .. } => f(value),
+            Statement::Connect { loc, expr, .. } => {
+                f(loc);
+                f(expr);
+            }
+            Statement::Invalidate { loc, .. } => f(loc),
+            Statement::When { cond, .. } => f(cond),
+            Statement::Reg { clock, reset, .. } => {
+                if let ClockSpec::Explicit(clock) = clock {
+                    f(clock);
+                }
+                if let Some(RegReset { reset, init }) = reset {
+                    f(reset);
+                    f(init);
+                }
+            }
+            Statement::MemWrite { addr, value, mask, clock, .. } => {
+                f(addr);
+                f(value);
+                if let Some(mask) = mask {
+                    f(mask);
+                }
+                if let ClockSpec::Explicit(clock) = clock {
+                    f(clock);
+                }
+            }
+            Statement::Wire { .. }
+            | Statement::Mem { .. }
+            | Statement::Instance { .. }
+            | Statement::BareIoDecl { .. } => {}
+        }
+    }
+
+    /// Visits this statement and every statement nested in its `when` bodies, in
+    /// pre-order: a `when`, then its true body, then its false body.
+    pub fn visit<'a>(&'a self, f: &mut impl FnMut(&'a Statement)) {
+        f(self);
+        if let Statement::When { then_body, else_body, .. } = self {
+            then_body.iter().chain(else_body).for_each(|s| s.visit(f));
+        }
+    }
+
+    /// [`visit`](Self::visit), mutably: the same statements in the same order.
+    pub fn visit_mut(&mut self, f: &mut impl FnMut(&mut Statement)) {
+        f(self);
+        if let Statement::When { then_body, else_body, .. } = self {
+            then_body.iter_mut().chain(else_body).for_each(|s| s.visit_mut(f));
+        }
+    }
 }
 
 /// The kind of a module, mirroring Chisel's `Module` vs `RawModule` distinction.
@@ -996,30 +1106,12 @@ impl Module {
 
     /// Visits every statement (including nested `when` bodies) in pre-order.
     pub fn visit_statements<'a>(&'a self, f: &mut impl FnMut(&'a Statement)) {
-        fn walk<'a>(stmts: &'a [Statement], f: &mut impl FnMut(&'a Statement)) {
-            for s in stmts {
-                f(s);
-                if let Statement::When { then_body, else_body, .. } = s {
-                    walk(then_body, f);
-                    walk(else_body, f);
-                }
-            }
-        }
-        walk(&self.body, f);
+        self.body.iter().for_each(|s| s.visit(f));
     }
 
     /// Visits every statement mutably (including nested `when` bodies) in pre-order.
     pub fn visit_statements_mut(&mut self, f: &mut impl FnMut(&mut Statement)) {
-        fn walk(stmts: &mut [Statement], f: &mut impl FnMut(&mut Statement)) {
-            for s in stmts {
-                f(s);
-                if let Statement::When { then_body, else_body, .. } = s {
-                    walk(then_body, f);
-                    walk(else_body, f);
-                }
-            }
-        }
-        walk(&mut self.body, f);
+        self.body.iter_mut().for_each(|s| s.visit_mut(f));
     }
 
     /// Counts statements, including nested ones.
@@ -1117,6 +1209,121 @@ mod tests {
         );
         e.rename_refs(&|n| if n == "x" { Some("y".to_string()) } else { None });
         assert_eq!(e.referenced_names(), vec!["sel".to_string(), "y".to_string(), "y".to_string()]);
+    }
+
+    #[test]
+    fn walkers_list_children_in_one_order() {
+        let r = Expression::reference;
+        // Every expression variant, a distinct reference in each child slot.
+        let mut e = Expression::mux(
+            Expression::SubAccess(
+                Box::new(Expression::SubIndex(
+                    Box::new(Expression::SubField(Box::new(r("a")), "f".into())),
+                    0,
+                )),
+                Box::new(r("b")),
+            ),
+            Expression::MemRead {
+                mem: "mem".into(),
+                addr: Box::new(r("c")),
+                sync: true,
+                en: Some(Box::new(r("d"))),
+                clock: Some(Box::new(r("e"))),
+            },
+            Expression::prim(
+                PrimOp::Add,
+                vec![
+                    Expression::ScalaCast { arg: Box::new(r("f")), target: "SInt".into() },
+                    Expression::BadApply {
+                        target: Box::new(r("g")),
+                        args: vec![r("h"), Expression::uint_lit(1), Expression::sint_lit_w(-1, 2)],
+                    },
+                ],
+                vec![],
+            ),
+        );
+        assert_eq!(e.referenced_names(), ["a", "b", "c", "d", "e", "f", "g", "h"]);
+        e.rename_refs(&|n| Some(n.to_uppercase()));
+        assert_eq!(e.referenced_names(), ["A", "B", "C", "D", "E", "F", "G", "H"]);
+        assert!(e.to_string().contains("read_sync(MEM, C"), "{e}");
+
+        // Every statement variant, each located at its line in pre-order.
+        let at = |line| SourceInfo::new("T.scala", line, 0);
+        let connect =
+            |loc, expr, line| Statement::Connect { loc: r(loc), expr: r(expr), info: at(line) };
+        let invalidate = |loc, line| Statement::Invalidate { loc: r(loc), info: at(line) };
+        let mut m = Module::new("T", ModuleKind::Module);
+        m.body = vec![
+            Statement::Wire { name: "w".into(), ty: Type::bool(), info: at(1) },
+            Statement::Reg {
+                name: "r".into(),
+                ty: Type::bool(),
+                clock: ClockSpec::Explicit(r("clk")),
+                reset: Some(RegReset { reset: r("rst"), init: r("init") }),
+                info: at(2),
+            },
+            Statement::Node { name: "n".into(), value: r("nv"), info: at(3) },
+            connect("cl", "ce", 4),
+            invalidate("inv", 5),
+            Statement::When {
+                cond: r("c1"),
+                then_body: vec![Statement::When {
+                    cond: r("c2"),
+                    then_body: vec![connect("x1", "y1", 8)],
+                    else_body: vec![invalidate("x2", 9)],
+                    info: at(7),
+                }],
+                else_body: vec![Statement::MemWrite {
+                    mem: "mem".into(),
+                    addr: r("wa"),
+                    value: r("wv"),
+                    mask: Some(r("wm")),
+                    clock: ClockSpec::Explicit(r("wclk")),
+                    info: at(10),
+                }],
+                info: at(6),
+            },
+            Statement::Mem {
+                name: "mem".into(),
+                ty: Type::uint(2),
+                depth: 2,
+                init: None,
+                ruw: ReadUnderWrite::Old,
+                info: at(11),
+            },
+            Statement::Instance { name: "u".into(), module: "C".into(), info: at(12) },
+            Statement::BareIoDecl {
+                name: "b".into(),
+                ty: Type::bool(),
+                direction: Direction::Input,
+                info: at(13),
+            },
+        ];
+        let mut lines = Vec::new();
+        m.visit_statements(&mut |s| lines.push(s.info().line));
+        assert_eq!(lines, (1..=13).collect::<Vec<_>>());
+        let exprs = |m: &Module| {
+            let mut out = Vec::new();
+            m.visit_statements(&mut |s| s.for_each_expr(&mut |e| out.push(e.to_string())));
+            out
+        };
+        let order = [
+            "clk", "rst", "init", "nv", "cl", "ce", "inv", "c1", "c2", "x1", "y1", "x2", "wa",
+            "wv", "wm", "wclk",
+        ];
+        assert_eq!(exprs(&m), order);
+        // The mutable twins walk the same statements and expressions in the same order.
+        let (mut line, mut k) = (0, 0);
+        m.visit_statements_mut(&mut |s| {
+            line += 1;
+            s.info_mut().col = line;
+            s.for_each_expr_mut(&mut |e| {
+                *e = Expression::reference(k.to_string());
+                k += 1;
+            });
+        });
+        assert_eq!(exprs(&m), (0..order.len()).map(|k| k.to_string()).collect::<Vec<_>>());
+        m.visit_statements(&mut |s| assert_eq!(s.info().col, s.info().line));
     }
 
     #[test]

@@ -315,89 +315,17 @@ fn flatten_module(module: &Module, circuit: &Circuit, depth: usize) -> Result<Mo
         }
     });
     if !instance_names.is_empty() {
-        rewrite_instance_refs_in_statements(&mut out.body, &instance_names);
+        out.visit_statements_mut(&mut |stmt| {
+            stmt.for_each_expr_mut(&mut |expr| rewrite_instance_refs(expr, &instance_names))
+        });
     }
     Ok(out)
 }
 
 /// Rewrites `SubField(Ref(inst), port)` into `Ref("inst_port")` for every instance name
-/// in `instances`, recursively through statements and expressions.
-fn rewrite_instance_refs_in_statements(stmts: &mut [Statement], instances: &BTreeSet<String>) {
-    for stmt in stmts {
-        match stmt {
-            Statement::Node { value, .. } => rewrite_instance_refs(value, instances),
-            Statement::Connect { loc, expr, .. } => {
-                rewrite_instance_refs(loc, instances);
-                rewrite_instance_refs(expr, instances);
-            }
-            Statement::Invalidate { loc, .. } => rewrite_instance_refs(loc, instances),
-            Statement::Reg { clock, reset, .. } => {
-                if let ClockSpec::Explicit(e) = clock {
-                    rewrite_instance_refs(e, instances);
-                }
-                if let Some(RegReset { reset, init }) = reset {
-                    rewrite_instance_refs(reset, instances);
-                    rewrite_instance_refs(init, instances);
-                }
-            }
-            Statement::MemWrite { addr, value, mask, clock, .. } => {
-                rewrite_instance_refs(addr, instances);
-                rewrite_instance_refs(value, instances);
-                if let Some(m) = mask {
-                    rewrite_instance_refs(m, instances);
-                }
-                if let ClockSpec::Explicit(e) = clock {
-                    rewrite_instance_refs(e, instances);
-                }
-            }
-            Statement::When { cond, then_body, else_body, .. } => {
-                rewrite_instance_refs(cond, instances);
-                rewrite_instance_refs_in_statements(then_body, instances);
-                rewrite_instance_refs_in_statements(else_body, instances);
-            }
-            _ => {}
-        }
-    }
-}
-
+/// in `instances`, children first.
 fn rewrite_instance_refs(expr: &mut Expression, instances: &BTreeSet<String>) {
-    // First rewrite children, then collapse `inst.port` at this level.
-    match expr {
-        Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => {
-            rewrite_instance_refs(inner, instances)
-        }
-        Expression::SubAccess(inner, idx) => {
-            rewrite_instance_refs(inner, instances);
-            rewrite_instance_refs(idx, instances);
-        }
-        Expression::Mux { cond, tval, fval } => {
-            rewrite_instance_refs(cond, instances);
-            rewrite_instance_refs(tval, instances);
-            rewrite_instance_refs(fval, instances);
-        }
-        Expression::Prim { args, .. } => {
-            for a in args {
-                rewrite_instance_refs(a, instances);
-            }
-        }
-        Expression::MemRead { addr, en, clock, .. } => {
-            rewrite_instance_refs(addr, instances);
-            if let Some(en) = en {
-                rewrite_instance_refs(en, instances);
-            }
-            if let Some(clk) = clock {
-                rewrite_instance_refs(clk, instances);
-            }
-        }
-        Expression::ScalaCast { arg, .. } => rewrite_instance_refs(arg, instances),
-        Expression::BadApply { target, args } => {
-            rewrite_instance_refs(target, instances);
-            for a in args {
-                rewrite_instance_refs(a, instances);
-            }
-        }
-        _ => {}
-    }
+    expr.for_each_child_mut(&mut |child| rewrite_instance_refs(child, instances));
     if let Expression::SubField(inner, field) = expr {
         if let Expression::Ref(name) = inner.as_ref() {
             if instances.contains(name) {
@@ -447,20 +375,14 @@ fn flatten_statements(
                     }
                 }
                 // Inline the child body with renamed internals.
-                let child_names: BTreeSet<String> = child_flat
-                    .ports
-                    .iter()
-                    .map(|p| p.name.clone())
-                    .chain(
-                        child_flat
-                            .body
-                            .iter()
-                            .filter_map(|s| s.declared_name().map(|n| n.to_string())),
-                    )
-                    .chain(collect_all_declared(&child_flat.body))
-                    .collect();
-                for child_stmt in &child_flat.body {
-                    out.push(rename_statement(child_stmt, &prefix, &child_names));
+                let mut child_names: BTreeSet<String> =
+                    child_flat.ports.iter().map(|p| p.name.clone()).collect();
+                child_flat.visit_statements(&mut |s| {
+                    child_names.extend(s.declared_name().map(str::to_string))
+                });
+                for mut child_stmt in child_flat.body {
+                    rename_statement(&mut child_stmt, &prefix, &child_names);
+                    out.push(child_stmt);
                 }
             }
             Statement::When { cond, then_body, else_body, info } => {
@@ -474,87 +396,28 @@ fn flatten_statements(
             other => out.push(other.clone()),
         }
     }
-    // Rewrite `inst.port` accesses in the parent to the flattened wire names.
     Ok(out)
 }
 
-fn collect_all_declared(stmts: &[Statement]) -> Vec<String> {
-    let mut out = Vec::new();
-    for s in stmts {
-        if let Some(n) = s.declared_name() {
-            out.push(n.to_string());
-        }
-        if let Statement::When { then_body, else_body, .. } = s {
-            out.extend(collect_all_declared(then_body));
-            out.extend(collect_all_declared(else_body));
-        }
-    }
-    out
-}
-
-fn rename_statement(stmt: &Statement, prefix: &str, names: &BTreeSet<String>) -> Statement {
-    let rename = |n: &str| -> Option<String> {
-        if names.contains(n) {
-            Some(format!("{prefix}{n}"))
-        } else {
-            None
-        }
-    };
-    let mut cloned = stmt.clone();
-    match &mut cloned {
-        Statement::Wire { name, .. }
+/// Prefixes, in place, every name of `names` that `stmt` or its nested statements
+/// declare, write or read.
+fn rename_statement(stmt: &mut Statement, prefix: &str, names: &BTreeSet<String>) {
+    let rename = |n: &str| names.contains(n).then(|| format!("{prefix}{n}"));
+    stmt.visit_mut(&mut |s| {
+        if let Statement::Wire { name, .. }
         | Statement::Reg { name, .. }
         | Statement::Node { name, .. }
         | Statement::Mem { name, .. }
         | Statement::Instance { name, .. }
-        | Statement::BareIoDecl { name, .. } => {
+        | Statement::BareIoDecl { name, .. }
+        | Statement::MemWrite { mem: name, .. } = s
+        {
             if let Some(new) = rename(name) {
                 *name = new;
             }
         }
-        _ => {}
-    }
-    match &mut cloned {
-        Statement::MemWrite { mem, addr, value, mask, clock, .. } => {
-            if let Some(new) = rename(mem) {
-                *mem = new;
-            }
-            addr.rename_refs(&rename);
-            value.rename_refs(&rename);
-            if let Some(m) = mask {
-                m.rename_refs(&rename);
-            }
-            if let ClockSpec::Explicit(e) = clock {
-                e.rename_refs(&rename);
-            }
-        }
-        Statement::Reg { clock, reset, .. } => {
-            if let ClockSpec::Explicit(e) = clock {
-                e.rename_refs(&rename);
-            }
-            if let Some(RegReset { reset, init }) = reset {
-                reset.rename_refs(&rename);
-                init.rename_refs(&rename);
-            }
-        }
-        Statement::Node { value, .. } => value.rename_refs(&rename),
-        Statement::Connect { loc, expr, .. } => {
-            loc.rename_refs(&rename);
-            expr.rename_refs(&rename);
-        }
-        Statement::Invalidate { loc, .. } => loc.rename_refs(&rename),
-        Statement::When { cond, then_body, else_body, .. } => {
-            cond.rename_refs(&rename);
-            let new_then: Vec<Statement> =
-                then_body.iter().map(|s| rename_statement(s, prefix, names)).collect();
-            let new_else: Vec<Statement> =
-                else_body.iter().map(|s| rename_statement(s, prefix, names)).collect();
-            *then_body = new_then;
-            *else_body = new_else;
-        }
-        _ => {}
-    }
-    cloned
+        s.for_each_expr_mut(&mut |e| e.rename_refs(&rename));
+    });
 }
 
 // ---------------------------------------------------------------------------------
@@ -1277,33 +1140,15 @@ impl SyncReadHoist {
                 *expr = Expression::Ref(name);
                 Ok(())
             }
-            Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => {
-                self.rewrite(inner, signals)
+            _ => {
+                let mut result = Ok(());
+                expr.for_each_child_mut(&mut |child| {
+                    if result.is_ok() {
+                        result = self.rewrite(child, signals);
+                    }
+                });
+                result
             }
-            Expression::SubAccess(inner, idx) => {
-                self.rewrite(inner, signals)?;
-                self.rewrite(idx, signals)
-            }
-            Expression::Mux { cond, tval, fval } => {
-                self.rewrite(cond, signals)?;
-                self.rewrite(tval, signals)?;
-                self.rewrite(fval, signals)
-            }
-            Expression::Prim { args, .. } => {
-                for a in args {
-                    self.rewrite(a, signals)?;
-                }
-                Ok(())
-            }
-            Expression::ScalaCast { arg, .. } => self.rewrite(arg, signals),
-            Expression::BadApply { target, args } => {
-                self.rewrite(target, signals)?;
-                for a in args {
-                    self.rewrite(a, signals)?;
-                }
-                Ok(())
-            }
-            _ => Ok(()),
         }
     }
 }

@@ -7,7 +7,7 @@
 //!   In this dialect only the implicit `reset` port of a `Module` is inferrable.
 
 use crate::diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
-use crate::ir::{Circuit, ClockSpec, Expression, Module, ModuleKind, RegReset, Statement, Type};
+use crate::ir::{Circuit, ClockSpec, Expression, Module, ModuleKind, Statement, Type};
 use crate::typeenv::{Elaborated, ExprTyper};
 
 /// Runs the clock/reset checks over `module`, elaborating it first.
@@ -95,22 +95,26 @@ pub(crate) fn run(
     // port) has nothing to latch on.
     if module.kind == ModuleKind::RawModule || module.port("clock").is_none() {
         module.visit_statements(&mut |stmt| {
-            visit_statement_exprs(stmt, &mut |expr| {
-                if let Expression::MemRead { mem, sync: true, clock: None, .. } = expr {
-                    report.push(
-                        Diagnostic::error(
-                            ErrorCode::NoImplicitClock,
-                            stmt.info().clone(),
-                            format!("sequential read of memory {mem} requires the implicit clock"),
-                        )
-                        .with_suggestion(
-                            "give the port an explicit read clock (mem_read_sync under \
-                             with_clock), use a combinational read (mem.read), or declare \
-                             the memory inside a Module with an implicit clock",
-                        )
-                        .with_subject(mem.clone()),
-                    );
-                }
+            stmt.for_each_expr(&mut |expr| {
+                expr.visit(&mut |e| {
+                    if let Expression::MemRead { mem, sync: true, clock: None, .. } = e {
+                        report.push(
+                            Diagnostic::error(
+                                ErrorCode::NoImplicitClock,
+                                stmt.info().clone(),
+                                format!(
+                                    "sequential read of memory {mem} requires the implicit clock"
+                                ),
+                            )
+                            .with_suggestion(
+                                "give the port an explicit read clock (mem_read_sync under \
+                                 with_clock), use a combinational read (mem.read), or declare \
+                                 the memory inside a Module with an implicit clock",
+                            )
+                            .with_subject(mem.clone()),
+                        );
+                    }
+                })
             });
         });
     }
@@ -156,40 +160,6 @@ pub(crate) fn run(
     });
 
     report
-}
-
-/// Visits every expression held directly by `stmt` (pre-order, including
-/// sub-expressions). Nested `when` bodies are covered by the caller's statement walk.
-fn visit_statement_exprs<'a>(stmt: &'a Statement, f: &mut impl FnMut(&'a Expression)) {
-    match stmt {
-        Statement::Node { value, .. } => value.visit(f),
-        Statement::Connect { loc, expr, .. } => {
-            loc.visit(f);
-            expr.visit(f);
-        }
-        Statement::Invalidate { loc, .. } => loc.visit(f),
-        Statement::When { cond, .. } => cond.visit(f),
-        Statement::Reg { clock, reset, .. } => {
-            if let ClockSpec::Explicit(e) = clock {
-                e.visit(f);
-            }
-            if let Some(RegReset { reset, init }) = reset {
-                reset.visit(f);
-                init.visit(f);
-            }
-        }
-        Statement::MemWrite { addr, value, mask, clock, .. } => {
-            addr.visit(f);
-            value.visit(f);
-            if let Some(m) = mask {
-                m.visit(f);
-            }
-            if let ClockSpec::Explicit(e) = clock {
-                e.visit(f);
-            }
-        }
-        _ => {}
-    }
 }
 
 /// True if the type contains the abstract `Reset` type anywhere.

@@ -210,24 +210,7 @@ impl<'a> GraphBuilder<'a> {
                 // combinational loop; the address is read combinationally.
                 self.collect_reads(addr, out);
             }
-            Expression::Mux { cond, tval, fval } => {
-                self.collect_reads(cond, out);
-                self.collect_reads(tval, out);
-                self.collect_reads(fval, out);
-            }
-            Expression::Prim { args, .. } => {
-                for a in args {
-                    self.collect_reads(a, out);
-                }
-            }
-            Expression::ScalaCast { arg, .. } => self.collect_reads(arg, out),
-            Expression::BadApply { target, args } => {
-                self.collect_reads(target, out);
-                for a in args {
-                    self.collect_reads(a, out);
-                }
-            }
-            _ => {}
+            _ => expr.for_each_child(&mut |child| self.collect_reads(child, out)),
         }
     }
 

@@ -342,22 +342,15 @@ fn inject_out_of_bounds(module: &mut Module, rng: &mut impl Rng) -> bool {
     })
 }
 
+/// Sets every static index it reaches to 99: it enters the inner expression of a
+/// `SubField`, the vector (not the index) of a `SubAccess`, and every child of a `Mux`
+/// or `Prim`; it stops at a `SubIndex` and enters nothing else.
 fn bump_first_index(expr: &mut Expression) {
     match expr {
-        Expression::SubIndex(_, idx) => {
-            *idx = 99;
-        }
-        Expression::SubField(inner, _) => bump_first_index(inner),
+        Expression::SubIndex(_, idx) => *idx = 99,
         Expression::SubAccess(inner, _) => bump_first_index(inner),
-        Expression::Mux { cond, tval, fval } => {
-            bump_first_index(cond);
-            bump_first_index(tval);
-            bump_first_index(fval);
-        }
-        Expression::Prim { args, .. } => {
-            for a in args {
-                bump_first_index(a);
-            }
+        Expression::SubField(..) | Expression::Mux { .. } | Expression::Prim { .. } => {
+            expr.for_each_child_mut(&mut bump_first_index)
         }
         _ => {}
     }
@@ -525,29 +518,27 @@ fn pick_site(
 }
 
 /// The one first-match walker: edits the first node, in pre-order, that `defect`
-/// matches, and reports whether there was one. It descends the inner expression of
-/// `SubField` and `SubIndex`, a `SubAccess`'s inner expression then its index, a
-/// `Mux`'s condition, true arm then false arm, and a `Prim`'s arguments in order.
+/// matches, and reports whether there was one. It descends each node's children in
+/// [`Expression::for_each_child`] order, except that it does not enter `MemRead`,
+/// `ScalaCast` or `BadApply`.
 ///
-/// Unlike the site picker's [`Expression::visit`], it does not enter `MemRead`,
-/// `ScalaCast` or `BadApply`: a connect whose only match lies under one of those is
-/// picked as a site, edited nowhere, and the defect still counts as applied.
+/// So, unlike the site picker's [`Expression::visit`], it can miss: a connect whose
+/// only match lies under one of those is picked as a site, edited nowhere, and the
+/// defect still counts as applied. Entering them would move every seeded outcome.
 fn edit_first(expr: &mut Expression, defect: SiteEdit) -> bool {
     if (defect.matches)(expr) {
         (defect.edit)(expr);
         return true;
     }
-    match expr {
-        Expression::SubField(inner, _) | Expression::SubIndex(inner, _) => {
-            edit_first(inner, defect)
-        }
-        Expression::SubAccess(inner, idx) => edit_first(inner, defect) || edit_first(idx, defect),
-        Expression::Mux { cond, tval, fval } => {
-            edit_first(cond, defect) || edit_first(tval, defect) || edit_first(fval, defect)
-        }
-        Expression::Prim { args, .. } => args.iter_mut().any(|a| edit_first(a, defect)),
-        _ => false,
+    if matches!(
+        expr,
+        Expression::MemRead { .. } | Expression::ScalaCast { .. } | Expression::BadApply { .. }
+    ) {
+        return false;
     }
+    let mut edited = false;
+    expr.for_each_child_mut(&mut |child| edited = edited || edit_first(child, defect));
+    edited
 }
 
 fn inject_inverted_condition(module: &mut Module, rng: &mut impl Rng) -> bool {
@@ -751,5 +742,26 @@ mod tests {
         // Removing the syntax defect leaves a compilable but functionally wrong design.
         let partially_fixed = inject_defects(&rich_reference(), &defects[1..]);
         assert!(!check_circuit(&partially_fixed).has_errors());
+    }
+
+    #[test]
+    fn a_site_under_a_mem_read_is_picked_but_not_edited() {
+        // The only literal sits under a `MemRead`: the site picker finds it, so the
+        // fallback never runs, and `edit_first` does not enter the read.
+        let mut m = ModuleBuilder::new("Ram");
+        let wr = m.input("wr", Type::bool());
+        let addr = m.input("addr", Type::uint(3));
+        let data = m.input("data", Type::uint(4));
+        let out = m.output("out", Type::uint(4));
+        let zero = m.output("zero", Type::uint(4));
+        let mem = m.mem("mem", Type::uint(4), 8);
+        m.when(&wr, |m| m.mem_write(&mem, &addr, &data));
+        m.connect(&out, &mem.read(&addr));
+        m.connect(&zero, &mem.read(&Signal::lit_w(0, 3)));
+        let reference = m.into_circuit();
+        for seed in 0..20 {
+            let defect = DefectInstance::new(DefectKind::WrongConstant, seed);
+            assert_eq!(inject_defects(&reference, &[defect]), reference, "seed {seed}");
+        }
     }
 }

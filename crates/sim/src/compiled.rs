@@ -26,9 +26,10 @@ use std::sync::Arc;
 
 use rechisel_firrtl::ir::{Direction, Expression, PrimOp};
 use rechisel_firrtl::lower::{Netlist, SignalInfo};
+use rechisel_firrtl::typeenv::min_uint_width;
 
 use crate::engine::{InputPort, SimEngine, SyncReadGuard};
-use crate::eval::{apply_prim, mask, min_width, EvalError, EvalValue};
+use crate::eval::{apply_prim, mask, EvalError, EvalValue};
 use crate::simulator::SimError;
 
 /// Physical metadata of a value: its width and signed interpretation.
@@ -408,7 +409,7 @@ impl<'n> Builder<'n> {
                 .copied()
                 .ok_or_else(|| SimError::Eval(EvalError::UnknownSignal(name.clone()))),
             Expression::UIntLiteral { value, width } => {
-                let w = width.unwrap_or_else(|| min_width(*value));
+                let w = width.unwrap_or_else(|| min_uint_width(*value));
                 Ok(self.constant(EvalValue::new(*value, w, false)))
             }
             Expression::SIntLiteral { value, width } => {

@@ -18,6 +18,7 @@ use std::collections::BTreeMap;
 
 use rechisel_firrtl::ir::{Expression, PrimOp};
 use rechisel_firrtl::lower::SignalInfo;
+use rechisel_firrtl::typeenv::min_uint_width;
 
 /// The result of evaluating an expression: a bit pattern plus its physical
 /// interpretation.
@@ -178,7 +179,7 @@ pub fn eval_expr_with_mems(
             Ok(EvalValue::new(bits, info.width, info.signed))
         }
         Expression::UIntLiteral { value, width } => {
-            let w = width.unwrap_or_else(|| min_width(*value));
+            let w = width.unwrap_or_else(|| min_uint_width(*value));
             Ok(EvalValue::new(*value, w, false))
         }
         Expression::SIntLiteral { value, width } => {
@@ -207,14 +208,6 @@ pub fn eval_expr_with_mems(
         }
         Expression::Prim { op, args, params } => eval_prim(*op, args, params, env, infos, mems),
         other => Err(EvalError::UnsupportedExpression(other.to_string())),
-    }
-}
-
-pub(crate) fn min_width(value: u128) -> u32 {
-    if value == 0 {
-        1
-    } else {
-        128 - value.leading_zeros()
     }
 }
 

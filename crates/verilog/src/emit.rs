@@ -11,6 +11,7 @@ use std::fmt::Write as _;
 
 use rechisel_firrtl::ir::{Direction, Expression, PrimOp};
 use rechisel_firrtl::lower::{NetMem, NetMemWrite, NetReg, Netlist, SignalInfo};
+use rechisel_firrtl::typeenv::min_uint_width;
 
 /// Errors produced during emission.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -229,7 +230,7 @@ fn in_range(
 ) -> Result<(), EmitError> {
     out.push('(');
     expr(out, addr, netlist)?;
-    let _ = write!(out, " < {}'d{depth})", min_width(depth as u128));
+    let _ = write!(out, " < {}'d{depth})", min_uint_width(depth as u128));
     Ok(())
 }
 
@@ -237,7 +238,7 @@ fn expr(out: &mut String, e: &Expression, netlist: &Netlist) -> Result<(), EmitE
     match e {
         Expression::Ref(name) => out.push_str(name),
         Expression::UIntLiteral { value, width } => {
-            let _ = write!(out, "{}'d{value}", width.unwrap_or_else(|| min_width(*value)));
+            let _ = write!(out, "{}'d{value}", width.unwrap_or_else(|| min_uint_width(*value)));
         }
         Expression::SIntLiteral { value, width } => {
             let w = width.unwrap_or(32);
@@ -280,14 +281,6 @@ fn expr(out: &mut String, e: &Expression, netlist: &Netlist) -> Result<(), EmitE
         other => return Err(EmitError::Unsupported(other.to_string())),
     }
     Ok(())
-}
-
-fn min_width(value: u128) -> u32 {
-    if value == 0 {
-        1
-    } else {
-        128 - value.leading_zeros()
-    }
 }
 
 /// True when the expression is signed under the netlist's signal typing.
@@ -455,7 +448,7 @@ fn prim(
 fn expr_width(expr: &Expression, netlist: &Netlist) -> u32 {
     match expr {
         Expression::Ref(name) => signal_info(netlist, name).width,
-        Expression::UIntLiteral { value, width } => width.unwrap_or_else(|| min_width(*value)),
+        Expression::UIntLiteral { value, width } => width.unwrap_or_else(|| min_uint_width(*value)),
         Expression::SIntLiteral { width, .. } => width.unwrap_or(32),
         Expression::MemRead { mem, .. } => {
             netlist.mems.iter().find(|m| &m.name == mem).map(|m| m.info.width).unwrap_or(32)
