@@ -381,6 +381,7 @@ mod tests {
     use super::*;
     use crate::suite::sampled_suite;
     use rechisel_core::ChiselCompiler;
+    use rechisel_firrtl::ir::Circuit;
     use rechisel_firrtl::pipeline::{Pass, PassManager, Pipeline};
     use rechisel_firrtl::DiagnosticReport;
     use rechisel_sim::EngineKind;
@@ -500,6 +501,42 @@ mod tests {
         // Pinned: 119 is the sessions' own distinct revisions summed, what a memo
         // per session computes.
         assert_eq!((private, shared), (119, 71));
+    }
+
+    /// True when `a` and `b` hold the same modules, not equal copies of them.
+    fn shares_modules(a: &Circuit, b: &Circuit) -> bool {
+        a.modules.len() == b.modules.len()
+            && a.modules.iter().zip(&b.modules).all(|(x, y)| Arc::ptr_eq(x, y))
+    }
+
+    #[test]
+    fn sessions_keep_shared_modules_not_copies() {
+        let suite = sampled_suite(12);
+        let engine = ExperimentConfig::quick().engine();
+        let mut clean_zero_shot = 0;
+        for case in &suite {
+            for sample in 0..4 {
+                let result = run_gpt4o(&engine, case, sample);
+                let last = &result.trace.last().expect("the last iteration is recorded").candidate;
+                assert!(
+                    shares_modules(&result.final_candidate.circuit, &last.circuit),
+                    "{} sample {sample}: the final candidate copies the trace's last entry",
+                    case.id
+                );
+                // A defect-free zero-shot success is the case reference, shared.
+                if result.success_iteration == Some(0)
+                    && result.final_candidate.circuit == *case.reference()
+                {
+                    assert!(
+                        shares_modules(&result.final_candidate.circuit, case.reference()),
+                        "{} sample {sample}: the candidate copies the reference",
+                        case.id
+                    );
+                    clean_zero_shot += 1;
+                }
+            }
+        }
+        assert!(clean_zero_shot > 0);
     }
 
     #[test]

@@ -35,6 +35,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use common::with_defect_chain;
 use proptest::prelude::*;
 use rechisel_benchsuite::{
@@ -148,8 +150,7 @@ fn differential_run(seed: u64, config: &RandomCircuitConfig) {
 /// illegal and must be rejected.
 fn edit_circuit(circuit: &Circuit, pick: u64) -> Option<Circuit> {
     let mut edited = circuit.clone();
-    let top_name = edited.top.clone();
-    let top = edited.modules.iter_mut().find(|m| m.name == top_name)?;
+    let top = edited.top_module_mut()?;
 
     let invert = |expr: &Expression| {
         // `bits(not(expr), 0, 0)`; output edits widen the slice to the port width.
@@ -250,6 +251,7 @@ fn relocated(circuit: &Circuit) -> Circuit {
     let mut moved = circuit.clone();
     let mut line = 0;
     for module in &mut moved.modules {
+        let module = Arc::make_mut(module);
         for port in &mut module.ports {
             line += 1;
             port.info = SourceInfo::new("Moved.scala", line, 3);
@@ -377,7 +379,6 @@ fn evaluate_from_scratch(
 fn memo_differential_run(seed: u64, config: &RandomCircuitConfig) {
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     let original = random_circuit(seed, config);
     let Some(edited) = edit_circuit(&original, seed ^ 0xA5A5) else {

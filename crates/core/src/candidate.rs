@@ -10,7 +10,9 @@ use rechisel_firrtl::print_chisel;
 /// One generated design version.
 ///
 /// The source text is rendered on demand, not stored: the reflection loop produces
-/// and clones many candidates and reads none of their text.
+/// and clones many candidates and reads none of their text. A clone shares the
+/// circuit's modules (see [`Circuit`]), so keeping a candidate in the trace copies no
+/// module.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Unique id within a workflow run (used by the synthetic LLM to track its internal

@@ -533,6 +533,7 @@ mod tests {
         use rechisel_firrtl::ir::SourceInfo;
         let mut moved = circuit.clone();
         for module in &mut moved.modules {
+            let module = std::sync::Arc::make_mut(module);
             for (line, port) in module.ports.iter_mut().enumerate() {
                 port.info = SourceInfo::new("Moved.scala", line as u32 + 1, 1);
             }

@@ -503,11 +503,11 @@ mod tests {
     fn structure_changes_change_the_fingerprint() {
         let base = passthrough("Pass", "a");
         let mut wider = passthrough("Pass", "a");
-        wider.modules[0].ports[2].ty = Type::uint(9);
+        wider.top_module_mut().unwrap().ports[2].ty = Type::uint(9);
         assert_ne!(base.fingerprint(), wider.fingerprint(), "width change");
 
         let mut extra = passthrough("Pass", "a");
-        extra.modules[0].body.push(Statement::Invalidate {
+        extra.top_module_mut().unwrap().body.push(Statement::Invalidate {
             loc: Expression::reference("out"),
             info: SourceInfo::unknown(),
         });
@@ -518,8 +518,9 @@ mod tests {
     fn source_locations_do_not_affect_the_fingerprint() {
         let base = passthrough("Pass", "a");
         let mut relocated = passthrough("Pass", "a");
-        relocated.modules[0].ports[2].info = SourceInfo::new("Elsewhere.scala", 42, 7);
-        if let Statement::Connect { info, .. } = &mut relocated.modules[0].body[0] {
+        let module = relocated.top_module_mut().unwrap();
+        module.ports[2].info = SourceInfo::new("Elsewhere.scala", 42, 7);
+        if let Statement::Connect { info, .. } = &mut module.body[0] {
             *info = SourceInfo::new("Elsewhere.scala", 43, 3);
         }
         assert_eq!(base.fingerprint(), relocated.fingerprint());
@@ -582,7 +583,7 @@ mod tests {
         assert_eq!(slots, 3 + 8);
         for slot in 0..slots {
             let mut moved = base.clone();
-            let module = &mut moved.modules[0];
+            let module = moved.top_module_mut().unwrap();
             let target = SourceInfo::new("Moved.scala", 99, 9);
             if let Some(port) = module.ports.get_mut(slot) {
                 port.info = target;

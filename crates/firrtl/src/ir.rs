@@ -4,6 +4,13 @@
 //! typed [`Port`]s and a body of [`Statement`]s. Expressions are side-effect free trees
 //! over references, literals, primitive operations and muxes.
 //!
+//! A circuit shares its modules copy-on-write (each is an `Arc<Module>`): a clone bumps
+//! one reference count per module, and [`Circuit::top_module_mut`] or [`Arc::make_mut`]
+//! copies a shared module before its first edit. The reflection loop clones circuits
+//! freely — every candidate starts as a clone of its case's reference and the trace
+//! keeps a clone of every tested candidate — so those clones copy no module, and a
+//! defect copies only the module it edits.
+//!
 //! The representation intentionally mirrors the published FIRRTL specification closely
 //! enough that every diagnostic class of the ReChisel paper's Table II has a natural
 //! home: abstract resets, implicit clocks, aggregate connects, conditional (`when`)
@@ -28,6 +35,7 @@
 //! check passes, defect injection — follows.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -1123,39 +1131,47 @@ impl Module {
 }
 
 /// A circuit: a set of modules with a designated top module.
+///
+/// Modules are shared copy-on-write: cloning a circuit copies the top name and bumps
+/// one reference count per module, and the first edit of a shared module, through
+/// [`top_module_mut`](Self::top_module_mut) or [`Arc::make_mut`], copies that module
+/// and no other.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Circuit {
     /// Name of the top module.
     pub top: String,
-    /// All modules, including the top module.
-    pub modules: Vec<Module>,
+    /// All modules, including the top module. Each may be shared with clones of this
+    /// circuit: edit one through [`Arc::make_mut`] or
+    /// [`top_module_mut`](Self::top_module_mut), which leave the clones as they were.
+    pub modules: Vec<Arc<Module>>,
 }
 
 impl Circuit {
     /// Creates a circuit from a single top-level module.
     pub fn single(module: Module) -> Self {
-        Self { top: module.name.clone(), modules: vec![module] }
+        Self { top: module.name.clone(), modules: vec![Arc::new(module)] }
     }
 
     /// Creates a circuit with the given top name and modules.
     pub fn new(top: impl Into<String>, modules: Vec<Module>) -> Self {
-        Self { top: top.into(), modules }
+        Self { top: top.into(), modules: modules.into_iter().map(Arc::new).collect() }
     }
 
     /// Returns the top module, if present.
     pub fn top_module(&self) -> Option<&Module> {
-        self.modules.iter().find(|m| m.name == self.top)
+        self.module(&self.top)
     }
 
-    /// Returns a mutable reference to the top module, if present.
+    /// Returns a mutable reference to the top module, if present. A top module shared
+    /// with another circuit is copied first; the other modules stay shared.
     pub fn top_module_mut(&mut self) -> Option<&mut Module> {
-        let top = self.top.clone();
-        self.modules.iter_mut().find(|m| m.name == top)
+        let Self { top, modules } = self;
+        modules.iter_mut().find(|m| m.name == *top).map(Arc::make_mut)
     }
 
     /// Looks up a module by name.
     pub fn module(&self, name: &str) -> Option<&Module> {
-        self.modules.iter().find(|m| m.name == name)
+        self.modules.iter().find(|m| m.name == name).map(|m| &**m)
     }
 }
 
@@ -1380,5 +1396,57 @@ mod tests {
         assert!(c.top_module().is_some());
         assert!(c.module("Top").is_some());
         assert!(c.module("Nope").is_none());
+    }
+
+    /// A parent `Top` that drives `b` with `a` through an instance `inv` of `Inv`.
+    fn parent_and_child() -> Circuit {
+        let info = |line| SourceInfo::new("Top.scala", line, 5);
+        let connect = |loc, expr, line| Statement::Connect { loc, expr, info: info(line) };
+        let mut child = Module::new("Inv", ModuleKind::Module);
+        child.ports.push(Port::new("x", Direction::Input, Type::bool()));
+        child.ports.push(Port::new("y", Direction::Output, Type::bool()));
+        let not_x = Expression::prim(PrimOp::Not, vec![Expression::reference("x")], vec![]);
+        child.body.push(connect(Expression::reference("y"), not_x, 2));
+        let mut top = Module::new("Top", ModuleKind::Module);
+        top.ports.push(Port::new("a", Direction::Input, Type::bool()));
+        top.ports.push(Port::new("b", Direction::Output, Type::bool()));
+        let inv =
+            |port: &str| Expression::SubField(Box::new(Expression::reference("inv")), port.into());
+        top.body.push(Statement::Instance {
+            name: "inv".into(),
+            module: "Inv".into(),
+            info: info(4),
+        });
+        top.body.push(connect(inv("x"), Expression::reference("a"), 5));
+        top.body.push(connect(Expression::reference("b"), inv("y"), 6));
+        Circuit::new("Top", vec![top, child])
+    }
+
+    #[test]
+    fn clones_share_modules_until_one_is_edited() {
+        let original = parent_and_child();
+        let mut clone = original.clone();
+        assert_eq!(clone.modules.len(), 2);
+        for (a, b) in original.modules.iter().zip(&clone.modules) {
+            assert!(Arc::ptr_eq(a, b), "module {} was copied by the clone", a.name);
+        }
+
+        let top = clone.top_module_mut().unwrap();
+        top.body.pop();
+        top.ports[0].info = SourceInfo::new("Moved.scala", 9, 1);
+        // The edit copied the top module and nothing else: the original reads as a
+        // fresh rebuild, and the child is still one module held by both circuits.
+        let fresh = parent_and_child();
+        assert_eq!(original, fresh);
+        assert_eq!(original.fingerprint(), fresh.fingerprint());
+        assert_eq!(original.located_fingerprint(), fresh.located_fingerprint());
+        assert_ne!(clone.fingerprint(), fresh.fingerprint());
+        assert!(!Arc::ptr_eq(&original.modules[0], &clone.modules[0]));
+        assert!(Arc::ptr_eq(&original.modules[1], &clone.modules[1]));
+
+        // A top module no other circuit holds is edited in place.
+        let copied = Arc::as_ptr(&clone.modules[0]);
+        clone.top_module_mut().unwrap().body.clear();
+        assert_eq!(Arc::as_ptr(&clone.modules[0]), copied);
     }
 }

@@ -6,9 +6,10 @@
 //!
 //! The crate provides:
 //!
-//! * [`ir`] — the circuit/module/statement/expression data structures and the IR's one
-//!   walk: [`Expression::for_each_child`] and [`Statement::for_each_expr`] list each
-//!   node's children once, and the pre-order walkers [`Expression::visit`],
+//! * [`ir`] — the circuit/module/statement/expression data structures, a circuit's
+//!   modules shared copy-on-write, and the IR's one walk:
+//!   [`Expression::for_each_child`] and [`Statement::for_each_expr`] list each node's
+//!   children once, and the pre-order walkers [`Expression::visit`],
 //!   [`Statement::visit`] and [`Module::visit_statements`] build on them.
 //! * [`diagnostics`] — structured compiler feedback ([`Diagnostic`]) with an
 //!   [`ErrorCode`] taxonomy matching the paper's Table II.

@@ -229,7 +229,7 @@ impl PassManager {
             for pass in &self.passes {
                 report.extend((pass.run)(module, circuit, &elaborated));
             }
-            if std::ptr::eq(module, top) {
+            if std::ptr::eq(&**module, top) {
                 top_elaborated = Some(elaborated);
             }
         }
@@ -450,10 +450,10 @@ mod tests {
                 DiagnosticReport::new()
             }));
         }
-        let mut other = passthrough().modules.remove(0);
+        let mut other = passthrough().top_module().unwrap().clone();
         other.name = "Other".into();
         let mut circuit = passthrough();
-        circuit.modules.push(other);
+        circuit.modules.push(Arc::new(other));
         assert!(!pm.run(&circuit).has_errors());
 
         let seen = seen.lock().unwrap();

@@ -22,6 +22,9 @@ use crate::defects::{DefectInstance, DefectKind};
 use crate::rng::rng_from;
 
 /// Applies all `defects` to a clone of `reference`.
+///
+/// The clone shares `reference`'s modules: with no defects it shares all of them, and
+/// the first defect copies the top module only (see [`apply_defect`]).
 pub fn inject_defects(reference: &Circuit, defects: &[DefectInstance]) -> Circuit {
     let mut circuit = reference.clone();
     for d in defects {
@@ -30,10 +33,11 @@ pub fn inject_defects(reference: &Circuit, defects: &[DefectInstance]) -> Circui
     circuit
 }
 
-/// Applies one defect to the circuit's top module.
+/// Applies one defect to the circuit's top module, through
+/// [`Circuit::top_module_mut`]: a top module shared with another circuit is copied
+/// before the edit, so that circuit is left as it was.
 pub fn apply_defect(circuit: &mut Circuit, instance: DefectInstance) {
-    let top = circuit.top.clone();
-    let Some(module) = circuit.modules.iter_mut().find(|m| m.name == top) else {
+    let Some(module) = circuit.top_module_mut() else {
         return;
     };
     let mut rng = rng_from(&[instance.seed, instance.kind as u64]);
@@ -605,6 +609,8 @@ fn inject_wrong_reset(module: &mut Module, rng: &mut impl Rng) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use rechisel_firrtl::check_circuit;
     use rechisel_firrtl::diagnostics::ErrorCode;
@@ -762,6 +768,33 @@ mod tests {
         for seed in 0..20 {
             let defect = DefectInstance::new(DefectKind::WrongConstant, seed);
             assert_eq!(inject_defects(&reference, &[defect]), reference, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn injection_copies_only_the_top_module_and_never_edits_the_reference() {
+        // `rich_reference` plus a second module that no defect touches.
+        let mut child = ModuleBuilder::new("Inv");
+        let x = child.input("x", Type::bool());
+        let y = child.output("y", Type::bool());
+        child.connect(&y, &x.not());
+        let rich = rich_reference();
+        let reference = Circuit::new(
+            rich.top.clone(),
+            vec![rich.top_module().unwrap().clone(), child.finish()],
+        );
+        let shared = |a: &Circuit, b: &Circuit, i: usize| Arc::ptr_eq(&a.modules[i], &b.modules[i]);
+
+        let clean = inject_defects(&reference, &[]);
+        assert!(shared(&clean, &reference, 0) && shared(&clean, &reference, 1));
+
+        let located = reference.located_fingerprint();
+        let kinds = DefectKind::syntax_kinds().iter().chain(DefectKind::functional_kinds());
+        for (i, kind) in kinds.enumerate() {
+            let broken = inject_defects(&reference, &[DefectInstance::new(*kind, 5000 + i as u64)]);
+            assert_eq!(reference.located_fingerprint(), located, "{kind:?} edited the reference");
+            assert!(!shared(&broken, &reference, 0), "{kind:?}");
+            assert!(shared(&broken, &reference, 1), "{kind:?} copied the untouched module");
         }
     }
 }
