@@ -489,7 +489,7 @@ fn unlocated<'a>(diagnostics: impl IntoIterator<Item = &'a Diagnostic>) -> Vec<D
 /// * checking and compiling are deterministic: a clone of the design gets the same
 ///   report and the same [`ChiselCompiler::compile`] result;
 /// * they are invariant under SourceInfo-only edits: the [`relocated`] design gets
-///   the same diagnostics in count, order, code, severity, subject, suggestion and
+///   the same diagnostics in count, order, code, subject, suggestion and
 ///   message (see [`unlocated`]), and compiles to the same netlist and Verilog;
 /// * a design the passes accept compiles to exactly standalone [`lower_circuit`]
 ///   plus [`VerilogBackend`], and under the standard passes it does compile;
@@ -507,8 +507,8 @@ fn front_door_run(circuit: &Circuit, label: &str) {
         );
         assert_eq!(passes.run(&clone), report, "{label}: a clone checks differently");
         assert_eq!(
-            unlocated(passes.run(&moved).iter()),
-            unlocated(report.iter()),
+            unlocated(passes.run(&moved).errors()),
+            unlocated(report.errors()),
             "{label}: relocating changes more than the locations under {names:?}",
         );
 

@@ -33,7 +33,7 @@ pub enum Feedback {
     Success,
     /// Compilation failed; the diagnostics are the error list of Fig. 3.
     Syntax {
-        /// Compiler diagnostics (error severity only).
+        /// Compiler diagnostics.
         diagnostics: Vec<Diagnostic>,
     },
     /// Compilation succeeded but simulation found mismatches.

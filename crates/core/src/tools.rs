@@ -81,8 +81,8 @@ impl ChiselCompiler {
     ///
     /// # Errors
     ///
-    /// Returns the list of error-severity diagnostics when any check fails or lowering
-    /// is impossible — the "syntax error" feedback of the ReChisel workflow.
+    /// Returns the diagnostics when any check fails or lowering is impossible — the
+    /// "syntax error" feedback of the ReChisel workflow.
     pub fn compile(&self, circuit: &Circuit) -> Result<Compiled, Vec<Diagnostic>> {
         let (netlist, verilog) = self.pipeline.run(circuit)?;
         Ok(Compiled { netlist, verilog })
@@ -196,7 +196,7 @@ impl IncrementalCompiler {
     ///
     /// # Errors
     ///
-    /// Returns the error-severity diagnostics when checking or lowering fails —
+    /// Returns the diagnostics when checking or lowering fails —
     /// exactly [`ChiselCompiler::compile`]'s on the same circuit, remembered and
     /// cloned when the revision is resubmitted.
     pub fn compile(&mut self, circuit: &Circuit) -> Result<IncrementalCompiled, Vec<Diagnostic>> {

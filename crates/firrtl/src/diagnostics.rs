@@ -167,32 +167,12 @@ impl fmt::Display for ErrorCode {
     }
 }
 
-/// Severity of a diagnostic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Severity {
-    /// The design cannot be compiled.
-    Error,
-    /// Suspicious but not fatal.
-    Warning,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Severity::Error => write!(f, "error"),
-            Severity::Warning => write!(f, "warning"),
-        }
-    }
-}
-
-/// A single compiler diagnostic: the unit of "compiler feedback" in the ReChisel
+/// A single compiler error: the unit of "compiler feedback" in the ReChisel
 /// workflow.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Diagnostic {
     /// Machine-readable error class.
     pub code: ErrorCode,
-    /// Severity.
-    pub severity: Severity,
     /// Source location of the offending construct.
     pub location: SourceInfo,
     /// Human-readable description of the problem, phrased like the Chisel / FIRRTL
@@ -208,28 +188,9 @@ pub struct Diagnostic {
 }
 
 impl Diagnostic {
-    /// Creates an error-severity diagnostic.
+    /// Creates a diagnostic.
     pub fn error(code: ErrorCode, location: SourceInfo, message: impl Into<String>) -> Self {
-        Self {
-            code,
-            severity: Severity::Error,
-            location,
-            message: message.into(),
-            suggestion: None,
-            subject: None,
-        }
-    }
-
-    /// Creates a warning-severity diagnostic.
-    pub fn warning(code: ErrorCode, location: SourceInfo, message: impl Into<String>) -> Self {
-        Self {
-            code,
-            severity: Severity::Warning,
-            location,
-            message: message.into(),
-            suggestion: None,
-            subject: None,
-        }
+        Self { code, location, message: message.into(), suggestion: None, subject: None }
     }
 
     /// Attaches a suggested fix.
@@ -259,7 +220,7 @@ impl Diagnostic {
 
 impl fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {}: {}: {}", self.severity, self.location, self.code, self.message)?;
+        write!(f, "[error] {}: {}: {}", self.location, self.code, self.message)?;
         if let Some(s) = &self.suggestion {
             write!(f, " ({s})")?;
         }
@@ -292,22 +253,17 @@ impl DiagnosticReport {
         self.diagnostics.extend(other.diagnostics);
     }
 
-    /// Returns true if the report contains at least one error-severity diagnostic.
+    /// Returns true if the report holds at least one diagnostic.
     pub fn has_errors(&self) -> bool {
-        self.diagnostics.iter().any(|d| d.severity == Severity::Error)
+        !self.diagnostics.is_empty()
     }
 
-    /// Iterates over error-severity diagnostics.
+    /// Iterates over the diagnostics, in pass order.
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter().filter(|d| d.severity == Severity::Error)
+        self.diagnostics.iter()
     }
 
-    /// Number of error-severity diagnostics.
-    pub fn error_count(&self) -> usize {
-        self.errors().count()
-    }
-
-    /// Number of diagnostics of any severity.
+    /// Number of diagnostics.
     pub fn len(&self) -> usize {
         self.diagnostics.len()
     }
@@ -317,18 +273,13 @@ impl DiagnosticReport {
         self.diagnostics.is_empty()
     }
 
-    /// Iterates over all diagnostics.
-    pub fn iter(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics.iter()
-    }
-
     /// Formats the report in the sbt-style layout shown in the paper's Fig. 3.
     pub fn to_compiler_output(&self) -> String {
         let mut out = String::new();
         for d in &self.diagnostics {
-            out.push_str(&format!("[{}] {}: {}\n", d.severity, d.location, d.message));
+            out.push_str(&format!("[error] {}: {}\n", d.location, d.message));
             if let Some(s) = &d.suggestion {
-                out.push_str(&format!("[{}]   suggestion: {}\n", d.severity, s));
+                out.push_str(&format!("[error]   suggestion: {s}\n"));
             }
         }
         if self.has_errors() {
@@ -420,20 +371,13 @@ mod tests {
     fn report_error_detection() {
         let mut r = DiagnosticReport::new();
         assert!(!r.has_errors());
-        r.push(Diagnostic::warning(
-            ErrorCode::UndrivenOutput,
-            SourceInfo::unknown(),
-            "output never driven",
-        ));
-        assert!(!r.has_errors());
         r.push(Diagnostic::error(
             ErrorCode::UnknownReference,
             SourceInfo::new("Main.scala", 3, 1),
             "value sgnal is not a member",
         ));
         assert!(r.has_errors());
-        assert_eq!(r.error_count(), 1);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.len(), 1);
     }
 
     #[test]
@@ -451,6 +395,16 @@ mod tests {
         assert!(text.contains("Main.scala:18:10"));
         assert!(text.contains("Compilation failed"));
         assert!(text.contains("suggestion"));
+        assert_eq!(
+            text,
+            "[error] Main.scala:18:10: found: chisel3.Bool required: chisel3.UInt\n\
+             [error]   suggestion: use .asUInt\n\
+             [error] (Compile / compileIncremental) Compilation failed\n"
+        );
+        assert_eq!(
+            r.diagnostics[0].to_string(),
+            "[error] Main.scala:18:10: B5: found: chisel3.Bool required: chisel3.UInt (use .asUInt)"
+        );
     }
 
     #[test]

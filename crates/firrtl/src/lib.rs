@@ -75,7 +75,7 @@ pub mod printer;
 pub mod typeenv;
 
 pub use check::check_circuit;
-pub use diagnostics::{Diagnostic, DiagnosticReport, ErrorCode, Severity};
+pub use diagnostics::{Diagnostic, DiagnosticReport, ErrorCode};
 pub use fingerprint::Fingerprint;
 pub use incremental::{RebuildReason, RecompileOutcome};
 pub use ir::{Circuit, Expression, Module, ModuleKind, Port, PrimOp, SourceInfo, Statement, Type};

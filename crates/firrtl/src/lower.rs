@@ -11,17 +11,20 @@
 //! 2. **Width resolution**, only when some width was inferred: a copy of the module
 //!    has its width-less declarations rewritten to the width of their driver, and is
 //!    elaborated afresh.
-//! 3. **Aggregate expansion** — vectors and bundles are split into ground elements with
-//!    mangled names (`io.out[3]` → `io_out_3`); dynamic reads become mux trees, dynamic
-//!    writes become per-element conditional connects.
-//! 4. **`when` expansion** — last-connect-wins semantics are resolved into exactly one
-//!    driving expression per ground sink (a mux tree over the conditions).
-//! 5. **Topological ordering** — combinational definitions are sorted so the simulator
+//! 3. **Declarations** — the ports, and the wires, registers and memories hoisted out
+//!    of `when` blocks, are split into ground elements with mangled names
+//!    (`io.out[3]` → `io_out_3`).
+//! 4. **One walk over the body** — each statement is expanded to ground signals
+//!    (dynamic reads become mux trees, dynamic writes per-element conditional
+//!    connects) and folded at once into last-connect-wins: exactly one driving
+//!    expression per ground sink, a mux tree over the enclosing `when` conditions.
+//! 5. **Sync-read hoisting and topological ordering** — sequential memory reads become
+//!    implicit registers, and combinational definitions are sorted so the simulator
 //!    can evaluate them in one forward pass.
 //!
-//! Steps 4 and 5 consume the ground module that step 3 builds: each expression moves
-//! into the netlist (a sink's earlier value into the mux that falls back to it), and
-//! the sort orders definition indices before moving the definitions into place.
+//! The walk moves each expanded expression into the netlist (a sink's earlier value
+//! into the mux that falls back to it), and the sort orders definition indices before
+//! moving the definitions into place.
 //!
 //! A design with no instance and every width declared, which is every revision that
 //! reaches lowering in the paper sweeps, skips steps 1 and 2 and is lowered without
@@ -263,7 +266,7 @@ fn lower_flat(
 ) -> Result<Netlist, Diagnostic> {
     let inferred = elaborated.inferred_widths();
     if inferred.is_empty() {
-        return build_netlist(expand_aggregates(module, elaborated.symbols())?);
+        return build_netlist(module, elaborated.symbols());
     }
     let mut resolved = module.clone();
     resolved.visit_statements_mut(&mut |stmt| match stmt {
@@ -276,8 +279,7 @@ fn lower_flat(
         }
         _ => {}
     });
-    let symbols = SymbolTable::build(&resolved, circuit);
-    build_netlist(expand_aggregates(&resolved, &symbols)?)
+    build_netlist(&resolved, &SymbolTable::build(&resolved, circuit))
 }
 
 fn top_module(circuit: &Circuit) -> Result<&Module, Diagnostic> {
@@ -421,136 +423,192 @@ fn rename_statement(stmt: &mut Statement, prefix: &str, names: &BTreeSet<String>
 }
 
 // ---------------------------------------------------------------------------------
-// Step 3: aggregate expansion
+// Steps 3 and 4: declarations, then one walk over the body
 // ---------------------------------------------------------------------------------
 
-/// A ground register as `(name, info, clock net, reset)`, where the reset is an
-/// optional `(reset signal, init value)` pair.
-pub type GroundReg = (String, SignalInfo, String, Option<(Expression, Expression)>);
+/// Lowers the instance-free, width-resolved `module`, whose symbol table is
+/// `symbols`: its ground declarations first, then one walk over its body, then
+/// sync-read hoisting and the topological sort.
+fn build_netlist(module: &Module, symbols: &SymbolTable) -> Result<Netlist, Diagnostic> {
+    let expander = Expander { symbols };
+    let mut ports = Vec::new();
+    for port in &module.ports {
+        for (path, ty) in ground_paths(&port.name, &port.ty) {
+            ports.push(NetPort {
+                name: mangle(&path),
+                direction: port.direction,
+                info: SignalInfo::from_type(&ty),
+            });
+        }
+    }
+    let mut decls = Decls::default();
+    expander.declare(&module.body, &mut decls)?;
+    let Decls { wires, mut regs, mut mems, ruw } = decls;
+    // A name declared twice (only unchecked callers pass such a design) gives every
+    // one of its sinks a copy of the accumulated value; otherwise each value moves
+    // into the one sink that reads it.
+    let mut signals: BTreeMap<String, SignalInfo> = BTreeMap::new();
+    let mut shared = false;
+    let mut declare = |name: &String, info| shared |= signals.insert(name.clone(), info).is_some();
+    for p in &ports {
+        declare(&p.name, p.info);
+    }
+    for (name, info) in &wires {
+        declare(name, *info);
+    }
+    for reg in &regs {
+        declare(&reg.name, reg.info);
+    }
 
-/// A ground memory as `(name, word info, depth, initial contents, read-under-write)`.
-pub type GroundMem = (String, SignalInfo, usize, Vec<u128>, ReadUnderWrite);
+    let mut fold = Fold {
+        regs: regs.iter().map(|r| r.name.as_str()).collect(),
+        values: BTreeMap::new(),
+        defs: Vec::new(),
+        mem_writes: Vec::new(),
+    };
+    expander.walk(&module.body, None, &mut fold)?;
+    let Fold { mut values, mut defs, mem_writes, .. } = fold;
+    for node in &defs {
+        signals.insert(node.name.clone(), node.info);
+    }
+    let mut take = |name: &str| {
+        if shared {
+            values.get(name).cloned()
+        } else {
+            values.remove(name)
+        }
+    };
 
-/// A module in which every port, wire and register is ground-typed and every reference
-/// is a plain mangled [`Expression::Ref`].
-#[derive(Debug, Clone)]
-pub struct GroundModule {
-    /// Module name.
-    pub name: String,
-    /// Ground ports.
-    pub ports: Vec<NetPort>,
-    /// Ground wire declarations.
-    pub wires: Vec<(String, SignalInfo)>,
-    /// Ground registers: (name, info, clock net, reset).
-    pub regs: Vec<GroundReg>,
-    /// Ground memories: (name, word info, depth).
-    pub mems: Vec<GroundMem>,
-    /// Ground statements: nodes become defs, and all connects reference ground names.
-    pub body: Vec<GroundStatement>,
+    // Combinational definitions: the nodes (already in `defs`), wires and outputs.
+    for (name, info) in wires {
+        let expr = take(&name).unwrap_or(Expression::uint_lit(0));
+        defs.push(NetDef { name, info, expr });
+    }
+    for port in ports.iter().filter(|p| p.direction == Direction::Output) {
+        let expr = take(&port.name).unwrap_or(Expression::uint_lit(0));
+        defs.push(NetDef { name: port.name.clone(), info: port.info, expr });
+    }
+    // Registers: the accumulated value, if any, becomes the next-state function.
+    for reg in &mut regs {
+        if let Some(next) = take(&reg.name) {
+            reg.next = next;
+        }
+    }
+
+    // Memories: attach the collected write ports (declaration order preserved), a
+    // copy to each memory declared under the port's name. Each port carries its own
+    // clock net, so several ports of one memory may sit in different clock domains
+    // (per-port `withClock`) without being collapsed.
+    for (mem, write) in mem_writes {
+        let mut declared = mems.iter_mut().filter(|m| m.name == mem);
+        let Some(first) = declared.next() else {
+            return Err(Diagnostic::error(
+                ErrorCode::UnknownReference,
+                SourceInfo::unknown(),
+                format!("write port targets undeclared memory {mem}"),
+            ));
+        };
+        for other in declared {
+            other.writes.push(write.clone());
+        }
+        first.writes.push(write);
+    }
+
+    hoist_sync_reads(&mut defs, &mut regs, &mut mems, &ruw, &mut signals)?;
+    let defs = topo_sort_defs(defs, &regs)?;
+    // Netlists outlive lowering (each case keeps its reference's), so the registers
+    // and memories, pushed one declaration at a time, keep no spare capacity.
+    regs.shrink_to_fit();
+    mems.shrink_to_fit();
+    Ok(Netlist { name: module.name.clone(), ports, defs, regs, mems, signals })
 }
 
-/// Statements of a [`GroundModule`].
-#[derive(Debug, Clone)]
-pub enum GroundStatement {
-    /// Named combinational definition.
-    Node(String, SignalInfo, Expression),
-    /// `sink := expr`.
-    Connect(String, Expression),
-    /// Memory write port. The effective enable is the conjunction of the surrounding
-    /// [`GroundStatement::When`] conditions.
-    MemWrite {
-        /// Memory (mangled) name.
-        mem: String,
-        /// Word address.
-        addr: Expression,
-        /// Stored value.
-        value: Expression,
-        /// Optional lane mask (one bit per data bit).
-        mask: Option<Expression>,
-        /// Mangled clock net of this port.
-        clock: String,
-    },
-    /// Conditional block.
-    When(Expression, Vec<GroundStatement>, Vec<GroundStatement>),
+/// The ground declarations of a module, hoisted out of its `when` blocks.
+#[derive(Default)]
+struct Decls {
+    /// Ground wires.
+    wires: Vec<(String, SignalInfo)>,
+    /// Ground registers, each holding its value until the walk drives it.
+    regs: Vec<NetReg>,
+    /// Memories, with no write port yet.
+    mems: Vec<NetMem>,
+    /// Each memory's read-under-write policy.
+    ruw: BTreeMap<String, ReadUnderWrite>,
 }
 
-/// Expands aggregates in the instance-free, width-resolved `module`, whose symbol
-/// table is `symbols`, producing a [`GroundModule`].
-pub fn expand_aggregates(
-    module: &Module,
-    symbols: &SymbolTable,
-) -> Result<GroundModule, Diagnostic> {
-    Expander { module, symbols }.run()
+/// The last-connect-wins state of the walk over a module body.
+struct Fold<'a> {
+    /// Mangled register names.
+    regs: BTreeSet<&'a str>,
+    /// The value each ground sink has accumulated so far.
+    values: BTreeMap<String, Expression>,
+    /// The nodes, in statement order.
+    defs: Vec<NetDef>,
+    /// The memory write ports, in statement order, each with its memory's name.
+    mem_writes: Vec<(String, NetMemWrite)>,
 }
 
+impl Fold<'_> {
+    /// Folds `sink := expr` under `cond`, the conjunction of the enclosing conditions.
+    ///
+    /// Where `cond` is false the sink keeps its *previous* accumulated value; when
+    /// there is none, registers fall back to themselves (hold) and wires/outputs fall
+    /// back to zero (the initialization check has already guaranteed that every path
+    /// assigns them, so the zero branch is unreachable).
+    fn connect(&mut self, sink: String, expr: Expression, cond: Option<&Expression>) {
+        let value = match cond {
+            None => expr,
+            Some(cond) => {
+                let fallback = self.values.remove(&sink).unwrap_or_else(|| {
+                    if self.regs.contains(sink.as_str()) {
+                        Expression::reference(sink.clone())
+                    } else {
+                        Expression::uint_lit(0)
+                    }
+                });
+                Expression::mux(cond.clone(), expr, fallback)
+            }
+        };
+        self.values.insert(sink, value);
+    }
+}
+
+/// Expands aggregates against a module's symbol table: every signal a statement
+/// reads or drives becomes a ground, mangled name.
 struct Expander<'a> {
-    module: &'a Module,
     symbols: &'a SymbolTable,
 }
 
-impl<'a> Expander<'a> {
-    fn run(&self) -> Result<GroundModule, Diagnostic> {
-        let mut out = GroundModule {
-            name: self.module.name.clone(),
-            ports: Vec::new(),
-            wires: Vec::new(),
-            regs: Vec::new(),
-            mems: Vec::new(),
-            body: Vec::new(),
-        };
-        for port in &self.module.ports {
-            for (path, ty) in ground_paths(&port.name, &port.ty) {
-                out.ports.push(NetPort {
-                    name: mangle(&path),
-                    direction: port.direction,
-                    info: SignalInfo::from_type(&ty),
-                });
-            }
-        }
-        self.expand_decls(&self.module.body, &mut out)?;
-        out.body = self.expand_statements(&self.module.body)?;
-        Ok(out)
-    }
-
-    /// Declarations (wires and registers) are hoisted out of `when` blocks: in Chisel a
-    /// declaration inside a conditional scope still declares an unconditional signal.
-    fn expand_decls(&self, stmts: &[Statement], out: &mut GroundModule) -> Result<(), Diagnostic> {
+impl Expander<'_> {
+    /// Collects the ground declarations of `stmts` into `decls`, hoisted out of
+    /// `when` blocks: in Chisel a declaration inside a conditional scope still
+    /// declares an unconditional signal.
+    fn declare(&self, stmts: &[Statement], decls: &mut Decls) -> Result<(), Diagnostic> {
         for stmt in stmts {
             match stmt {
                 Statement::Wire { name, ty, .. } => {
                     for (path, gty) in ground_paths(name, ty) {
-                        out.wires.push((mangle(&path), SignalInfo::from_type(&gty)));
+                        decls.wires.push((mangle(&path), SignalInfo::from_type(&gty)));
                     }
                 }
                 Statement::Reg { name, ty, clock, reset, info } => {
-                    let clock_net = match clock {
-                        ClockSpec::Implicit => "clock".to_string(),
-                        ClockSpec::Explicit(e) => {
-                            let path = static_path(e).ok_or_else(|| {
-                                Diagnostic::error(
-                                    ErrorCode::NoImplicitClock,
-                                    info.clone(),
-                                    "withClock requires a named clock signal",
-                                )
-                            })?;
-                            mangle(&path)
-                        }
-                    };
+                    let clock = clock_net(clock, info)?;
                     for (path, gty) in ground_paths(name, ty) {
-                        let ground_reset = match reset {
+                        let reset = match reset {
                             None => None,
-                            Some(RegReset { reset, init }) => {
-                                let reset_e = self.expand_expr(reset)?;
-                                let init_e = self.project_init(init, name, &path, ty)?;
-                                Some((reset_e, init_e))
-                            }
+                            Some(RegReset { reset, init }) => Some((
+                                self.expand_expr(reset)?,
+                                self.project_init(init, name, &path, ty, info)?,
+                            )),
                         };
-                        out.regs.push((
-                            mangle(&path),
-                            SignalInfo::from_type(&gty),
-                            clock_net.clone(),
-                            ground_reset,
-                        ));
+                        let name = mangle(&path);
+                        decls.regs.push(NetReg {
+                            next: Expression::reference(name.clone()),
+                            name,
+                            info: SignalInfo::from_type(&gty),
+                            clock: clock.clone(),
+                            reset,
+                        });
                     }
                 }
                 Statement::Mem { name, ty, depth, init, ruw, info } => {
@@ -561,17 +619,19 @@ impl<'a> Expander<'a> {
                             format!("memory {name} must hold a ground data type"),
                         ));
                     }
-                    out.mems.push((
-                        mangle(name),
-                        SignalInfo::from_type(ty),
-                        *depth,
-                        init.clone().unwrap_or_default(),
-                        *ruw,
-                    ));
+                    decls.ruw.insert(mangle(name), *ruw);
+                    decls.mems.push(NetMem {
+                        name: mangle(name),
+                        info: SignalInfo::from_type(ty),
+                        depth: *depth,
+                        init: init.clone().unwrap_or_default(),
+                        writes: Vec::new(),
+                        sync_reads: Vec::new(),
+                    });
                 }
                 Statement::When { then_body, else_body, .. } => {
-                    self.expand_decls(then_body, out)?;
-                    self.expand_decls(else_body, out)?;
+                    self.declare(then_body, decls)?;
+                    self.declare(else_body, decls)?;
                 }
                 _ => {}
             }
@@ -579,38 +639,43 @@ impl<'a> Expander<'a> {
         Ok(())
     }
 
-    /// Projects a register init expression onto one ground element of the register.
+    /// Projects the init of register `reg_name: reg_ty` onto its ground element
+    /// `element_path`: a ground init broadcasts to every element, as the connect
+    /// check allows, and an aggregate one must be a named signal, read at the
+    /// element's path.
     fn project_init(
         &self,
         init: &Expression,
         reg_name: &str,
         element_path: &str,
         reg_ty: &Type,
+        info: &SourceInfo,
     ) -> Result<Expression, Diagnostic> {
-        if reg_ty.is_ground() {
+        if reg_ty.is_ground() || ExprTyper::new(self.symbols).at(info).infer(init)?.is_ground() {
             return self.expand_expr(init);
         }
-        // Aggregate register: the element path looks like `reg[2]` or `reg.field`.
+        let base = static_path(init).ok_or_else(|| {
+            Diagnostic::error(
+                ErrorCode::InvalidSink,
+                info.clone(),
+                "aggregate register inits require a named source",
+            )
+            .with_subject(reg_name)
+        })?;
+        // The element path looks like `reg[2]` or `reg.field`.
         let suffix = &element_path[reg_name.len()..];
-        match init {
-            // A literal init replicates across elements.
-            Expression::UIntLiteral { .. } | Expression::SIntLiteral { .. } => {
-                self.expand_expr(init)
-            }
-            _ => {
-                // Re-apply the element suffix to the init expression when it is a
-                // static path (e.g. RegInit of another aggregate signal).
-                if let Some(base) = static_path(init) {
-                    Ok(Expression::reference(mangle(&format!("{base}{suffix}"))))
-                } else {
-                    self.expand_expr(init)
-                }
-            }
-        }
+        Ok(Expression::reference(mangle(&format!("{base}{suffix}"))))
     }
 
-    fn expand_statements(&self, stmts: &[Statement]) -> Result<Vec<GroundStatement>, Diagnostic> {
-        let mut out = Vec::new();
+    /// Walks `stmts` under `cond`, the conjunction of the enclosing `when` conditions
+    /// (`None` outside every `when`), and folds each statement, expanded to ground
+    /// signals, into `fold` at once. Nodes become definitions in statement order.
+    fn walk(
+        &self,
+        stmts: &[Statement],
+        cond: Option<&Expression>,
+        fold: &mut Fold,
+    ) -> Result<(), Diagnostic> {
         for stmt in stmts {
             match stmt {
                 Statement::Wire { .. }
@@ -618,26 +683,17 @@ impl<'a> Expander<'a> {
                 | Statement::Mem { .. }
                 | Statement::Instance { .. } => {}
                 Statement::MemWrite { mem, addr, value, mask, clock, info } => {
-                    let clock_net = match clock {
-                        ClockSpec::Implicit => "clock".to_string(),
-                        ClockSpec::Explicit(e) => {
-                            let path = static_path(e).ok_or_else(|| {
-                                Diagnostic::error(
-                                    ErrorCode::NoImplicitClock,
-                                    info.clone(),
-                                    "withClock requires a named clock signal",
-                                )
-                            })?;
-                            mangle(&path)
-                        }
-                    };
-                    out.push(GroundStatement::MemWrite {
-                        mem: mangle(mem),
+                    let clock = clock_net(clock, info)?;
+                    let write = NetMemWrite {
                         addr: self.expand_expr(addr)?,
                         value: self.expand_expr(value)?,
+                        // The port's enable is the conjunction of the surrounding
+                        // conditions; an unconditional write is always enabled.
+                        enable: cond.cloned().unwrap_or_else(|| Expression::uint_lit(1)),
                         mask: mask.as_ref().map(|m| self.expand_expr(m)).transpose()?,
-                        clock: clock_net,
-                    });
+                        clock,
+                    };
+                    fold.mem_writes.push((mangle(mem), write));
                 }
                 Statement::BareIoDecl { name, info, .. } => {
                     return Err(Diagnostic::error(
@@ -649,10 +705,11 @@ impl<'a> Expander<'a> {
                 Statement::Node { name, value, info } => {
                     let ty = ExprTyper::new(self.symbols).at(info).infer(value)?;
                     let expr = self.expand_expr(value)?;
-                    out.push(GroundStatement::Node(name.clone(), SignalInfo::from_type(&ty), expr));
+                    let info = SignalInfo::from_type(&ty);
+                    fold.defs.push(NetDef { name: name.clone(), info, expr });
                 }
                 Statement::Connect { loc, expr, info } => {
-                    out.extend(self.expand_connect(loc, expr, info)?);
+                    self.connect(loc, expr, info, cond, fold)?;
                 }
                 Statement::Invalidate { loc, info } => {
                     // DontCare: drive with zero.
@@ -665,30 +722,34 @@ impl<'a> Expander<'a> {
                         )
                     })?;
                     for (gpath, _) in ground_paths(&path, &ty) {
-                        out.push(GroundStatement::Connect(mangle(&gpath), Expression::uint_lit(0)));
+                        fold.connect(mangle(&gpath), Expression::uint_lit(0), cond);
                     }
                 }
-                Statement::When { cond, then_body, else_body, .. } => {
-                    let cond_e = self.expand_expr(cond)?;
-                    let then_g = self.expand_statements(then_body)?;
-                    let else_g = self.expand_statements(else_body)?;
-                    out.push(GroundStatement::When(cond_e, then_g, else_g));
+                Statement::When { cond: when, then_body, else_body, .. } => {
+                    let when = self.expand_expr(when)?;
+                    let not = Expression::prim(PrimOp::Not, vec![when.clone()], vec![]);
+                    self.walk(then_body, Some(&and_conditions(cond, when)), fold)?;
+                    self.walk(else_body, Some(&and_conditions(cond, not)), fold)?;
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    fn expand_connect(
+    /// Folds `loc := expr` under `cond` into `fold`, one ground connect at a time: a
+    /// dynamic sink connects each element under its index's match, an aggregate sink
+    /// each ground element.
+    fn connect(
         &self,
         loc: &Expression,
         expr: &Expression,
         info: &SourceInfo,
-    ) -> Result<Vec<GroundStatement>, Diagnostic> {
+        cond: Option<&Expression>,
+        fold: &mut Fold,
+    ) -> Result<(), Diagnostic> {
         let mut typer = ExprTyper::new(self.symbols);
         let sink_ty = typer.at(info).infer(loc)?;
 
-        // Dynamic sink: expand into per-element conditional connects.
         if let Expression::SubAccess(inner, index) = loc {
             let inner_ty = typer.infer(inner)?;
             let Type::Vec(_, len) = inner_ty else {
@@ -707,23 +768,16 @@ impl<'a> Expander<'a> {
             })?;
             let index_e = self.expand_expr(index)?;
             let value_e = self.expand_expr(expr)?;
-            let mut out = Vec::new();
             for i in 0..len {
-                let cond = Expression::prim(
+                let hit = Expression::prim(
                     PrimOp::Eq,
                     vec![index_e.clone(), Expression::uint_lit(i as u128)],
                     vec![],
                 );
-                out.push(GroundStatement::When(
-                    cond,
-                    vec![GroundStatement::Connect(
-                        mangle(&format!("{base}[{i}]")),
-                        value_e.clone(),
-                    )],
-                    vec![],
-                ));
+                let sink = mangle(&format!("{base}[{i}]"));
+                fold.connect(sink, value_e.clone(), Some(&and_conditions(cond, hit)));
             }
-            return Ok(out);
+            return Ok(());
         }
 
         let sink_path = static_path(loc).ok_or_else(|| {
@@ -733,34 +787,23 @@ impl<'a> Expander<'a> {
                 format!("expression {loc} cannot be lowered as a connection target"),
             )
         })?;
-
         if sink_ty.is_ground() {
-            let value = self.expand_expr(expr)?;
-            return Ok(vec![GroundStatement::Connect(mangle(&sink_path), value)]);
+            fold.connect(mangle(&sink_path), self.expand_expr(expr)?, cond);
+            return Ok(());
         }
-
-        // Aggregate connect: element-wise.
-        let src_path = static_path(expr);
-        let mut out = Vec::new();
-        match src_path {
-            Some(src) => {
-                for (sink_elem, _) in ground_paths(&sink_path, &sink_ty) {
-                    let suffix = &sink_elem[sink_path.len()..];
-                    out.push(GroundStatement::Connect(
-                        mangle(&sink_elem),
-                        Expression::reference(mangle(&format!("{src}{suffix}"))),
-                    ));
-                }
-            }
-            None => {
-                return Err(Diagnostic::error(
-                    ErrorCode::InvalidSink,
-                    info.clone(),
-                    "aggregate connections require a named source",
-                ));
-            }
+        let src = static_path(expr).ok_or_else(|| {
+            Diagnostic::error(
+                ErrorCode::InvalidSink,
+                info.clone(),
+                "aggregate connections require a named source",
+            )
+        })?;
+        for (sink_elem, _) in ground_paths(&sink_path, &sink_ty) {
+            let suffix = &sink_elem[sink_path.len()..];
+            let value = Expression::reference(mangle(&format!("{src}{suffix}")));
+            fold.connect(mangle(&sink_elem), value, cond);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Rewrites an expression so that every reference is a ground, mangled name.
@@ -892,143 +935,18 @@ impl<'a> Expander<'a> {
     }
 }
 
-// ---------------------------------------------------------------------------------
-// Step 4+5: when expansion and netlist construction
-// ---------------------------------------------------------------------------------
-
-fn build_netlist(ground: GroundModule) -> Result<Netlist, Diagnostic> {
-    let GroundModule { name, ports, wires, regs, mems, body } = ground;
-    // A name declared twice (only unchecked callers pass such a design) gives every
-    // one of its sinks a copy of the accumulated value; otherwise each value moves
-    // into the one sink that reads it.
-    let mut signals: BTreeMap<String, SignalInfo> = BTreeMap::new();
-    let mut shared = false;
-    let mut declare = |name: &String, info| shared |= signals.insert(name.clone(), info).is_some();
-    for p in &ports {
-        declare(&p.name, p.info);
-    }
-    for (name, info) in &wires {
-        declare(name, *info);
-    }
-    for (name, info, _, _) in &regs {
-        declare(name, *info);
-    }
-
-    // Expand when blocks: last-connect-wins, per ground sink. Memory writes collect
-    // their surrounding conditions into per-port enables instead.
-    let reg_names: BTreeSet<&str> = regs.iter().map(|(n, ..)| n.as_str()).collect();
-    let mut values: BTreeMap<String, Expression> = BTreeMap::new();
-    let mut defs: Vec<NetDef> = Vec::new();
-    let mut mem_writes: Vec<(String, NetMemWrite)> = Vec::new();
-    expand_when(body, None, &reg_names, &mut values, &mut defs, &mut mem_writes);
-    for node in &defs {
-        signals.insert(node.name.clone(), node.info);
-    }
-    let mut take = |name: &str| {
-        if shared {
-            values.get(name).cloned()
-        } else {
-            values.remove(name)
-        }
-    };
-
-    // Combinational definitions: the nodes (already in `defs`), wires and outputs.
-    for (name, info) in wires {
-        let expr = take(&name).unwrap_or(Expression::uint_lit(0));
-        defs.push(NetDef { name, info, expr });
-    }
-    for port in ports.iter().filter(|p| p.direction == Direction::Output) {
-        let expr = take(&port.name).unwrap_or(Expression::uint_lit(0));
-        defs.push(NetDef { name: port.name.clone(), info: port.info, expr });
-    }
-
-    // Registers: the accumulated value (or the register itself when never assigned)
-    // becomes the next-state function.
-    let mut net_regs: Vec<NetReg> = Vec::with_capacity(regs.len());
-    for (name, info, clock, reset) in regs {
-        let next = take(&name).unwrap_or_else(|| Expression::reference(name.clone()));
-        net_regs.push(NetReg { name, info, clock, next, reset });
-    }
-
-    // Memories: attach the collected write ports (declaration order preserved), a
-    // copy to each memory declared under the port's name. Each port carries its own
-    // clock net, so several ports of one memory may sit in different clock domains
-    // (per-port `withClock`) without being collapsed.
-    let mut writes: Vec<Vec<NetMemWrite>> = vec![Vec::new(); mems.len()];
-    for (mem, write) in mem_writes {
-        let mut declared = (0..mems.len()).filter(|&i| mems[i].0 == mem);
-        let Some(first) = declared.next() else {
-            return Err(Diagnostic::error(
-                ErrorCode::UnknownReference,
-                SourceInfo::unknown(),
-                format!("write port targets undeclared memory {mem}"),
-            ));
-        };
-        for i in declared {
-            writes[i].push(write.clone());
-        }
-        writes[first].push(write);
-    }
-    let mut ruw_of: BTreeMap<String, ReadUnderWrite> = BTreeMap::new();
-    let mut net_mems: Vec<NetMem> = Vec::with_capacity(mems.len());
-    for ((name, info, depth, init, ruw), writes) in mems.into_iter().zip(writes) {
-        ruw_of.insert(name.clone(), ruw);
-        net_mems.push(NetMem { name, info, depth, init, writes, sync_reads: Vec::new() });
-    }
-
-    hoist_sync_reads(&mut defs, &mut net_regs, &mut net_mems, &ruw_of, &mut signals)?;
-    let defs = topo_sort_defs(defs, &net_regs)?;
-    Ok(Netlist { name, ports, defs, regs: net_regs, mems: net_mems, signals })
-}
-
-/// Resolves last-connect-wins semantics under nested conditions, consuming `body`;
-/// nodes become definitions in statement order.
-///
-/// The fallback value of a conditionally assigned sink is the sink's *previous*
-/// accumulated value; when there is none, registers fall back to themselves (hold) and
-/// wires/outputs fall back to zero (the initialization check has already guaranteed
-/// that every path assigns them, so the zero branch is unreachable).
-fn expand_when(
-    body: Vec<GroundStatement>,
-    condition: Option<&Expression>,
-    regs: &BTreeSet<&str>,
-    values: &mut BTreeMap<String, Expression>,
-    defs: &mut Vec<NetDef>,
-    mem_writes: &mut Vec<(String, NetMemWrite)>,
-) {
-    for stmt in body {
-        match stmt {
-            GroundStatement::Node(name, info, expr) => defs.push(NetDef { name, info, expr }),
-            GroundStatement::MemWrite { mem, addr, value, mask, clock } => {
-                // The port's enable is the conjunction of the surrounding conditions;
-                // an unconditional write is always enabled.
-                let enable = condition.cloned().unwrap_or_else(|| Expression::uint_lit(1));
-                mem_writes.push((mem, NetMemWrite { addr, value, enable, mask, clock }));
-            }
-            GroundStatement::Connect(sink, expr) => {
-                let new_value = match condition {
-                    None => expr,
-                    Some(cond) => {
-                        let fallback = values.remove(&sink).unwrap_or_else(|| {
-                            if regs.contains(sink.as_str()) {
-                                Expression::reference(sink.clone())
-                            } else {
-                                Expression::uint_lit(0)
-                            }
-                        });
-                        Expression::mux(cond.clone(), expr, fallback)
-                    }
-                };
-                values.insert(sink, new_value);
-            }
-            GroundStatement::When(cond, then_body, else_body) => {
-                let not = Expression::prim(PrimOp::Not, vec![cond.clone()], vec![]);
-                let nested_then = and_conditions(condition, cond);
-                let nested_else = and_conditions(condition, not);
-                expand_when(then_body, Some(&nested_then), regs, values, defs, mem_writes);
-                expand_when(else_body, Some(&nested_else), regs, values, defs, mem_writes);
-            }
-        }
+/// The mangled clock net of a register or memory write port: `clock`, or the named
+/// signal its `withClock` gives.
+fn clock_net(clock: &ClockSpec, info: &SourceInfo) -> Result<String, Diagnostic> {
+    match clock {
+        ClockSpec::Implicit => Ok("clock".to_string()),
+        ClockSpec::Explicit(e) => static_path(e).map(|path| mangle(&path)).ok_or_else(|| {
+            Diagnostic::error(
+                ErrorCode::NoImplicitClock,
+                info.clone(),
+                "withClock requires a named clock signal",
+            )
+        }),
     }
 }
 
@@ -1625,6 +1543,197 @@ mod tests {
         assert_eq!(lowered_after([wire("w"), wire("w")]), ["w := a", "out := w"]);
         // A wire and a register `r`: both read `a`, so the register does not hold.
         assert_eq!(lowered_after([wire("r"), reg]), ["r := a", "out := r", "r <= a"]);
+    }
+
+    fn connect(loc: Expression, expr: Expression) -> Statement {
+        Statement::Connect { loc, expr, info: SourceInfo::unknown() }
+    }
+
+    fn when(cond: &str, then_body: Vec<Statement>, else_body: Vec<Statement>) -> Statement {
+        let cond = Expression::reference(cond);
+        Statement::When { cond, then_body, else_body, info: SourceInfo::unknown() }
+    }
+
+    fn dont_care(loc: Expression) -> Statement {
+        Statement::Invalidate { loc, info: SourceInfo::unknown() }
+    }
+
+    fn at(vec: &str, index: &str) -> Expression {
+        Expression::SubAccess(
+            Box::new(Expression::reference(vec)),
+            Box::new(Expression::reference(index)),
+        )
+    }
+
+    /// Module `M`: an implicit clock and reset, then `ports` and `body`.
+    fn module(ports: &[(&str, Direction, Type)], body: Vec<Statement>) -> Circuit {
+        let mut m = Module::new("M", ModuleKind::Module);
+        m.ports.push(Port::new("clock", Direction::Input, Type::Clock));
+        m.ports.push(Port::new("reset", Direction::Input, Type::bool()));
+        for (name, direction, ty) in ports {
+            m.ports.push(Port::new(*name, *direction, ty.clone()));
+        }
+        m.body = body;
+        Circuit::single(m)
+    }
+
+    /// The defs (`name := expr`), then the registers (`name <= next`), of `netlist`.
+    fn lines(netlist: &Netlist) -> Vec<String> {
+        let defs = netlist.defs.iter().map(|d| format!("{} := {}", d.name, d.expr));
+        defs.chain(netlist.regs.iter().map(|r| format!("{} <= {}", r.name, r.next))).collect()
+    }
+
+    /// [`lines`] of a module that passes the checks.
+    fn lowered(ports: &[(&str, Direction, Type)], body: Vec<Statement>) -> Vec<String> {
+        let c = module(ports, body);
+        assert!(!check_circuit(&c).has_errors(), "{:?}", check_circuit(&c));
+        lines(&lower_circuit(&c).unwrap())
+    }
+
+    const IN: Direction = Direction::Input;
+    const OUT: Direction = Direction::Output;
+
+    #[test]
+    fn dont_care_on_a_ground_output_drives_zero() {
+        let ports =
+            [("en", IN, Type::bool()), ("a", IN, Type::uint(8)), ("out", OUT, Type::uint(8))];
+        let out = || Expression::reference("out");
+        let body = vec![
+            dont_care(out()),
+            when("en", vec![connect(out(), Expression::reference("a"))], vec![]),
+        ];
+        assert_eq!(lowered(&ports, body), ["out := mux(en, a, UInt(0))"]);
+    }
+
+    #[test]
+    fn dont_care_on_a_vec_wire_under_a_when_muxes_zero_per_element() {
+        let v4 = Type::vec(Type::uint(4), 2);
+        let ports = [("en", IN, Type::bool()), ("v", IN, v4.clone()), ("out", OUT, Type::uint(8))];
+        let w = || Expression::reference("w");
+        let body = vec![
+            Statement::Wire { name: "w".into(), ty: v4, info: SourceInfo::unknown() },
+            connect(w(), Expression::reference("v")),
+            when("en", vec![dont_care(w())], vec![]),
+            connect(
+                Expression::reference("out"),
+                Expression::prim(PrimOp::AsUInt, vec![w()], vec![]),
+            ),
+        ];
+        assert_eq!(
+            lowered(&ports, body),
+            [
+                "w_0 := mux(en, UInt(0), v_0)",
+                "w_1 := mux(en, UInt(0), v_1)",
+                "out := cat(w_1, w_0)"
+            ]
+        );
+    }
+
+    #[test]
+    fn dynamic_sinks_under_when_and_otherwise_fold_each_element() {
+        let v4 = Type::vec(Type::uint(4), 2);
+        let ports = [
+            ("en", IN, Type::bool()),
+            ("i", IN, Type::uint(1)),
+            ("a", IN, Type::uint(4)),
+            ("b", IN, Type::uint(4)),
+            ("u", IN, v4.clone()),
+            ("out", OUT, v4),
+        ];
+        let body = vec![
+            connect(Expression::reference("out"), Expression::reference("u")),
+            when(
+                "en",
+                vec![connect(at("out", "i"), Expression::reference("a"))],
+                vec![connect(at("out", "i"), Expression::reference("b"))],
+            ),
+        ];
+        assert_eq!(
+            lowered(&ports, body),
+            [
+                "out_0 := mux(and(not(en), eq(i, UInt(0))), b, \
+                 mux(and(en, eq(i, UInt(0))), a, u_0))",
+                "out_1 := mux(and(not(en), eq(i, UInt(1))), b, \
+                 mux(and(en, eq(i, UInt(1))), a, u_1))",
+            ]
+        );
+    }
+
+    #[test]
+    fn an_aggregate_connect_under_a_condition_muxes_each_element() {
+        let v4 = Type::vec(Type::uint(4), 2);
+        let ports = [
+            ("en", IN, Type::bool()),
+            ("u", IN, v4.clone()),
+            ("v", IN, v4.clone()),
+            ("out", OUT, v4),
+        ];
+        let out = || Expression::reference("out");
+        let body = vec![
+            connect(out(), Expression::reference("u")),
+            when("en", vec![connect(out(), Expression::reference("v"))], vec![]),
+        ];
+        assert_eq!(
+            lowered(&ports, body),
+            ["out_0 := mux(en, v_0, u_0)", "out_1 := mux(en, v_1, u_1)"]
+        );
+    }
+
+    /// Register `r: Vec(UInt<8>, 2)` reset to `init`, read by `out := r[1]`.
+    fn vec_register_reset_to(init: Expression, ports: &[(&str, Direction, Type)]) -> Circuit {
+        let mut ports = ports.to_vec();
+        ports.push(("out", OUT, Type::uint(8)));
+        let r = Expression::reference("r");
+        module(
+            &ports,
+            vec![
+                Statement::Reg {
+                    name: "r".into(),
+                    ty: Type::vec(Type::uint(8), 2),
+                    clock: ClockSpec::Implicit,
+                    reset: Some(RegReset { reset: Expression::reference("reset"), init }),
+                    info: SourceInfo::unknown(),
+                },
+                connect(Expression::reference("out"), Expression::SubIndex(Box::new(r), 1)),
+            ],
+        )
+    }
+
+    #[test]
+    fn a_ground_named_init_broadcasts_to_every_element() {
+        let c = vec_register_reset_to(Expression::reference("x"), &[("x", IN, Type::uint(8))]);
+        assert!(!check_circuit(&c).has_errors(), "{:?}", check_circuit(&c));
+        let netlist = lower_circuit(&c).unwrap();
+        let inits: Vec<String> =
+            netlist.regs.iter().map(|r| format!("{}", r.reset.as_ref().unwrap().1)).collect();
+        assert_eq!(inits, ["x", "x"]);
+        // Every name the netlist reads is one of its signals.
+        let mut read = Vec::new();
+        for r in &netlist.regs {
+            for e in [&r.next, &r.reset.as_ref().unwrap().0, &r.reset.as_ref().unwrap().1] {
+                read.extend(e.referenced_names());
+            }
+        }
+        assert!(read.iter().all(|name| netlist.signal(name).is_some()), "{read:?}");
+    }
+
+    #[test]
+    fn an_aggregate_init_that_is_not_a_named_signal_is_a_diagnostic() {
+        let v8 = Type::vec(Type::uint(8), 2);
+        let init = Expression::mux(
+            Expression::reference("sel"),
+            Expression::reference("a"),
+            Expression::reference("b"),
+        );
+        let c = vec_register_reset_to(
+            init,
+            &[("sel", IN, Type::bool()), ("a", IN, v8.clone()), ("b", IN, v8)],
+        );
+        assert!(!check_circuit(&c).has_errors(), "{:?}", check_circuit(&c));
+        let err = lower_circuit(&c).unwrap_err();
+        assert_eq!(err.code, ErrorCode::InvalidSink);
+        assert_eq!(err.subject.as_deref(), Some("r"));
+        assert!(err.message.contains("named source"), "{err}");
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! ```
 //!
 //! [`Pipeline::run`] is the one way through the stages. It borrows the circuit
-//! throughout and returns the netlist and the backend's output, or the error-severity
-//! diagnostics of the stage that failed. A revision is elaborated once: the checks
+//! throughout and returns the netlist and the backend's output, or the diagnostics of
+//! the stage that failed. A revision is elaborated once: the checks
 //! and lowering share one symbol table and one width inference per module. Lowering
 //! elaborates again only a flattened or width-resolved copy of the top module, which a
 //! design without instances or width-less declarations never needs.
@@ -348,14 +348,13 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// Returns every error-severity diagnostic of the failing stage — the "syntax
-    /// error" feedback of the ReChisel workflow. Warnings of a passing check are
-    /// dropped.
+    /// Returns every diagnostic of the failing stage — the "syntax error" feedback of
+    /// the ReChisel workflow.
     pub fn run(&self, circuit: &Circuit) -> Result<(Netlist, String), Vec<Diagnostic>> {
         let (report, top) = self.passes.check(circuit);
         let top = match top {
             Some(top) if !report.has_errors() => top,
-            _ => return Err(report.errors().cloned().collect()),
+            _ => return Err(report.diagnostics),
         };
         let netlist = lower_elaborated(circuit, &top).map_err(|d| vec![d])?;
         let output = self.backend.emit(circuit, &netlist).map_err(|d| vec![d])?;
@@ -432,7 +431,7 @@ mod tests {
         }
         let report = pm.run(&passthrough());
         let messages: Vec<&str> =
-            report.iter().map(|d| d.message.split(' ').next().unwrap()).collect();
+            report.errors().map(|d| d.message.split(' ').next().unwrap()).collect();
         assert_eq!(messages, ["first", "second"]);
     }
 
